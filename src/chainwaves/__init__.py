@@ -22,6 +22,7 @@ from .grid import (
     SpectralGrid,
     Spectrum,
     antiderivative,
+    apply_symbol,
     derivative,
     evenness_defect,
     forward_transform,
@@ -64,6 +65,7 @@ from .operators import (
     MultiplierOperator,
     averaging_direct,
     averaging_operator,
+    averaging_symbol,
     b0_operator,
     b0_symbol,
     b_operator,
@@ -84,7 +86,6 @@ from .solver import (
     WaveSolution,
     apply_N,
     convergence_sweep,
-    direct_iteration,
     eigen_identity_check,
     fixed_point_map,
     measure_tail_decay,

@@ -8,6 +8,7 @@ and the rectangle-rule norm the continuum L2 norm.
 Conventions:
     nodes        x_i = -L + i*h,  h = 2L/N,  i = 0..N-1
     wavenumbers  k_n = pi*n/L,    n = -N/2..N/2-1 (stored in FFT order)
+    half lattice k_n = pi*n/L,    n = 0..N/2 (real-FFT order)
     forward      c_n = h * sum_i f(x_i) exp(-i k_n x_i)   ~ integral of f e^{-ikx}
     inverse      f(x_i) = (1/2L) * sum_n c_n exp(i k_n x_i)
     Parseval     ||f||_2^2 = h * sum_i f_i^2 = sum_n |c_n|^2 / (2L)
@@ -29,6 +30,7 @@ __all__ = [
     "GridFunction",
     "Spectrum",
     "make_grid",
+    "apply_symbol",
     "grid_function",
     "forward_transform",
     "inverse_transform",
@@ -42,9 +44,6 @@ __all__ = [
     "antiderivative",
     "sample",
 ]
-
-_PARITIES = ("even", "odd", "none")
-
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -84,6 +83,13 @@ class SpectralGrid:
         return k
 
     @cached_property
+    def half_wavenumbers(self) -> NDArray[np.float64]:
+        """Nonnegative k_n = pi*n/L, n = 0..N/2, matching ``np.fft.rfft`` output."""
+        k = np.pi * np.arange(self.num_points // 2 + 1) / self.half_length
+        k.flags.writeable = False
+        return k
+
+    @cached_property
     def mode_numbers(self) -> NDArray[np.int64]:
         """Integer mode index n of each FFT bin (n = L*k_n/pi)."""
         n = np.fft.fftfreq(self.num_points, d=1.0 / self.num_points).astype(np.int64)
@@ -115,18 +121,29 @@ def make_grid(half_length: float, num_points: int) -> SpectralGrid:
     return SpectralGrid(float(half_length), int(num_points))
 
 
+def apply_symbol(values, half_symbol) -> NDArray[np.float64]:
+    """Fourier multiplier irfft(half_symbol * rfft(values)) along axis 0.
+
+    ``values`` is an (N,) array of real samples or an (N, B) array of columns;
+    ``half_symbol`` is the symbol on ``grid.half_wavenumbers``. Only the real
+    part of the Nyquist entry acts, so a symbol odd in k must vanish there.
+    """
+    values = np.asarray(values, dtype=float)
+    symbol = np.asarray(half_symbol)
+    if values.ndim == 2:
+        symbol = symbol[:, None]
+    return np.fft.irfft(symbol * np.fft.rfft(values, axis=0), n=values.shape[0], axis=0)
+
+
 @dataclass
 class GridFunction:
     """Real samples of a profile on a :class:`SpectralGrid`.
 
-    ``parity_hint`` is advisory metadata: operations that require evenness
-    verify it numerically instead of trusting the tag. Values are locked
-    against mutation after construction.
+    Values are locked against mutation after construction.
     """
 
     grid: SpectralGrid
     values: NDArray[np.float64]
-    parity_hint: str = "none"
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float, copy=True)
@@ -136,75 +153,40 @@ class GridFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
-        if self.parity_hint not in _PARITIES:
-            raise ValueError(f"parity_hint must be one of {_PARITIES}")
         values.flags.writeable = False
         self.values = values
-        if self.parity_hint == "even":
-            scale = max(1.0, float(np.max(np.abs(values))))
-            defect = np.max(np.abs(values - values[self.grid._reflection]))
-            if defect > 1e-12 * scale:
-                raise ValueError(
-                    f"parity_hint='even' but reflection defect {defect:.3e} "
-                    f"exceeds 1e-12 * {scale:.3e}"
-                )
 
     def reflected(self) -> NDArray[np.float64]:
         """Samples of x -> f(-x)."""
         return self.values[self.grid._reflection]
 
-    def with_values(self, values: NDArray[np.float64], parity_hint: str = "none") -> "GridFunction":
-        return GridFunction(self.grid, values, parity_hint)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise GridMismatchError(f"{self.grid} vs {other.grid}")
 
-    @staticmethod
-    def _combine_parity(a: str, b: str) -> str:
-        return a if a == b else "none"
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        hint = self._combine_parity(self.parity_hint, other.parity_hint)
-        return _derived(self.grid, self.values + other.values, hint)
+        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        hint = self._combine_parity(self.parity_hint, other.parity_hint)
-        return _derived(self.grid, self.values - other.values, hint)
+        return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             self._check_same_grid(other)
-            if self.parity_hint == other.parity_hint != "none":
-                hint = "even"
-            else:
-                hint = "none"
-            return _derived(self.grid, self.values * other.values, hint)
-        return _derived(self.grid, self.values * float(other), self.parity_hint)
+            return GridFunction(self.grid, self.values * other.values)
+        return GridFunction(self.grid, self.values * float(other))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values, self.parity_hint)
+        return GridFunction(self.grid, -self.values)
 
 
-def grid_function(grid: SpectralGrid, values, parity_hint: str = "none") -> GridFunction:
+def grid_function(grid: SpectralGrid, values) -> GridFunction:
     """Convenience constructor accepting any array-like of samples."""
-    return GridFunction(grid, np.asarray(values, dtype=float), parity_hint)
-
-
-def _derived(grid: SpectralGrid, values: NDArray[np.float64], hint: str) -> GridFunction:
-    """Construct an arithmetic result, degrading an even hint that round-off
-    no longer supports (e.g. near-cancelling combinations). Explicitly claimed
-    hints still fail loudly in the constructor."""
-    if hint == "even":
-        scale = max(1.0, float(np.max(np.abs(values))))
-        defect = np.max(np.abs(values - values[grid._reflection]))
-        if defect > 1e-12 * scale:
-            hint = "none"
-    return GridFunction(grid, values, hint)
+    return GridFunction(grid, np.asarray(values, dtype=float))
 
 
 @dataclass
@@ -235,11 +217,11 @@ def forward_transform(f: GridFunction) -> Spectrum:
     return Spectrum(grid, coeff)
 
 
-def inverse_transform(spectrum: Spectrum, parity_hint: str = "none") -> GridFunction:
+def inverse_transform(spectrum: Spectrum) -> GridFunction:
     """Samples f_i = (1/2L) sum_n c_n exp(i k_n x_i); realness enforced."""
     grid = spectrum.grid
     values = np.fft.ifft(grid._phase * spectrum.coefficients).real / grid.spacing
-    return GridFunction(grid, values, parity_hint)
+    return GridFunction(grid, values)
 
 
 def l2_norm(f: GridFunction) -> float:
@@ -280,7 +262,7 @@ def sobolev22_norm(f: GridFunction) -> float:
 def project_even(f: GridFunction) -> GridFunction:
     """Even part (f(x) + f(-x))/2; idempotent and l2-nonexpansive."""
     values = 0.5 * (f.values + f.reflected())
-    return GridFunction(f.grid, values, "even")
+    return GridFunction(f.grid, values)
 
 
 def evenness_defect(f: GridFunction) -> float:
@@ -295,17 +277,10 @@ def derivative(f: GridFunction, order: int) -> GridFunction:
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    grid = f.grid
-    multiplier = (1j * grid.wavenumbers) ** order
+    multiplier = (1j * f.grid.half_wavenumbers) ** order
     if order % 2 == 1:
-        multiplier = multiplier.copy()
-        multiplier[grid.num_points // 2] = 0.0
-    values = np.fft.ifft(multiplier * np.fft.fft(f.values)).real
-    if f.parity_hint in ("even", "odd"):
-        hint = f.parity_hint if order % 2 == 0 else ("odd" if f.parity_hint == "even" else "even")
-    else:
-        hint = "none"
-    return _derived(grid, values, hint)
+        multiplier[-1] = 0.0
+    return GridFunction(f.grid, apply_symbol(f.values, multiplier))
 
 
 def antiderivative(f: GridFunction) -> GridFunction:
@@ -315,7 +290,7 @@ def antiderivative(f: GridFunction) -> GridFunction:
     a non-periodic ramp on [-L, L) and must not be fed back into transforms.
     """
     values = cumulative_trapezoid(f.values, dx=f.grid.spacing, initial=0.0)
-    return GridFunction(f.grid, values, "none")
+    return GridFunction(f.grid, values)
 
 
 def sample(f: GridFunction, points) -> NDArray[np.float64]:

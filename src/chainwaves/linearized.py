@@ -23,14 +23,13 @@ from numpy.typing import NDArray
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
-from .grid import GridFunction, SpectralGrid, _derived, l2_norm, project_even
+from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm, project_even
 from .model import ChainModel, kdv_profile
-from .operators import b0_symbol, b_symbol, sinc
+from .operators import averaging_symbol, b0_symbol, b_symbol
 
 __all__ = [
     "LinearizedOperator",
     "linearized_operator",
-    "even_wavenumbers",
     "even_coefficients",
     "even_synthesis",
 ]
@@ -38,11 +37,6 @@ __all__ = [
 NEAR_SINGULAR_THRESHOLD = 1e-8
 _EVENNESS_GATE = 1e-8
 _ASSEMBLY_BLOCK = 256
-
-
-def even_wavenumbers(grid: SpectralGrid) -> NDArray[np.float64]:
-    """Nonnegative lattice wavenumbers k_n = pi*n/L, n = 0..N/2."""
-    return np.pi * np.arange(grid.num_points // 2 + 1) / grid.half_length
 
 
 def _even_norms(grid: SpectralGrid) -> NDArray[np.float64]:
@@ -56,7 +50,7 @@ def _even_norms(grid: SpectralGrid) -> NDArray[np.float64]:
 @lru_cache(maxsize=2)
 def _even_basis(grid: SpectralGrid) -> NDArray[np.float64]:
     """Orthonormal even basis as columns: e_n(x_i) = norm_n cos(k_n x_i)."""
-    basis = np.cos(np.outer(grid.nodes, even_wavenumbers(grid)))
+    basis = np.cos(np.outer(grid.nodes, grid.half_wavenumbers))
     basis *= _even_norms(grid)[None, :]
     basis.flags.writeable = False
     return basis
@@ -70,7 +64,7 @@ def even_coefficients(f: GridFunction) -> NDArray[np.float64]:
     return _even_norms(grid) * projected
 
 
-def even_synthesis(grid: SpectralGrid, coefficients, parity_hint: str = "even") -> GridFunction:
+def even_synthesis(grid: SpectralGrid, coefficients) -> GridFunction:
     """Grid function sum_n coeff_n e_n from cosine-basis coordinates."""
     coefficients = np.asarray(coefficients, dtype=float)
     n_half = grid.num_points // 2
@@ -81,7 +75,7 @@ def even_synthesis(grid: SpectralGrid, coefficients, parity_hint: str = "even") 
     packed[0] *= 2.0
     packed[-1] *= 2.0
     values = np.fft.irfft(packed, n=grid.num_points)
-    return GridFunction(grid, values, parity_hint)
+    return GridFunction(grid, values)
 
 
 @dataclass(frozen=True)
@@ -113,14 +107,15 @@ class LinearizedOperator:
             return tuple([self.w0] * self.model.neighbor_range)
         profiles = []
         for m in range(1, self.model.neighbor_range + 1):
-            symbol = sinc(0.5 * m * self.eps * self.grid.wavenumbers)
-            values = np.fft.ifft(symbol * np.fft.fft(self.w0.values)).real
-            profiles.append(GridFunction(self.grid, values, "even"))
+            symbol = averaging_symbol(self.grid, m * self.eps)
+            profiles.append(GridFunction(self.grid, apply_symbol(self.w0.values, symbol)))
         return tuple(profiles)
 
     @cached_property
     def _b_diagonal(self) -> NDArray[np.float64]:
-        k = even_wavenumbers(self.grid)
+        """Symbol of B_eps on ``grid.half_wavenumbers``: the diagonal of the
+        even matrix and the half symbol applied by ``apply_l``."""
+        k = self.grid.half_wavenumbers
         if self.eps == 0:
             return np.asarray(b0_symbol(self.model, k))
         return np.asarray(b_symbol(self.model, self.eps, k))
@@ -136,11 +131,10 @@ class LinearizedOperator:
             return coeff * self.w0.values[:, None] * columns
         out = np.zeros_like(columns)
         for m, beta in enumerate(self.model.beta, start=1):
-            symbol = sinc(0.5 * m * self.eps * self.grid.wavenumbers)[:, None]
-            inner = np.fft.ifft(symbol * np.fft.fft(columns, axis=0), axis=0).real
+            symbol = averaging_symbol(self.grid, m * self.eps)
+            inner = apply_symbol(columns, symbol)
             product = self.averaged_profiles[m - 1].values[:, None] * inner
-            outer = np.fft.ifft(symbol * np.fft.fft(product, axis=0), axis=0).real
-            out += 2.0 * beta * m**3 * outer
+            out += 2.0 * beta * m**3 * apply_symbol(product, symbol)
         return out
 
     def apply_m(self, v: GridFunction) -> GridFunction:
@@ -148,19 +142,14 @@ class LinearizedOperator:
         if v.grid != self.grid:
             raise GridMismatchError("operand grid differs from operator grid")
         values = self._coupling_columns(v.values[:, None])[:, 0]
-        return _derived(self.grid, values, v.parity_hint)
+        return GridFunction(self.grid, values)
 
     def apply_l(self, v: GridFunction) -> GridFunction:
         """Full linearization L_eps V = B_eps V - M_eps V."""
         if v.grid != self.grid:
             raise GridMismatchError("operand grid differs from operator grid")
-        k = self.grid.wavenumbers
-        if self.eps == 0:
-            symbol = np.asarray(b0_symbol(self.model, k))
-        else:
-            symbol = np.asarray(b_symbol(self.model, self.eps, k))
-        b_part = np.fft.ifft(symbol * np.fft.fft(v.values)).real
-        return _derived(self.grid, b_part, v.parity_hint) - self.apply_m(v)
+        b_part = apply_symbol(v.values, self._b_diagonal)
+        return GridFunction(self.grid, b_part) - self.apply_m(v)
 
     @cached_property
     def _assembled(self):

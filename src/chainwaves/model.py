@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainTooSmallError
-from .grid import GridFunction, SpectralGrid, _derived, l2_norm
-from .operators import averaging_operator, b_operator
+from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
+from .operators import averaging_symbol, b_operator
 
 __all__ = [
     "PsiFamily",
@@ -259,7 +259,7 @@ def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
             f"need half_length > {default_half_length(model):g}"
         )
     values = peak / np.cosh(rate * grid.nodes) ** 2
-    return GridFunction(grid, values, "even")
+    return GridFunction(grid, values)
 
 
 def apply_Q(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
@@ -270,13 +270,12 @@ def apply_Q(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    grid = w.grid
-    total = GridFunction(grid, np.zeros(grid.num_points), w.parity_hint)
+    total = np.zeros(w.grid.num_points)
     for m, beta in enumerate(model.beta, start=1):
-        averaging = averaging_operator(grid, m * eps)
-        inner = averaging.apply(w)
-        total = total + (beta * m**3) * averaging.apply(inner * inner)
-    return total
+        symbol = averaging_symbol(w.grid, m * eps)
+        inner = apply_symbol(w.values, symbol)
+        total += (beta * m**3) * apply_symbol(inner * inner, symbol)
+    return GridFunction(w.grid, total)
 
 
 def apply_Q0(model: ChainModel, w: GridFunction) -> GridFunction:
@@ -294,14 +293,12 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    grid = w.grid
-    total = np.zeros(grid.num_points)
+    total = np.zeros(w.grid.num_points)
     if model.psi.kind == "none":
-        return GridFunction(grid, total, w.parity_hint)
+        return GridFunction(w.grid, total)
     for m in range(1, model.neighbor_range + 1):
-        averaging = averaging_operator(grid, m * eps)
-        inner = averaging.apply(w)
-        argument = (m * eps**2) * inner.values
+        symbol = averaging_symbol(w.grid, m * eps)
+        argument = (m * eps**2) * apply_symbol(w.values, symbol)
         peak = float(np.max(np.abs(argument)))
         if peak > 1.0:
             warnings.warn(
@@ -309,9 +306,8 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
                 f"m={m}; the curvature bound regime is left",
                 stacklevel=2,
             )
-        forced = _derived(grid, np.asarray(model.psi.prime(m, argument)), w.parity_hint)
-        total = total + m * averaging.apply(forced).values
-    return _derived(grid, total / eps**6, w.parity_hint)
+        total += m * apply_symbol(model.psi.prime(m, argument), symbol)
+    return GridFunction(w.grid, total / eps**6)
 
 
 def tw_residual(model: ChainModel, eps: float, w: GridFunction) -> float:

@@ -27,10 +27,18 @@ from .errors import (
     EmptyWindowError,
     NoConvergenceError,
 )
-from .grid import GridFunction, SpectralGrid, derivative, l2_norm, project_even, sup_norm
+from .grid import (
+    GridFunction,
+    SpectralGrid,
+    apply_symbol,
+    derivative,
+    l2_norm,
+    project_even,
+    sup_norm,
+)
 from .linearized import LinearizedOperator, linearized_operator
 from .model import ChainModel, apply_P, apply_Q, kdv_profile, tw_residual
-from .operators import averaging_operator, b_operator, invert_b
+from .operators import averaging_symbol, b_operator
 
 __all__ = [
     "SolveConfig",
@@ -41,7 +49,6 @@ __all__ = [
     "apply_N",
     "fixed_point_map",
     "solve_wave",
-    "direct_iteration",
     "eigen_identity_check",
     "measure_tail_decay",
     "SweepRow",
@@ -132,7 +139,7 @@ def apply_N(model: ChainModel, eps: float, v: GridFunction, w0: GridFunction) ->
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if model.psi.kind == "none":
-        return GridFunction(v.grid, np.zeros(v.grid.num_points), v.parity_hint)
+        return GridFunction(v.grid, np.zeros(v.grid.num_points))
     shifted = w0 + eps**2 * v
     return (1.0 / eps**2) * (apply_P(model, eps, shifted) - apply_P(model, eps, w0))
 
@@ -205,7 +212,7 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
     operator = linearized_operator(model, grid, eps)
     w0 = operator.w0
     pair = residuals(model, grid, eps)
-    v = GridFunction(grid, np.zeros(grid.num_points), "even")
+    v = GridFunction(grid, np.zeros(grid.num_points))
     iterations = 0
     increment = math.inf
     converged = False
@@ -262,30 +269,6 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
     )
 
 
-def direct_iteration(
-    model: ChainModel,
-    grid: SpectralGrid,
-    eps: float,
-    start: GridFunction,
-    iterations: int,
-) -> tuple[GridFunction, list[float]]:
-    """Experimental whole-profile map w -> B_eps^{-1}(Q_eps[w] + eps^2 P_eps[w]).
-
-    Exact solutions are fixed points, but no convergence promise is made;
-    returned increments let callers judge the behavior themselves.
-    """
-    w = start
-    increments: list[float] = []
-    for _ in range(iterations):
-        rhs = apply_Q(model, eps, w)
-        if model.psi.kind != "none":
-            rhs = rhs + eps**2 * apply_P(model, eps, w)
-        image = invert_b(model, grid, eps, rhs)
-        increments.append(l2_norm(image - w))
-        w = image
-    return w, increments
-
-
 def eigen_identity_check(solution: WaveSolution) -> float:
     """Relative residual of the differentiated traveling-wave identity.
 
@@ -302,11 +285,11 @@ def eigen_identity_check(solution: WaveSolution) -> float:
         return 0.0
     total = np.zeros(grid.num_points)
     for m in range(1, solution.model.neighbor_range + 1):
-        averaging = averaging_operator(grid, m * eps)
-        argument = (m * eps**2) * averaging.apply(solution.w).values
-        stiffness = np.asarray(solution.model.force_derivative(m, argument))
-        inner = stiffness * averaging.apply(w_prime).values
-        total += m**2 * averaging.apply(GridFunction(grid, inner)).values
+        symbol = averaging_symbol(grid, m * eps)
+        argument = (m * eps**2) * apply_symbol(solution.w.values, symbol)
+        stiffness = solution.model.force_derivative(m, argument)
+        inner = stiffness * apply_symbol(w_prime.values, symbol)
+        total += m**2 * apply_symbol(inner, symbol)
     defect = GridFunction(grid, total - solution.wave_speed_sq * w_prime.values)
     return l2_norm(defect) / norm
 

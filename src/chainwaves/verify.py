@@ -39,7 +39,7 @@ from .operators import (
 )
 from .solver import measure_tail_decay, residuals
 
-__all__ = ["CheckResult", "run_verification", "random_band_limited", "unimodality_defect"]
+__all__ = ["CHECKS", "CheckResult", "run_verification", "random_band_limited", "unimodality_defect"]
 
 _ETA_SWEEP = (0.4, 0.2, 0.1, 0.05)
 _EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
@@ -82,7 +82,7 @@ def random_band_limited(
         coeff[inside] = (amplitude[inside] + 1j * phase[inside]) * envelope
         coeff = 0.5 * (coeff + np.conj(coeff[grid._reflection]))
     values = np.fft.ifft(coeff).real
-    f = GridFunction(grid, values, parity if parity != "none" else "none")
+    f = GridFunction(grid, values)
     norm = l2_norm(f)
     return f if norm == 0 else (1.0 / norm) * f
 
@@ -179,7 +179,7 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
         symbol_route = averaging_operator(grid, eta).apply(w0)
         direct_route = averaging_direct(eta, w0)
         worst = max(worst, l2_norm(symbol_route - direct_route))
-    return _result("averaging_symbol_vs_quadrature", worst <= 1e-8, f"max l2 gap {worst:.2e}")
+    return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
 
 def _check_b_symbol_floor(model, grid):
@@ -383,35 +383,37 @@ def _check_sigma_min_uniformity(model, grid):
     )
 
 
-_CHECKS = (
-    _check_averaging_self_adjoint,
-    _check_averaging_norm_bounds,
-    _check_averaging_shape_preservation,
-    _check_averaging_asymptotic_orders,
-    _check_averaging_symbol_vs_quadrature,
-    _check_b_symbol_floor,
-    _check_b_inverse_roundtrip,
-    _check_b_inverse_self_adjoint,
-    _check_cutoff_inverse_stability,
-    _check_von_neumann_geometric,
-    _check_von_neumann_shape_preservation,
-    _check_profile_ode_residual,
-    _check_profile_hamiltonian,
-    _check_profile_tail_rate,
-    _check_residual_boundedness,
-    _check_quadratic_operator_limit,
-    _check_linearized_symmetry,
-    _check_linearized_kernel_direction,
-    _check_linearized_strong_convergence,
-    _check_sigma_min_uniformity,
-)
+CHECKS = {
+    check.__name__.removeprefix("_check_"): check
+    for check in (
+        _check_averaging_self_adjoint,
+        _check_averaging_norm_bounds,
+        _check_averaging_shape_preservation,
+        _check_averaging_asymptotic_orders,
+        _check_averaging_symbol_vs_quadrature,
+        _check_b_symbol_floor,
+        _check_b_inverse_roundtrip,
+        _check_b_inverse_self_adjoint,
+        _check_cutoff_inverse_stability,
+        _check_von_neumann_geometric,
+        _check_von_neumann_shape_preservation,
+        _check_profile_ode_residual,
+        _check_profile_hamiltonian,
+        _check_profile_tail_rate,
+        _check_residual_boundedness,
+        _check_quadratic_operator_limit,
+        _check_linearized_symmetry,
+        _check_linearized_kernel_direction,
+        _check_linearized_strong_convergence,
+        _check_sigma_min_uniformity,
+    )
+}
 
 
 def run_verification(model: ChainModel, grid: SpectralGrid) -> list[CheckResult]:
     """Run every named property check; failures are collected, not raised."""
     results = []
-    for check in _CHECKS:
-        name = check.__name__.removeprefix("_check_")
+    for name, check in CHECKS.items():
         try:
             results.append(check(model, grid))
         except Exception as exc:  # a crashed check is a failed property

@@ -15,7 +15,7 @@ import pytest
 import chainwaves as cw
 from chainwaves import cli
 from chainwaves.linearized import linearized_operator
-from chainwaves.verify import random_band_limited, unimodality_defect
+from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
 
 EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
 
@@ -79,23 +79,12 @@ def test_c02_operator_oracle_equivalence(grids):
             for probe in probes:
                 gap = cw.l2_norm(operator.apply(probe) - cw.averaging_direct(eta, probe))
                 worst = max(worst, gap)
-    report("C2 operator oracle equivalence", worst <= 1e-8, f"max l2 gap {worst:.2e}")
+    report("C2 operator oracle equivalence", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
 
 def test_c03_averaging_orders(grids):
-    model = MODELS["M1"]
-    constants = cw.kdv_constants(model)
-    w0 = cw.kdv_profile(model, grids["M1"])
-    w2 = constants.d1 * w0 - constants.d2 * (w0 * w0)
-    plain, corrected = [], []
-    for eta in EPS_SWEEP:
-        averaged = cw.averaging_operator(grids["M1"], eta).apply(w0)
-        plain.append(cw.l2_norm(averaged - w0))
-        corrected.append(cw.l2_norm(averaged - w0 - (eta**2 / 24.0) * w2))
-    slope1 = float(np.polyfit(np.log(EPS_SWEEP), np.log(plain), 1)[0])
-    slope2 = float(np.polyfit(np.log(EPS_SWEEP), np.log(corrected), 1)[0])
-    ok = abs(slope1 - 2.0) <= 0.2 and abs(slope2 - 4.0) <= 0.2
-    report("C3 averaging asymptotic orders", ok, f"slopes {slope1:.3f}, {slope2:.3f}")
+    result = CHECKS["averaging_asymptotic_orders"](MODELS["M1"], grids["M1"])
+    report("C3 averaging asymptotic orders", result.passed, result.detail)
 
 
 def test_c04_inverse_stability(grids):
@@ -125,23 +114,8 @@ def test_c04_inverse_stability(grids):
 
 
 def test_c05_von_neumann_ratio(grids):
-    model = MODELS["M1"]
-    grid = grids["M1"]
-    w0 = cw.kdv_profile(model, grid)
-    details = []
-    ok = True
-    for eps in (0.4, 0.1):
-        exact = cw.invert_b(model, grid, eps, w0)
-        errors = [
-            cw.l2_norm(cw.von_neumann_inverse(model, grid, eps, w0, n) - exact)
-            for n in range(1, 41)
-        ]
-        measured = (errors[-1] / errors[-11]) ** 0.1
-        predicted = model.sound_speed_sq / (eps**2 + model.sound_speed_sq)
-        gap = abs(measured - predicted) / predicted
-        ok &= gap <= 0.05
-        details.append(f"eps={eps:g}: {measured:.4f} vs {predicted:.4f}")
-    report("C5 geometric series ratio", ok, "; ".join(details))
+    result = CHECKS["von_neumann_geometric"](MODELS["M1"], grids["M1"])
+    report("C5 geometric series ratio", result.passed, result.detail)
 
 
 def test_c06_sigma_min_uniformity(bundle):
@@ -221,17 +195,11 @@ def test_c10_lattice_transport(bundle):
 
 
 def test_c11_residual_boundedness(grids):
-    ok = True
-    details = []
-    for name, model in MODELS.items():
-        norms = []
-        for eps in EPS_SWEEP:
-            pair = cw.residuals(model, grids[name], eps)
-            norms.append(cw.l2_norm(pair.r) + cw.l2_norm(pair.s))
-        spread = max(norms) / min(norms)
-        ok &= spread < 2.0
-        details.append(f"{name}: spread {spread:.3f}")
-    report("C11 residual boundedness", ok, "; ".join(details))
+    check = CHECKS["residual_boundedness"]
+    results = {name: check(model, grids[name]) for name, model in MODELS.items()}
+    ok = all(result.passed for result in results.values())
+    detail = "; ".join(f"{name}: {result.detail}" for name, result in results.items())
+    report("C11 residual boundedness", ok, detail)
 
 
 def test_c12_sweep_determinism(tmp_path):

@@ -153,6 +153,24 @@ def test_simulate_dt_guard_exits_2(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
+def test_simulate_dt_at_guard_exits_0(tmp_path):
+    # horizon/dt = 10.4: ten steps would each take dt = 0.104, above the
+    # guard 0.1 that the config check admitted dt at
+    path, _ = base_config(
+        tmp_path,
+        grid={"num_points": 1024},
+        solver={"epsilon": 0.1},
+        sim={"particles": 170, "dt": 0.1, "horizon": 1.04},
+        output={"path": str(tmp_path / "sim.json"), "format": "json"},
+    )
+    assert cli.main(["simulate", "--config", str(path), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "sim.json").read_text())
+    assert payload["steps"] == 11 and payload["dt"] <= 0.1
+    assert payload["transport_error"] <= 0.02
+    assert payload["energy_drift"] <= 1e-6
+    assert payload["momentum_drift"] <= 1e-12
+
+
 def test_simulate_requires_sim_block(tmp_path):
     path, _ = base_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == 2

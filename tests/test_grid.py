@@ -1,4 +1,4 @@
-"""Grid construction, transforms, norms, parity, and calculus."""
+"""Grid construction, transforms, norms, evenness, and calculus."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves.grid import _derived
 
 
 def test_make_grid_fields():
@@ -34,12 +33,6 @@ def test_grid_function_rejects_nonfinite(grid1):
     values[3] = np.inf
     with pytest.raises(ValueError):
         cw.grid_function(grid1, values)
-
-
-def test_grid_function_rejects_false_even_claim(grid1):
-    values = np.sin(grid1.wavenumbers[2] * grid1.nodes)
-    with pytest.raises(ValueError, match="parity"):
-        cw.grid_function(grid1, values, parity_hint="even")
 
 
 def test_grid_function_values_locked(grid1):
@@ -99,7 +92,7 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
     f = cw.grid_function(grid1, even_part + odd_part)
     projected = cw.project_even(f)
     np.testing.assert_allclose(projected.values, even_part, atol=1e-13)
-    assert projected.parity_hint == "even"
+    assert cw.evenness_defect(projected) == 0.0
     twice = cw.project_even(projected)
     np.testing.assert_allclose(twice.values, projected.values, atol=1e-15)
     # annihilates odd input
@@ -185,10 +178,23 @@ def test_sample_matches_nodes(model1, grid1):
     np.testing.assert_allclose(cw.sample(w0, subset), w0.values[::37], atol=1e-12)
 
 
-def test_derived_hint_degrades_on_cancellation(grid1, model1):
-    w0 = cw.kdv_profile(model1, grid1)
-    tiny = _derived(grid1, (w0 - w0).values, "even")
-    assert tiny.parity_hint == "even"  # exact zero stays even
-    diff = cw.derivative(w0, 2) - cw.kdv_constants(model1).d1 * w0
-    result = diff + cw.kdv_constants(model1).d2 * (w0 * w0)
-    assert result.parity_hint in ("even", "none")  # never raises
+def test_apply_symbol_matches_complex_fft(grid1, rng):
+    # real-FFT route against ifft(symbol * fft(x)).real on the full lattice;
+    # the first N/2 + 1 FFT bins carry the half symbol, since each symbol
+    # below is even at the Nyquist bin or vanishes there
+    columns = rng.standard_normal((grid1.num_points, 3))
+    half = grid1.num_points // 2 + 1
+    k = grid1.wavenumbers
+    first_order = 1j * k
+    first_order[half - 1] = 0.0
+    for symbol in (cw.sinc(0.35 * k), first_order, k**4):
+        expected = np.fft.ifft(symbol[:, None] * np.fft.fft(columns, axis=0), axis=0).real
+        bound = 1e-14 * np.max(np.abs(expected))
+        batched = cw.apply_symbol(columns, symbol[:half])
+        assert np.max(np.abs(batched - expected)) <= bound
+        single = cw.apply_symbol(columns[:, 0], symbol[:half])
+        assert np.max(np.abs(single - expected[:, 0])) <= bound
+    f = cw.grid_function(grid1, columns[:, 1])
+    expected = np.fft.ifft(first_order * np.fft.fft(f.values)).real
+    gap = np.max(np.abs(cw.derivative(f, 1).values - expected))
+    assert gap <= 1e-14 * np.max(np.abs(expected))

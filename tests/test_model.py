@@ -68,7 +68,7 @@ def test_kdv_profile_peak_and_domain(model2):
     grid = cw.make_grid(cw.default_half_length(model2), 1024)
     w0 = cw.kdv_profile(model2, grid)
     assert cw.sup_norm(w0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert w0.parity_hint == "even"
+    assert cw.evenness_defect(w0) <= 1e-13 * cw.sup_norm(w0)
     assert np.all(w0.values > 0)
     small = cw.make_grid(3.0, 64)
     with pytest.raises(cw.DomainTooSmallError):
@@ -114,7 +114,7 @@ def test_apply_Q_matches_quadrature_oracle(model1, grid1):
     w = cw.grid_function(grid1, np.cos(k * grid1.nodes))
     inner = cw.averaging_direct(eps, w)
     oracle = cw.averaging_direct(eps, inner * inner)
-    assert cw.l2_norm(cw.apply_Q(model1, eps, w) - oracle) < 1e-8
+    assert cw.l2_norm(cw.apply_Q(model1, eps, w) - oracle) < 1e-12
 
 
 def test_apply_Q_nonnegative_and_even(model1, grid1, rng):

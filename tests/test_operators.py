@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves.operators import _trapezoid_window_average
+from chainwaves.operators import _window_rule
 from chainwaves.verify import random_band_limited, unimodality_defect
 
 
@@ -44,8 +44,8 @@ def test_averaging_rejects_bad_eta(grid1):
 
 def test_window_quadrature_of_parabola():
     # mean of x^2 over [-1/2, 1/2] is 1/12
-    value = _trapezoid_window_average(lambda o: np.array([o**2]), 1.0, 4096)
-    assert value[0] == pytest.approx(1.0 / 12.0, abs=1e-8)
+    offsets, weights = _window_rule(1.0, 20)
+    assert weights @ offsets**2 == pytest.approx(1.0 / 12.0, abs=1e-15)
 
 
 def test_apply_identity_zero_and_composition(grid1, rng):
@@ -58,6 +58,8 @@ def test_apply_identity_zero_and_composition(grid1, rng):
     squared = cw.MultiplierOperator(grid1, averaging.symbol**2)
     twice = averaging.apply(averaging.apply(f))
     assert cw.l2_norm(twice - squared.apply(f)) < 1e-12
+    with pytest.raises(ValueError, match="even"):
+        cw.MultiplierOperator(grid1, grid1.wavenumbers)
 
 
 def test_apply_grid_mismatch(grid1):
@@ -74,7 +76,7 @@ def test_averaging_direct_constant_and_mode(grid1):
     k = grid1.wavenumbers[7]
     f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
     direct = cw.averaging_direct(eta, f)
-    np.testing.assert_allclose(direct.values, cw.sinc(eta * k / 2) * f.values, atol=1e-8)
+    np.testing.assert_allclose(direct.values, cw.sinc(eta * k / 2) * f.values, atol=1e-12)
 
 
 def test_averaging_direct_matches_symbol_on_profile(model1, grid1):
@@ -82,7 +84,7 @@ def test_averaging_direct_matches_symbol_on_profile(model1, grid1):
     for eta in (0.4, 0.1):
         symbol_route = cw.averaging_operator(grid1, eta).apply(w0)
         direct_route = cw.averaging_direct(eta, w0)
-        assert cw.l2_norm(symbol_route - direct_route) < 1e-8
+        assert cw.l2_norm(symbol_route - direct_route) < 1e-12
 
 
 def test_discrete_gradient_constant_and_mode(grid1):

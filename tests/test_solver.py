@@ -92,7 +92,7 @@ def test_fixed_point_contraction(model1, grid1):
     eps = 0.2
     operator = linearized_operator(model1, grid1, eps)
     pair = cw.residuals(model1, grid1, eps)
-    v = cw.grid_function(grid1, np.zeros(grid1.num_points), "even")
+    v = cw.grid_function(grid1, np.zeros(grid1.num_points))
     increments = []
     for _ in range(8):
         image = cw.fixed_point_map(
@@ -165,7 +165,7 @@ def test_eigen_identity_converged(solution1):
 
 
 def test_eigen_identity_trivial_wave(model1, grid1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points), "even")
+    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
     trivial = cw.WaveSolution(
         model=model1,
         grid=grid1,
@@ -197,14 +197,6 @@ def test_measure_tail_decay_manufactured(grid1):
     flat = cw.grid_function(grid1, np.ones(grid1.num_points))
     with pytest.raises(cw.EmptyWindowError):
         cw.measure_tail_decay(flat)
-
-
-def test_direct_iteration_fixed_point(model1, grid1, solution1):
-    image, increments = cw.direct_iteration(
-        model1, grid1, solution1.epsilon, solution1.w, 1
-    )
-    assert increments[0] <= 1e-8
-    assert cw.l2_norm(image - solution1.w) <= 1e-8
 
 
 def test_convergence_sweep_rows(model1, grid1):
