@@ -7,6 +7,8 @@ go together with a change to the benchmark.
 import importlib
 from functools import cached_property
 
+import numpy as np
+
 LAYERS = ("grid", "operators", "model", "linearized", "solver", "lattice", "verify", "cli")
 
 
@@ -16,6 +18,12 @@ def test_worker_bound_names_exist():
     assert isinstance(
         vars(modules["linearized"].LinearizedOperator)["_assembled"], cached_property
     )
+    # the worker reads out[0].nbytes as the operator's stored bytes: O(N M), not O(N^2)
+    model = modules["model"].ChainModel((1.0, 1.0), (1.0, 1.0))
+    grid = modules["grid"].make_grid(modules["model"].default_half_length(model), 256)
+    assembled = modules["linearized"].linearized_operator(model, grid, 0.2)._assembled
+    assert isinstance(assembled[0], np.ndarray)
+    assert assembled[0].nbytes <= 8 * grid.num_points * model.neighbor_range
     assert callable(modules["solver"].solve_wave)
     assert callable(modules["solver"].eigen_identity_check)
     assert callable(modules["lattice"].run_transport)

@@ -145,6 +145,10 @@ def test_transport_error_defaults(wave, model1):
     assert report.transport_error <= 0.02
     assert report.energy_drift <= 1e-6
     assert report.momentum_drift_per_step <= 1e-12
+    # 0.07 / 0.01 rounds one ulp above 7: still seven steps of 0.01
+    exact_multiple = cw.run_transport(wave, 80, 0.07, 0.01)
+    assert exact_multiple.steps == 7
+    assert exact_multiple.dt == pytest.approx(0.01, rel=1e-12)
     # halving dt cuts the dt-limited error about fourfold
     finer = cw.run_transport(wave, 80, horizon, 0.01 / c0)
     assert report.transport_error / finer.transport_error == pytest.approx(4.0, rel=0.3)

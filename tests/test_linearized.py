@@ -1,4 +1,4 @@
-"""Linearized operator: evenness, symmetry, assembly, certified solves."""
+"""Linearized operator: evenness, symmetry, dense cross-check, certified solves."""
 
 import numpy as np
 import pytest
@@ -91,30 +91,39 @@ def test_parity_preservation(op1, grid1, rng):
     assert cw.evenness_defect(op1.apply_l(v)) <= 1e-11
 
 
-def test_assembly_consistent_with_operator(op1, grid1, rng):
-    v = random_band_limited(grid1, 30.0, rng, parity="even")
-    via_matrix = even_synthesis(grid1, op1.even_matrix() @ even_coefficients(v))
-    assert cw.l2_norm(via_matrix - op1.apply_l(v)) <= 1e-9
-    assert op1.asymmetry_defect < 1e-9
+def dense_reference(operator):
+    """L_eps in the orthonormal cosine basis, one apply_l per basis vector
+    (test-only cross-check of the matrix-free path; N <= 2048)."""
+    assert operator.grid.num_points <= 2048
+    identity = np.eye(operator.grid.num_points // 2 + 1)
+    columns = [
+        even_coefficients(operator.apply_l(even_synthesis(operator.grid, e))) for e in identity
+    ]
+    return np.column_stack(columns)
 
 
-def test_assembly_coupling_hook(model1, grid1):
-    diagonal_only = LinearizedOperator(
-        model1, grid1, 0.2, cw.kdv_profile(model1, grid1), profile_coupling=False
-    )
-    matrix = diagonal_only.even_matrix()
-    off_diag = matrix - np.diag(np.diag(matrix))
-    assert np.max(np.abs(off_diag)) == 0.0
-    diag = np.diag(matrix)
-    assert diag[0] == pytest.approx(1.0, abs=1e-14)  # b(0) = 1 is the minimum
-    assert np.all(diag >= 1.0 - 1e-12)
-    assert diagonal_only.smallest_singular_value() == pytest.approx(1.0, abs=1e-9)
+@pytest.fixture(scope="module")
+def references(op1, op1_limit):
+    return [(operator, dense_reference(operator)) for operator in (op1, op1_limit)]
 
 
-def test_sigma_min_matches_dense_eigensolve(op1, op1_limit):
-    for operator in (op1, op1_limit):
-        direct = float(np.min(np.abs(np.linalg.eigvalsh(operator.even_matrix()))))
-        assert operator.smallest_singular_value() == pytest.approx(direct, rel=1e-7)
+def test_dense_reference_symmetric(references):
+    for _, matrix in references:
+        assert np.max(np.abs(matrix - matrix.T)) <= 1e-9
+
+
+def test_solve_matches_dense_reference(references, grid1, rng):
+    g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
+    for operator, matrix in references:
+        direct = np.linalg.solve(matrix, even_coefficients(g))
+        gap = np.linalg.norm(even_coefficients(operator.solve(g)) - direct)
+        assert gap <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_sigma_min_matches_dense_reference(references, op1_limit):
+    for operator, matrix in references:
+        direct = float(np.min(np.abs(np.linalg.eigvalsh(matrix))))
+        assert operator.smallest_singular_value() == pytest.approx(direct, rel=1e-10)
     # regression: the limit operator's even-subspace gap sits at 3/4
     assert op1_limit.smallest_singular_value() == pytest.approx(0.75, abs=1e-3)
 
@@ -141,6 +150,12 @@ def test_solve_contract_residual(op1, grid1, rng):
     v = op1.solve(g, tol)
     assert cw.l2_norm(op1.apply_l(v) - g) <= tol * max(1.0, cw.l2_norm(g)) + 1e-13
     assert cw.evenness_defect(v) <= 1e-13 * max(1.0, cw.sup_norm(v))
+
+
+def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
+    g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
+    with pytest.raises(cw.NoConvergenceError):
+        op1.solve(g, tol=1e-20)
 
 
 def test_solve_rejects_odd_input(op1, grid1, rng):

@@ -160,6 +160,18 @@ def test_solve_wave_cubic_model(model2_cubic):
     assert unimodality_defect(solution.w.values) <= 1e-10 * cw.sup_norm(solution.w)
 
 
+def test_solve_wave_large_grid(model2_cubic):
+    # matrix-free L_eps keeps N = 16384 at O(N) memory; refining 4096 -> 16384
+    # on the same box leaves the wave unchanged on the shared nodes
+    half_length = cw.default_half_length(model2_cubic)
+    config = cw.SolveConfig(epsilon=0.1)
+    coarse = cw.solve_wave(model2_cubic, cw.make_grid(half_length, 4096), config)
+    fine = cw.solve_wave(model2_cubic, cw.make_grid(half_length, 16384), config)
+    assert fine.diagnostics.tw_residual <= 1e-9
+    assert np.max(np.abs(fine.w.values[::4] - coarse.w.values)) <= 1e-12
+    assert abs(fine.diagnostics.sigma_min - coarse.diagnostics.sigma_min) <= 1e-10
+
+
 def test_eigen_identity_converged(solution1):
     assert cw.eigen_identity_check(solution1) <= 1e-6
 
