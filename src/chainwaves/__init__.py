@@ -20,15 +20,12 @@ from .errors import (
 from .grid import (
     GridFunction,
     SpectralGrid,
-    Spectrum,
     antiderivative,
     apply_symbol,
     derivative,
     evenness_defect,
-    forward_transform,
     grid_function,
     inner_product,
-    inverse_transform,
     l2_norm,
     make_grid,
     project_even,

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ChainwavesError, ConfigError, WindowOverflowError
 from .grid import SpectralGrid, make_grid
@@ -264,9 +264,28 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+class _CommandFailure(Exception):
+    """Ends a command with exit ``code``; ``main`` prints the message."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _CommandFailure(EXIT_IO_ERROR, f"cannot write {path}: {exc}") from exc
+
+
+def _solve(config: RunConfig):
+    try:
+        return solve_wave(config.model, config.grid, config.solve_config(config.epsilon))
+    except ChainwavesError as exc:
+        message = f"solver error: {type(exc).__name__}: {exc}"
+        raise _CommandFailure(EXIT_SOLVER_ERROR, message) from exc
 
 
 def _sweep_row_cells(row: SweepRow) -> list:
@@ -331,10 +350,10 @@ def _solve_report(solution, fmt: str) -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = [f"# {key}: {_format_cell(value)}" for key, value in diagnostics.items()]
     lines.append("x,W0,W_eps,V_eps")
-    for x, w0, w, v in zip(
+    for row in zip(
         solution.grid.nodes, solution.w0.values, solution.w.values, solution.v.values
     ):
-        lines.append(f"{x!r},{w0!r},{w!r},{v!r}")
+        lines.append(",".join(_format_cell(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -350,16 +369,8 @@ def cmd_solve(config: RunConfig, args) -> int:
     if config.epsilon is None:
         raise ConfigError("solve needs solver.epsilon (a single value)")
     output = _resolve_output(config, args)
-    try:
-        solution = solve_wave(config.model, config.grid, config.solve_config(config.epsilon))
-    except ChainwavesError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
-    try:
-        _write_text(output.path, _solve_report(solution, output.format))
-    except OSError as exc:
-        print(f"cannot write {output.path}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+    solution = _solve(config)
+    _write_report(output.path, _solve_report(solution, output.format))
     if not args.quiet:
         print(
             f"solved eps={solution.epsilon:g} in {solution.diagnostics.iterations} "
@@ -376,12 +387,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     output = _resolve_output(config, args)
     template = config.solve_config(config.epsilon_list[0])
     rows = convergence_sweep(config.model, config.grid, config.epsilon_list, template)
-    text = _sweep_json(rows) if output.format == "json" else _sweep_csv(rows)
-    try:
-        _write_text(output.path, text)
-    except OSError as exc:
-        print(f"cannot write {output.path}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+    _write_report(output.path, _sweep_json(rows) if output.format == "json" else _sweep_csv(rows))
     failed = [row for row in rows if row.error is not None]
     for row in failed:
         print(f"warning: eps={row.epsilon:g} failed with {row.error}", file=sys.stderr)
@@ -396,18 +402,13 @@ def cmd_simulate(config: RunConfig, args) -> int:
     if config.epsilon is None:
         raise ConfigError("simulate needs solver.epsilon (a single value)")
     output = _resolve_output(config, args)
-    try:
-        solution = solve_wave(config.model, config.grid, config.solve_config(config.epsilon))
-    except ChainwavesError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
+    solution = _solve(config)
     try:
         report = run_transport(
             solution, config.sim.particles, config.sim.horizon, config.sim.dt
         )
     except WindowOverflowError as exc:
-        print(f"window error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW_ERROR
+        raise _CommandFailure(EXIT_WINDOW_ERROR, f"window error: {exc}") from exc
     payload = {
         "J": report.num_particles,
         "dt": report.dt,
@@ -423,11 +424,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     else:
         keys = list(payload)
         text = ",".join(keys) + "\n" + ",".join(_format_cell(payload[k]) for k in keys) + "\n"
-    try:
-        _write_text(output.path, text)
-    except OSError as exc:
-        print(f"cannot write {output.path}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+    _write_report(output.path, text)
     ok = report.transport_error <= config.sim.max_transport_error
     if not args.quiet:
         verdict = "within" if ok else "ABOVE"
@@ -483,21 +480,14 @@ def main(argv=None) -> int:
         if args.epsilon is not None:
             if not 0 < args.epsilon <= 1:
                 raise ConfigError("--epsilon must be in (0, 1]")
-            config = RunConfig(
-                model=config.model,
-                grid=config.grid,
-                epsilon=args.epsilon,
-                epsilon_list=None,
-                tol=config.tol,
-                max_iter=config.max_iter,
-                damping=config.damping,
-                sim=config.sim,
-                output=config.output,
-            )
+            config = replace(config, epsilon=args.epsilon, epsilon_list=None)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except _CommandFailure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -5,13 +5,17 @@ decay below round-off at the boundary can be treated as functions on the whole
 line: the discrete transform then approximates the continuum Fourier integral,
 and the rectangle-rule norm the continuum L2 norm.
 
+Every operator of the package is a real symbol even in k, so the real FFT's
+half spectrum is the only Fourier convention: a mode n stands for the pair
++-k_n, and sums over the full lattice become sums over the half lattice with
+the weights w_n = 1 at n = 0 and n = N/2 and w_n = 2 in between.
+
 Conventions:
     nodes        x_i = -L + i*h,  h = 2L/N,  i = 0..N-1
-    wavenumbers  k_n = pi*n/L,    n = -N/2..N/2-1 (stored in FFT order)
-    half lattice k_n = pi*n/L,    n = 0..N/2 (real-FFT order)
-    forward      c_n = h * sum_i f(x_i) exp(-i k_n x_i)   ~ integral of f e^{-ikx}
-    inverse      f(x_i) = (1/2L) * sum_n c_n exp(i k_n x_i)
-    Parseval     ||f||_2^2 = h * sum_i f_i^2 = sum_n |c_n|^2 / (2L)
+    half lattice k_n = pi*n/L,    n = 0..N/2 (``np.fft.rfft`` order)
+    forward      c_n = h * sum_i f(x_i) exp(-i k_n x_i) = h (-1)^n rfft(f)_n
+    inverse      f(x) = (1/2L) * sum_n w_n Re(c_n exp(i k_n x))
+    Parseval     ||f||_2^2 = h * sum_i f_i^2 = sum_n w_n |c_n|^2 / (2L)
 """
 
 from __future__ import annotations
@@ -28,12 +32,9 @@ from .errors import GridMismatchError
 __all__ = [
     "SpectralGrid",
     "GridFunction",
-    "Spectrum",
     "make_grid",
     "apply_symbol",
     "grid_function",
-    "forward_transform",
-    "inverse_transform",
     "l2_norm",
     "sup_norm",
     "sobolev22_norm",
@@ -47,11 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform grid on [-L, L) paired with its wavenumber lattice.
-
-    The wavenumber lattice is symmetric about zero except for the single
-    Nyquist entry at -pi*N/(2L).
-    """
+    """Uniform grid on [-L, L) paired with its half wavenumber lattice."""
 
     half_length: float
     num_points: int
@@ -76,13 +73,6 @@ class SpectralGrid:
         return x
 
     @cached_property
-    def wavenumbers(self) -> NDArray[np.float64]:
-        """k_n = pi*n/L in FFT order, matching ``np.fft.fft`` output."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.num_points, d=self.spacing)
-        k.flags.writeable = False
-        return k
-
-    @cached_property
     def half_wavenumbers(self) -> NDArray[np.float64]:
         """Nonnegative k_n = pi*n/L, n = 0..N/2, matching ``np.fft.rfft`` output."""
         k = np.pi * np.arange(self.num_points // 2 + 1) / self.half_length
@@ -90,11 +80,20 @@ class SpectralGrid:
         return k
 
     @cached_property
-    def mode_numbers(self) -> NDArray[np.int64]:
-        """Integer mode index n of each FFT bin (n = L*k_n/pi)."""
-        n = np.fft.fftfreq(self.num_points, d=1.0 / self.num_points).astype(np.int64)
-        n.flags.writeable = False
-        return n
+    def half_sign(self) -> NDArray[np.float64]:
+        """(-1)^n on the half lattice: exp(-i k_n x_0) at x_0 = -L, the factor
+        taking rfft output to the integral convention."""
+        sign = np.where(np.arange(self.num_points // 2 + 1) % 2 == 0, 1.0, -1.0)
+        sign.flags.writeable = False
+        return sign
+
+    @cached_property
+    def half_weights(self) -> NDArray[np.float64]:
+        """Multiplicities (1, 2, ..., 2, 1) of the half-lattice modes."""
+        weights = np.full(self.num_points // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def _reflection(self) -> NDArray[np.int64]:
@@ -103,14 +102,6 @@ class SpectralGrid:
         ref = (-idx) % self.num_points
         ref.flags.writeable = False
         return ref
-
-    @cached_property
-    def _phase(self) -> NDArray[np.float64]:
-        # (-1)^n factor translating FFT output at x_0 = -L into the
-        # continuum-integral convention
-        p = np.where(self.mode_numbers % 2 == 0, 1.0, -1.0)
-        p.flags.writeable = False
-        return p
 
     def __repr__(self) -> str:
         return f"SpectralGrid(L={self.half_length:g}, N={self.num_points})"
@@ -189,41 +180,6 @@ def grid_function(grid: SpectralGrid, values) -> GridFunction:
     return GridFunction(grid, np.asarray(values, dtype=float))
 
 
-@dataclass
-class Spectrum:
-    """Complex coefficients of a grid function under the integral convention.
-
-    Coefficients are stored in FFT order alongside ``grid.wavenumbers``. A
-    real-valued function yields conjugate-symmetric coefficients.
-    """
-
-    grid: SpectralGrid
-    coefficients: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        coeff = np.array(self.coefficients, dtype=complex, copy=True)
-        if coeff.shape != (self.grid.num_points,):
-            raise ValueError(
-                f"expected {self.grid.num_points} coefficients, got {coeff.shape}"
-            )
-        coeff.flags.writeable = False
-        self.coefficients = coeff
-
-
-def forward_transform(f: GridFunction) -> Spectrum:
-    """Coefficients c_n = h * sum_i f_i exp(-i k_n x_i)."""
-    grid = f.grid
-    coeff = grid.spacing * grid._phase * np.fft.fft(f.values)
-    return Spectrum(grid, coeff)
-
-
-def inverse_transform(spectrum: Spectrum) -> GridFunction:
-    """Samples f_i = (1/2L) sum_n c_n exp(i k_n x_i); realness enforced."""
-    grid = spectrum.grid
-    values = np.fft.ifft(grid._phase * spectrum.coefficients).real / grid.spacing
-    return GridFunction(grid, values)
-
-
 def l2_norm(f: GridFunction) -> float:
     """Rectangle-rule L2 norm (h * sum f_i^2)^(1/2).
 
@@ -251,11 +207,10 @@ def sobolev22_norm(f: GridFunction) -> float:
     W^{2,2} norm of the continuum profile.
     """
     grid = f.grid
-    coeff = np.fft.fft(f.values)
-    k2 = grid.wavenumbers**2
-    weight = 1.0 + k2 + k2**2
-    # h^2/(2L) = h/N converts |fft|^2 sums to the continuum normalization
-    total = np.sum(weight * np.abs(coeff) ** 2) * grid.spacing / grid.num_points
+    k2 = grid.half_wavenumbers**2
+    weight = grid.half_weights * (1.0 + k2 + k2**2)
+    # h^2/(2L) = h/N converts |rfft|^2 sums to the continuum normalization
+    total = np.sum(weight * np.abs(np.fft.rfft(f.values)) ** 2) * grid.spacing / grid.num_points
     return float(np.sqrt(total))
 
 
@@ -297,6 +252,5 @@ def sample(f: GridFunction, points) -> NDArray[np.float64]:
     """Band-limited (trigonometric interpolant) evaluation at arbitrary points."""
     grid = f.grid
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    coeff = grid._phase * grid.spacing * np.fft.fft(f.values)
-    phases = np.exp(1j * np.outer(pts, grid.wavenumbers))
-    return (phases @ coeff).real / (2.0 * grid.half_length)
+    coeff = grid.half_weights * grid.half_sign * np.fft.rfft(f.values) / grid.num_points
+    return (np.exp(1j * np.outer(pts, grid.half_wavenumbers)) @ coeff).real

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import WindowOverflowError
-from .grid import sample, sup_norm
+from .grid import GridFunction, apply_symbol, sample, sup_norm
 from .model import ChainModel
 from .solver import WaveSolution
 
@@ -148,23 +148,17 @@ def _position_profile(w, points) -> NDArray[np.float64]:
     """Antiderivative of the band-limited interpolant with value 0 at -L.
 
     The nonzero mean of w makes the antiderivative a ramp plus a periodic
-    part, so the two pieces are integrated separately.
+    part; the periodic part is the multiplier 1/(ik), zeroed at k = 0 and at
+    the Nyquist mode, sampled at the points.
     """
     grid = w.grid
-    coeff = grid._phase * grid.spacing * np.fft.fft(w.values)
-    mean = coeff[0].real / (2.0 * grid.half_length)
-    k = grid.wavenumbers.copy()
-    k[0] = 1.0
-    periodic_coeff = coeff / (1j * k)
-    periodic_coeff[0] = 0.0
-
-    def periodic_part(pts):
-        phases = np.exp(1j * np.outer(np.atleast_1d(pts), grid.wavenumbers))
-        return (phases @ periodic_coeff).real / (2.0 * grid.half_length)
-
+    k = grid.half_wavenumbers
+    symbol = np.zeros(len(k), dtype=complex)
+    symbol[1:-1] = 1.0 / (1j * k[1:-1])
+    periodic = GridFunction(grid, apply_symbol(w.values, symbol))
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    base = periodic_part(np.array([-grid.half_length]))[0]
-    return mean * (pts + grid.half_length) + periodic_part(pts) - base
+    ramp = float(np.mean(w.values)) * (pts + grid.half_length)
+    return ramp + sample(periodic, pts) - periodic.values[0]
 
 
 @dataclass(frozen=True)
@@ -206,6 +200,8 @@ def run_transport(
     speed = solution.wave_speed
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     buffer = _BUFFER_FACTOR * model.neighbor_range
     if num_particles <= 2 * buffer:
         raise ValueError(

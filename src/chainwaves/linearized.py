@@ -50,11 +50,8 @@ def _cosine_scale(grid: SpectralGrid) -> NDArray[np.float64]:
     coordinates of an even f are ``scale * rfft(f).real``, and its rfft
     spectrum is ``coefficients / scale``.
     """
-    n_modes = grid.num_points // 2 + 1
-    norms = np.full(n_modes, 1.0 / np.sqrt(grid.half_length))
-    norms[0] = norms[-1] = 1.0 / np.sqrt(2.0 * grid.half_length)
-    half_phase = np.where(np.arange(n_modes) % 2 == 0, 1.0, -1.0)
-    scale = grid.spacing * norms * half_phase
+    norms = np.sqrt(0.5 * grid.half_weights) / np.sqrt(grid.half_length)
+    scale = grid.spacing * norms * grid.half_sign
     scale.flags.writeable = False
     return scale
 

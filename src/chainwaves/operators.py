@@ -80,23 +80,18 @@ def _one_minus_sinc_sq(z):
 
 @dataclass(frozen=True)
 class MultiplierOperator:
-    """Diagonal-in-Fourier operator given by a real symbol, even in k, on the lattice."""
+    """Diagonal-in-Fourier operator: a real symbol, even in k, on ``grid.half_wavenumbers``."""
 
     grid: SpectralGrid
     symbol: NDArray[np.float64]
-    name: str = ""
 
     def __post_init__(self) -> None:
         symbol = np.array(self.symbol, dtype=float, copy=True)
-        if symbol.shape != (self.grid.num_points,):
-            raise ValueError(
-                f"symbol needs {self.grid.num_points} entries, got {symbol.shape}"
-            )
+        n_modes = self.grid.num_points // 2 + 1
+        if symbol.shape != (n_modes,):
+            raise ValueError(f"symbol needs {n_modes} entries, got {symbol.shape}")
         if not np.all(np.isfinite(symbol)):
             raise ValueError("symbol values must be finite")
-        odd_part = float(np.max(np.abs(symbol - symbol[self.grid._reflection])))
-        if odd_part > 1e-14 * max(1.0, float(np.max(np.abs(symbol)))):
-            raise ValueError(f"symbol must be even in k, odd part {odd_part:.3e}")
         symbol.flags.writeable = False
         object.__setattr__(self, "symbol", symbol)
 
@@ -104,8 +99,7 @@ class MultiplierOperator:
         """Multiply coefficients by the symbol; preserves realness and parity."""
         if f.grid != self.grid:
             raise GridMismatchError(f"operator on {self.grid}, function on {f.grid}")
-        half_symbol = self.symbol[: self.grid.num_points // 2 + 1]
-        return GridFunction(self.grid, apply_symbol(f.values, half_symbol))
+        return GridFunction(self.grid, apply_symbol(f.values, self.symbol))
 
 
 @lru_cache(maxsize=32)
@@ -120,8 +114,7 @@ def averaging_operator(grid: SpectralGrid, eta: float) -> MultiplierOperator:
     """Sliding-window average of width eta, symbol sinc(eta*k/2)."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    symbol = sinc(0.5 * eta * grid.wavenumbers)
-    return MultiplierOperator(grid, symbol, name=f"averaging(eta={eta:g})")
+    return MultiplierOperator(grid, averaging_symbol(grid, eta))
 
 
 def _window_rule(eta: float, count: int):
@@ -195,22 +188,21 @@ def b0_symbol(model: "ChainModel", k):
 
 
 def b_operator(model: "ChainModel", grid: SpectralGrid, eps: float) -> MultiplierOperator:
-    return MultiplierOperator(grid, b_symbol(model, eps, grid.wavenumbers), name=f"b(eps={eps:g})")
+    return MultiplierOperator(grid, b_symbol(model, eps, grid.half_wavenumbers))
 
 
 def b0_operator(model: "ChainModel", grid: SpectralGrid) -> MultiplierOperator:
-    return MultiplierOperator(grid, b0_symbol(model, grid.wavenumbers), name="b0")
+    return MultiplierOperator(grid, b0_symbol(model, grid.half_wavenumbers))
 
 
 def invert_b(model: "ChainModel", grid: SpectralGrid, eps: float, g: GridFunction) -> GridFunction:
     """Divide coefficients by b_eps; safe since the symbol is >= 1."""
-    symbol = b_symbol(model, eps, grid.wavenumbers)
-    return MultiplierOperator(grid, 1.0 / symbol, name=f"b(eps={eps:g})^-1").apply(g)
+    symbol = b_symbol(model, eps, grid.half_wavenumbers)
+    return MultiplierOperator(grid, 1.0 / symbol).apply(g)
 
 
 def invert_b0(model: "ChainModel", grid: SpectralGrid, g: GridFunction) -> GridFunction:
-    symbol = b0_symbol(model, grid.wavenumbers)
-    return MultiplierOperator(grid, 1.0 / symbol, name="b0^-1").apply(g)
+    return MultiplierOperator(grid, 1.0 / b0_symbol(model, grid.half_wavenumbers)).apply(g)
 
 
 def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
@@ -220,8 +212,8 @@ def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    mask = (np.abs(grid.wavenumbers) <= 4.0 / eps).astype(float)
-    return MultiplierOperator(grid, mask, name=f"cutoff(eps={eps:g})").apply(f)
+    mask = (grid.half_wavenumbers <= 4.0 / eps).astype(float)
+    return MultiplierOperator(grid, mask).apply(f)
 
 
 def von_neumann_inverse(
@@ -245,11 +237,11 @@ def von_neumann_inverse(
         raise ValueError(f"eps must be positive, got {eps}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    k = grid.wavenumbers
-    t_symbol = np.zeros_like(k)
-    for m, alpha in enumerate(model.alpha, start=1):
-        t_symbol = t_symbol + alpha * m**2 * sinc(0.5 * m * eps * k) ** 2
-    t_op = MultiplierOperator(grid, t_symbol, name="averaged linear part")
+    t_symbol = sum(
+        alpha * m**2 * averaging_symbol(grid, m * eps) ** 2
+        for m, alpha in enumerate(model.alpha, start=1)
+    )
+    t_op = MultiplierOperator(grid, t_symbol)
     denominator = eps**2 + model.sound_speed_sq
     power = f
     total = (eps**2 / denominator) * f

@@ -64,24 +64,23 @@ def random_band_limited(
     ``decay`` > 0 shapes the spectrum with a (1 + k^2)^(-decay) envelope,
     mimicking the smoothness of right-hand sides arising in practice.
     """
-    k = grid.wavenumbers
-    coeff = np.zeros(grid.num_points, dtype=complex)
-    inside = np.abs(k) <= band
-    inside[grid.num_points // 2] = False
-    envelope = (1.0 + k[inside] ** 2) ** (-decay) if decay else 1.0
-    amplitude = rng.standard_normal(grid.num_points)
-    phase = rng.standard_normal(grid.num_points)
+    n = grid.num_points
+    k = grid.half_wavenumbers
+    amplitude = rng.standard_normal(n)
+    phase = rng.standard_normal(n)
     if parity == "even":
-        coeff[inside] = amplitude[inside] * envelope
-        coeff = 0.5 * (coeff + np.conj(coeff[grid._reflection]))
+        draws = amplitude
     elif parity == "odd":
-        coeff[inside] = 1j * amplitude[inside] * envelope
-        coeff = 0.5 * (coeff - np.conj(coeff[grid._reflection]))
-        coeff[0] = 0.0
+        draws = 1j * amplitude
     else:
-        coeff[inside] = (amplitude[inside] + 1j * phase[inside]) * envelope
-        coeff = 0.5 * (coeff + np.conj(coeff[grid._reflection]))
-    values = np.fft.ifft(coeff).real
+        draws = amplitude + 1j * phase
+    # mode n pairs the draws at +k_n and -k_n (FFT index N - n) into the
+    # Hermitian coefficient; real draws give an even, imaginary an odd profile
+    coeff = 0.5 * (draws[: len(k)] + np.conj(draws[-np.arange(len(k)) % n]))
+    inside = k <= band
+    inside[-1] = False
+    envelope = (1.0 + k**2) ** (-decay) if decay else 1.0
+    values = np.fft.irfft(np.where(inside, coeff * envelope, 0.0), n=n)
     f = GridFunction(grid, values)
     norm = l2_norm(f)
     return f if norm == 0 else (1.0 / norm) * f
@@ -184,10 +183,10 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
 
 def _check_b_symbol_floor(model, grid):
     eps = 0.2
-    symbol = np.asarray(b_symbol(model, eps, grid.wavenumbers))
+    k = grid.half_wavenumbers
+    symbol = np.asarray(b_symbol(model, eps, k))
     floor_ok = float(np.min(symbol)) >= 1.0 - 1e-12
     at_zero = float(np.asarray(b_symbol(model, eps, 0.0)))
-    k = np.abs(grid.wavenumbers)
     inside = k <= 4.0 / eps
     c_inside = float(np.min(symbol[inside] / (1.0 + k[inside] ** 2)))
     c_outside = float(np.min(symbol[~inside]) * eps**2) if np.any(~inside) else math.inf
@@ -226,7 +225,7 @@ def _check_b_inverse_self_adjoint(model, grid):
 
 
 def _check_cutoff_inverse_stability(model, grid):
-    band = min(120.0, 0.8 * float(np.max(np.abs(grid.wavenumbers))))
+    band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
     ratios = []
     for eps in _EPS_SWEEP:
         rng = np.random.default_rng(109)  # same ensemble for every eps

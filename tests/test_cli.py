@@ -1,6 +1,7 @@
 """Command line interface: config validation, reports, exit codes."""
 
 import json
+import math
 
 from chainwaves import cli
 from chainwaves.cli import load_config, parse_config
@@ -27,6 +28,9 @@ def test_solve_minimal_config(tmp_path):
     header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     assert lines[header_at] == "x,W0,W_eps,V_eps"
     assert len(lines) - header_at - 1 == 512  # one row per node
+    for line in lines[header_at + 1 :]:
+        cells = [float(cell) for cell in line.split(",")]
+        assert len(cells) == 4 and all(math.isfinite(c) for c in cells)
     assert any("tw_residual" in line for line in lines[:header_at])
     # byte-stable across repeated runs
     first = (tmp_path / "out.csv").read_bytes()

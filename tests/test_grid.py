@@ -18,8 +18,8 @@ def test_make_grid_fields():
 
 def test_make_grid_integer_wavenumbers():
     grid = cw.make_grid(math.pi, 16)
-    assert sorted(np.rint(grid.wavenumbers).astype(int)) == list(range(-8, 8))
-    np.testing.assert_allclose(sorted(grid.wavenumbers), np.arange(-8, 8), atol=1e-12)
+    assert list(np.rint(grid.half_wavenumbers).astype(int)) == list(range(9))
+    np.testing.assert_allclose(grid.half_wavenumbers, np.arange(9), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [(40.0, 17), (40.0, 14), (40.0, 0), (-1.0, 64), (0.0, 64)])
@@ -73,7 +73,7 @@ def test_sup_norm_cases(grid1, model1):
 def test_sobolev_norm_zero_and_single_mode(grid1):
     zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
     assert cw.sobolev22_norm(zero) == 0.0
-    k = grid1.wavenumbers[5]
+    k = grid1.half_wavenumbers[5]
     f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
     expected = math.sqrt(1 + k**2 + k**4) * cw.l2_norm(f)
     assert cw.sobolev22_norm(f) == pytest.approx(expected, rel=1e-13)
@@ -86,7 +86,7 @@ def test_sobolev_norm_dominates_l2(model1, grid1):
 
 
 def test_project_even_idempotent_and_parity_split(grid1, rng):
-    k1, k2 = grid1.wavenumbers[3], grid1.wavenumbers[8]
+    k1, k2 = grid1.half_wavenumbers[3], grid1.half_wavenumbers[8]
     even_part = np.cos(k1 * grid1.nodes)
     odd_part = np.sin(k2 * grid1.nodes)
     f = cw.grid_function(grid1, even_part + odd_part)
@@ -104,7 +104,7 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
 
 
 def test_evenness_defect(grid1):
-    odd = cw.grid_function(grid1, np.sin(grid1.wavenumbers[4] * grid1.nodes))
+    odd = cw.grid_function(grid1, np.sin(grid1.half_wavenumbers[4] * grid1.nodes))
     assert cw.evenness_defect(odd) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -112,7 +112,7 @@ def test_derivative_constant_and_modes(grid1):
     const = cw.grid_function(grid1, np.full(grid1.num_points, 3.7))
     for order in (1, 2, 3, 4):
         assert cw.sup_norm(cw.derivative(const, order)) < 1e-12
-    k = grid1.wavenumbers[6]
+    k = grid1.half_wavenumbers[6]
     f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
     second = cw.derivative(f, 2)
     np.testing.assert_allclose(second.values, -k**2 * f.values, atol=1e-10 * k**2)
@@ -159,16 +159,18 @@ def test_antiderivative_cases(model1, grid1):
 def test_transform_roundtrip_and_parseval(grid1, rng):
     values = rng.standard_normal(grid1.num_points)
     f = cw.grid_function(grid1, values)
-    spectrum = cw.forward_transform(f)
-    back = cw.inverse_transform(spectrum)
-    assert cw.l2_norm(back - f) <= 1e-12 * cw.l2_norm(f)
-    # conjugate symmetry of a real input
-    coeff = spectrum.coefficients
-    mirrored = np.conj(coeff[grid1._reflection])
-    np.testing.assert_allclose(coeff, mirrored, atol=1e-9 * np.max(np.abs(coeff)))
-    # Parseval under the integral normalization
+    # integral-convention coefficients c_n = h (-1)^n rfft(f)_n on the half lattice
+    coeff = grid1.spacing * grid1.half_sign * np.fft.rfft(f.values)
+    back = np.fft.irfft(coeff / (grid1.spacing * grid1.half_sign), n=grid1.num_points)
+    assert np.max(np.abs(back - values)) <= 1e-13 * np.max(np.abs(values))
+    # the sign is exp(-i k_n x_0) at x_0 = -L
+    np.testing.assert_allclose(
+        grid1.half_sign, np.exp(-1j * grid1.half_wavenumbers * grid1.nodes[0]).real, atol=1e-9
+    )
+    # Parseval under the half-spectrum weights (1, 2, ..., 2, 1)
+    assert list(grid1.half_weights[[0, 1, -2, -1]]) == [1.0, 2.0, 2.0, 1.0]
     lhs = cw.l2_norm(f) ** 2
-    rhs = float(np.sum(np.abs(coeff) ** 2)) / (2 * grid1.half_length)
+    rhs = float(np.sum(grid1.half_weights * np.abs(coeff) ** 2)) / (2 * grid1.half_length)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
@@ -184,7 +186,7 @@ def test_apply_symbol_matches_complex_fft(grid1, rng):
     # below is even at the Nyquist bin or vanishes there
     columns = rng.standard_normal((grid1.num_points, 3))
     half = grid1.num_points // 2 + 1
-    k = grid1.wavenumbers
+    k = 2.0 * np.pi * np.fft.fftfreq(grid1.num_points, d=grid1.spacing)  # FFT order
     first_order = 1j * k
     first_order[half - 1] = 0.0
     for symbol in (cw.sinc(0.35 * k), first_order, k**4):

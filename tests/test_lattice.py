@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves.lattice import _position_profile
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,28 @@ def test_wave_initial_data_shape(wave):
     )
     # midpoint particle sits at the wave crest
     assert int(np.argmax(-state.velocities)) == J // 2
+
+
+@pytest.mark.parametrize("num_points", [1024, 4096])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+@pytest.mark.parametrize("name", ["model1", "model2"])
+def test_position_profile_matches_closed_form(request, name, eps, num_points):
+    # antiderivative of the KdV profile from -L, evaluated off the grid
+    model = request.getfixturevalue(name)
+    grid = cw.make_grid(cw.default_half_length(model), num_points)
+    d1, d2 = cw.kdv_constants(model).d1, cw.kdv_constants(model).d2
+    J = int(2 * grid.half_length / eps)
+    x = eps * (np.arange(J) - J / 2)
+    root = math.sqrt(d1)
+    exact = (3 * root / d2) * (np.tanh(root * x / 2) + math.tanh(root * grid.half_length / 2))
+    positions = _position_profile(cw.kdv_profile(model, grid), x)
+    assert np.max(np.abs(positions - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
+def test_transport_rejects_bad_dt(wave, dt):
+    with pytest.raises(ValueError, match="dt"):
+        cw.run_transport(wave, 80, 0.05, dt)
 
 
 def test_wave_initial_data_rejects(wave, model1):

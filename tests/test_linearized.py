@@ -160,6 +160,9 @@ def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
 
 def test_solve_rejects_odd_input(op1, grid1, rng):
     odd = random_band_limited(grid1, 20.0, rng, parity="odd")
+    assert cw.l2_norm(cw.project_even(odd)) <= 1e-13
+    energy = np.abs(np.fft.rfft(odd.values)) ** 2
+    assert np.sum(energy[grid1.half_wavenumbers > 20.0]) <= 1e-26 * np.sum(energy)
     with pytest.raises(cw.NotEvenError):
         op1.solve(odd)
 

@@ -110,7 +110,7 @@ def test_apply_Q_zero_and_limit(model1, grid1):
 def test_apply_Q_matches_quadrature_oracle(model1, grid1):
     # single-mode input against the direct-quadrature averaging route
     eps = 0.3
-    k = grid1.wavenumbers[6]
+    k = grid1.half_wavenumbers[6]
     w = cw.grid_function(grid1, np.cos(k * grid1.nodes))
     inner = cw.averaging_direct(eps, w)
     oracle = cw.averaging_direct(eps, inner * inner)
