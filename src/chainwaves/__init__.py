@@ -20,7 +20,6 @@ from .errors import (
 from .grid import (
     GridFunction,
     SpectralGrid,
-    antiderivative,
     apply_symbol,
     derivative,
     evenness_defect,

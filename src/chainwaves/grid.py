@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatchError
 
@@ -42,7 +41,6 @@ __all__ = [
     "project_even",
     "evenness_defect",
     "derivative",
-    "antiderivative",
     "sample",
 ]
 
@@ -238,19 +236,23 @@ def derivative(f: GridFunction, order: int) -> GridFunction:
     return GridFunction(f.grid, apply_symbol(f.values, multiplier))
 
 
-def antiderivative(f: GridFunction) -> GridFunction:
-    """Cumulative trapezoid integral from x_0 = -L, so result(-L) = 0.
+def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
+    """Band-limited (trigonometric interpolant) evaluation at arbitrary points.
 
-    Intended for lattice initial positions: when mean(f) != 0 the result is
-    a non-periodic ramp on [-L, L) and must not be fed back into transforms.
+    ``values`` holds samples on the nodes, an (N,) array or an (N, B) array
+    of columns as for :func:`apply_symbol`; the result is (P,) or (P, B) for
+    P points. All columns share one P x (N/2+1) phase matrix.
     """
-    values = cumulative_trapezoid(f.values, dx=f.grid.spacing, initial=0.0)
-    return GridFunction(f.grid, values)
-
-
-def sample(f: GridFunction, points) -> NDArray[np.float64]:
-    """Band-limited (trigonometric interpolant) evaluation at arbitrary points."""
-    grid = f.grid
+    values = np.asarray(values, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    coeff = grid.half_weights * grid.half_sign * np.fft.rfft(f.values) / grid.num_points
-    return (np.exp(1j * np.outer(pts, grid.half_wavenumbers)) @ coeff).real
+    scale = grid.half_weights * grid.half_sign
+    if values.ndim == 2:
+        scale = scale[:, None]
+    coeff = scale * np.fft.rfft(values, axis=0) / grid.num_points
+    phase = np.exp(1j * np.outer(pts, grid.half_wavenumbers))
+    if values.ndim == 1:
+        return (phase @ coeff).real
+    # one matrix-vector product per column: a matrix-matrix product sums in
+    # another order, and lattice initial data would then differ from a
+    # single-column evaluation in the last bits
+    return np.column_stack([(phase @ column).real for column in coeff.T])

@@ -48,19 +48,21 @@ _PSI_KINDS = ("none", "cubic", "toda-remainder")
 def _exp_tail(r, first_order: int):
     """sum_{j >= first_order} r^j / j!, stable against cancellation.
 
-    Below |r| = 0.1 the truncated series reaches double precision; above,
-    subtracting the short head from exp(r) loses at most a few ulp.
+    On |r| <= 2 the series is summed by Horner's rule to 24 terms past the
+    first, which truncates below 1e-17 relative; beyond, subtracting the
+    short head from exp(r) loses at most a few ulp.
     """
     r = np.asarray(r, dtype=float)
-    small = np.abs(r) < 0.1
-    term = r ** first_order / math.factorial(first_order)
-    series = term.copy()
-    for j in range(first_order + 1, first_order + 18):
-        term = term * r / j
-        series = series + term
-    head = sum(r**j / math.factorial(j) for j in range(first_order))
-    direct = np.exp(r) - head
-    out = np.where(small, series, direct)
+    head = np.zeros_like(r)
+    power = np.ones_like(r)
+    for j in range(first_order):
+        head = head + power / math.factorial(j)
+        power = power * r
+    series = np.ones_like(r)
+    for j in range(first_order + 24, first_order, -1):
+        series = 1.0 + series * r / j
+    series = series * power / math.factorial(first_order)
+    out = np.where(np.abs(r) <= 2.0, series, np.exp(r) - head)
     return out if out.ndim else float(out)
 
 
@@ -109,7 +111,7 @@ class PsiFamily:
             return np.zeros_like(np.asarray(r, dtype=float))
         if self.kind == "cubic":
             r = np.asarray(r, dtype=float)
-            return self._param(m) * r**3
+            return self._param(m) * (r * r * r)
         return self._param(m) * _exp_tail(r, 3)
 
     def second(self, m: int, r):
@@ -127,7 +129,8 @@ class PsiFamily:
             return np.zeros_like(np.asarray(r, dtype=float))
         if self.kind == "cubic":
             r = np.asarray(r, dtype=float)
-            return 0.25 * self._param(m) * r**4
+            r2 = r * r
+            return 0.25 * self._param(m) * (r2 * r2)
         return self._param(m) * _exp_tail(r, 4)
 
     def gamma(self, m: int) -> float:
@@ -188,7 +191,9 @@ class ChainModel:
         """Force law alpha_m r + beta_m r^2 + psi'_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        out = self.alpha[m - 1] * r + self.beta[m - 1] * r**2 + self.psi.prime(m, r)
+        out = self.alpha[m - 1] * r + self.beta[m - 1] * r**2
+        if self.psi.kind != "none":
+            out += self.psi.prime(m, r)
         return out if out.ndim else float(out)
 
     def force_derivative(self, m: int, r):
@@ -202,11 +207,10 @@ class ChainModel:
         """Pair potential alpha_m r^2/2 + beta_m r^3/3 + psi_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        out = (
-            0.5 * self.alpha[m - 1] * r**2
-            + self.beta[m - 1] * r**3 / 3.0
-            + self.psi.value(m, r)
-        )
+        r2 = r * r
+        out = 0.5 * self.alpha[m - 1] * r2 + self.beta[m - 1] * (r2 * r) / 3.0
+        if self.psi.kind != "none":
+            out += self.psi.value(m, r)
         return out if out.ndim else float(out)
 
     def _check_index(self, m: int) -> None:

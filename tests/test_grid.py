@@ -141,21 +141,6 @@ def test_derivative_composes(grid1, rng):
     assert cw.l2_norm(twice - fourth) <= 1e-10 * cw.l2_norm(fourth)
 
 
-def test_antiderivative_cases(model1, grid1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(cw.antiderivative(zero)) == 0.0
-    ones = cw.grid_function(grid1, np.ones(grid1.num_points))
-    ramp = cw.antiderivative(ones)
-    np.testing.assert_allclose(ramp.values, grid1.nodes + grid1.half_length, atol=1e-12)
-    w0 = cw.kdv_profile(model1, grid1)
-    constants = cw.kdv_constants(model1)
-    primitive = cw.antiderivative(w0)
-    assert np.all(np.diff(primitive.values) >= 0)
-    assert primitive.values[-1] == pytest.approx(
-        6.0 * math.sqrt(constants.d1) / constants.d2, abs=1e-6
-    )
-
-
 def test_transform_roundtrip_and_parseval(grid1, rng):
     values = rng.standard_normal(grid1.num_points)
     f = cw.grid_function(grid1, values)
@@ -177,7 +162,22 @@ def test_transform_roundtrip_and_parseval(grid1, rng):
 def test_sample_matches_nodes(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     subset = grid1.nodes[::37]
-    np.testing.assert_allclose(cw.sample(w0, subset), w0.values[::37], atol=1e-12)
+    np.testing.assert_allclose(cw.sample(grid1, w0.values, subset), w0.values[::37], atol=1e-12)
+
+
+def test_sample_batched_columns(grid1, rng):
+    # (N, B) columns against one (N,) call per column, off-grid points
+    from chainwaves.verify import random_band_limited
+
+    columns = np.column_stack(
+        [random_band_limited(grid1, 30.0, rng).values for _ in range(3)]
+    )
+    points = rng.uniform(-grid1.half_length, grid1.half_length, 500)
+    batched = cw.sample(grid1, columns, points)
+    assert batched.shape == (500, 3)
+    for b in range(3):
+        single = cw.sample(grid1, columns[:, b], points)
+        assert np.max(np.abs(batched[:, b] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def test_apply_symbol_matches_complex_fft(grid1, rng):

@@ -1,17 +1,23 @@
 """Chain dynamics: forces, integrator, conservation, wave transport."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves.lattice import _position_profile
+from chainwaves.lattice import _initial_profiles
 
 
 @pytest.fixture(scope="module")
 def wave(model1, grid1):
     return cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2))
+
+
+def _solve(model, eps=0.2):
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    return cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
 
 
 def dispersion_sq(model, kappa):
@@ -140,7 +146,7 @@ def test_position_profile_matches_closed_form(request, name, eps, num_points):
     x = eps * (np.arange(J) - J / 2)
     root = math.sqrt(d1)
     exact = (3 * root / d2) * (np.tanh(root * x / 2) + math.tanh(root * grid.half_length / 2))
-    positions = _position_profile(cw.kdv_profile(model, grid), x)
+    positions, _ = _initial_profiles(cw.kdv_profile(model, grid), x)
     assert np.max(np.abs(positions - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
@@ -188,3 +194,82 @@ def test_momentum_conserved_through_steps(wave):
     for _ in range(100):
         state = cw.step(state, 0.05)
     assert abs(cw.total_momentum(state) - start) / 100 <= 1e-12
+
+
+def _reference_report(solution, num_particles, horizon, dt, steps):
+    # run_transport rebuilt from the public step and total_energy
+    state = cw.wave_initial_data(solution, num_particles)
+    momentum_start = cw.total_momentum(state)
+    energies = [cw.total_energy(state)]
+    for _ in range(steps):
+        state = cw.step(state, dt)
+        energies.append(cw.total_energy(state))
+    energies = np.asarray(energies)
+    eps, speed = solution.epsilon, solution.wave_speed
+    phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
+    predicted = -(eps**2) * speed * cw.sample(solution.grid, solution.w.values, phases)
+    buffer = 4 * solution.model.neighbor_range
+    interior = slice(buffer, num_particles - buffer)
+    scale = eps**2 * speed * cw.sup_norm(solution.w)
+    return cw.TransportReport(
+        num_particles=num_particles,
+        dt=dt,
+        horizon=horizon,
+        steps=steps,
+        transport_error=float(
+            np.max(np.abs(state.velocities[interior] - predicted[interior]))
+        ) / scale,
+        energy_drift=cw.energy_drift_rate(energies, dt),
+        peak_energy_deviation=float(np.max(np.abs(energies - energies[0]))) / abs(energies[0]),
+        momentum_drift_per_step=abs(cw.total_momentum(state) - momentum_start) / steps,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, num_particles, horizon, dt",
+    [
+        (cw.ChainModel((1.0, 1.0), (1.0, 1.0), cw.PsiFamily.cubic((0.1, 0.1))), 300, 0.8, 0.04),
+        (cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((1.0,))), 80, 1.0, 0.05),
+    ],
+    ids=["M2-cubic", "M1-toda-remainder"],
+)
+def test_transport_matches_step_reference(model, num_particles, horizon, dt):
+    # the array loop inside run_transport is bitwise the public step loop
+    solution = _solve(model)
+    report = cw.run_transport(solution, num_particles, horizon, dt)
+    assert report.steps == 20
+    expected = _reference_report(solution, num_particles, horizon, report.dt, report.steps)
+    assert report == expected
+    assert report.transport_error <= 0.02 and report.energy_drift <= 1e-6
+
+
+def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
+    # cost guard without timing: one force and one potential call per m for
+    # the initial state and per step
+    solution = _solve(model2)
+    calls = {"force": 0, "potential": 0}
+
+    def counting(name):
+        method = getattr(cw.ChainModel, name)
+
+        def wrapper(self, m, r):
+            calls[name] += 1
+            return method(self, m, r)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cw.ChainModel, name, counting(name))
+    report = cw.run_transport(solution, 300, 0.8, 0.04)
+    expected = model2.neighbor_range * (report.steps + 1)
+    assert report.steps == 20
+    assert calls == {"force": expected, "potential": expected}
+
+
+def test_transport_blow_up_raises(wave):
+    # compressed past the barrier of r^2/2 + r^3/3 the chain collapses; the
+    # run must stop with an error, not return a report of NaNs
+    collapsing = dataclasses.replace(wave, w=-40.0 * wave.w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            cw.run_transport(collapsing, 80, 20.0, 0.05)

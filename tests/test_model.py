@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,13 +56,54 @@ def test_toda_remainder_family():
         math.exp(r) - 1 - r - r**2 / 2, rel=1e-13
     )
     assert model.psi.gamma(1) == pytest.approx(math.e - 2.0)
-    # series branch agrees with the direct formula across its switch point
-    for r in (0.0999, 0.1001):
+    # series branch agrees with the direct formula across its switch points
+    for r in (1.999, 2.001, -1.999, -2.001):
         direct = math.exp(r) - 1 - r - r**2 / 2
-        assert model.psi.prime(1, r) == pytest.approx(direct, rel=1e-10)
+        assert model.psi.prime(1, r) == pytest.approx(direct, rel=1e-13)
     # tiny r: the direct formula loses all digits, the series keeps them
     r = 1e-5
     assert model.psi.prime(1, r) == pytest.approx(r**3 / 6 + r**4 / 24, rel=1e-12)
+
+
+def _exact_tail(r, first_order):
+    # sum_{j >= first_order} r^j / j! in exact rationals, truncated past 1e-50
+    x = Fraction(r)
+    return sum(x**j / math.factorial(j) for j in range(first_order, first_order + 45))
+
+
+@pytest.mark.parametrize(
+    "psi", [PsiFamily.cubic((0.1, 0.3)), PsiFamily.toda_remainder((0.5, 0.2))]
+)
+def test_force_laws_on_compression(psi):
+    # exact rational references on [-1, 1], negative (compressive) stretches
+    # included; the bound is relative to the sum of the terms' magnitudes,
+    # the conditioning of the sum
+    model = cw.ChainModel((1.0, 0.5), (1.0, 0.25), psi)
+    r = np.linspace(-1.0, 1.0, 201)
+
+    def check(got, terms):
+        exact = np.array([float(sum(t)) for t in terms])
+        scale = np.array([float(sum(abs(x) for x in t)) for t in terms])
+        assert np.all(np.abs(got - exact) <= 1e-14 * scale)
+
+    for m in (1, 2):
+        a, b, p = (Fraction(c[m - 1]) for c in (model.alpha, model.beta, psi.params))
+        if psi.kind == "cubic":
+            prime = [p * Fraction(x) ** 3 for x in r]
+            value = [p * Fraction(x) ** 4 / 4 for x in r]
+        else:
+            prime = [p * _exact_tail(x, 3) for x in r]
+            value = [p * _exact_tail(x, 4) for x in r]
+        check(psi.prime(m, r), [[q] for q in prime])
+        check(psi.value(m, r), [[q] for q in value])
+        check(
+            model.force(m, r),
+            [[a * Fraction(x), b * Fraction(x) ** 2, q] for x, q in zip(r, prime)],
+        )
+        check(
+            model.potential(m, r),
+            [[a * Fraction(x) ** 2 / 2, b * Fraction(x) ** 3 / 3, q] for x, q in zip(r, value)],
+        )
 
 
 def test_kdv_profile_peak_and_domain(model2):
