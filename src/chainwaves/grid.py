@@ -20,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,7 +242,14 @@ def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
 
     ``values`` holds samples on the nodes, an (N,) array or an (N, B) array
     of columns as for :func:`apply_symbol`; the result is (P,) or (P, B) for
-    P points. All columns share one P x (N/2+1) phase matrix.
+    P points.
+
+    The sum over the N/2+1 modes runs baby-step/giant-step: with
+    n = q S + r and S = floor(sqrt(N/2)), exp(i k_n x) factors into
+    exp(i k_r x) exp(i k_{qS} x), so a P x S and a P x Q table of
+    exponentials, Q = ceil((N/2+1)/S), take the place of the P x (N/2+1)
+    phase matrix. Each column is reduced on its own, so a column of a batch
+    is bitwise what a single-column call gives.
     """
     values = np.asarray(values, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -249,10 +257,18 @@ def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
     if values.ndim == 2:
         scale = scale[:, None]
     coeff = scale * np.fft.rfft(values, axis=0) / grid.num_points
-    phase = np.exp(1j * np.outer(pts, grid.half_wavenumbers))
+    baby_steps = math.isqrt(grid.num_points // 2)
+    giant_steps = -(-len(coeff) // baby_steps)
+    padded = np.zeros((giant_steps * baby_steps,) + coeff.shape[1:], dtype=complex)
+    padded[: len(coeff)] = coeff
+    giant_k = np.pi * np.arange(0, len(padded), baby_steps) / grid.half_length
+    baby = np.exp(1j * np.outer(pts, grid.half_wavenumbers[:baby_steps]))
+    giant = np.exp(1j * np.outer(pts, giant_k))
+
+    def evaluate(column):
+        inner = baby @ column.reshape(giant_steps, baby_steps).T
+        return np.einsum("pq,pq->p", giant, inner).real
+
     if values.ndim == 1:
-        return (phase @ coeff).real
-    # one matrix-vector product per column: a matrix-matrix product sums in
-    # another order, and lattice initial data would then differ from a
-    # single-column evaluation in the last bits
-    return np.column_stack([(phase @ column).real for column in coeff.T])
+        return evaluate(padded)
+    return np.column_stack([evaluate(column) for column in padded.T])

@@ -6,13 +6,15 @@ Newton's equations for the chain read
 
 integrated here with velocity Verlet under free boundaries: pair terms whose
 partner index leaves the chain are omitted, so total momentum is conserved
-exactly. One private pair kernel forms the stretches u_{j+m} - u_j once per
-m and returns both the acceleration and the pair-potential sums, so a
-transport run evaluates the pair terms once per step and takes each step's
-energy from the same stretches as its forces. A solved wave provides
-initial data through the exact-solution form u_j(t) = eps U(eps j - eps c t),
-and transport quality is measured on an interior window against the
-translated velocity profile.
+exactly. The stretches u_{j+m} - u_j of all M ranges sit in one zero-padded
+(M, J) block, which ``ChainModel.pair_laws`` turns into forces and pair
+potentials in place; the acceleration is the column sum of the force block
+minus each row shifted by its range. A transport run allocates these blocks
+and its Verlet vectors once, evaluates the pair terms once per step, and
+takes each step's energy from the same stretches as its forces. A solved
+wave provides initial data through the exact-solution form
+u_j(t) = eps U(eps j - eps c t), and transport quality is measured on an
+interior window against the translated velocity profile.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def acceleration(state: LatticeState, linear_only: bool = False) -> NDArray[np.f
     ``linear_only`` is a testing hook keeping only the alpha_m r part of the
     force law.
     """
-    return _pair_terms(state.model, state.positions, linear_only)[0]
+    return _PairBlock(state.model, state.size, linear_only).evaluate(state.positions)[0]
 
 
 def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeState:
@@ -88,62 +90,75 @@ def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeSt
     dt must be positive and at most 0.1/c0.
     """
     _check_dt(state.model, dt)
-    accel = acceleration(state, linear_only)
-    positions, velocities, _, _ = _verlet(
-        state.model, state.positions, state.velocities, accel, dt, linear_only
-    )
+    block = _PairBlock(state.model, state.size, linear_only)
+    positions, velocities = state.positions.copy(), state.velocities.copy()
+    block.evaluate(positions)
+    block.verlet(positions, velocities, dt)
     return LatticeState(state.model, positions, velocities, state.time + dt)
 
 
 def total_energy(state: LatticeState) -> float:
     """Kinetic plus pair-potential energy over in-range pairs."""
-    _, potentials = _pair_terms(state.model, state.positions)
-    return _energy(state.velocities, potentials)
+    _, potential = _PairBlock(state.model, state.size).evaluate(state.positions)
+    return _energy(state.velocities, potential)
 
 
-def _pair_terms(model: ChainModel, positions, linear_only: bool = False):
-    """Acceleration and the per-m pair-potential sums of one configuration.
+class _PairBlock:
+    """Pair terms of one chain length, evaluated for all ranges at once.
 
-    Each m forms its stretches u_{j+m} - u_j once and feeds them to both the
-    force law and the potential. ``linear_only`` keeps the alpha_m r part of
-    both.
+    Row m - 1 of the (M, J) stretch block holds u_{j+m} - u_j for
+    j < J - m and zeros beyond; the zero padding is exact, since every force
+    law and potential vanishes at r = 0. The stretch, force, potential,
+    acceleration and scratch buffers are allocated once and reused by every
+    evaluation and Verlet step.
     """
-    accel = np.zeros_like(positions)
-    potentials = []
-    for m in range(1, model.neighbor_range + 1):
-        stretch = positions[m:] - positions[:-m]
-        if linear_only:
-            alpha = model.alpha[m - 1]
-            pair_force = alpha * stretch
-            pair_potential = 0.5 * alpha * stretch**2
-        else:
-            pair_force = model.force(m, stretch)
-            pair_potential = model.potential(m, stretch)
-        accel[:-m] += pair_force
-        accel[m:] -= pair_force
-        potentials.append(float(np.sum(pair_potential)))
-    return accel, potentials
+
+    def __init__(self, model: ChainModel, size: int, linear_only: bool = False) -> None:
+        shape = (model.neighbor_range, size)
+        self.model = model
+        self.linear_only = linear_only
+        self.stretch = np.zeros(shape)
+        self.force = np.empty(shape)
+        self.potential = np.empty(shape)
+        self.accel = np.empty(size)
+        self.scratch = np.empty(size)
+
+    def evaluate(self, positions):
+        """Acceleration (the ``accel`` buffer) and total pair potential.
+
+        The force on j from its bond to j + m is row m - 1 at j, so the
+        acceleration is the column sum of the force block minus each row
+        shifted by its range.
+        """
+        size = len(positions)
+        for m, row in enumerate(self.stretch, start=1):
+            np.subtract(positions[m:], positions[:-m], out=row[: size - m])
+        self.model.pair_laws(self.stretch, self.force, self.potential, self.linear_only)
+        np.add.reduce(self.force, axis=0, out=self.accel)
+        for m, row in enumerate(self.force, start=1):
+            self.accel[m:] -= row[: size - m]
+        return self.accel, float(np.add.reduce(self.potential, axis=None))
+
+    def verlet(self, positions, velocities, dt: float) -> float:
+        """One velocity Verlet step in place, kick-drift-kick.
+
+        Starts from positions whose acceleration ``accel`` holds and leaves
+        there the acceleration at the new positions, which the next step
+        starts from; returns the pair potential at the new positions.
+        """
+        half = 0.5 * dt
+        np.multiply(self.accel, half, out=self.scratch)
+        velocities += self.scratch
+        np.multiply(velocities, dt, out=self.scratch)
+        positions += self.scratch
+        _, potential = self.evaluate(positions)
+        np.multiply(self.accel, half, out=self.scratch)
+        velocities += self.scratch
+        return potential
 
 
-def _energy(velocities, potentials) -> float:
-    energy = 0.5 * float(np.sum(velocities**2))
-    for potential in potentials:
-        energy += potential
-    return energy
-
-
-def _verlet(
-    model: ChainModel, positions, velocities, accel, dt: float, linear_only: bool = False
-):
-    """Velocity Verlet from a configuration whose acceleration is known.
-
-    Returns the new positions and velocities and the pair terms at the new
-    positions, so the next step starts from the acceleration computed here.
-    """
-    positions = positions + dt * velocities + 0.5 * dt**2 * accel
-    accel_new, potentials = _pair_terms(model, positions, linear_only)
-    velocities = velocities + 0.5 * dt * (accel + accel_new)
-    return positions, velocities, accel_new, potentials
+def _energy(velocities, potential: float) -> float:
+    return 0.5 * float(np.dot(velocities, velocities)) + potential
 
 
 def _check_dt(model: ChainModel, dt: float) -> None:
@@ -186,7 +201,8 @@ def wave_initial_data(solution: WaveSolution, num_particles: int) -> LatticeStat
 
 def _initial_profiles(w, points):
     """Antiderivative with value 0 at -L and values of the band-limited
-    interpolant of w at the points, from one shared phase matrix.
+    interpolant of w at the points, from one two-column ``sample`` call
+    sharing its exponential tables.
 
     The nonzero mean of w makes the antiderivative a ramp plus a periodic
     part; the periodic part is the multiplier 1/(ik), zeroed at k = 0 and at
@@ -237,9 +253,9 @@ def run_transport(
     property from the bounded oscillation of the shadow energy; the peak
     deviation is reported alongside.
 
-    The loop is ``step`` and ``total_energy`` on bare arrays: each step
-    evaluates the pair terms once, at its new positions, giving the
-    acceleration it ends with (and the next step starts from) and the
+    The loop is ``step`` and ``total_energy`` in place on one pair block:
+    each step evaluates the pair terms once, at its new positions, giving
+    the acceleration it ends with (and the next step starts from) and the
     energy it records. A run whose energy stops being finite raises
     ``ValueError``.
     """
@@ -279,20 +295,19 @@ def run_transport(
         dt_used = dt
     momentum_start = total_momentum(state)
     positions, velocities = state.positions, state.velocities
-    accel, potentials = _pair_terms(model, positions)
-    energies = [_energy(velocities, potentials)]
-    for n in range(steps):
-        positions, velocities, accel, potentials = _verlet(
-            model, positions, velocities, accel, dt_used
-        )
-        energies.append(_energy(velocities, potentials))
-        if not math.isfinite(energies[-1]):
+    block = _PairBlock(model, num_particles)
+    _, potential = block.evaluate(positions)
+    energies = np.empty(steps + 1)
+    energies[0] = _energy(velocities, potential)
+    for n in range(1, steps + 1):
+        potential = block.verlet(positions, velocities, dt_used)
+        energies[n] = _energy(velocities, potential)
+        if not math.isfinite(energies[n]):
             raise ValueError(
-                f"state entries must be finite; the energy after step {n + 1} "
-                f"is {energies[-1]}"
+                f"state entries must be finite; the energy after step {n} "
+                f"is {energies[n]}"
             )
     state = LatticeState(model, positions, velocities, horizon)
-    energies = np.asarray(energies)
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * sample(solution.grid, solution.w.values, phases)
     interior = slice(buffer, num_particles - buffer)
@@ -302,9 +317,9 @@ def run_transport(
         abs(total_momentum(state) - momentum_start) / steps if steps else 0.0
     )
     return TransportReport(
-        num_particles=num_particles,
-        dt=dt_used,
-        horizon=horizon,
+        num_particles=int(num_particles),
+        dt=float(dt_used),
+        horizon=float(horizon),
         steps=steps,
         transport_error=error,
         energy_drift=energy_drift_rate(energies, dt_used),
@@ -329,14 +344,12 @@ def energy_drift_rate(energies, dt: float) -> float:
     if len(energies) < 2:
         return 0.0
     times = dt * np.arange(len(energies))
-    slope = np.polyfit(times, energies, 1)[0]
-    reference = abs(energies[0])
-    if reference == 0.0:
-        return abs(float(slope)) * times[-1]
-    return abs(float(slope)) * times[-1] / reference
+    drift = abs(float(np.polyfit(times, energies, 1)[0])) * float(times[-1])
+    reference = abs(float(energies[0]))
+    return drift / reference if reference else drift
 
 
 def _peak_deviation(energies: NDArray[np.float64]) -> float:
-    reference = abs(energies[0])
+    reference = abs(float(energies[0]))
     peak = float(np.max(np.abs(energies - energies[0])))
     return peak / reference if reference else peak

@@ -66,6 +66,15 @@ def _exp_tail(r, first_order: int):
     return out if out.ndim else float(out)
 
 
+def _horner(r, coefficients, out=None):
+    """r (c_0 + r (c_1 + ... + r c_k)) by Horner's rule, into ``out`` if given."""
+    out = np.multiply(r, coefficients[-1], out=out)
+    for c in coefficients[-2::-1]:
+        out += c
+        out *= r
+    return out
+
+
 @dataclass(frozen=True)
 class PsiFamily:
     """Higher-order force family beyond the linear and quadratic terms.
@@ -187,14 +196,33 @@ class ChainModel:
         """c0^2 = sum_m alpha_m m^2."""
         return float(sum(a * m**2 for m, a in enumerate(self.alpha, start=1)))
 
+    @cached_property
+    def _law_columns(self) -> tuple:
+        """(M, 1) coefficient columns of the force and potential polynomials.
+
+        Lowest power first: force_m(r) = r (alpha_m + r (beta_m + r delta_m))
+        and V_m(r) = r^2 (alpha_m/2 + r (beta_m/3 + r delta_m/4)), where the
+        delta_m of the cubic family are absent for the other kinds; the
+        toda remainder is added apart.
+        """
+        force = [np.array(self.alpha)[:, None], np.array(self.beta)[:, None]]
+        potential = [0.5 * force[0], force[1] / 3.0]
+        if self.psi.kind == "cubic":
+            delta = np.array(self.psi.params)[:, None]
+            force.append(delta)
+            potential.append(0.25 * delta)
+        for column in force + potential:
+            column.flags.writeable = False
+        return tuple(force), tuple(potential)
+
     def force(self, m: int, r):
         """Force law alpha_m r + beta_m r^2 + psi'_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        out = self.alpha[m - 1] * r + self.beta[m - 1] * r**2
-        if self.psi.kind != "none":
-            out += self.psi.prime(m, r)
-        return out if out.ndim else float(out)
+        out = _horner(r, [c[m - 1, 0] for c in self._law_columns[0]])
+        if self.psi.kind == "toda-remainder":
+            out = out + self.psi.prime(m, r)
+        return out if np.ndim(out) else float(out)
 
     def force_derivative(self, m: int, r):
         """alpha_m + 2 beta_m r + psi''_m(r)."""
@@ -207,11 +235,30 @@ class ChainModel:
         """Pair potential alpha_m r^2/2 + beta_m r^3/3 + psi_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        r2 = r * r
-        out = 0.5 * self.alpha[m - 1] * r2 + self.beta[m - 1] * (r2 * r) / 3.0
-        if self.psi.kind != "none":
-            out += self.psi.value(m, r)
-        return out if out.ndim else float(out)
+        out = _horner(r, [c[m - 1, 0] for c in self._law_columns[1]]) * r
+        if self.psi.kind == "toda-remainder":
+            out = out + self.psi.value(m, r)
+        return out if np.ndim(out) else float(out)
+
+    def pair_laws(self, stretch, force, potential, linear_only: bool = False) -> None:
+        """Force laws and pair potentials of every neighbor range at once.
+
+        ``stretch`` is an (M, J) block whose row m - 1 holds range-m
+        stretches; ``force`` and ``potential`` are (M, J) buffers, overwritten
+        in place. Row m - 1 is bitwise what :meth:`force` and
+        :meth:`potential` give for m. ``linear_only`` keeps the alpha_m r
+        part of both laws.
+        """
+        force_columns, potential_columns = self._law_columns
+        if linear_only:
+            force_columns, potential_columns = force_columns[:1], potential_columns[:1]
+        _horner(stretch, force_columns, out=force)
+        _horner(stretch, potential_columns, out=potential)
+        potential *= stretch
+        if self.psi.kind == "toda-remainder" and not linear_only:
+            for m, (r, f, v) in enumerate(zip(stretch, force, potential), start=1):
+                f += self.psi.prime(m, r)
+                v += self.psi.value(m, r)
 
     def _check_index(self, m: int) -> None:
         if not 1 <= m <= len(self.alpha):

@@ -1,6 +1,7 @@
 """Grid construction, transforms, norms, evenness, and calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,52 @@ def test_sample_batched_columns(grid1, rng):
     for b in range(3):
         single = cw.sample(grid1, columns[:, b], points)
         assert np.max(np.abs(batched[:, b] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def _dense_sample(grid, values, points):
+    # the textbook interpolant: every half-lattice mode's phase at every point
+    k = grid.half_wavenumbers
+    coeff = grid.half_weights * grid.half_sign * np.fft.rfft(values) / grid.num_points
+    return (np.exp(1j * np.outer(points, k)) @ coeff).real
+
+
+@pytest.mark.parametrize("num_points", [64, 1024, 4096])
+def test_sample_matches_dense_phase_matrix(model1, num_points):
+    # smooth decaying profiles, as sample receives them; points off the grid
+    # and outside [-L, L), where the interpolant continues periodically
+    grid = cw.make_grid(cw.default_half_length(model1), num_points)
+    length = grid.half_length
+    x = grid.nodes
+    columns = np.column_stack(
+        [
+            cw.kdv_profile(model1, grid).values,
+            np.tanh(x) / np.cosh(x / 2.0) ** 2,
+            np.exp(-((x - 3.0) ** 2) / 4.0) * np.cos(2.0 * x),
+        ]
+    )
+    rng = np.random.default_rng(num_points)
+    points = np.concatenate(
+        [rng.uniform(-1.5 * length, 1.5 * length, 1400), [-length, length, 2.0 * length]]
+    )
+    batched = cw.sample(grid, columns, points)
+    for b in range(columns.shape[1]):
+        expected = _dense_sample(grid, columns[:, b], points)
+        assert np.max(np.abs(batched[:, b] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_sample_memory_below_dense_phase_matrix(model1):
+    # the dense route holds a P x (N/2 + 1) complex phase matrix: 656 MB here
+    grid = cw.make_grid(cw.default_half_length(model1), 4096)
+    points = np.linspace(-grid.half_length, grid.half_length, 20000)
+    values = cw.kdv_profile(model1, grid).values
+    dense_bytes = 16 * len(points) * (grid.num_points // 2 + 1)
+    tracemalloc.start()
+    try:
+        cw.sample(grid, values, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense_bytes / 10
 
 
 def test_apply_symbol_matches_complex_fft(grid1, rng):

@@ -54,6 +54,77 @@ def test_acceleration_plane_wave_dispersion(model2):
     np.testing.assert_allclose(accel[M:-M], expected[M:-M], atol=1e-10)
 
 
+def _double_loop(model, positions, velocities, linear_only):
+    # textbook reference: every in-range pair (j, j + m) once, force laws
+    # and potentials written out, psi by its Taylor series
+    size = len(positions)
+    accel = [0.0] * size
+    energy = sum(0.5 * v * v for v in velocities)
+    for m in range(1, model.neighbor_range + 1):
+        a, b = model.alpha[m - 1], model.beta[m - 1]
+        p = model.psi.params[m - 1] if model.psi.kind != "none" else 0.0
+        for j in range(size - m):
+            r = float(positions[j + m] - positions[j])
+            force, potential = a * r, a * r * r / 2
+            if not linear_only:
+                force += b * r * r
+                potential += b * r * r * r / 3
+                if model.psi.kind == "cubic":
+                    force += p * r * r * r
+                    potential += p * r * r * r * r / 4
+                elif model.psi.kind == "toda-remainder":
+                    force += p * sum(r**n / math.factorial(n) for n in range(3, 40))
+                    potential += p * sum(r**n / math.factorial(n) for n in range(4, 40))
+            accel[j] += force
+            accel[j + m] -= force
+            energy += potential
+    return np.array(accel), energy
+
+
+@pytest.mark.parametrize("size", ["minimum", 40])
+@pytest.mark.parametrize(
+    "model",
+    [
+        cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 0.25), cw.PsiFamily.cubic((0.1, 0.2, 0.3))),
+        cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((1.0,))),
+        cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 0.25), cw.PsiFamily.toda_remainder((1.0, 0.5, 0.2))),
+    ],
+    ids=["M3-cubic", "M1-toda-remainder", "M3-toda-remainder"],
+)
+def test_pair_block_matches_double_loop(model, size):
+    # the minimum chain 2M + 2 has the largest share of zero-padded stretches
+    if size == "minimum":
+        size = 2 * model.neighbor_range + 2
+    rng = np.random.default_rng(size + 10 * model.neighbor_range)
+    positions = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.5, 0.5, size - 1))])
+    velocities = rng.uniform(-0.5, 0.5, size)
+    state = cw.LatticeState(model, positions, velocities)
+    for linear_only in (False, True):
+        expected, _ = _double_loop(model, positions, velocities, linear_only)
+        accel = cw.acceleration(state, linear_only=linear_only)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(accel - expected)) <= 1e-13 * scale
+        assert abs(np.sum(accel)) <= 1e-15 * np.sum(np.abs(accel))
+    _, energy = _double_loop(model, positions, velocities, False)
+    assert abs(cw.total_energy(state) - energy) <= 1e-13 * abs(energy)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [cw.PsiFamily.none(), cw.PsiFamily.cubic((0.1, 0.3)), cw.PsiFamily.toda_remainder((0.5, 0.2))],
+    ids=lambda psi: psi.kind,
+)
+def test_pair_laws_rows_equal_force_laws(psi):
+    # one definition of each law: a block row is bitwise the per-m call
+    model = cw.ChainModel((1.0, 0.5), (1.0, 0.25), psi)
+    stretch = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 57))
+    force, potential = np.empty_like(stretch), np.empty_like(stretch)
+    model.pair_laws(stretch, force, potential)
+    for m in (1, 2):
+        assert np.array_equal(force[m - 1], model.force(m, stretch[m - 1]))
+        assert np.array_equal(potential[m - 1], model.potential(m, stretch[m - 1]))
+
+
 def test_state_validation(model2):
     with pytest.raises(ValueError):
         cw.LatticeState(model2, np.zeros(5), np.zeros(5))  # below 2M+2
@@ -183,6 +254,14 @@ def test_transport_error_defaults(wave, model1):
     assert report.transport_error / finer.transport_error == pytest.approx(4.0, rel=0.3)
 
 
+def test_transport_report_fields_are_builtin(wave):
+    report = cw.run_transport(wave, 80, 1.0, 0.05)
+    for field in dataclasses.fields(report):
+        assert type(getattr(report, field.name)) in (int, float), field.name
+    assert "np." not in repr(report)
+    assert type(cw.energy_drift_rate(np.array([1.0, 1.1, 1.3]), 0.1)) is float
+
+
 def test_transport_window_overflow(wave):
     with pytest.raises(cw.WindowOverflowError):
         cw.run_transport(wave, 80, 200.0, 0.02)
@@ -244,26 +323,20 @@ def test_transport_matches_step_reference(model, num_particles, horizon, dt):
 
 
 def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
-    # cost guard without timing: one force and one potential call per m for
-    # the initial state and per step
+    # cost guard without timing: one block evaluation of all pair terms for
+    # the initial state and one per step
     solution = _solve(model2)
-    calls = {"force": 0, "potential": 0}
+    calls = []
+    pair_laws = cw.ChainModel.pair_laws
 
-    def counting(name):
-        method = getattr(cw.ChainModel, name)
+    def counting(self, *args, **kwargs):
+        calls.append(self.neighbor_range)
+        return pair_laws(self, *args, **kwargs)
 
-        def wrapper(self, m, r):
-            calls[name] += 1
-            return method(self, m, r)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cw.ChainModel, name, counting(name))
+    monkeypatch.setattr(cw.ChainModel, "pair_laws", counting)
     report = cw.run_transport(solution, 300, 0.8, 0.04)
-    expected = model2.neighbor_range * (report.steps + 1)
     assert report.steps == 20
-    assert calls == {"force": expected, "potential": expected}
+    assert calls == [2] * (report.steps + 1)
 
 
 def test_transport_blow_up_raises(wave):
