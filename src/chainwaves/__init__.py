@@ -55,6 +55,7 @@ from .model import (
     default_half_length,
     kdv_constants,
     kdv_profile,
+    tw_defect,
     tw_residual,
 )
 from .operators import (
@@ -80,7 +81,6 @@ from .solver import (
     SolveDiagnostics,
     SweepRow,
     WaveSolution,
-    apply_N,
     convergence_sweep,
     eigen_identity_check,
     fixed_point_map,

@@ -119,9 +119,21 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _positive_number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"{where} must be a positive number, got {value!r}")
+    # the bound rejects Infinity, NaN and integers no float can hold
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where} must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def _epsilon(value, where: str) -> float:
+    epsilon = _positive_number(value, where)
+    if epsilon > 1:
+        raise ConfigError(f"{where} must be in (0, 1], got {epsilon!r}")
+    return epsilon
 
 
 def _coefficient_list(value, where: str) -> tuple:
@@ -181,13 +193,11 @@ def parse_config(data: dict) -> RunConfig:
     if (epsilon is None) == (epsilon_list is None):
         raise ConfigError("solver needs exactly one of epsilon or epsilon_list")
     if epsilon is not None:
-        epsilon = _positive_number(epsilon, "solver.epsilon")
+        epsilon = _epsilon(epsilon, "solver.epsilon")
     if epsilon_list is not None:
         if not isinstance(epsilon_list, list):
             raise ConfigError("solver.epsilon_list must be a list")
-        epsilon_list = tuple(
-            _positive_number(e, "solver.epsilon_list entry") for e in epsilon_list
-        )
+        epsilon_list = tuple(_epsilon(e, "solver.epsilon_list entry") for e in epsilon_list)
     tol = _positive_number(solver_section.get("tol", 1e-12), "solver.tol")
     max_iter = solver_section.get("max_iter", 200)
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
@@ -478,9 +488,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.epsilon is not None:
-            if not 0 < args.epsilon <= 1:
-                raise ConfigError("--epsilon must be in (0, 1]")
-            config = replace(config, epsilon=args.epsilon, epsilon_list=None)
+            epsilon = _epsilon(args.epsilon, "--epsilon")
+            config = replace(config, epsilon=epsilon, epsilon_list=None)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

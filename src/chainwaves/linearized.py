@@ -1,24 +1,26 @@
-"""Linearization around the limiting profile and its even-subspace solve.
+"""Jacobian of the traveling-wave defect and its even-subspace solve.
 
-The corrector equation requires inverting
+At an even profile w the defect G_eps(w) = B_eps w - Q_eps[w] - eps^2 P_eps[w]
+of ``model.tw_defect`` has the Jacobian
 
-    L_eps V = B_eps V - M_eps V,
-    M_eps V = 2 sum_m beta_m m^3 A_{m eps}((A_{m eps} w0)(A_{m eps} V)),
+    J_w V = B_eps V - sum_m A_{m eps}(c_m A_{m eps} V),
+    c_m   = 2 beta_m m^3 A_{m eps} w + (m^2/eps^2) psi''_m(m eps^2 A_{m eps} w),
 
-with the eps = 0 limit L_0 = B_0 - 2 (sum_m beta_m m^3) w0. The kernel
-direction w0' is odd, so L is invertible on the even subspace. There it is
-applied matrix-free in the orthonormal cosine coordinates of
-``even_coefficients``, where B_eps and every A_{m eps} are diagonal: one
-application costs a batched inverse real FFT and a forward one, and the
-operator stores O(N) numbers. L is symmetric indefinite, so solves use
-MINRES (Paige & Saunders 1975) preconditioned by the SPD B_eps^{-1}, whose
-symbol is at most 1; sigma_min is the eigenvalue nearest 0, found by
-shift-invert Lanczos with MINRES as the inner solve.
+whose psi'' term vanishes at eps = 0. The corrector inverts the paper's
+L_eps = J_{w0} of the quadratic model (psi = none), with the eps = 0 limit
+L_0 = B_0 - 2 (sum_m beta_m m^3) w0. The kernel direction w0' is odd, so
+L is invertible on the even subspace. There it is applied matrix-free in
+the orthonormal cosine coordinates of ``even_coefficients``, where B_eps and
+every A_{m eps} are diagonal: one application costs a batched inverse real
+FFT and a forward one, and the operator stores O(N) numbers. L is symmetric
+indefinite, so solves use MINRES (Paige & Saunders 1975) preconditioned by
+the SPD B_eps^{-1}, whose symbol is at most 1; sigma_min is the eigenvalue
+nearest 0, found by shift-invert Lanczos with MINRES as the inner solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -28,7 +30,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm, project_even
-from .model import ChainModel, kdv_profile
+from .model import ChainModel, PsiFamily, kdv_profile
 from .operators import averaging_symbol, b0_symbol, b_symbol
 
 __all__ = [
@@ -73,7 +75,8 @@ def even_synthesis(grid: SpectralGrid, coefficients) -> GridFunction:
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """L_eps restricted to even profiles, applied matrix-free.
+    """Jacobian J_w of the traveling-wave defect at the profile ``w0``,
+    restricted to even profiles and applied matrix-free.
 
     ``eps = 0`` selects the limiting operator. The coupling data and the
     smallest singular value are computed lazily and cached on the instance.
@@ -101,30 +104,34 @@ class LinearizedOperator:
 
     @cached_property
     def _assembled(self):
-        """Coupling data: the (N, M) columns A_{m eps} w0, the (N/2 + 1, M)
-        window symbols and the weights 2 beta_m m^3 (all symbols 1 at eps = 0)."""
-        ranges = range(1, self.model.neighbor_range + 1)
+        """Coupling data: the (N, M) columns c_m and the (N/2 + 1, M) window
+        symbols (all symbols 1 at eps = 0)."""
+        ranges = np.arange(1, self.model.neighbor_range + 1)
         symbols = np.stack([averaging_symbol(self.grid, m * self.eps) for m in ranges], axis=1)
         n = self.grid.num_points
-        profiles = np.fft.irfft(symbols * np.fft.rfft(self.w0.values)[:, None], n=n, axis=0)
-        weights = np.array([2.0 * b * m**3 for m, b in zip(ranges, self.model.beta)])
-        return profiles, symbols, weights
+        averages = np.fft.irfft(symbols * np.fft.rfft(self.w0.values)[:, None], n=n, axis=0)
+        columns = averages * (2.0 * np.array(self.model.beta) * ranges**3)
+        if self.model.psi.kind != "none" and self.eps > 0:
+            for j, m in enumerate(ranges):
+                second = self.model.psi.second(m, (m * self.eps**2) * averages[:, j])
+                columns[:, j] += (m**2 / self.eps**2) * second
+        return columns, symbols
 
     def _coupling_spectrum(self, spectrum: NDArray) -> NDArray:
-        """rfft of M_eps S from the rfft spectrum of S."""
-        profiles, symbols, weights = self._assembled
+        """rfft of M V = sum_m A_{m eps}(c_m A_{m eps} V) from the rfft of V."""
+        columns, symbols = self._assembled
         inner = np.fft.irfft(symbols * spectrum[:, None], n=self.grid.num_points, axis=0)
-        return np.sum(np.fft.rfft(profiles * inner, axis=0) * symbols * weights, axis=1)
+        return np.sum(np.fft.rfft(columns * inner, axis=0) * symbols, axis=1)
 
     def apply_m(self, v: GridFunction) -> GridFunction:
-        """Coupling term M_eps V; maps even functions to even functions."""
+        """Coupling term M V = B_eps V - J_w V; maps even functions to even ones."""
         if v.grid != self.grid:
             raise GridMismatchError("operand grid differs from operator grid")
         spectrum = self._coupling_spectrum(np.fft.rfft(v.values))
         return GridFunction(self.grid, np.fft.irfft(spectrum, n=self.grid.num_points))
 
     def apply_l(self, v: GridFunction) -> GridFunction:
-        """Full linearization L_eps V = B_eps V - M_eps V."""
+        """The Jacobian J_w V = B_eps V - M V."""
         coupling = self.apply_m(v)
         return GridFunction(self.grid, apply_symbol(v.values, self._b_diagonal)) - coupling
 
@@ -213,5 +220,8 @@ class LinearizedOperator:
 
 @lru_cache(maxsize=6)
 def linearized_operator(model: ChainModel, grid: SpectralGrid, eps: float) -> LinearizedOperator:
-    """Cached operator for a (model, grid, eps) combination."""
-    return LinearizedOperator(model, grid, eps, kdv_profile(model, grid))
+    """Cached L_eps for a (model, grid, eps) combination: the Jacobian at w0
+    of the psi-free model."""
+    return LinearizedOperator(
+        replace(model, psi=PsiFamily()), grid, eps, kdv_profile(model, grid)
+    )

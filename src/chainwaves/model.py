@@ -39,10 +39,12 @@ __all__ = [
     "apply_Q",
     "apply_Q0",
     "apply_P",
+    "tw_defect",
     "tw_residual",
 ]
 
 _PSI_KINDS = ("none", "cubic", "toda-remainder")
+_BOUNDARY_GATE = 1e-12  # largest admitted profile value at the domain boundary
 
 
 def _exp_tail(r, first_order: int):
@@ -224,13 +226,6 @@ class ChainModel:
             out = out + self.psi.prime(m, r)
         return out if np.ndim(out) else float(out)
 
-    def force_derivative(self, m: int, r):
-        """alpha_m + 2 beta_m r + psi''_m(r)."""
-        self._check_index(m)
-        r = np.asarray(r, dtype=float)
-        out = self.alpha[m - 1] + 2.0 * self.beta[m - 1] * r + self.psi.second(m, r)
-        return out if out.ndim else float(out)
-
     def potential(self, m: int, r):
         """Pair potential alpha_m r^2/2 + beta_m r^3/3 + psi_m(r)."""
         self._check_index(m)
@@ -289,8 +284,17 @@ def kdv_constants(model: ChainModel) -> KdvConstants:
 
 
 def default_half_length(model: ChainModel) -> float:
-    """Domain half-length 30/sqrt(d1), putting the profile below 1e-12 at the boundary."""
-    return 30.0 / math.sqrt(kdv_constants(model).d1)
+    """Domain half-length putting the profile below 1e-12 at the boundary.
+
+    That is 30/sqrt(d1) unless the peak 1.5 d1/d2 exceeds about 2.67; then
+    it is the length where the sech^2 tail reaches 0.99e-12.
+    """
+    constants = kdv_constants(model)
+    peak = 1.5 * constants.d1 / constants.d2
+    rate = 0.5 * math.sqrt(constants.d1)
+    # aim just under the gate, so kdv_profile's strict check is clear of rounding
+    tail = math.acosh(max(1.0, math.sqrt(peak / (0.99 * _BOUNDARY_GATE)))) / rate
+    return max(30.0 / math.sqrt(constants.d1), tail)
 
 
 def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
@@ -304,10 +308,10 @@ def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
     peak = 1.5 * constants.d1 / constants.d2
     rate = 0.5 * math.sqrt(constants.d1)
     boundary = peak / math.cosh(rate * grid.half_length) ** 2
-    if boundary >= 1e-12:
+    if boundary >= _BOUNDARY_GATE:
         raise DomainTooSmallError(
             f"profile is {boundary:.3e} at x = {grid.half_length:g}; "
-            f"need half_length > {default_half_length(model):g}"
+            f"need half_length >= {default_half_length(model):.9g}"
         )
     values = peak / np.cosh(rate * grid.nodes) ** 2
     return GridFunction(grid, values)
@@ -361,14 +365,19 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
     return GridFunction(w.grid, total / eps**6)
 
 
-def tw_residual(model: ChainModel, eps: float, w: GridFunction) -> float:
-    """Traveling-wave equation residual at corrector scale.
+def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
+    """Traveling-wave defect G_eps(w) = B_eps w - Q_eps[w] - eps^2 P_eps[w].
 
-    Returns ||B_eps w - Q_eps[w] - eps^2 P_eps[w]||_2, which equals the raw
-    eigenvalue-problem residual ||eps^2 c_eps^2 w - sum_m m A force_m(...)||_2
-    divided by eps^4. The normalization makes values comparable across eps.
+    It is the raw eigenvalue-problem defect eps^2 c_eps^2 w - sum_m m A
+    force_m(m eps^2 A w) divided by eps^4, which makes values comparable
+    across eps; solitary waves are its even zeros.
     """
     defect = b_operator(model, w.grid, eps).apply(w) - apply_Q(model, eps, w)
     if model.psi.kind != "none":
         defect = defect - eps**2 * apply_P(model, eps, w)
-    return l2_norm(defect)
+    return defect
+
+
+def tw_residual(model: ChainModel, eps: float, w: GridFunction) -> float:
+    """Traveling-wave residual ||G_eps(w)||_2 at corrector scale."""
+    return l2_norm(tw_defect(model, eps, w))

@@ -187,7 +187,9 @@ def b0_symbol(model: "ChainModel", k):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=8)
 def b_operator(model: "ChainModel", grid: SpectralGrid, eps: float) -> MultiplierOperator:
+    # cached: the corrector evaluates the defect, and with it B_eps, every step
     return MultiplierOperator(grid, b_symbol(model, eps, grid.half_wavenumbers))
 
 

@@ -1,18 +1,24 @@
 """Corrector fixed-point solve producing supersonic solitary velocity profiles.
 
 With the ansatz w = w0 + eps^2 v on the even subspace, the traveling wave
-problem becomes
+problem G_eps(w) = 0 of ``model.tw_defect`` becomes
 
     L_eps v = R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v],
 
-where R and S collect the residual of the limiting profile and N the
-higher-order force remainder. The map
+where R and S collect the residual of the limiting profile, N the
+higher-order force remainder, and L_eps = B_eps - 2 sum_m beta_m m^3
+A(A w0 A .) is the Jacobian of the quadratic defect at w0. The paper's map
 
     F_eps[v] = L_eps^{-1}(R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v])
 
-is iterated from v = 0 with optional damping; the iteration stops on small
-increments, and a traveling-wave residual check is mandatory before a solve
-is reported as successful.
+is, since G_eps(w0 + eps^2 v) = eps^2 (L_eps v - R - S - eps^2 Q[v] - eps^2 N[v]),
+exactly the chord step
+
+    F_eps[v] = v - L_eps^{-1}(G_eps(w0 + eps^2 v) / eps^2).
+
+It is iterated from v = 0 with optional damping; the iteration stops on
+small increments, and a traveling-wave residual check is mandatory before a
+solve is reported as successful.
 """
 
 from __future__ import annotations
@@ -27,18 +33,10 @@ from .errors import (
     EmptyWindowError,
     NoConvergenceError,
 )
-from .grid import (
-    GridFunction,
-    SpectralGrid,
-    apply_symbol,
-    derivative,
-    l2_norm,
-    project_even,
-    sup_norm,
-)
+from .grid import GridFunction, SpectralGrid, derivative, l2_norm, project_even, sup_norm
 from .linearized import LinearizedOperator, linearized_operator
-from .model import ChainModel, apply_P, apply_Q, kdv_profile, tw_residual
-from .operators import averaging_symbol, b_operator
+from .model import ChainModel, apply_P, apply_Q, kdv_profile, tw_defect, tw_residual
+from .operators import b_operator
 
 __all__ = [
     "SolveConfig",
@@ -46,7 +44,6 @@ __all__ = [
     "WaveSolution",
     "ResidualPair",
     "residuals",
-    "apply_N",
     "fixed_point_map",
     "solve_wave",
     "eigen_identity_check",
@@ -134,32 +131,6 @@ def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> ResidualPair
     return ResidualPair(project_even(r), project_even(s))
 
 
-def apply_N(model: ChainModel, eps: float, v: GridFunction, w0: GridFunction) -> GridFunction:
-    """Remainder map (P_eps[w0 + eps^2 v] - P_eps[w0]) / eps^2; vanishes at v = 0."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if model.psi.kind == "none":
-        return GridFunction(v.grid, np.zeros(v.grid.num_points))
-    shifted = w0 + eps**2 * v
-    return (1.0 / eps**2) * (apply_P(model, eps, shifted) - apply_P(model, eps, w0))
-
-
-def _fixed_point_rhs(
-    model: ChainModel,
-    eps: float,
-    v: GridFunction,
-    w0: GridFunction,
-    pair: ResidualPair,
-    nonlinear_terms: bool,
-) -> GridFunction:
-    rhs = pair.r + pair.s
-    if nonlinear_terms:
-        rhs = rhs + eps**2 * apply_Q(model, eps, v)
-        if model.psi.kind != "none":
-            rhs = rhs + eps**2 * apply_N(model, eps, v, w0)
-    return rhs
-
-
 def fixed_point_map(
     model: ChainModel,
     grid: SpectralGrid,
@@ -168,18 +139,13 @@ def fixed_point_map(
     *,
     tol_linear: float = 1e-12,
     operator: LinearizedOperator | None = None,
-    residual_pair: ResidualPair | None = None,
-    nonlinear_terms: bool = True,
 ) -> GridFunction:
-    """One application of F_eps; ``nonlinear_terms=False`` is a testing hook
-    degenerating the map to the constant L_eps^{-1}(R + S)."""
+    """One application of F_eps, as the chord step v - L_eps^{-1}(G_eps(w) / eps^2)."""
     if operator is None:
         operator = linearized_operator(model, grid, eps)
-    if residual_pair is None:
-        residual_pair = residuals(model, grid, eps)
-    w0 = operator.w0
-    rhs = _fixed_point_rhs(model, eps, v, w0, residual_pair, nonlinear_terms)
-    return operator.solve(rhs, tol_linear)
+    # the 1/eps^2 amplifies odd round-off noise; the defect is analytically even
+    defect = project_even(tw_defect(model, eps, operator.w0 + eps**2 * v))
+    return v - operator.solve((1.0 / eps**2) * defect, tol_linear)
 
 
 def measure_tail_decay(w: GridFunction, lower: float = 1e-10, upper: float = 1e-4) -> float:
@@ -211,20 +177,13 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
     w0 = operator.w0
-    pair = residuals(model, grid, eps)
     v = GridFunction(grid, np.zeros(grid.num_points))
     iterations = 0
     increment = math.inf
     converged = False
     for iterations in range(1, config.max_iterations + 1):
         image = fixed_point_map(
-            model,
-            grid,
-            eps,
-            v,
-            tol_linear=config.tol_linear,
-            operator=operator,
-            residual_pair=pair,
+            model, grid, eps, v, tol_linear=config.tol_linear, operator=operator
         )
         if config.damping < 1.0:
             image = (1.0 - config.damping) * v + config.damping * image
@@ -272,26 +231,19 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
 def eigen_identity_check(solution: WaveSolution) -> float:
     """Relative residual of the differentiated traveling-wave identity.
 
-    The shift symmetry forces w' to be an eigenfunction, with eigenvalue
-    c_eps^2, of V -> sum_m m^2 A(force_m'(m eps^2 A w) A V). Returns
-    ||Lin[w'] - c_eps^2 w'||_2 / ||w'||_2, with the 0/0 guard returning 0
-    for the trivial wave.
+    The shift symmetry makes w' a zero of the defect's Jacobian J_w; since
+    eps^2 J_w V = c_eps^2 V - sum_m m^2 A(force_m'(m eps^2 A w) A V), this is
+    the eigenvalue identity of w' with eigenvalue c_eps^2. Returns
+    eps^2 ||J_w w'||_2 / ||w'||_2, with the 0/0 guard returning 0 for the
+    trivial wave.
     """
-    eps = solution.epsilon
-    grid = solution.grid
     w_prime = derivative(solution.w, 1)
     norm = l2_norm(w_prime)
     if norm == 0.0:
         return 0.0
-    total = np.zeros(grid.num_points)
-    for m in range(1, solution.model.neighbor_range + 1):
-        symbol = averaging_symbol(grid, m * eps)
-        argument = (m * eps**2) * apply_symbol(solution.w.values, symbol)
-        stiffness = solution.model.force_derivative(m, argument)
-        inner = stiffness * apply_symbol(w_prime.values, symbol)
-        total += m**2 * apply_symbol(inner, symbol)
-    defect = GridFunction(grid, total - solution.wave_speed_sq * w_prime.values)
-    return l2_norm(defect) / norm
+    eps = solution.epsilon
+    jacobian = LinearizedOperator(solution.model, solution.grid, eps, solution.w)
+    return eps**2 * l2_norm(jacobian.apply_l(w_prime)) / norm
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ def model2_cubic():
 
 
 @pytest.fixture(scope="session")
+def model3_toda():
+    """Three-neighbor chain with a Toda-remainder higher-order force family."""
+    return ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 1 / 3), PsiFamily.toda_remainder((2.0, 1.0, 0.5)))
+
+
+@pytest.fixture(scope="session")
 def grid1(model1):
     return make_grid(default_half_length(model1), 1024)
 

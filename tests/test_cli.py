@@ -114,6 +114,35 @@ def test_sweep_increasing_exits_2(tmp_path):
     assert cli.main(["sweep", "--config", str(path)]) == 2
 
 
+def test_epsilon_above_one_exits_2(tmp_path, capsys):
+    path, _ = base_config(tmp_path, solver={"epsilon": 1.5})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "solver.epsilon" in capsys.readouterr().err
+    path, _ = base_config(tmp_path, solver={"epsilon_list": [1.5, 0.2]})
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "solver.epsilon_list" in capsys.readouterr().err
+
+
+def test_infinite_number_exits_2(tmp_path, capsys):
+    # json reads the literal Infinity; it is no admissible length or tolerance
+    path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": math.inf})
+    assert "Infinity" in path.read_text()
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "grid.half_length" in capsys.readouterr().err
+    path, _ = base_config(tmp_path, solver={"epsilon": 0.2, "tol": math.inf})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "solver.tol" in capsys.readouterr().err
+    path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": 10**400})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "grid.half_length" in capsys.readouterr().err
+
+
+def test_small_beta_default_grid_solves(tmp_path):
+    # peak 1.5 d1/d2 = 3 needs more than 30/sqrt(d1) for a 1e-12 boundary value
+    path, _ = base_config(tmp_path, model={"alpha": [1.0], "beta": [0.5]})
+    assert cli.main(["solve", "--config", str(path), "--quiet"]) == 0
+
+
 def test_sweep_partial_failure_marks_row(tmp_path, monkeypatch, capsys):
     # a near-singular linearization marks its row but the sweep continues
     monkeypatch.setattr(

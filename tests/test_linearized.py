@@ -85,6 +85,23 @@ def test_apply_l_strong_convergence(model1, grid1):
     assert abs(slope - 2.0) <= 0.3
 
 
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+def test_jacobian_matches_defect_difference(model2_cubic, model3_toda, eps):
+    # at any profile, LinearizedOperator is the Jacobian of tw_defect,
+    # psi'' term included: central differences agree to O(h^2)
+    h = 1e-3
+    rng = np.random.default_rng(13)
+    for model in (model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        w0 = cw.kdv_profile(model, grid)
+        v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
+        jacobian = LinearizedOperator(model, grid, eps, w0).apply_l(v)
+        difference = (1.0 / (2.0 * h)) * (
+            cw.tw_defect(model, eps, w0 + h * v) - cw.tw_defect(model, eps, w0 - h * v)
+        )
+        assert cw.l2_norm(jacobian - difference) <= 1e-7 * cw.l2_norm(jacobian)
+
+
 def test_parity_preservation(op1, grid1, rng):
     v = random_band_limited(grid1, 25.0, rng, parity="even")
     assert cw.evenness_defect(op1.apply_m(v)) <= 1e-12

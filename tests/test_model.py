@@ -117,6 +117,23 @@ def test_kdv_profile_peak_and_domain(model2):
         cw.kdv_profile(model2, small)
 
 
+def test_default_half_length(model1, model2, model2_cubic):
+    # 30/sqrt(d1) wherever it suffices, the 1e-12 tail length beyond
+    for model in (model1, model2, model2_cubic):
+        assert cw.default_half_length(model) == 30.0 / math.sqrt(cw.kdv_constants(model).d1)
+    small_beta = cw.ChainModel((1.0,), (0.5,))
+    half_length = cw.default_half_length(small_beta)
+    assert half_length > 30.0 / math.sqrt(cw.kdv_constants(small_beta).d1)
+    w0 = cw.kdv_profile(small_beta, cw.make_grid(half_length, 512))
+    assert 0.5e-12 < w0.values[0] < 1e-12
+    # the error names a length that suffices
+    short = cw.make_grid(30.0 / math.sqrt(cw.kdv_constants(small_beta).d1), 512)
+    with pytest.raises(cw.DomainTooSmallError) as info:
+        cw.kdv_profile(small_beta, short)
+    named = float(str(info.value).rsplit(" ", 1)[-1])
+    cw.kdv_profile(small_beta, cw.make_grid(named, 512))
+
+
 def test_kdv_profile_identities(model1, grid1):
     constants = cw.kdv_constants(model1)
     w0 = cw.kdv_profile(model1, grid1)

@@ -52,18 +52,9 @@ def test_residuals_cauchy_in_eps(model1, grid1):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_apply_N_zero_cases(model1, model2_cubic, grid1):
-    w0 = cw.kdv_profile(model1, grid1)
-    v = cw.grid_function(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(cw.apply_N(model1, 0.2, v, w0)) == 0.0  # psi none
-    grid_c = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
-    w0c = cw.kdv_profile(model2_cubic, grid_c)
-    zero = cw.grid_function(grid_c, np.zeros(grid_c.num_points))
-    assert cw.sup_norm(cw.apply_N(model2_cubic, 0.2, zero, w0c)) == 0.0
-
-
 def test_apply_N_lipschitz_scale(model2_cubic):
-    # the scaled remainder map is eps^2-small in the Lipschitz sense
+    # the remainder N is eps^2-small in the Lipschitz sense; since
+    # eps^2 (N[v2] - N[v1]) = P[w0 + eps^2 v2] - P[w0 + eps^2 v1], measure that
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     w0 = cw.kdv_profile(model2_cubic, grid)
     local_rng = np.random.default_rng(3)
@@ -73,7 +64,8 @@ def test_apply_N_lipschitz_scale(model2_cubic):
     ratios = []
     for eps in eps_values:
         gap = cw.l2_norm(
-            eps**2 * (cw.apply_N(model2_cubic, eps, v2, w0) - cw.apply_N(model2_cubic, eps, v1, w0))
+            cw.apply_P(model2_cubic, eps, w0 + eps**2 * v2)
+            - cw.apply_P(model2_cubic, eps, w0 + eps**2 * v1)
         )
         ratios.append(gap / cw.l2_norm(v2 - v1))
     slope = np.polyfit(np.log(eps_values), np.log(ratios), 1)[0]
@@ -91,27 +83,31 @@ def test_fixed_point_property(model1, grid1, solution1):
 def test_fixed_point_contraction(model1, grid1):
     eps = 0.2
     operator = linearized_operator(model1, grid1, eps)
-    pair = cw.residuals(model1, grid1, eps)
     v = cw.grid_function(grid1, np.zeros(grid1.num_points))
     increments = []
     for _ in range(8):
-        image = cw.fixed_point_map(
-            model1, grid1, eps, v, operator=operator, residual_pair=pair
-        )
+        image = cw.fixed_point_map(model1, grid1, eps, v, operator=operator)
         increments.append(cw.l2_norm(image - v))
         v = image
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 1e-14]
     assert all(r < 1.0 for r in ratios)
 
 
-def test_fixed_point_nonlinear_hook(model1, grid1, rng):
-    # with the nonlinear terms zeroed the map ignores its argument
+def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
+    # the chord step equals L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v])
     eps = 0.2
-    v1 = random_band_limited(grid1, 10.0, rng, parity="even")
-    v2 = random_band_limited(grid1, 10.0, rng, parity="even")
-    image1 = cw.fixed_point_map(model1, grid1, eps, v1, nonlinear_terms=False)
-    image2 = cw.fixed_point_map(model1, grid1, eps, v2, nonlinear_terms=False)
-    assert cw.l2_norm(image1 - image2) <= 1e-12
+    rng = np.random.default_rng(11)
+    for model in (model1, model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        operator = linearized_operator(model, grid, eps)
+        w0 = operator.w0
+        v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
+        pair = cw.residuals(model, grid, eps)
+        remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
+        rhs = pair.r + pair.s + eps**2 * cw.apply_Q(model, eps, v) + remainder
+        paper = operator.solve(cw.project_even(rhs))
+        image = cw.fixed_point_map(model, grid, eps, v, operator=operator)
+        assert cw.l2_norm(image - paper) <= 1e-11 * cw.l2_norm(paper)
 
 
 def test_solve_wave_contract(model1, grid1, solution1):
@@ -201,6 +197,36 @@ def test_eigen_identity_tracks_solver_tolerance(model1, grid1):
         ),
     )
     assert cw.eigen_identity_check(loose) > cw.eigen_identity_check(tight)
+
+
+def test_eigen_identity_matches_force_law_form(model2_cubic, model3_toda):
+    # off a solution, eps^2 ||J_w w'|| / ||w'|| is the force-law defect
+    # ||sum_m m^2 A(force_m'(m eps^2 A w) A w') - c^2 w'|| / ||w'||
+    eps = 0.2
+    for model in (model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        w = cw.kdv_profile(model, grid)
+        speed_sq = model.sound_speed_sq + eps**2
+        w_prime = cw.derivative(w, 1)
+        total = -speed_sq * w_prime.values
+        for m, (a, b) in enumerate(zip(model.alpha, model.beta), start=1):
+            averaging = cw.averaging_operator(grid, m * eps)
+            argument = m * eps**2 * averaging.apply(w).values
+            stiffness = a + 2.0 * b * argument + model.psi.second(m, argument)
+            inner = stiffness * averaging.apply(w_prime).values
+            total += m**2 * averaging.apply(cw.grid_function(grid, inner)).values
+        expected = cw.l2_norm(cw.grid_function(grid, total)) / cw.l2_norm(w_prime)
+        solution = cw.WaveSolution(
+            model=model,
+            grid=grid,
+            epsilon=eps,
+            wave_speed_sq=speed_sq,
+            w0=w,
+            v=cw.grid_function(grid, np.zeros(grid.num_points)),
+            w=w,
+            diagnostics=SolveDiagnostics(0, 0.0, 0.0, 0.0, 1.0, float("nan")),
+        )
+        assert cw.eigen_identity_check(solution) == pytest.approx(expected, rel=1e-9)
 
 
 def test_measure_tail_decay_manufactured(grid1):
