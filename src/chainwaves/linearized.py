@@ -15,18 +15,18 @@ every A_{m eps} are diagonal: one application costs a batched inverse real
 FFT and a forward one, and the operator stores O(N) numbers. L is symmetric
 indefinite, so solves use MINRES (Paige & Saunders 1975) preconditioned by
 the SPD B_eps^{-1}, whose symbol is at most 1; sigma_min is the eigenvalue
-nearest 0, found by shift-invert Lanczos with MINRES as the inner solve.
+nearest 0, found by Lanczos on L_eps^{-1} (shift-invert about 0) with MINRES
+as the inner solve. Both Krylov methods are implemented here on numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import diags_array
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm, project_even
@@ -42,6 +42,104 @@ __all__ = [
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
 _EVENNESS_GATE = 1e-8
+_LANCZOS_STEPS = 64  # inner solves before sigma_min gives up; M1-M3 need 14-27
+_EPS = float(np.finfo(float).eps)
+
+
+def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
+    """MINRES (Paige & Saunders 1975) for a symmetric A x = b.
+
+    ``weights`` is the diagonal of the SPD preconditioner, applied as an
+    elementwise product. The stopping tests are those of SciPy's translation
+    of the SOL code: stop once ||r|| <= rtol ||A|| ||x|| (test1) or
+    ||A r|| <= rtol ||A|| ||r|| (test2), either test reaches round-off, the
+    estimate Acond of cond(A) reaches 0.1/eps, ||A|| ||x|| eps reaches the
+    preconditioned norm beta1 of the first residual (epsx), or after 5 n
+    steps. Returns the last iterate.
+    """
+    n = b.size
+    x = np.zeros(n) if x0 is None else x0.copy()
+    r1 = b.copy() if x0 is None else b - matvec(x)
+    y = weights * r1
+    beta1 = float(np.dot(r1, y))
+    if beta1 == 0.0:
+        return x
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, np.inf, -1.0, 0.0
+    w, w2, r2 = np.zeros(n), np.zeros(n), r1
+    for itn in range(1, 5 * n + 1):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.dot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = weights * r2
+        oldb, beta = beta, math.sqrt(float(np.dot(r2, y)))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), _EPS)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        test1 = phibar / (anorm * ynorm) if anorm * ynorm > 0 else np.inf
+        test2 = root / anorm if anorm > 0 else np.inf
+        if itn == 1 and beta / beta1 <= 10 * _EPS:
+            break  # the first residual spans an invariant subspace
+        if (
+            min(test1, test2) <= rtol
+            or 1.0 + min(test1, test2) <= 1.0
+            or gmax / gmin >= 0.1 / _EPS
+            or anorm * ynorm * _EPS >= beta1
+        ):
+            break
+    return x
+
+
+def _shift_invert_lanczos(solve, start):
+    """Eigenvector for the eigenvalue nearest 0 of a symmetric operator, by
+    Lanczos on its inverse.
+
+    ``solve`` applies the inverse. The basis is fully reorthogonalized by
+    two classical Gram-Schmidt passes. As ARPACK does at tol = 0, the run
+    stops once the Ritz estimate beta_j |s_ji| of the largest-magnitude Ritz
+    value theta is at most eps |theta|, and returns that unit Ritz vector;
+    None if ``_LANCZOS_STEPS`` solves do not get there. The basis holds at
+    most that many vectors, so memory stays O(n).
+    """
+    basis = np.empty((_LANCZOS_STEPS, start.size))
+    alphas, betas = [], []
+    v = start / np.linalg.norm(start)
+    for j in range(_LANCZOS_STEPS):
+        basis[j] = v
+        w = solve(v)
+        alpha = 0.0
+        for _ in range(2):
+            coefficients = basis[: j + 1] @ w
+            w -= coefficients @ basis[: j + 1]
+            alpha += float(coefficients[j])
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        i = int(np.argmax(np.abs(ritz)))
+        if beta * abs(vectors[-1, i]) <= _EPS * abs(ritz[i]):
+            return vectors[:, i] @ basis[: j + 1]
+        betas.append(beta)
+        v = w / beta
+    return None
 
 
 @lru_cache(maxsize=8)
@@ -104,24 +202,24 @@ class LinearizedOperator:
 
     @cached_property
     def _assembled(self):
-        """Coupling data: the (N, M) columns c_m and the (N/2 + 1, M) window
-        symbols (all symbols 1 at eps = 0)."""
+        """Coupling data: the (M, N) columns c_m and the (M, N/2 + 1) window
+        symbols (all symbols 1 at eps = 0), one row per neighbor range."""
         ranges = np.arange(1, self.model.neighbor_range + 1)
-        symbols = np.stack([averaging_symbol(self.grid, m * self.eps) for m in ranges], axis=1)
+        symbols = np.stack([averaging_symbol(self.grid, m * self.eps) for m in ranges])
         n = self.grid.num_points
-        averages = np.fft.irfft(symbols * np.fft.rfft(self.w0.values)[:, None], n=n, axis=0)
-        columns = averages * (2.0 * np.array(self.model.beta) * ranges**3)
+        averages = np.fft.irfft(symbols * np.fft.rfft(self.w0.values), n=n)
+        columns = averages * (2.0 * np.array(self.model.beta) * ranges**3)[:, None]
         if self.model.psi.kind != "none" and self.eps > 0:
             for j, m in enumerate(ranges):
-                second = self.model.psi.second(m, (m * self.eps**2) * averages[:, j])
-                columns[:, j] += (m**2 / self.eps**2) * second
+                second = self.model.psi.second(m, (m * self.eps**2) * averages[j])
+                columns[j] += (m**2 / self.eps**2) * second
         return columns, symbols
 
     def _coupling_spectrum(self, spectrum: NDArray) -> NDArray:
         """rfft of M V = sum_m A_{m eps}(c_m A_{m eps} V) from the rfft of V."""
         columns, symbols = self._assembled
-        inner = np.fft.irfft(symbols * spectrum[:, None], n=self.grid.num_points, axis=0)
-        return np.sum(np.fft.rfft(columns * inner, axis=0) * symbols, axis=1)
+        inner = np.fft.irfft(symbols * spectrum, n=self.grid.num_points)
+        return np.sum(np.fft.rfft(columns * inner) * symbols, axis=0)
 
     def apply_m(self, v: GridFunction) -> GridFunction:
         """Coupling term M V = B_eps V - J_w V; maps even functions to even ones."""
@@ -135,17 +233,11 @@ class LinearizedOperator:
         coupling = self.apply_m(v)
         return GridFunction(self.grid, apply_symbol(v.values, self._b_diagonal)) - coupling
 
-    @cached_property
-    def _even_operator(self) -> LinearOperator:
+    def _apply_even(self, coefficients: NDArray) -> NDArray:
         """L_eps in orthonormal cosine coordinates."""
         scale = _cosine_scale(self.grid)
-
-        def matvec(coefficients):
-            coefficients = np.ravel(coefficients)
-            coupling = self._coupling_spectrum(coefficients / scale).real
-            return self._b_diagonal * coefficients - scale * coupling
-
-        return LinearOperator((scale.size, scale.size), matvec=matvec, dtype=float)
+        coupling = self._coupling_spectrum(coefficients / scale).real
+        return self._b_diagonal * coefficients - scale * coupling
 
     def _minres(self, rhs: NDArray, tol: float, x0: NDArray | None = None) -> NDArray:
         """MINRES in cosine coordinates, preconditioned by B_eps^{-1}.
@@ -154,25 +246,21 @@ class LinearizedOperator:
         iterate, so it runs to tol / 100 to leave room for the plain
         residual bound that ``solve`` certifies.
         """
-        preconditioner = diags_array(1.0 / self._b_diagonal)
-        return minres(self._even_operator, rhs, x0=x0, rtol=1e-2 * tol, M=preconditioner)[0]
+        weights = 1.0 / self._b_diagonal
+        return _preconditioned_minres(self._apply_even, weights, rhs, 1e-2 * tol, x0)
 
     @cached_property
     def _sigma_min(self) -> float:
-        # shift-invert Lanczos about 0 from a fixed start vector: the
-        # eigenvalue of the symmetric L_eps nearest 0, deterministically
-        operator = self._even_operator
-        inverse = LinearOperator(
-            operator.shape, matvec=lambda c: self._minres(np.ravel(c), 1e-12), dtype=float
-        )
-        start = np.random.default_rng(12345).standard_normal(operator.shape[0])
-        try:
-            eigenvalue = eigsh(
-                operator, k=1, sigma=0.0, OPinv=inverse, v0=start, return_eigenvectors=False
-            )[0]
-        except (ArpackError, ArpackNoConvergence):
+        # Lanczos on L_eps^{-1} from a fixed start vector: the eigenvalue of
+        # the symmetric L_eps nearest 0, deterministically
+        start = np.random.default_rng(12345).standard_normal(self._b_diagonal.size)
+        vector = _shift_invert_lanczos(lambda c: self._minres(c, 1e-12), start)
+        if vector is None:
             return 0.0
-        return float(abs(eigenvalue))
+        # the Rayleigh quotient of L_eps itself: 1/theta carries the bias of
+        # the inexact inner solves (1e-14 relative at M1, eps = 1, N = 16384),
+        # the quotient of the exact operator only its square
+        return abs(float(vector @ self._apply_even(vector)))
 
     def smallest_singular_value(self) -> float:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""

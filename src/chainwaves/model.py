@@ -251,9 +251,9 @@ class ChainModel:
         _horner(stretch, potential_columns, out=potential)
         potential *= stretch
         if self.psi.kind == "toda-remainder" and not linear_only:
-            for m, (r, f, v) in enumerate(zip(stretch, force, potential), start=1):
-                f += self.psi.prime(m, r)
-                v += self.psi.value(m, r)
+            scales = np.array(self.psi.params)[:, None]
+            force += _exp_tail(stretch, 3) * scales
+            potential += _exp_tail(stretch, 4) * scales
 
     def _check_index(self, m: int) -> None:
         if not 1 <= m <= len(self.alpha):

@@ -1,9 +1,15 @@
 """Linearized operator: evenness, symmetry, dense cross-check, certified solves."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
     even_coefficients,
@@ -120,8 +126,19 @@ def dense_reference(operator):
 
 
 @pytest.fixture(scope="module")
-def references(op1, op1_limit):
-    return [(operator, dense_reference(operator)) for operator in (op1, op1_limit)]
+def references(op1, op1_limit, model1, grid1, model2, grid2, model3_toda):
+    """Dense references on M1 (eps 0.2, the limit, and eps 1.0, where the
+    eigenvalue nearest 0 is not the limit's 3/4), on the psi-free M2 at
+    eps 0.1, and on the M3-toda Jacobian at w0, psi'' term included."""
+    toda_grid = cw.make_grid(cw.default_half_length(model3_toda), 1024)
+    operators = (
+        op1,
+        op1_limit,
+        linearized_operator(model1, grid1, 1.0),
+        linearized_operator(model2, grid2, 0.1),
+        LinearizedOperator(model3_toda, toda_grid, 0.2, cw.kdv_profile(model3_toda, toda_grid)),
+    )
+    return [(operator, dense_reference(operator)) for operator in operators]
 
 
 def test_dense_reference_symmetric(references):
@@ -129,9 +146,9 @@ def test_dense_reference_symmetric(references):
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-9
 
 
-def test_solve_matches_dense_reference(references, grid1, rng):
-    g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
+def test_solve_matches_dense_reference(references, rng):
     for operator, matrix in references:
+        g = random_band_limited(operator.grid, 30.0, rng, parity="even", decay=0.5)
         direct = np.linalg.solve(matrix, even_coefficients(g))
         gap = np.linalg.norm(even_coefficients(operator.solve(g)) - direct)
         assert gap <= 1e-12 * np.linalg.norm(direct)
@@ -141,8 +158,40 @@ def test_sigma_min_matches_dense_reference(references, op1_limit):
     for operator, matrix in references:
         direct = float(np.min(np.abs(np.linalg.eigvalsh(matrix))))
         assert operator.smallest_singular_value() == pytest.approx(direct, rel=1e-10)
-    # regression: the limit operator's even-subspace gap sits at 3/4
-    assert op1_limit.smallest_singular_value() == pytest.approx(0.75, abs=1e-3)
+    # the limit operator's even-subspace gap is the Poeschl-Teller value 3/4
+    assert op1_limit.smallest_singular_value() == pytest.approx(0.75, abs=1e-10)
+
+
+def test_sigma_min_global_at_eps_one(references):
+    # M1 at eps = 1.0: the eigenvalue nearest 0 is -0.5623, while 0.9459 is
+    # the one a local method seeded near the limit's eigenvector converges to
+    operator, matrix = references[2]
+    assert (operator.model.neighbor_range, operator.eps) == (1, 1.0)
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    assert eigenvalues[0] == pytest.approx(-0.5622564689875, abs=1e-12)
+    assert operator.smallest_singular_value() == pytest.approx(-eigenvalues[0], rel=1e-10)
+
+
+def test_dense_reference_morse_index_one(references):
+    for _, matrix in references:
+        assert np.count_nonzero(np.linalg.eigvalsh(matrix) < 0) == 1
+
+
+def test_import_loads_no_scipy():
+    # the Krylov methods are the package's own: a fresh interpreter that
+    # imports it has loaded no scipy module
+    source = str(Path(cw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, chainwaves; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sigma_min_uniform_in_eps(model1, grid1):
@@ -189,6 +238,16 @@ def test_solve_near_singular_guard(op1, grid1, monkeypatch, rng):
     g = random_band_limited(grid1, 20.0, rng, parity="even")
     with pytest.raises(cw.NearSingularError):
         op1.solve(g)
+
+
+def test_unconverged_sigma_min_is_near_singular(model1, grid1, monkeypatch, rng):
+    # a Lanczos run that reaches its step cap reports sigma_min = 0, which
+    # the solve gate turns into NearSingularError
+    monkeypatch.setattr(linearized, "_LANCZOS_STEPS", 3)
+    operator = LinearizedOperator(model1, grid1, 0.2, cw.kdv_profile(model1, grid1))
+    assert operator.smallest_singular_value() == 0.0
+    with pytest.raises(cw.NearSingularError):
+        operator.solve(random_band_limited(grid1, 20.0, rng, parity="even"))
 
 
 def test_grid_mismatch_rejected(op1):
