@@ -112,10 +112,22 @@ class RunConfig:
         return out
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
+def _require_keys(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _finite_number(value, where: str) -> float:
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _positive_number(value, where: str) -> float:
@@ -144,8 +156,6 @@ def _coefficient_list(value, where: str) -> tuple:
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw config dict; every violation raises ``ConfigError``."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
     _require_keys(data, {"model", "grid", "solver", "sim", "output"}, "config root")
     for key in ("model", "grid", "solver"):
         if key not in data:
@@ -161,8 +171,9 @@ def parse_config(data: dict) -> RunConfig:
     params = psi_section.get("params", [])
     if not isinstance(params, list):
         raise ConfigError("model.psi.params must be a list")
+    params = tuple(_finite_number(p, "model.psi.params entry") for p in params)
     try:
-        psi = PsiFamily(family, tuple(float(p) for p in params))
+        psi = PsiFamily(family, params)
         model = ChainModel(alpha, beta, psi)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from chainwaves import cli
 from chainwaves.cli import load_config, parse_config
 from chainwaves.linearized import LinearizedOperator
@@ -135,6 +137,44 @@ def test_infinite_number_exits_2(tmp_path, capsys):
     path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": 10**400})
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "grid.half_length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, value, where",
+    [
+        ("model", 3, "model"),
+        ("model", {"alpha": [1.0], "beta": [1.0], "psi": "cubic"}, "model.psi"),
+        ("model", {"alpha": [1.0], "beta": [1.0], "psi": ["cubic"]}, "model.psi"),
+        ("grid", [512], "grid"),
+        ("solver", 0.2, "solver"),
+        ("sim", 5, "sim"),
+        ("output", "out.csv", "output"),
+    ],
+)
+def test_non_object_section_exits_2(tmp_path, capsys, section, value, where):
+    path, _ = base_config(tmp_path, **{section: value})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert f"{where} must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "param", ["nan", "0.1", True, None, [0.1], math.nan, math.inf, -math.inf, 10**400]
+)
+def test_psi_param_must_be_finite_number_exits_2(tmp_path, capsys, param):
+    model = {"alpha": [1.0], "beta": [1.0], "psi": {"family": "cubic", "params": [param]}}
+    path, _ = base_config(tmp_path, model=model)
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "model.psi.params entry must be a finite number" in capsys.readouterr().err
+
+
+def test_psi_param_sign_left_to_family(tmp_path, capsys):
+    # any finite number parses; the family rejects a negative one
+    model = {"alpha": [1.0], "beta": [1.0], "psi": {"family": "cubic", "params": [-0.1]}}
+    path, _ = base_config(tmp_path, model=model)
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    model["psi"]["params"] = [1]
+    assert parse_config(base_config(tmp_path, model=model)[1]).model.psi.params == (1.0,)
 
 
 def test_small_beta_default_grid_solves(tmp_path):

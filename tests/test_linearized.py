@@ -194,6 +194,82 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+_EPS_PINNED = (0.0, 0.05, 0.1, 0.2, 0.4, 1.0)
+
+# sigma_min at N = 1024 from the Lanczos run with inner MINRES at rtol 1e-14
+# and ARPACK's tol = 0 stop alone, which matched the dense references and
+# ARPACK's eigsh to <= 1e-14 relative
+_SIGMA_MIN_PINNED = {
+    "M1": (
+        0.7499999999988773,
+        0.7516634737180579,
+        0.7565396890536267,
+        0.7744781461867141,
+        0.8278527143975654,
+        0.5622564689874712,
+    ),
+    "M2": (
+        0.749999999998877,
+        0.7503511640396829,
+        0.751399299886099,
+        0.755513125156318,
+        0.7708033135646728,
+        0.8430673590834218,
+    ),
+    "M3": (
+        0.7499999999988763,
+        0.7503063697462597,
+        0.7512211826468904,
+        0.7548172042036334,
+        0.7682604842266303,
+        0.8335983121255485,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIGMA_MIN_PINNED))
+def test_sigma_min_pinned_values(name, model1, model2):
+    model = {
+        "M1": model1,
+        "M2": model2,
+        "M3": cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 1 / 3)),
+    }[name]
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    for eps, expected in zip(_EPS_PINNED, _SIGMA_MIN_PINNED[name]):
+        sigma = linearized_operator(model, grid, eps).smallest_singular_value()
+        assert sigma == pytest.approx(expected, rel=1e-14, abs=0.0), eps
+
+
+def test_sigma_min_application_count(model2, grid2, monkeypatch):
+    """Counts the L_eps applications in cosine coordinates
+    (``LinearizedOperator._apply_even`` calls: inner MINRES products and
+    Rayleigh quotients) of one sigma_min on M2 at eps 0.1, N = 1024. The
+    run with inner solves at rtol 1e-14 and the tol = 0 stop alone made 330."""
+    calls = []
+    apply_even = LinearizedOperator._apply_even
+
+    def counted(self, coefficients):
+        calls.append(1)
+        return apply_even(self, coefficients)
+
+    monkeypatch.setattr(LinearizedOperator, "_apply_even", counted)
+    operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
+    assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
+    assert len(calls) <= 220
+
+
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_sigma_min_gap_grows_as_eps_squared(name, model1, grid1, model2, grid2):
+    # sigma_min(eps) = 3/4 + c eps^2 + O(eps^4), so halving eps divides the
+    # gap to the Poeschl-Teller value 3/4 by about 4
+    model, grid = {"M1": (model1, grid1), "M2": (model2, grid2)}[name]
+    gap = {
+        eps: linearized_operator(model, grid, eps).smallest_singular_value() - 0.75
+        for eps in (0.1, 0.05)
+    }
+    assert 3.8 <= gap[0.1] / gap[0.05] <= 4.1
+
+
 def test_sigma_min_uniform_in_eps(model1, grid1):
     reference = linearized_operator(model1, grid1, 0.0).smallest_singular_value()
     for eps in (0.2, 0.1, 0.05):
