@@ -13,17 +13,22 @@ L is invertible on the even subspace. There it is applied matrix-free in
 the orthonormal cosine coordinates of ``even_coefficients``, where B_eps and
 every A_{m eps} are diagonal: one application costs a batched inverse real
 FFT and a forward one, and the operator stores O(N) numbers. L is symmetric
-indefinite, so solves use MINRES (Paige & Saunders 1975) preconditioned by
-the SPD B_eps^{-1}, whose symbol is at most 1; sigma_min is the eigenvalue
-nearest 0, found by Lanczos on L_eps^{-1} (shift-invert about 0) with MINRES
-as the inner solve. The inner solves run at rtol 1e-8, near sqrt(eps), and
-the Lanczos run stops once two successive Rayleigh quotients of L_eps itself
-agree to 8 eps relative: the quotient's error is the square of the Ritz
-vector's (Parlett, The Symmetric Eigenvalue Problem, 4.6 and 11.4). On M1,
-M2 and M3 at N = 1024-16384 one sigma_min takes 57-205 applications of L_eps,
-against 119-334 with inner solves at 1e-14 and ARPACK's tol = 0 stop alone,
-and agrees with that run to <= 4.1e-15 relative. Both Krylov methods are
-implemented here on numpy.
+indefinite, so solves use MINRES (Paige & Saunders 1975), implemented here
+on numpy and preconditioned by the SPD B_eps^{-1}, whose symbol is at most 1.
+
+sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
+Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
+eigenvalue is grid-converged on a few hundred points. On a coarse grid of
+N_c points on the same half length (w0 restricted by truncating its rfft),
+the (N_c/2 + 1)^2 matrix of L_eps is assembled column by column and solved
+densely with ``np.linalg.eigh``; being dense, the solve is global. Its
+eigenvector, zero-padded to the solve grid, gives the Rayleigh quotient of
+the solve-grid L_eps at one application, accurate to the square of the
+vector's error (Parlett, The Symmetric Eigenvalue Problem, 4.6). The value
+is accepted once the solve-grid residual ||L x - theta x|| is at most
+1e-8 |theta| ||x||, or when N_c = N and the dense value is exact. The ladder
+N_c = 256, 512, 1024, 2048 is capped at N; an uncertified 2048 rung gives
+sigma_min = 0, which ``solve`` turns into ``NearSingularError``.
 """
 
 from __future__ import annotations
@@ -50,10 +55,8 @@ __all__ = [
 NEAR_SINGULAR_THRESHOLD = 1e-8
 _EVENNESS_GATE = 1e-8
 _EPS = float(np.finfo(float).eps)
-_LANCZOS_STEPS = 64  # inner solves before sigma_min gives up; M1-M3 need 9-24
-_INNER_RTOL = 1e-8  # sigma_min inner MINRES: its quotient squares the error
-_QUOTIENT_GATE = 1e-6  # relative Ritz estimate from which quotients are taken
-_QUOTIENT_AGREEMENT = 8 * _EPS  # relative gap of two successive quotients that stops
+_COARSE_SIZES = (256, 512, 1024, 2048)  # sigma_min's dense-solve ladder, capped at N
+_CERTIFICATE = 1e-8  # relative solve-grid residual that accepts a coarse eigenvector
 
 
 def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
@@ -117,51 +120,6 @@ def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
         ):
             break
     return x
-
-
-def _shift_invert_lanczos(solve, apply, start):
-    """Eigenvalue nearest 0 of a symmetric operator, by Lanczos on its inverse.
-
-    ``solve`` applies the inverse, possibly inexactly, and ``apply`` the
-    operator itself. The basis is fully reorthogonalized by two classical
-    Gram-Schmidt passes. Once the relative Ritz estimate beta_j |s_ji| / |theta|
-    of the largest-magnitude Ritz value theta is at most ``_QUOTIENT_GATE``,
-    each step takes the Rayleigh quotient of ``apply`` at its unit Ritz
-    vector. That quotient is quadratically accurate in the vector's error,
-    so the run stops as soon as two successive quotients agree to
-    ``_QUOTIENT_AGREEMENT`` relative, or once the estimate reaches ARPACK's
-    tol = 0 test (at most eps |theta|), and returns the last quotient; None if
-    ``_LANCZOS_STEPS`` solves do not get there. The basis holds at most that
-    many vectors, so memory stays O(n).
-    """
-    basis = np.empty((_LANCZOS_STEPS, start.size))
-    alphas, betas = [], []
-    quotient = None
-    v = start / np.linalg.norm(start)
-    for j in range(_LANCZOS_STEPS):
-        basis[j] = v
-        w = solve(v)
-        alpha = 0.0
-        for _ in range(2):
-            coefficients = basis[: j + 1] @ w
-            w -= coefficients @ basis[: j + 1]
-            alpha += float(coefficients[j])
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        i = int(np.argmax(np.abs(ritz)))
-        estimate = beta * abs(vectors[-1, i])
-        if estimate <= _QUOTIENT_GATE * abs(ritz[i]):
-            vector = vectors[:, i] @ basis[: j + 1]
-            previous, quotient = quotient, float(vector @ apply(vector))
-            if estimate <= _EPS * abs(ritz[i]) or (
-                previous is not None
-                and abs(quotient - previous) <= _QUOTIENT_AGREEMENT * abs(quotient)
-            ):
-                return quotient
-        betas.append(beta)
-        v = w / beta
-    return None
 
 
 @lru_cache(maxsize=8)
@@ -273,18 +231,33 @@ class LinearizedOperator:
 
     @cached_property
     def _sigma_min(self) -> float:
-        # Lanczos on L_eps^{-1} from a fixed start vector: the eigenvalue of
-        # the symmetric L_eps nearest 0, deterministically, as the Rayleigh
-        # quotient of L_eps itself, which carries only the square of the
-        # error the inexact inner solves leave in the Ritz vector
-        start = np.random.default_rng(12345).standard_normal(self._b_diagonal.size)
-        weights = 1.0 / self._b_diagonal
-        eigenvalue = _shift_invert_lanczos(
-            lambda c: _preconditioned_minres(self._apply_even, weights, c, _INNER_RTOL),
-            self._apply_even,
-            start,
-        )
-        return 0.0 if eigenvalue is None else abs(eigenvalue)
+        # two-grid: dense eigenpair nearest 0 on a coarse grid, zero-padded
+        # and certified by its Rayleigh quotient and residual on this grid
+        n = self.grid.num_points
+        spectrum = np.fft.rfft(self.w0.values)
+        for n_coarse in _COARSE_SIZES:
+            n_coarse = min(n_coarse, n)
+            m = n_coarse // 2 + 1
+            coarse = self
+            if n_coarse < n:
+                grid = SpectralGrid(self.grid.half_length, n_coarse)
+                restricted = np.fft.irfft(spectrum[:m] * (n_coarse / n), n=n_coarse)
+                w0 = GridFunction(grid, restricted)
+                coarse = LinearizedOperator(self.model, grid, self.eps, w0)
+            matrix = np.empty((m, m))
+            unit = np.zeros(m)
+            for j in range(m):
+                unit[j] = 1.0
+                matrix[:, j] = coarse._apply_even(unit)
+                unit[j] = 0.0
+            values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
+            x = np.zeros(n // 2 + 1)  # the unit eigenvector, zero-padded
+            x[:m] = vectors[:, int(np.argmin(np.abs(values)))]
+            lx = self._apply_even(x)
+            theta = float(x @ lx)
+            if n_coarse == n or np.linalg.norm(lx - theta * x) <= _CERTIFICATE * abs(theta):
+                return abs(theta)
+        return 0.0
 
     def smallest_singular_value(self) -> float:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""

@@ -3,13 +3,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
     even_coefficients,
@@ -172,14 +172,35 @@ def test_sigma_min_global_at_eps_one(references):
     assert operator.smallest_singular_value() == pytest.approx(-eigenvalues[0], rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_limit_poeschl_teller_eigenvectors(name, references, model2, grid2):
+    # with y = sqrt(d1) x / 2, L_0 has the even eigenpairs -5/4, sech^3 y and
+    # 3/4, sech y (5 tanh^2 y - 1), below a continuum starting at 1
+    if name == "M1":
+        operator, matrix = references[1]
+        assert (operator.model.neighbor_range, operator.eps) == (1, 0.0)
+    else:
+        operator = linearized_operator(model2, grid2, 0.0)
+        matrix = dense_reference(operator)
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    np.testing.assert_allclose(eigenvalues[:2], [-1.25, 0.75], rtol=0.0, atol=1e-10)
+    assert eigenvalues[2] > 1.0
+    y = 0.5 * np.sqrt(cw.kdv_constants(operator.model).d1) * operator.grid.nodes
+    modes = (np.cosh(y) ** -3, (5.0 * np.tanh(y) ** 2 - 1.0) / np.cosh(y))
+    for vector, mode in zip(vectors[:, :2].T, modes):
+        coefficients = even_coefficients(cw.grid_function(operator.grid, mode))
+        overlap = vector @ coefficients / np.linalg.norm(coefficients)
+        assert 1.0 - abs(overlap) <= 1e-10
+
+
 def test_dense_reference_morse_index_one(references):
     for _, matrix in references:
         assert np.count_nonzero(np.linalg.eigvalsh(matrix) < 0) == 1
 
 
 def test_import_loads_no_scipy():
-    # the Krylov methods are the package's own: a fresh interpreter that
-    # imports it has loaded no scipy module
+    # MINRES and the eigensolver are the package's own numpy code: a fresh
+    # interpreter that imports it has loaded no scipy module
     source = str(Path(cw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
     script = "import sys, chainwaves; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -196,9 +217,9 @@ def test_import_loads_no_scipy():
 
 _EPS_PINNED = (0.0, 0.05, 0.1, 0.2, 0.4, 1.0)
 
-# sigma_min at N = 1024 from the Lanczos run with inner MINRES at rtol 1e-14
-# and ARPACK's tol = 0 stop alone, which matched the dense references and
-# ARPACK's eigsh to <= 1e-14 relative
+# sigma_min at N = 1024 from a shift-invert Lanczos run with inner MINRES at
+# rtol 1e-14 and ARPACK's tol = 0 stop alone, which matched the dense
+# references and ARPACK's eigsh to <= 1e-14 relative
 _SIGMA_MIN_PINNED = {
     "M1": (
         0.7499999999988773,
@@ -240,22 +261,51 @@ def test_sigma_min_pinned_values(name, model1, model2):
         assert sigma == pytest.approx(expected, rel=1e-14, abs=0.0), eps
 
 
-def test_sigma_min_application_count(model2, grid2, monkeypatch):
-    """Counts the L_eps applications in cosine coordinates
-    (``LinearizedOperator._apply_even`` calls: inner MINRES products and
-    Rayleigh quotients) of one sigma_min on M2 at eps 0.1, N = 1024. The
-    run with inner solves at rtol 1e-14 and the tol = 0 stop alone made 330."""
-    calls = []
+def _count_applications(monkeypatch):
+    """Records the grid size of every ``LinearizedOperator._apply_even`` call."""
+    sizes = []
     apply_even = LinearizedOperator._apply_even
 
     def counted(self, coefficients):
-        calls.append(1)
+        sizes.append(self.grid.num_points)
         return apply_even(self, coefficients)
 
     monkeypatch.setattr(LinearizedOperator, "_apply_even", counted)
+    return sizes
+
+
+def test_sigma_min_application_count(model2, grid2, monkeypatch):
+    """Counts the L_eps applications in cosine coordinates
+    (``LinearizedOperator._apply_even`` calls) of one sigma_min on M2 at
+    eps 0.1, N = 1024: the 129 columns of the dense N_c = 256 matrix and one
+    solve-grid application for the Rayleigh quotient and its certificate. The
+    shift-invert Lanczos it replaces made 174 here, all on the N = 1024 grid."""
+    sizes = _count_applications(monkeypatch)
     operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
     assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
-    assert len(calls) <= 220
+    assert len(sizes) <= 130
+    assert sizes.count(256) == 129 and sizes.count(1024) == 1
+
+
+@pytest.mark.parametrize(
+    "scale, n, expected, sizes",
+    [
+        # four times the default half length: the 256 and 512 rungs fail the
+        # certificate and 1024 passes, with one solve-grid application each
+        (4, 4096, 0.7513992998873238, {256: 129, 512: 257, 1024: 513, 4096: 3}),
+        # N = 16384 on the default domain: the N_c = 256 vector is certified
+        # and the value is the N = 1024 pin
+        (1, 16384, 0.751399299886099, {256: 129, 16384: 1}),
+    ],
+    ids=["wide-domain", "large-grid"],
+)
+def test_sigma_min_ladder(model2, monkeypatch, scale, n, expected, sizes):
+    # expected: the shift-invert Lanczos value on the same grid
+    counted = _count_applications(monkeypatch)
+    grid = cw.make_grid(scale * cw.default_half_length(model2), n)
+    operator = LinearizedOperator(model2, grid, 0.1, cw.kdv_profile(model2, grid))
+    assert operator.smallest_singular_value() == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert Counter(counted) == sizes
 
 
 @pytest.mark.parametrize("name", ["M1", "M2"])
@@ -316,14 +366,17 @@ def test_solve_near_singular_guard(op1, grid1, monkeypatch, rng):
         op1.solve(g)
 
 
-def test_unconverged_sigma_min_is_near_singular(model1, grid1, monkeypatch, rng):
-    # a Lanczos run that reaches its step cap reports sigma_min = 0, which
-    # the solve gate turns into NearSingularError
-    monkeypatch.setattr(linearized, "_LANCZOS_STEPS", 3)
-    operator = LinearizedOperator(model1, grid1, 0.2, cw.kdv_profile(model1, grid1))
+def test_unconverged_sigma_min_is_near_singular(model1, rng):
+    """On 16 times the default half length the mode of M1 is too narrow for
+    every coarse grid up to N_c = 2048, so no rung is certified: sigma_min
+    reports 0, which the solve gate turns into NearSingularError. The
+    shift-invert Lanczos solved this case; no default or workload uses a
+    domain this wide."""
+    grid = cw.make_grid(16 * cw.default_half_length(model1), 4096)
+    operator = LinearizedOperator(model1, grid, 0.2, cw.kdv_profile(model1, grid))
     assert operator.smallest_singular_value() == 0.0
     with pytest.raises(cw.NearSingularError):
-        operator.solve(random_band_limited(grid1, 20.0, rng, parity="even"))
+        operator.solve(random_band_limited(grid, 20.0, rng, parity="even"))
 
 
 def test_grid_mismatch_rejected(op1):
