@@ -9,6 +9,7 @@ result against the chain's equations of motion.
 from .errors import (
     ChainwavesError,
     ConfigError,
+    CurvatureWarning,
     DomainTooSmallError,
     EmptyWindowError,
     GridMismatchError,
@@ -74,6 +75,7 @@ from .operators import (
     sinc,
     translate,
     von_neumann_inverse,
+    von_neumann_partial_sums,
 )
 from .solver import (
     ResidualPair,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class ChainwavesError(Exception):
@@ -35,3 +35,12 @@ class EmptyWindowError(ChainwavesError):
 
 class ConfigError(ChainwavesError):
     """A run configuration failed schema or consistency validation."""
+
+
+class CurvatureWarning(UserWarning):
+    """A higher-order force argument left |r| <= 1, where the curvature bound
+    backing the built-in families is verified; ``peak`` is the largest |r|."""
+
+    def __init__(self, message: str, peak: float):
+        super().__init__(message)
+        self.peak = peak

@@ -20,13 +20,15 @@ sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
 Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
 eigenvalue is grid-converged on a few hundred points. On a coarse grid of
 N_c points on the same half length (w0 restricted by truncating its rfft),
-the (N_c/2 + 1)^2 matrix of L_eps is assembled column by column and solved
-densely with ``np.linalg.eigh``; being dense, the solve is global. Its
-eigenvector, zero-padded to the solve grid, gives the Rayleigh quotient of
-the solve-grid L_eps at one application, accurate to the square of the
-vector's error (Parlett, The Symmetric Eigenvalue Problem, 4.6). The value
-is accepted once the solve-grid residual ||L x - theta x|| is at most
-1e-8 |theta| ||x||, or when N_c = N and the dense value is exact. The ladder
+the (N_c/2 + 1)^2 matrix of L_eps is written in closed form by
+``even_matrix`` (a Toeplitz plus a Hankel matrix per neighbor range, with no
+application of L) and solved densely with ``np.linalg.eigh``; being dense,
+the solve is global. Its eigenvector, zero-padded to the solve grid, gives
+the Rayleigh quotient of the solve-grid L_eps at one application, accurate
+to the square of the vector's error (Parlett, The Symmetric Eigenvalue
+Problem, 4.6). The value is accepted once the solve-grid residual
+||L x - theta x|| is at most 1e-8 |theta| ||x||, or when N_c = N and the
+dense value is exact. The ladder
 N_c = 256, 512, 1024, 2048 is capped at N; an uncertified 2048 rung gives
 sigma_min = 0, which ``solve`` turns into ``NearSingularError``.
 """
@@ -38,6 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
@@ -219,6 +222,36 @@ class LinearizedOperator:
         coupling = self._coupling_spectrum(coefficients / scale).real
         return self._b_diagonal * coefficients - scale * coupling
 
+    def even_matrix(self) -> NDArray[np.float64]:
+        """Dense (N/2 + 1)^2 matrix of L_eps in the orthonormal cosine
+        coordinates of ``even_coefficients``, in closed form.
+
+        On the real rfft S of an even V, V -> rfft(c irfft(S)) is the matrix
+
+            K[j, n] = w_n (C[|j - n|] + C[fold(j + n)]) / (2N),
+
+        with C = rfft(c).real, the half-lattice weights w_n and
+        fold(k) = min(k, N - k): the product of two cosines splits into a
+        Toeplitz and a Hankel part. So L is
+        diag(b) - diag(scale) sum_m diag(s_m) K_m diag(s_m) diag(1/scale),
+        and both parts are strided views of one vector; no basis vector is
+        applied.
+        """
+        columns, symbols = self._assembled
+        n = self.grid.num_points
+        m = n // 2 + 1
+        scale = _cosine_scale(self.grid)
+        column_factor = self.grid.half_weights / ((2.0 * n) * scale)
+        matrix = np.diag(self._b_diagonal)
+        for spectrum, symbol in zip(np.fft.rfft(columns).real, symbols):
+            toeplitz = sliding_window_view(np.concatenate([spectrum[:0:-1], spectrum]), m)
+            hankel = sliding_window_view(np.concatenate([spectrum, spectrum[-2::-1]]), m)
+            block = toeplitz[::-1] + hankel
+            block *= (scale * symbol)[:, None]
+            block *= symbol * column_factor
+            matrix -= block
+        return matrix
+
     def _minres(self, rhs: NDArray, tol: float, x0: NDArray | None = None) -> NDArray:
         """MINRES in cosine coordinates, preconditioned by B_eps^{-1}.
 
@@ -244,12 +277,7 @@ class LinearizedOperator:
                 restricted = np.fft.irfft(spectrum[:m] * (n_coarse / n), n=n_coarse)
                 w0 = GridFunction(grid, restricted)
                 coarse = LinearizedOperator(self.model, grid, self.eps, w0)
-            matrix = np.empty((m, m))
-            unit = np.zeros(m)
-            for j in range(m):
-                unit[j] = 1.0
-                matrix[:, j] = coarse._apply_even(unit)
-                unit[j] = 0.0
+            matrix = coarse.even_matrix()
             values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
             x = np.zeros(n // 2 + 1)  # the unit eigenvector, zero-padded
             x[:m] = vectors[:, int(np.argmin(np.abs(values)))]

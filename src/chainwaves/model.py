@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainTooSmallError
+from .errors import CurvatureWarning, DomainTooSmallError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
 from .operators import averaging_symbol, b_operator
 
@@ -343,8 +343,8 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
     """Higher-order force operator eps^{-6} sum_m m A psi'_m(m eps^2 A w).
 
     Scaled so that the formal expansion has a nontrivial leading term. Warns
-    when the argument leaves |r| <= 1, where the curvature bound backing the
-    built-in families is verified.
+    (``CurvatureWarning``) when the argument leaves |r| <= 1, where the
+    curvature bound backing the built-in families is verified.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -357,8 +357,11 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
         peak = float(np.max(np.abs(argument)))
         if peak > 1.0:
             warnings.warn(
-                f"higher-order force argument reaches |r| = {peak:.3g} > 1 for "
-                f"m={m}; the curvature bound regime is left",
+                CurvatureWarning(
+                    f"higher-order force argument reaches |r| = {peak:.3g} > 1 for "
+                    f"m={m}; the curvature bound regime is left",
+                    peak,
+                ),
                 stacklevel=2,
             )
         total += m * apply_symbol(model.psi.prime(m, argument), symbol)

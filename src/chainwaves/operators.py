@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import count, islice
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,6 +44,7 @@ __all__ = [
     "invert_b",
     "invert_b0",
     "cutoff",
+    "von_neumann_partial_sums",
     "von_neumann_inverse",
 ]
 
@@ -199,8 +201,7 @@ def b0_operator(model: "ChainModel", grid: SpectralGrid) -> MultiplierOperator:
 
 def invert_b(model: "ChainModel", grid: SpectralGrid, eps: float, g: GridFunction) -> GridFunction:
     """Divide coefficients by b_eps; safe since the symbol is >= 1."""
-    symbol = b_symbol(model, eps, grid.half_wavenumbers)
-    return MultiplierOperator(grid, 1.0 / symbol).apply(g)
+    return MultiplierOperator(grid, 1.0 / b_operator(model, grid, eps).symbol).apply(g)
 
 
 def invert_b0(model: "ChainModel", grid: SpectralGrid, g: GridFunction) -> GridFunction:
@@ -218,27 +219,25 @@ def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
     return MultiplierOperator(grid, mask).apply(f)
 
 
-def von_neumann_inverse(
+def von_neumann_partial_sums(
     model: "ChainModel",
     grid: SpectralGrid,
     eps: float,
     f: GridFunction,
-    terms: int,
-) -> GridFunction:
-    """Partial sum of the geometric series representation of b_eps^{-1}.
+) -> Iterator[GridFunction]:
+    """Partial sums partial(1), partial(2), ... of the geometric series
+    representation of b_eps^{-1} f, one application of T per item.
 
     With T = sum_m alpha_m m^2 A_{m eps}^2 and c0^2 = sum_m alpha_m m^2,
 
         partial(n) = eps^2 * sum_{i<n} T^i f / (eps^2 + c0^2)^(i+1),
 
     converging to invert_b(f) geometrically with ratio at most
-    c0^2/(eps^2 + c0^2). Exposed with an explicit term count: this is a
-    verification oracle, not the production inverse.
+    c0^2/(eps^2 + c0^2). The generator is endless; eps <= 0 raises
+    ``ValueError`` at the first item.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
     t_symbol = sum(
         alpha * m**2 * averaging_symbol(grid, m * eps) ** 2
         for m, alpha in enumerate(model.alpha, start=1)
@@ -247,7 +246,27 @@ def von_neumann_inverse(
     denominator = eps**2 + model.sound_speed_sq
     power = f
     total = (eps**2 / denominator) * f
-    for i in range(1, terms):
+    yield total
+    for i in count(1):
         power = t_op.apply(power)
         total = total + (eps**2 / denominator ** (i + 1)) * power
-    return total
+        yield total
+
+
+def von_neumann_inverse(
+    model: "ChainModel",
+    grid: SpectralGrid,
+    eps: float,
+    f: GridFunction,
+    terms: int,
+) -> GridFunction:
+    """partial(terms) of ``von_neumann_partial_sums``, bitwise its item.
+
+    Exposed with an explicit term count: this is a verification oracle, not
+    the production inverse. A caller that needs several term counts should
+    read them from one pass of the generator, since this call redoes the
+    terms - 1 applications of T each time.
+    """
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    return next(islice(von_neumann_partial_sums(model, grid, eps, f), terms - 1, None))

@@ -24,12 +24,15 @@ solve is reported as successful.
 from __future__ import annotations
 
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     ChainwavesError,
+    CurvatureWarning,
     EmptyWindowError,
     NoConvergenceError,
 )
@@ -166,6 +169,24 @@ def measure_tail_decay(w: GridFunction, lower: float = 1e-10, upper: float = 1e-
     return float(-slope)
 
 
+@contextmanager
+def _one_curvature_warning():
+    """Hold back the warnings raised inside that the caller's filters let
+    through, and show them at the block's exit: of the ``CurvatureWarning``s
+    only the one with the largest |r|, in its place among the others, and
+    every other warning unchanged. Filtering happens when a warning is
+    raised, as without the block, so nothing is filtered twice."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        curvature = [w for w in caught if issubclass(w.category, CurvatureWarning)]
+        worst = max(curvature, key=lambda w: w.message.peak, default=None)
+        for w in caught:
+            if w is worst or not issubclass(w.category, CurvatureWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+
+
 def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
     """Iterate the corrector map from v = 0 until the increments stall.
 
@@ -173,7 +194,14 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
     Raises ``NoConvergenceError`` when the iteration budget runs out or the
     final traveling-wave residual misses ``config.tol_residual``, and
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
+    The curvature warnings of its defect evaluations are merged into one,
+    the one with the largest |r|.
     """
+    with _one_curvature_warning():
+        return _solve_wave(model, grid, config)
+
+
+def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
     w0 = operator.w0

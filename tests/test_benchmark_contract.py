@@ -21,6 +21,7 @@ SPAN_TARGETS = (
     "model.apply_Q",
     "model.apply_P",
     "model.tw_residual",
+    "linearized.LinearizedOperator.even_matrix",
     "linearized.LinearizedOperator.solve",
     "linearized.LinearizedOperator.smallest_singular_value",
 )

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -261,51 +260,79 @@ def test_sigma_min_pinned_values(name, model1, model2):
         assert sigma == pytest.approx(expected, rel=1e-14, abs=0.0), eps
 
 
-def _count_applications(monkeypatch):
-    """Records the grid size of every ``LinearizedOperator._apply_even`` call."""
+def _count_calls(monkeypatch, name):
+    """Records the grid size of every call of the ``LinearizedOperator``
+    method ``name``."""
     sizes = []
-    apply_even = LinearizedOperator._apply_even
+    method = getattr(LinearizedOperator, name)
 
-    def counted(self, coefficients):
+    def counted(self, *args):
         sizes.append(self.grid.num_points)
-        return apply_even(self, coefficients)
+        return method(self, *args)
 
-    monkeypatch.setattr(LinearizedOperator, "_apply_even", counted)
+    monkeypatch.setattr(LinearizedOperator, name, counted)
     return sizes
 
 
 def test_sigma_min_application_count(model2, grid2, monkeypatch):
-    """Counts the L_eps applications in cosine coordinates
-    (``LinearizedOperator._apply_even`` calls) of one sigma_min on M2 at
-    eps 0.1, N = 1024: the 129 columns of the dense N_c = 256 matrix and one
-    solve-grid application for the Rayleigh quotient and its certificate. The
-    shift-invert Lanczos it replaces made 174 here, all on the N = 1024 grid."""
-    sizes = _count_applications(monkeypatch)
+    """Counts the work of one sigma_min on M2 at eps 0.1, N = 1024: one dense
+    N_c = 256 matrix (``even_matrix``), built in closed form with no
+    L_eps application, and one solve-grid application in cosine coordinates
+    (``_apply_even``) for the Rayleigh quotient and its certificate. The
+    column-by-column assembly it replaces made 129 coarse applications here."""
+    applications = _count_calls(monkeypatch, "_apply_even")
+    matrices = _count_calls(monkeypatch, "even_matrix")
     operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
     assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
-    assert len(sizes) <= 130
-    assert sizes.count(256) == 129 and sizes.count(1024) == 1
+    assert matrices == [256]
+    assert applications == [1024]
 
 
 @pytest.mark.parametrize(
-    "scale, n, expected, sizes",
+    "scale, n, expected, rungs",
     [
         # four times the default half length: the 256 and 512 rungs fail the
         # certificate and 1024 passes, with one solve-grid application each
-        (4, 4096, 0.7513992998873238, {256: 129, 512: 257, 1024: 513, 4096: 3}),
+        (4, 4096, 0.7513992998873238, [256, 512, 1024]),
         # N = 16384 on the default domain: the N_c = 256 vector is certified
         # and the value is the N = 1024 pin
-        (1, 16384, 0.751399299886099, {256: 129, 16384: 1}),
+        (1, 16384, 0.751399299886099, [256]),
     ],
     ids=["wide-domain", "large-grid"],
 )
-def test_sigma_min_ladder(model2, monkeypatch, scale, n, expected, sizes):
+def test_sigma_min_ladder(model2, monkeypatch, scale, n, expected, rungs):
     # expected: the shift-invert Lanczos value on the same grid
-    counted = _count_applications(monkeypatch)
+    applications = _count_calls(monkeypatch, "_apply_even")
+    matrices = _count_calls(monkeypatch, "even_matrix")
     grid = cw.make_grid(scale * cw.default_half_length(model2), n)
     operator = LinearizedOperator(model2, grid, 0.1, cw.kdv_profile(model2, grid))
     assert operator.smallest_singular_value() == pytest.approx(expected, rel=1e-14, abs=0.0)
-    assert Counter(counted) == sizes
+    assert matrices == rungs
+    assert applications == [n] * len(rungs)
+
+
+def column_assembly(operator):
+    """L_eps in cosine coordinates, one ``_apply_even`` per basis vector: the
+    assembly that ``even_matrix`` replaces, kept as its oracle."""
+    identity = np.eye(operator.grid.num_points // 2 + 1)
+    return np.column_stack([operator._apply_even(e) for e in identity])
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+def test_even_matrix_matches_column_assembly(n, eps, model1, model2, model2_cubic, model3_toda):
+    models = (model1, model2, cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 1 / 3)), model2_cubic)
+    for model in models:
+        grid = cw.make_grid(cw.default_half_length(model), n)
+        operator = linearized_operator(model, grid, eps)
+        oracle = column_assembly(operator)
+        gap = np.max(np.abs(operator.even_matrix() - oracle))
+        assert gap <= 1e-14 * np.max(np.abs(oracle)), model
+    # the psi'' term of the Jacobian enters through the columns c_m alike
+    grid = cw.make_grid(cw.default_half_length(model3_toda), n)
+    operator = LinearizedOperator(model3_toda, grid, eps, cw.kdv_profile(model3_toda, grid))
+    oracle = column_assembly(operator)
+    assert np.max(np.abs(operator.even_matrix() - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("name", ["M1", "M2"])

@@ -1,13 +1,14 @@
 """Multiplier operators: averaging, difference quotients, b-symbols, cutoff."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
 from chainwaves.operators import _window_rule
-from chainwaves.verify import random_band_limited, unimodality_defect
+from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
 
 
 def test_sinc_values():
@@ -252,10 +253,8 @@ def test_von_neumann_geometric_ratio(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     for eps in (0.4, 0.1):
         exact = cw.invert_b(model1, grid1, eps, w0)
-        errors = [
-            cw.l2_norm(cw.von_neumann_inverse(model1, grid1, eps, w0, n) - exact)
-            for n in range(1, 41)
-        ]
+        partials = cw.von_neumann_partial_sums(model1, grid1, eps, w0)
+        errors = [cw.l2_norm(partial - exact) for partial in islice(partials, 40)]
         measured = (errors[-1] / errors[-11]) ** 0.1
         predicted = model1.sound_speed_sq / (eps**2 + model1.sound_speed_sq)
         assert abs(measured - predicted) / predicted <= 0.05
@@ -263,14 +262,44 @@ def test_von_neumann_geometric_ratio(model1, grid1):
 
 def test_von_neumann_preserves_shape(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
+    partials = list(islice(cw.von_neumann_partial_sums(model1, grid1, 0.2, w0), 20))
     for terms in (1, 2, 5, 20):
-        partial = cw.von_neumann_inverse(model1, grid1, 0.2, w0, terms)
+        partial = partials[terms - 1]
         scale = cw.sup_norm(partial)
         assert float(np.min(partial.values)) >= -1e-12 * scale
         assert cw.evenness_defect(partial) <= 1e-12 * scale
         assert unimodality_defect(partial.values) <= 1e-10 * scale
     with pytest.raises(ValueError):
         cw.von_neumann_inverse(model1, grid1, 0.2, w0, 0)
+
+
+def test_von_neumann_inverse_is_generator_item(model1, grid1):
+    w0 = cw.kdv_profile(model1, grid1)
+    partials = islice(cw.von_neumann_partial_sums(model1, grid1, 0.1, w0), 40)
+    for terms, partial in enumerate(partials, start=1):
+        single = cw.von_neumann_inverse(model1, grid1, 0.1, w0, terms)
+        assert np.array_equal(single.values, partial.values), terms
+    with pytest.raises(ValueError):
+        cw.von_neumann_inverse(model1, grid1, 0.0, w0, 3)
+    with pytest.raises(ValueError):
+        next(cw.von_neumann_partial_sums(model1, grid1, -0.1, w0))
+
+
+def test_von_neumann_check_makes_one_pass(model1, grid1, monkeypatch):
+    # the geometric check on M1, N = 1024: one invert_b and 39 applications
+    # of T per eps (0.4 and 0.1); rebuilding every partial sum from scratch
+    # took 1562
+    calls = []
+    apply = cw.MultiplierOperator.apply
+
+    def counted(self, f):
+        calls.append(self.grid.num_points)
+        return apply(self, f)
+
+    monkeypatch.setattr(cw.MultiplierOperator, "apply", counted)
+    result = CHECKS["von_neumann_geometric"](model1, grid1)
+    assert result.passed, result.detail
+    assert len(calls) == 80
 
 
 def test_averaging_self_adjoint_and_bounds(grid1, rng):

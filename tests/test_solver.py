@@ -1,12 +1,14 @@
 """Residuals, corrector fixed point, wave solves, diagnostics, sweeps."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves import solver
 from chainwaves.linearized import linearized_operator
 from chainwaves.solver import SolveDiagnostics
 from chainwaves.verify import random_band_limited, unimodality_defect
@@ -147,6 +149,43 @@ def test_solve_wave_deterministic(model1, grid1):
 def test_solve_wave_no_convergence_budget(model1, grid1):
     with pytest.raises(cw.NoConvergenceError):
         cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2, max_iterations=2))
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(cw.NoConvergenceError):
+            call()
+    return caught
+
+
+def test_solve_wave_warns_about_curvature_once():
+    # M1-toda at eps 1.0 leaves |r| <= 1 on several iterations, each time
+    # with another |r|; the solve reports only the largest
+    model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    config = cw.SolveConfig(epsilon=1.0, max_iterations=5)
+    raw = _recorded(lambda: solver._solve_wave(model, grid, config))
+    assert len({str(w.message) for w in raw}) > 1
+    merged = _recorded(lambda: cw.solve_wave(model, grid, config))
+    assert len(merged) == 1
+    assert merged[0].category is cw.CurvatureWarning
+    assert merged[0].message.peak == max(w.message.peak for w in raw)
+
+
+def test_solve_wave_passes_other_warnings_through(model1, grid1, monkeypatch):
+    tail_decay = solver.measure_tail_decay
+
+    def warning_tail_decay(w):
+        warnings.warn("tail fit", RuntimeWarning)
+        warnings.warn("tail fit", RuntimeWarning)
+        return tail_decay(w)
+
+    monkeypatch.setattr(solver, "measure_tail_decay", warning_tail_decay)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2))
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "tail fit")] * 2
 
 
 def test_solve_wave_cubic_model(model2_cubic):
