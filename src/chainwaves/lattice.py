@@ -7,11 +7,13 @@ Newton's equations for the chain read
 integrated here with velocity Verlet under free boundaries: pair terms whose
 partner index leaves the chain are omitted, so total momentum is conserved
 exactly. The stretches u_{j+m} - u_j of all M ranges sit in one zero-padded
-(M, J) block, which ``ChainModel.pair_laws`` turns into forces and pair
+(M, J) block, which ``ChainModel.pair_laws`` turns into forces or pair
 potentials in place; the acceleration is the column sum of the force block
-minus each row shifted by its range. A transport run allocates these blocks
-and its Verlet vectors once, evaluates the pair terms once per step, and
-takes each step's energy from the same stretches as its forces. A solved
+minus each row shifted by its range. A transport run allocates its buffers
+once and evaluates only the forces per step: each step keeps its stretch
+block in one slot of a 16-deep stack and its kinetic energy, and one pass
+over the full stack gives the pair potentials of 16 steps. The energies are
+bitwise those of ``total_energy`` after each ``step``. A solved
 wave provides initial data through the exact-solution form
 u_j(t) = eps U(eps j - eps c t), and transport quality is measured on an
 interior window against the translated velocity profile.
@@ -46,6 +48,7 @@ __all__ = [
 _DT_GUARD = 0.1
 _SUPPORT_THRESHOLD = 1e-6
 _BUFFER_FACTOR = 4
+_BATCH = 16  # Verlet steps whose pair potentials one stacked evaluation covers
 
 
 @dataclass
@@ -81,7 +84,7 @@ def acceleration(state: LatticeState, linear_only: bool = False) -> NDArray[np.f
     ``linear_only`` is a testing hook keeping only the alpha_m r part of the
     force law.
     """
-    return _PairBlock(state.model, state.size, linear_only).evaluate(state.positions)[0]
+    return _PairBlock(state.model, state.positions, linear_only).evaluate()
 
 
 def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeState:
@@ -90,75 +93,109 @@ def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeSt
     dt must be positive and at most 0.1/c0.
     """
     _check_dt(state.model, dt)
-    block = _PairBlock(state.model, state.size, linear_only)
     positions, velocities = state.positions.copy(), state.velocities.copy()
-    block.evaluate(positions)
-    block.verlet(positions, velocities, dt)
+    block = _PairBlock(state.model, positions, linear_only)
+    block.start(dt)
+    block.verlet(velocities, dt)
     return LatticeState(state.model, positions, velocities, state.time + dt)
 
 
 def total_energy(state: LatticeState) -> float:
     """Kinetic plus pair-potential energy over in-range pairs."""
-    _, potential = _PairBlock(state.model, state.size).evaluate(state.positions)
-    return _energy(state.velocities, potential)
+    block = _PairBlock(state.model, state.positions)
+    block.load()
+    (potential,) = block.potentials(1)
+    return 0.5 * float(np.dot(state.velocities, state.velocities)) + potential
 
 
 class _PairBlock:
-    """Pair terms of one chain length, evaluated for all ranges at once.
+    """Pair terms of a chain whose positions live in one buffer.
 
-    Row m - 1 of the (M, J) stretch block holds u_{j+m} - u_j for
-    j < J - m and zeros beyond; the zero padding is exact, since every force
-    law and potential vanishes at r = 0. The stretch, force, potential,
-    acceleration and scratch buffers are allocated once and reused by every
-    evaluation and Verlet step.
+    Slot k of the (depth, M, J) stretch stack is one (M, J) block whose row
+    m - 1 holds u_{j+m} - u_j for j < J - m and zeros beyond; the zero
+    padding is exact, since every force law and potential vanishes at
+    r = 0. Each evaluation writes the stretches of the current positions to
+    a slot and turns them into forces at once; the pair potentials of up to
+    ``depth`` slots are evaluated later in one pass. The law coefficients,
+    buffers and the row views pairing them by range are made once; the
+    Verlet steps update the positions buffer in place.
     """
 
-    def __init__(self, model: ChainModel, size: int, linear_only: bool = False) -> None:
+    def __init__(self, model: ChainModel, positions, linear_only: bool = False, depth: int = 1) -> None:
+        size = len(positions)
         shape = (model.neighbor_range, size)
         self.model = model
-        self.linear_only = linear_only
-        self.stretch = np.zeros(shape)
+        self.positions = positions
+        self.columns = model.law_columns(size, linear_only)
+        self.stretches = np.zeros((depth,) + shape)
+        self.potential = np.empty((depth,) + shape)
         self.force = np.empty(shape)
-        self.potential = np.empty(shape)
         self.accel = np.empty(size)
-        self.scratch = np.empty(size)
+        self.kick = np.empty(size)
+        self.drift = np.empty(size)
+        ranges = range(1, model.neighbor_range + 1)
+        self._shifts = [(positions[m:], positions[:-m]) for m in ranges]
+        self._rows = [[stretch[m - 1, : size - m] for m in ranges] for stretch in self.stretches]
+        # the force on j from its bond to j + m is row m - 1 at j, and its
+        # reaction on j + m is the same row shifted by m
+        self._reactions = [(self.accel[m:], self.force[m - 1, : size - m]) for m in ranges]
 
-    def evaluate(self, positions):
-        """Acceleration (the ``accel`` buffer) and total pair potential.
+    def load(self, slot: int = 0):
+        """Write the stretches of the positions to ``slot`` and return it."""
+        for (ahead, behind), row in zip(self._shifts, self._rows[slot]):
+            np.subtract(ahead, behind, out=row)
+        return self.stretches[slot]
 
-        The force on j from its bond to j + m is row m - 1 at j, so the
-        acceleration is the column sum of the force block minus each row
-        shifted by its range.
-        """
-        size = len(positions)
-        for m, row in enumerate(self.stretch, start=1):
-            np.subtract(positions[m:], positions[:-m], out=row[: size - m])
-        self.model.pair_laws(self.stretch, self.force, self.potential, self.linear_only)
-        np.add.reduce(self.force, axis=0, out=self.accel)
-        for m, row in enumerate(self.force, start=1):
-            self.accel[m:] -= row[: size - m]
-        return self.accel, float(np.add.reduce(self.potential, axis=None))
+    def evaluate(self, slot: int = 0):
+        """Acceleration at the positions (the ``accel`` buffer): the column
+        sum of the force block minus each row shifted by its range."""
+        self.model.pair_laws(self.load(slot), self.force, None, self.columns)
+        np.copyto(self.accel, self.force[0])
+        for row in self.force[1:]:
+            self.accel += row
+        for target, row in self._reactions:
+            target -= row
+        return self.accel
 
-    def verlet(self, positions, velocities, dt: float) -> float:
+    def potentials(self, count: int) -> list:
+        """Total pair potential of each of the first ``count`` slots."""
+        potential = self.potential[:count]
+        self.model.pair_laws(self.stretches[:count], None, potential, self.columns)
+        return [float(np.add.reduce(block, axis=None)) for block in potential]
+
+    def start(self, dt: float) -> None:
+        """Evaluate at the positions into slot 0 and prime ``kick`` for ``verlet``."""
+        self.evaluate()
+        np.multiply(self.accel, 0.5 * dt, out=self.kick)
+
+    def verlet(self, velocities, dt: float, slot: int = 0) -> None:
         """One velocity Verlet step in place, kick-drift-kick.
 
-        Starts from positions whose acceleration ``accel`` holds and leaves
-        there the acceleration at the new positions, which the next step
-        starts from; returns the pair potential at the new positions.
+        Starts with ``kick`` holding accel dt/2 at the positions and leaves
+        it holding that at the new positions, whose stretches go to
+        ``slot``: one product serves this step's closing half-kick and the
+        next step's opening one.
         """
-        half = 0.5 * dt
-        np.multiply(self.accel, half, out=self.scratch)
-        velocities += self.scratch
-        np.multiply(velocities, dt, out=self.scratch)
-        positions += self.scratch
-        _, potential = self.evaluate(positions)
-        np.multiply(self.accel, half, out=self.scratch)
-        velocities += self.scratch
-        return potential
+        velocities += self.kick
+        np.multiply(velocities, dt, out=self.drift)
+        self.positions += self.drift
+        self.evaluate(slot)
+        np.multiply(self.accel, 0.5 * dt, out=self.kick)
+        velocities += self.kick
 
 
-def _energy(velocities, potential: float) -> float:
-    return 0.5 * float(np.dot(velocities, velocities)) + potential
+def _record_energies(block: _PairBlock, kinetic, energies, first: int) -> None:
+    """Energies of steps first, first + 1, ... from the stack's slots and
+    the stored kinetic terms, as many as the stack holds or the run has
+    left; raises at the first step after step 0 whose energy is not finite."""
+    count = min(_BATCH, len(energies) - first)
+    energies[first : first + count] = 0.5 * kinetic[:count] + block.potentials(count)
+    for n in range(max(first, 1), first + count):
+        if not math.isfinite(energies[n]):
+            raise ValueError(
+                f"state entries must be finite; the energy after step {n} "
+                f"is {energies[n]}"
+            )
 
 
 def _check_dt(model: ChainModel, dt: float) -> None:
@@ -253,11 +290,14 @@ def run_transport(
     property from the bounded oscillation of the shadow energy; the peak
     deviation is reported alongside.
 
-    The loop is ``step`` and ``total_energy`` in place on one pair block:
-    each step evaluates the pair terms once, at its new positions, giving
-    the acceleration it ends with (and the next step starts from) and the
-    energy it records. A run whose energy stops being finite raises
-    ``ValueError``.
+    The loop is ``step`` in place on one pair block: each step evaluates
+    the forces once, at its new positions, giving the acceleration it ends
+    with (and the next step starts from), and stores its stretches and
+    kinetic energy. The pair potentials of every 16 steps, and of the steps
+    left at the end, come from one evaluation over the stacked stretches;
+    the recorded energies are bitwise those of ``total_energy``. A run whose
+    energy stops being finite raises ``ValueError`` naming the first step
+    whose energy is not finite, once that step's batch is evaluated.
     """
     model = solution.model
     eps = solution.epsilon
@@ -295,18 +335,18 @@ def run_transport(
         dt_used = dt
     momentum_start = total_momentum(state)
     positions, velocities = state.positions, state.velocities
-    block = _PairBlock(model, num_particles)
-    _, potential = block.evaluate(positions)
+    block = _PairBlock(model, positions, depth=_BATCH)
     energies = np.empty(steps + 1)
-    energies[0] = _energy(velocities, potential)
+    kinetic = np.empty(_BATCH)
+    block.start(dt_used)
+    kinetic[0] = np.dot(velocities, velocities)
     for n in range(1, steps + 1):
-        potential = block.verlet(positions, velocities, dt_used)
-        energies[n] = _energy(velocities, potential)
-        if not math.isfinite(energies[n]):
-            raise ValueError(
-                f"state entries must be finite; the energy after step {n} "
-                f"is {energies[n]}"
-            )
+        slot = n % _BATCH
+        if slot == 0:
+            _record_energies(block, kinetic, energies, n - _BATCH)
+        block.verlet(velocities, dt_used, slot)
+        kinetic[slot] = np.dot(velocities, velocities)
+    _record_energies(block, kinetic, energies, steps - steps % _BATCH)
     state = LatticeState(model, positions, velocities, horizon)
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * sample(solution.grid, solution.w.values, phases)

@@ -52,19 +52,25 @@ def _exp_tail(r, first_order: int):
 
     On |r| <= 2 the series is summed by Horner's rule to 24 terms past the
     first, which truncates below 1e-17 relative; beyond, subtracting the
-    short head from exp(r) loses at most a few ulp.
+    short head from exp(r) loses at most a few ulp. The sums are updated in
+    place, which keeps the temporaries to a few per call.
     """
     r = np.asarray(r, dtype=float)
     head = np.zeros_like(r)
     power = np.ones_like(r)
     for j in range(first_order):
-        head = head + power / math.factorial(j)
-        power = power * r
+        head += power / math.factorial(j)
+        power *= r
     series = np.ones_like(r)
     for j in range(first_order + 24, first_order, -1):
-        series = 1.0 + series * r / j
-    series = series * power / math.factorial(first_order)
-    out = np.where(np.abs(r) <= 2.0, series, np.exp(r) - head)
+        series *= r
+        series /= j
+        series += 1.0
+    series *= power
+    series /= math.factorial(first_order)
+    far = np.exp(r)
+    far -= head
+    out = np.where(np.abs(r) <= 2.0, series, far)
     return out if out.ndim else float(out)
 
 
@@ -200,7 +206,8 @@ class ChainModel:
 
     @cached_property
     def _law_columns(self) -> tuple:
-        """(M, 1) coefficient columns of the force and potential polynomials.
+        """(M, 1) coefficient columns of the force and potential polynomials,
+        and the scale column of the toda remainder (None for other kinds).
 
         Lowest power first: force_m(r) = r (alpha_m + r (beta_m + r delta_m))
         and V_m(r) = r^2 (alpha_m/2 + r (beta_m/3 + r delta_m/4)), where the
@@ -213,9 +220,30 @@ class ChainModel:
             delta = np.array(self.psi.params)[:, None]
             force.append(delta)
             potential.append(0.25 * delta)
+        scales = None
+        if self.psi.kind == "toda-remainder":
+            scales = np.array(self.psi.params)[:, None]
+            scales.flags.writeable = False
         for column in force + potential:
             column.flags.writeable = False
-        return tuple(force), tuple(potential)
+        return tuple(force), tuple(potential), scales
+
+    def law_columns(self, size: int, linear_only: bool = False) -> tuple:
+        """Coefficients of :meth:`pair_laws`, each column repeated to (M, size).
+
+        A chain integrator expands them to its length once, because a
+        same-shape operand multiplies about twice as fast as a broadcast
+        (M, 1) column. ``linear_only`` is a testing hook keeping only the
+        alpha_m r part of both laws.
+        """
+        force, potential, scales = self._law_columns
+        if linear_only:
+            force, potential, scales = force[:1], potential[:1], None
+        return (
+            tuple(np.repeat(column, size, axis=1) for column in force),
+            tuple(np.repeat(column, size, axis=1) for column in potential),
+            None if scales is None else np.repeat(scales, size, axis=1),
+        )
 
     def force(self, m: int, r):
         """Force law alpha_m r + beta_m r^2 + psi'_m(r)."""
@@ -235,25 +263,28 @@ class ChainModel:
             out = out + self.psi.value(m, r)
         return out if np.ndim(out) else float(out)
 
-    def pair_laws(self, stretch, force, potential, linear_only: bool = False) -> None:
+    def pair_laws(self, stretch, force, potential, columns=None) -> None:
         """Force laws and pair potentials of every neighbor range at once.
 
         ``stretch`` is an (M, J) block whose row m - 1 holds range-m
-        stretches; ``force`` and ``potential`` are (M, J) buffers, overwritten
-        in place. Row m - 1 is bitwise what :meth:`force` and
-        :meth:`potential` give for m. ``linear_only`` keeps the alpha_m r
-        part of both laws.
+        stretches, or a (K, M, J) stack of such blocks; ``force`` and
+        ``potential`` are buffers of its shape, overwritten in place, and
+        either may be None to skip its law. ``columns`` are the coefficients
+        of :meth:`law_columns`, (M, 1) columns by default. Row m - 1 is
+        bitwise what :meth:`force` and :meth:`potential` give for m.
         """
-        force_columns, potential_columns = self._law_columns
-        if linear_only:
-            force_columns, potential_columns = force_columns[:1], potential_columns[:1]
-        _horner(stretch, force_columns, out=force)
-        _horner(stretch, potential_columns, out=potential)
-        potential *= stretch
-        if self.psi.kind == "toda-remainder" and not linear_only:
-            scales = np.array(self.psi.params)[:, None]
-            force += _exp_tail(stretch, 3) * scales
-            potential += _exp_tail(stretch, 4) * scales
+        if columns is None:
+            columns = self._law_columns
+        force_columns, potential_columns, scales = columns
+        if force is not None:
+            _horner(stretch, force_columns, out=force)
+            if scales is not None:
+                force += _exp_tail(stretch, 3) * scales
+        if potential is not None:
+            _horner(stretch, potential_columns, out=potential)
+            potential *= stretch
+            if scales is not None:
+                potential += _exp_tail(stretch, 4) * scales
 
     def _check_index(self, m: int) -> None:
         if not 1 <= m <= len(self.alpha):

@@ -227,12 +227,12 @@ def _check_b_inverse_self_adjoint(model, grid):
 
 def _check_cutoff_inverse_stability(model, grid):
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
+    rng = np.random.default_rng(109)
+    ensemble = [random_band_limited(grid, band, rng, parity="even", decay=1.0) for _ in range(20)]
     ratios = []
     for eps in _EPS_SWEEP:
-        rng = np.random.default_rng(109)  # same ensemble for every eps
         worst = 0.0
-        for _ in range(20):
-            g = random_band_limited(grid, band, rng, parity="even", decay=1.0)
+        for g in ensemble:
             inverted = invert_b(model, grid, eps, g)
             smooth = cutoff(grid, eps, inverted)
             rough = inverted - smooth

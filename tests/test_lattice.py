@@ -305,38 +305,56 @@ def _reference_report(solution, num_particles, horizon, dt, steps):
 
 
 @pytest.mark.parametrize(
-    "model, num_particles, horizon, dt",
+    "model, num_particles, horizon, dt, steps",
     [
-        (cw.ChainModel((1.0, 1.0), (1.0, 1.0), cw.PsiFamily.cubic((0.1, 0.1))), 300, 0.8, 0.04),
-        (cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((1.0,))), 80, 1.0, 0.05),
+        (cw.ChainModel((1.0, 1.0), (1.0, 1.0), cw.PsiFamily.cubic((0.1, 0.1))), 300, 0.8, 0.04, 20),
+        (cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((1.0,))), 80, 1.0, 0.05, 20),
+        (
+            cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 1 / 3), cw.PsiFamily.toda_remainder((2.0, 1.0, 0.5))),
+            400,
+            1.0,
+            0.02,
+            50,
+        ),
     ],
-    ids=["M2-cubic", "M1-toda-remainder"],
+    ids=["M2-cubic", "M1-toda-remainder", "M3-toda-remainder"],
 )
-def test_transport_matches_step_reference(model, num_particles, horizon, dt):
-    # the array loop inside run_transport is bitwise the public step loop
+def test_transport_matches_step_reference(model, num_particles, horizon, dt, steps):
+    # the array loop inside run_transport is bitwise the public step loop;
+    # each run crosses at least one boundary of its 16-step potential batches
     solution = _solve(model)
     report = cw.run_transport(solution, num_particles, horizon, dt)
-    assert report.steps == 20
+    assert report.steps == steps
     expected = _reference_report(solution, num_particles, horizon, report.dt, report.steps)
     assert report == expected
     assert report.transport_error <= 0.02 and report.energy_drift <= 1e-6
 
 
 def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
-    # cost guard without timing: one block evaluation of all pair terms for
-    # the initial state and one per step
+    # cost guard without timing: the forces of all ranges in one block
+    # evaluation for the initial state and one per step, and their pair
+    # potentials stacked, one evaluation per 16 states; 47 steps end on a
+    # full batch of 16
     solution = _solve(model2)
-    calls = []
+    forces, potentials = [], []
     pair_laws = cw.ChainModel.pair_laws
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.neighbor_range)
-        return pair_laws(self, *args, **kwargs)
+    def counting(self, stretch, force, potential, *args, **kwargs):
+        if force is not None:
+            forces.append(stretch.shape)
+        if potential is not None:
+            potentials.append(stretch.shape)
+        return pair_laws(self, stretch, force, potential, *args, **kwargs)
 
     monkeypatch.setattr(cw.ChainModel, "pair_laws", counting)
-    report = cw.run_transport(solution, 300, 0.8, 0.04)
-    assert report.steps == 20
-    assert calls == [2] * (report.steps + 1)
+    for horizon, steps, batches in ((0.8, 20, [16, 5]), (1.88, 47, [16, 16, 16])):
+        forces.clear()
+        potentials.clear()
+        report = cw.run_transport(solution, 300, horizon, 0.04)
+        assert report.steps == steps
+        assert forces == [(2, 300)] * (steps + 1)
+        assert len(potentials) == math.ceil((steps + 1) / 16)
+        assert potentials == [(k, 2, 300) for k in batches]
 
 
 def test_transport_blow_up_raises(wave):
@@ -346,3 +364,24 @@ def test_transport_blow_up_raises(wave):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             cw.run_transport(collapsing, 80, 20.0, 0.05)
+
+
+@pytest.mark.parametrize("horizon", [20.0, 2.4], ids=["run-continues", "run-ends-in-batch"])
+def test_transport_blow_up_mid_batch_names_reference_step(wave, horizon):
+    # at dt 0.04 the -40 w collapse first has a non-finite energy after step
+    # 57, slot 9 of the batch of steps 48-63: the run reports the step and
+    # energy of the public step loop, whether later steps of that batch run
+    # (horizon 20) or the run ends inside it (horizon 2.4, 60 steps)
+    collapsing = dataclasses.replace(wave, w=-40.0 * wave.w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = cw.wave_initial_data(collapsing, 80)
+        for n in range(1, 61):
+            state = cw.step(state, 0.04)
+            energy = cw.total_energy(state)
+            if not math.isfinite(energy):
+                break
+        assert n == 57
+        message = f"state entries must be finite; the energy after step {n} is {energy}"
+        with pytest.raises(ValueError) as raised:
+            cw.run_transport(collapsing, 80, horizon, 0.04)
+    assert str(raised.value) == message

@@ -9,6 +9,7 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import PsiFamily
+from chainwaves.model import _exp_tail
 
 
 def test_force_examples(model1):
@@ -69,6 +70,33 @@ def _exact_tail(r, first_order):
     # sum_{j >= first_order} r^j / j! in exact rationals, truncated past 1e-50
     x = Fraction(r)
     return sum(x**j / math.factorial(j) for j in range(first_order, first_order + 45))
+
+
+def _exp_tail_reference(r, first_order):
+    # the out-of-place form of model._exp_tail, kept as its bitwise reference
+    r = np.asarray(r, dtype=float)
+    head = np.zeros_like(r)
+    power = np.ones_like(r)
+    for j in range(first_order):
+        head = head + power / math.factorial(j)
+        power = power * r
+    series = np.ones_like(r)
+    for j in range(first_order + 24, first_order, -1):
+        series = 1.0 + series * r / j
+    series = series * power / math.factorial(first_order)
+    return np.where(np.abs(r) <= 2.0, series, np.exp(r) - head)
+
+
+@pytest.mark.parametrize("first_order", [2, 3, 4])
+def test_exp_tail_in_place_is_bitwise_reference(first_order):
+    # the series branch (|r| <= 2, switch points included) and the exp branch
+    r = np.random.default_rng(first_order).uniform(-3.0, 3.0, (3, 1437))
+    r[0, :4] = (-2.0, 2.0, np.nextafter(2.0, 3.0), 0.0)
+    assert np.any(np.abs(r) <= 2.0) and np.any(np.abs(r) > 2.0)
+    got = _exp_tail(r, first_order)
+    assert got.tobytes() == _exp_tail_reference(r, first_order).tobytes()
+    for x in (0.0, 1.5, -2.5, 2.0):
+        assert _exp_tail(x, first_order) == float(_exp_tail_reference(x, first_order))
 
 
 @pytest.mark.parametrize(

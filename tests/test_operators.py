@@ -302,6 +302,21 @@ def test_von_neumann_check_makes_one_pass(model1, grid1, monkeypatch):
     assert len(calls) == 80
 
 
+def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
+    # one 20-profile ensemble shared by the four eps; re-seeding per eps
+    # drew the same profiles 80 times
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(args[1])
+        return random_band_limited(*args, **kwargs)
+
+    monkeypatch.setattr("chainwaves.verify.random_band_limited", counted)
+    result = CHECKS["cutoff_inverse_stability"](model1, grid1)
+    assert result.passed, result.detail
+    assert len(draws) == 20
+
+
 def test_averaging_self_adjoint_and_bounds(grid1, rng):
     operator = cw.averaging_operator(grid1, 0.55)
     for _ in range(3):
