@@ -161,7 +161,7 @@ class _PairBlock:
         """Total pair potential of each of the first ``count`` slots."""
         potential = self.potential[:count]
         self.model.pair_laws(self.stretches[:count], None, potential, self.columns)
-        return [float(np.add.reduce(block, axis=None)) for block in potential]
+        return np.add.reduce(potential.reshape(count, -1), axis=1).tolist()
 
     def start(self, dt: float) -> None:
         """Evaluate at the positions into slot 0 and prime ``kick`` for ``verlet``."""

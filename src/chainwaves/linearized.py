@@ -14,7 +14,9 @@ the orthonormal cosine coordinates of ``even_coefficients``, where B_eps and
 every A_{m eps} are diagonal: one application costs a batched inverse real
 FFT and a forward one, and the operator stores O(N) numbers. L is symmetric
 indefinite, so solves use MINRES (Paige & Saunders 1975), implemented here
-on numpy and preconditioned by the SPD B_eps^{-1}, whose symbol is at most 1.
+on numpy with a two-level SPD preconditioner: V |Lambda|^{-1} V^T on the
+first N_c/2 + 1 cosine coordinates, from the eigendecomposition that
+certified sigma_min below, and B_eps^{-1} (symbol at most 1) on the rest.
 
 sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
 Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
@@ -30,7 +32,9 @@ Problem, 4.6). The value is accepted once the solve-grid residual
 ||L x - theta x|| is at most 1e-8 |theta| ||x||, or when N_c = N and the
 dense value is exact. The ladder
 N_c = 256, 512, 1024, 2048 is capped at N; an uncertified 2048 rung gives
-sigma_min = 0, which ``solve`` turns into ``NearSingularError``.
+sigma_min = 0, which ``solve`` turns into ``NearSingularError``. Only the
+certified rung's eigenvalues and eigenvectors are kept, for the
+preconditioner: 129 numbers and a 129 x 129 matrix on the default domain.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from numpy.typing import NDArray
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm, project_even
 from .model import ChainModel, PsiFamily, kdv_profile
-from .operators import averaging_symbol, b0_symbol, b_symbol
+from .operators import averaging_stack, b0_symbol, b_symbol
 
 __all__ = [
     "LinearizedOperator",
@@ -62,11 +66,11 @@ _COARSE_SIZES = (256, 512, 1024, 2048)  # sigma_min's dense-solve ladder, capped
 _CERTIFICATE = 1e-8  # relative solve-grid residual that accepts a coarse eigenvector
 
 
-def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
+def _preconditioned_minres(matvec, precondition, b, rtol, x0=None):
     """MINRES (Paige & Saunders 1975) for a symmetric A x = b.
 
-    ``weights`` is the diagonal of the SPD preconditioner, applied as an
-    elementwise product. The stopping tests are those of SciPy's translation
+    ``precondition`` applies the SPD preconditioner to a vector and returns
+    a new one. The stopping tests are those of SciPy's translation
     of the SOL code: stop once ||r|| <= rtol ||A|| ||x|| (test1) or
     ||A r|| <= rtol ||A|| ||r|| (test2), either test reaches round-off, the
     estimate Acond of cond(A) reaches 0.1/eps, ||A|| ||x|| eps reaches the
@@ -76,7 +80,7 @@ def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
     n = b.size
     x = np.zeros(n) if x0 is None else x0.copy()
     r1 = b.copy() if x0 is None else b - matvec(x)
-    y = weights * r1
+    y = precondition(r1)
     beta1 = float(np.dot(r1, y))
     if beta1 == 0.0:
         return x
@@ -92,7 +96,7 @@ def _preconditioned_minres(matvec, weights, b, rtol, x0=None):
         alfa = float(np.dot(v, y))
         y = y - (alfa / beta) * r2
         r1, r2 = r2, y
-        y = weights * r2
+        y = precondition(r2)
         oldb, beta = beta, math.sqrt(float(np.dot(r2, y)))
         tnorm2 += alfa**2 + oldb**2 + beta**2
         # previous rotation, then the next one
@@ -185,24 +189,22 @@ class LinearizedOperator:
 
     @cached_property
     def _assembled(self):
-        """Coupling data: the (M, N) columns c_m and the (M, N/2 + 1) window
-        symbols (all symbols 1 at eps = 0), one row per neighbor range."""
+        """Coupling data: the (M, N) columns c_m, one row per neighbor range,
+        and the stack of window averages A_{m eps} (all symbols 1 at eps = 0)."""
         ranges = np.arange(1, self.model.neighbor_range + 1)
-        symbols = np.stack([averaging_symbol(self.grid, m * self.eps) for m in ranges])
-        n = self.grid.num_points
-        averages = np.fft.irfft(symbols * np.fft.rfft(self.w0.values), n=n)
+        stack = averaging_stack(self.grid, self.eps, self.model.neighbor_range)
+        averages = stack.average(np.fft.rfft(self.w0.values))
         columns = averages * (2.0 * np.array(self.model.beta) * ranges**3)[:, None]
         if self.model.psi.kind != "none" and self.eps > 0:
             for j, m in enumerate(ranges):
                 second = self.model.psi.second(m, (m * self.eps**2) * averages[j])
                 columns[j] += (m**2 / self.eps**2) * second
-        return columns, symbols
+        return columns, stack
 
     def _coupling_spectrum(self, spectrum: NDArray) -> NDArray:
         """rfft of M V = sum_m A_{m eps}(c_m A_{m eps} V) from the rfft of V."""
-        columns, symbols = self._assembled
-        inner = np.fft.irfft(symbols * spectrum, n=self.grid.num_points)
-        return np.sum(np.fft.rfft(columns * inner) * symbols, axis=0)
+        columns, stack = self._assembled
+        return stack.adjoint_sum(columns * stack.average(spectrum))
 
     def apply_m(self, v: GridFunction) -> GridFunction:
         """Coupling term M V = B_eps V - J_w V; maps even functions to even ones."""
@@ -237,13 +239,13 @@ class LinearizedOperator:
         and both parts are strided views of one vector; no basis vector is
         applied.
         """
-        columns, symbols = self._assembled
+        columns, stack = self._assembled
         n = self.grid.num_points
         m = n // 2 + 1
         scale = _cosine_scale(self.grid)
         column_factor = self.grid.half_weights / ((2.0 * n) * scale)
         matrix = np.diag(self._b_diagonal)
-        for spectrum, symbol in zip(np.fft.rfft(columns).real, symbols):
+        for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols):
             toeplitz = sliding_window_view(np.concatenate([spectrum[:0:-1], spectrum]), m)
             hankel = sliding_window_view(np.concatenate([spectrum, spectrum[-2::-1]]), m)
             block = toeplitz[::-1] + hankel
@@ -253,17 +255,42 @@ class LinearizedOperator:
         return matrix
 
     def _minres(self, rhs: NDArray, tol: float, x0: NDArray | None = None) -> NDArray:
-        """MINRES in cosine coordinates, preconditioned by B_eps^{-1}.
+        """MINRES in cosine coordinates with the two-level preconditioner.
 
         Its stopping test bounds a preconditioned residual relative to the
         iterate, so it runs to tol / 100 to leave room for the plain
         residual bound that ``solve`` certifies.
         """
-        weights = 1.0 / self._b_diagonal
-        return _preconditioned_minres(self._apply_even, weights, rhs, 1e-2 * tol, x0)
+        return _preconditioned_minres(self._apply_even, self._preconditioner, rhs, 1e-2 * tol, x0)
 
     @cached_property
-    def _sigma_min(self) -> float:
+    def _preconditioner(self):
+        """The SPD map V |Lambda|^{-1} V^T on the first N_c/2 + 1 cosine
+        coordinates, from the eigendecomposition of sigma_min's certified
+        coarse rung, and B_eps^{-1} on the rest.
+
+        Those coordinates are the coarse grid's cosine modes and the coupling
+        of L_eps is smooth, so the low block is nearly |L_eps|^{-1} and the
+        preconditioned spectrum clusters at -1 and 1 there; on the rest
+        B_eps dominates L_eps. Both blocks are SPD, as MINRES requires.
+        """
+        _, values, vectors = self._coarse_eigenpairs
+        inverse_b = 1.0 / self._b_diagonal
+        inverse_values = 1.0 / np.abs(values)
+        m = values.size
+
+        def precondition(r: NDArray) -> NDArray:
+            y = inverse_b * r
+            y[:m] = vectors @ (inverse_values * (r[:m] @ vectors))
+            return y
+
+        return precondition
+
+    @cached_property
+    def _coarse_eigenpairs(self) -> tuple[float, NDArray | None, NDArray | None]:
+        """sigma_min and the ``eigh`` pair (values, vectors) of the dense
+        coarse matrix whose eigenvector certified it; (0.0, None, None) when
+        no rung is certified."""
         # two-grid: dense eigenpair nearest 0 on a coarse grid, zero-padded
         # and certified by its Rayleigh quotient and residual on this grid
         n = self.grid.num_points
@@ -284,12 +311,12 @@ class LinearizedOperator:
             lx = self._apply_even(x)
             theta = float(x @ lx)
             if n_coarse == n or np.linalg.norm(lx - theta * x) <= _CERTIFICATE * abs(theta):
-                return abs(theta)
-        return 0.0
+                return abs(theta), values, vectors
+        return 0.0, None, None
 
     def smallest_singular_value(self) -> float:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""
-        return self._sigma_min
+        return self._coarse_eigenpairs[0]
 
     def solve(self, g: GridFunction, tol: float = 1e-12) -> GridFunction:
         """Solve L_eps V = G on the even subspace to a verified residual.

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CurvatureWarning, DomainTooSmallError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
-from .operators import averaging_symbol, b_operator
+from .operators import averaging_stack, averaging_symbol, b_operator
 
 __all__ = [
     "PsiFamily",
@@ -385,18 +385,24 @@ def apply_P(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
     for m in range(1, model.neighbor_range + 1):
         symbol = averaging_symbol(w.grid, m * eps)
         argument = (m * eps**2) * apply_symbol(w.values, symbol)
-        peak = float(np.max(np.abs(argument)))
-        if peak > 1.0:
-            warnings.warn(
-                CurvatureWarning(
-                    f"higher-order force argument reaches |r| = {peak:.3g} > 1 for "
-                    f"m={m}; the curvature bound regime is left",
-                    peak,
-                ),
-                stacklevel=2,
-            )
+        _check_curvature_regime(m, argument)
         total += m * apply_symbol(model.psi.prime(m, argument), symbol)
     return GridFunction(w.grid, total / eps**6)
+
+
+def _check_curvature_regime(m: int, argument) -> None:
+    """Warn (``CurvatureWarning``, attributed to the caller's caller) when
+    the range-m higher-order force argument leaves |r| <= 1."""
+    peak = float(np.max(np.abs(argument)))
+    if peak > 1.0:
+        warnings.warn(
+            CurvatureWarning(
+                f"higher-order force argument reaches |r| = {peak:.3g} > 1 for "
+                f"m={m}; the curvature bound regime is left",
+                peak,
+            ),
+            stacklevel=3,
+        )
 
 
 def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
@@ -404,12 +410,27 @@ def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
 
     It is the raw eigenvalue-problem defect eps^2 c_eps^2 w - sum_m m A
     force_m(m eps^2 A w) divided by eps^4, which makes values comparable
-    across eps; solitary waves are its even zeros.
+    across eps; solitary waves are its even zeros. One spectral pass: the
+    averages A_{m eps} w of every range come from one batched inverse FFT,
+    and the inner terms beta_m m^3 (A w)^2 + m eps^-4 psi'_m(m eps^2 A w)
+    go back through one batched forward FFT, so the defect costs 2 + 2M
+    length-N transforms. ``apply_Q`` and ``apply_P`` are its term-by-term
+    reference.
     """
-    defect = b_operator(model, w.grid, eps).apply(w) - apply_Q(model, eps, w)
+    b = b_operator(model, w.grid, eps).symbol
+    stack = averaging_stack(w.grid, eps, model.neighbor_range)
+    spectrum = np.fft.rfft(w.values)
+    averages = stack.average(spectrum)
+    ranges = np.arange(1, model.neighbor_range + 1)
+    inner = averages * averages
+    inner *= (np.array(model.beta) * ranges**3)[:, None]
     if model.psi.kind != "none":
-        defect = defect - eps**2 * apply_P(model, eps, w)
-    return defect
+        for m, row, average in zip(ranges, inner, averages):
+            argument = (m * eps**2) * average
+            _check_curvature_regime(m, argument)
+            row += (m / eps**4) * model.psi.prime(m, argument)
+    defect = np.fft.irfft(b * spectrum - stack.adjoint_sum(inner), n=w.grid.num_points)
+    return GridFunction(w.grid, defect)
 
 
 def tw_residual(model: ChainModel, eps: float, w: GridFunction) -> float:

@@ -33,6 +33,8 @@ __all__ = [
     "sinc",
     "MultiplierOperator",
     "averaging_symbol",
+    "AveragingStack",
+    "averaging_stack",
     "averaging_operator",
     "averaging_direct",
     "translate",
@@ -110,6 +112,36 @@ def averaging_symbol(grid: SpectralGrid, eta: float) -> NDArray[np.float64]:
     symbol = np.asarray(sinc(0.5 * eta * grid.half_wavenumbers))
     symbol.flags.writeable = False
     return symbol
+
+
+@dataclass(frozen=True)
+class AveragingStack:
+    """The window averages A_{m eps}, m = 1..M, as one (M, N/2 + 1) symbol array.
+
+    ``average`` applies every A_{m eps} to one spectrum with one batched
+    inverse FFT; ``adjoint_sum`` takes (M, N) rows back to the spectrum of
+    sum_m A_{m eps} row_m with one batched forward FFT (each A is
+    self-adjoint). Every symbol is 1 at eps = 0.
+    """
+
+    grid: SpectralGrid
+    symbols: NDArray[np.float64]
+
+    def average(self, spectrum: NDArray) -> NDArray[np.float64]:
+        """(M, N) samples of A_{m eps} f from the rfft of f."""
+        return np.fft.irfft(self.symbols * spectrum, n=self.grid.num_points)
+
+    def adjoint_sum(self, rows: NDArray) -> NDArray:
+        """rfft of sum_m A_{m eps} row_m."""
+        return np.sum(np.fft.rfft(rows) * self.symbols, axis=0)
+
+
+@lru_cache(maxsize=8)
+def averaging_stack(grid: SpectralGrid, eps: float, count: int) -> AveragingStack:
+    # cached: the corrector evaluates the defect with the same stack every step
+    symbols = np.stack([averaging_symbol(grid, m * eps) for m in range(1, count + 1)])
+    symbols.flags.writeable = False
+    return AveragingStack(grid, symbols)
 
 
 def averaging_operator(grid: SpectralGrid, eta: float) -> MultiplierOperator:

@@ -288,6 +288,34 @@ def test_sigma_min_application_count(model2, grid2, monkeypatch):
     assert applications == [1024]
 
 
+def test_cold_solve_application_count(model2, grid2, monkeypatch):
+    """Counts the L_eps applications in cosine coordinates (``_apply_even``)
+    of one cold solve on M2 at eps 0.1, N = 1024: one for sigma_min's
+    certificate and the MINRES steps of the 6 chord iterations, all on the
+    solve grid. MINRES preconditioned by B_eps^{-1} alone made 71 here; the
+    coarse eigenbasis on the low modes brings it to 29."""
+    applications = _count_calls(monkeypatch, "_apply_even")
+    linearized_operator.cache_clear()
+    solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
+    assert solution.diagnostics.iterations == 6
+    assert applications == [1024] * 29
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
+def test_coarse_eigenbasis_morse_index_one(name, eps, model1, model2, model2_cubic):
+    # the eigendecomposition kept for the preconditioner is that of the
+    # certified N_c = 256 rung; at w0 the Jacobian has exactly one negative
+    # eigenvalue (the M2-cubic case includes its psi'' term)
+    model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    operator = LinearizedOperator(model, grid, eps, cw.kdv_profile(model, grid))
+    sigma, values, vectors = operator._coarse_eigenpairs
+    assert sigma == operator.smallest_singular_value() > 0.5
+    assert vectors.shape == (129, 129)
+    assert np.count_nonzero(values < 0) == 1
+
+
 @pytest.mark.parametrize(
     "scale, n, expected, rungs",
     [

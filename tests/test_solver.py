@@ -276,6 +276,18 @@ def test_measure_tail_decay_manufactured(grid1):
         cw.measure_tail_decay(flat)
 
 
+def test_tail_rate_stable_under_round_off(solution1):
+    # an even perturbation at the round-off of w barely moves the fitted
+    # rate: the fit window stops at w = 1e-8, where 1e-15 is 1e-7 relative
+    w = solution1.w
+    base = cw.measure_tail_decay(w)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        noise = cw.grid_function(w.grid, rng.uniform(-1e-15, 1e-15, w.grid.num_points))
+        rate = cw.measure_tail_decay(w + cw.project_even(noise))
+        assert abs(rate - base) <= 1e-9 * base
+
+
 def test_convergence_sweep_rows(model1, grid1):
     config = cw.SolveConfig(epsilon=0.4)
     rows = cw.convergence_sweep(model1, grid1, (0.4, 0.2, 0.1, 0.05), config)
