@@ -12,11 +12,19 @@ L_0 = B_0 - 2 (sum_m beta_m m^3) w0. The kernel direction w0' is odd, so
 L is invertible on the even subspace. There it is applied matrix-free in
 the orthonormal cosine coordinates of ``even_coefficients``, where B_eps and
 every A_{m eps} are diagonal: one application costs a batched inverse real
-FFT and a forward one, and the operator stores O(N) numbers. L is symmetric
-indefinite, so solves use MINRES (Paige & Saunders 1975), implemented here
-on numpy with a two-level SPD preconditioner: V |Lambda|^{-1} V^T on the
-first N_c/2 + 1 cosine coordinates, from the eigendecomposition that
-certified sigma_min below, and B_eps^{-1} (symbol at most 1) on the rest.
+FFT and a forward one, and the operator stores O(N) numbers. On grid
+functions, ``apply_l`` is one rfft, b S - rfft(M V) on the spectrum S, and
+one irfft: 2 + 2M length-N transforms. L is symmetric indefinite, so solves
+use MINRES (Paige & Saunders 1975), implemented here on numpy with a
+two-level SPD preconditioner: V |Lambda|^{-1} V^T on the first N_c/2 + 1
+cosine coordinates, from the eigendecomposition that certified sigma_min
+below, and B_eps^{-1} on the rest. ``solve`` certifies the plain residual
+to the absolute budget tol max(1, ||G||), and MINRES stops once
+phibar sqrt(max(max b_eps, max |Lambda|)), a bound on that residual from
+its preconditioned residual norm phibar, is budget / 100. A chord step thus
+takes the MINRES steps its budget asks and no more (the forcing idea of
+inexact Newton methods; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982).
 
 sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
 Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
@@ -48,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
-from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm, project_even
+from .grid import GridFunction, SpectralGrid, l2_norm, project_even
 from .model import ChainModel, PsiFamily, kdv_profile
 from .operators import averaging_stack, b0_symbol, b_symbol
 
@@ -66,7 +74,7 @@ _COARSE_SIZES = (256, 512, 1024, 2048)  # sigma_min's dense-solve ladder, capped
 _CERTIFICATE = 1e-8  # relative solve-grid residual that accepts a coarse eigenvector
 
 
-def _preconditioned_minres(matvec, precondition, b, rtol, x0=None):
+def _preconditioned_minres(matvec, precondition, b, rtol, atol, x0=None):
     """MINRES (Paige & Saunders 1975) for a symmetric A x = b.
 
     ``precondition`` applies the SPD preconditioner to a vector and returns
@@ -75,7 +83,8 @@ def _preconditioned_minres(matvec, precondition, b, rtol, x0=None):
     ||A r|| <= rtol ||A|| ||r|| (test2), either test reaches round-off, the
     estimate Acond of cond(A) reaches 0.1/eps, ||A|| ||x|| eps reaches the
     preconditioned norm beta1 of the first residual (epsx), or after 5 n
-    steps. Returns the last iterate.
+    steps. Beside them, it stops once the preconditioned residual norm
+    phibar is at most ``atol``. Returns the last iterate.
     """
     n = b.size
     x = np.zeros(n) if x0 is None else x0.copy()
@@ -120,7 +129,8 @@ def _preconditioned_minres(matvec, precondition, b, rtol, x0=None):
         if itn == 1 and beta / beta1 <= 10 * _EPS:
             break  # the first residual spans an invariant subspace
         if (
-            min(test1, test2) <= rtol
+            phibar <= atol
+            or min(test1, test2) <= rtol
             or 1.0 + min(test1, test2) <= 1.0
             or gmax / gmin >= 0.1 / _EPS
             or anorm * ynorm * _EPS >= beta1
@@ -214,9 +224,14 @@ class LinearizedOperator:
         return GridFunction(self.grid, np.fft.irfft(spectrum, n=self.grid.num_points))
 
     def apply_l(self, v: GridFunction) -> GridFunction:
-        """The Jacobian J_w V = B_eps V - M V."""
-        coupling = self.apply_m(v)
-        return GridFunction(self.grid, apply_symbol(v.values, self._b_diagonal)) - coupling
+        """The Jacobian J_w V = B_eps V - M V in one spectral pass: one rfft
+        of V, b S - rfft(M V) on its spectrum S, and one irfft, so 2 + 2M
+        length-N transforms."""
+        if v.grid != self.grid:
+            raise GridMismatchError("operand grid differs from operator grid")
+        spectrum = np.fft.rfft(v.values)
+        spectrum = self._b_diagonal * spectrum - self._coupling_spectrum(spectrum)
+        return GridFunction(self.grid, np.fft.irfft(spectrum, n=self.grid.num_points))
 
     def _apply_even(self, coefficients: NDArray) -> NDArray:
         """L_eps in orthonormal cosine coordinates."""
@@ -254,14 +269,24 @@ class LinearizedOperator:
             matrix -= block
         return matrix
 
-    def _minres(self, rhs: NDArray, tol: float, x0: NDArray | None = None) -> NDArray:
+    def _minres(
+        self, rhs: NDArray, tol: float, budget: float, x0: NDArray | None = None
+    ) -> NDArray:
         """MINRES in cosine coordinates with the two-level preconditioner.
 
-        Its stopping test bounds a preconditioned residual relative to the
-        iterate, so it runs to tol / 100 to leave room for the plain
-        residual bound that ``solve`` certifies.
+        Its relative test bounds a preconditioned residual relative to the
+        iterate, so it runs to tol / 100. Its absolute test stops at the
+        plain residual ``solve`` certifies: the inverse preconditioner has
+        largest eigenvalue max(max b_eps, max |Lambda|), so the residual r
+        of an iterate obeys ||r||_2 <= phibar sqrt(max(max b_eps,
+        max |Lambda|)), and MINRES stops once that bound is
+        budget / 100. Both leave room for the round-off of the synthesis.
         """
-        return _preconditioned_minres(self._apply_even, self._preconditioner, rhs, 1e-2 * tol, x0)
+        _, values, _ = self._coarse_eigenpairs
+        bound = math.sqrt(max(float(self._b_diagonal.max()), float(np.abs(values).max())))
+        return _preconditioned_minres(
+            self._apply_even, self._preconditioner, rhs, 1e-2 * tol, 1e-2 * budget / bound, x0
+        )
 
     @cached_property
     def _preconditioner(self):
@@ -323,9 +348,13 @@ class LinearizedOperator:
 
         The input must be numerically even; sub-gate odd round-off is
         projected away, since the even-restricted operator cannot represent
-        it. Raises ``NearSingularError`` when the operator leaves its
-        invertibility regime and ``NoConvergenceError`` if MINRES, restarted
-        once from its own iterate, cannot reach ``tol * max(1, ||G||_2)``.
+        it. MINRES runs until its bound on the plain residual is a hundredth
+        of the budget ``tol * max(1, ||G||_2)``, or until its relative test
+        passes, whichever comes first; the residual of the synthesized
+        solution is then checked against the budget. Raises
+        ``NearSingularError`` when the operator leaves its invertibility
+        regime and ``NoConvergenceError`` if MINRES, restarted once from its
+        own iterate, cannot reach the budget.
         """
         if g.grid != self.grid:
             raise GridMismatchError("right-hand side grid differs from operator grid")
@@ -348,7 +377,7 @@ class LinearizedOperator:
         budget = tol * max(1.0, g_norm)
         coeffs = None
         for _ in range(2):
-            coeffs = self._minres(rhs, tol, coeffs)
+            coeffs = self._minres(rhs, tol, budget, coeffs)
             solution = even_synthesis(self.grid, coeffs)
             residual = l2_norm(self.apply_l(solution) - g_even)
             if residual <= budget:

@@ -48,3 +48,27 @@ def grid2(model2):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def transform_lengths(monkeypatch):
+    """Call it to start recording the length of every real FFT (one entry
+    per transformed row); it returns the list that fills up."""
+
+    def start():
+        lengths = []
+
+        def counted(transform):
+            def call(a, n=None, axis=-1):
+                a = np.asarray(a)
+                rows = a.size // a.shape[axis]
+                lengths.extend([n or a.shape[axis]] * rows)
+                return transform(a, n=n, axis=axis)
+
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+        return lengths
+
+    return start

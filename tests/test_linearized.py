@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
     even_coefficients,
@@ -105,6 +107,35 @@ def test_jacobian_matches_defect_difference(model2_cubic, model3_toda, eps):
             cw.tw_defect(model, eps, w0 + h * v) - cw.tw_defect(model, eps, w0 - h * v)
         )
         assert cw.l2_norm(jacobian - difference) <= 1e-7 * cw.l2_norm(jacobian)
+
+
+@pytest.mark.parametrize("case", ["M1", "M2", "M3-toda-solved", "limit"])
+def test_apply_l_is_one_fft_pair(
+    case, model1, grid1, model2, grid2, model3_toda, transform_lengths
+):
+    """apply_l is B_eps V - M V in one spectral pass: one rfft of V, the
+    coupling's batched inverse and forward transforms of M rows, and one
+    irfft, 2 + 2M length-N transforms. It matches the composition of the
+    multiplier B_eps and ``apply_m``, on any profile and at eps = 0."""
+    if case == "M3-toda-solved":
+        grid = cw.make_grid(cw.default_half_length(model3_toda), 1024)
+        w = cw.solve_wave(model3_toda, grid, cw.SolveConfig(epsilon=0.2)).w
+        operator = LinearizedOperator(model3_toda, grid, 0.2, w)
+    else:
+        arguments = {
+            "M1": (model1, grid1, 0.2),
+            "M2": (model2, grid2, 0.1),
+            "limit": (model1, grid1, 0.0),
+        }
+        operator = linearized_operator(*arguments[case])
+    grid = operator.grid
+    v = random_band_limited(grid, 25.0, np.random.default_rng(29))  # neither even nor odd
+    composed = cw.grid_function(grid, cw.apply_symbol(v.values, operator._b_diagonal))
+    composed = composed - operator.apply_m(v)
+    lengths = transform_lengths()
+    applied = operator.apply_l(v)
+    assert lengths == [grid.num_points] * (2 + 2 * operator.model.neighbor_range)
+    assert cw.sup_norm(applied - composed) <= 1e-14 * cw.sup_norm(composed)
 
 
 def test_parity_preservation(op1, grid1, rng):
@@ -288,17 +319,71 @@ def test_sigma_min_application_count(model2, grid2, monkeypatch):
     assert applications == [1024]
 
 
+def _per_solve(monkeypatch, record):
+    """Records how many entries ``record`` gains during each ``solve`` call."""
+    counts = []
+    solve = LinearizedOperator.solve
+
+    def counted(self, *args, **kwargs):
+        before = len(record)
+        solution = solve(self, *args, **kwargs)
+        counts.append(len(record) - before)
+        return solution
+
+    monkeypatch.setattr(LinearizedOperator, "solve", counted)
+    return counts
+
+
 def test_cold_solve_application_count(model2, grid2, monkeypatch):
     """Counts the L_eps applications in cosine coordinates (``_apply_even``)
-    of one cold solve on M2 at eps 0.1, N = 1024: one for sigma_min's
-    certificate and the MINRES steps of the 6 chord iterations, all on the
-    solve grid. MINRES preconditioned by B_eps^{-1} alone made 71 here; the
-    coarse eigenbasis on the low modes brings it to 29."""
+    of one cold solve on M2 at eps 0.1, N = 1024, per chord solve: the first
+    one also makes sigma_min's certificate application, and all are on the
+    solve grid. MINRES stops once its bound on the plain residual is a
+    hundredth of the solve's absolute budget, so the late chord steps, whose
+    right-hand sides shrink with the increments, take two MINRES steps each.
+    With the relative test alone they took [4, 3, 4, 5, 6, 7], 29 in all, and
+    MINRES preconditioned by B_eps^{-1} alone made 71."""
     applications = _count_calls(monkeypatch, "_apply_even")
+    per_solve = _per_solve(monkeypatch, applications)
     linearized_operator.cache_clear()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert applications == [1024] * 29
+    assert per_solve == [4, 2, 2, 2, 2, 2]
+    assert applications == [1024] * 14
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+@pytest.mark.parametrize("name", ["M1", "M2-cubic", "M3-toda"])
+def test_chord_solves_certify_on_first_run(
+    name, n, model1, model2_cubic, model3_toda, monkeypatch
+):
+    """MINRES's absolute stop leaves the plain-residual certificate of
+    ``solve`` nothing to restart: every chord solve is one MINRES run. The
+    waves and iteration counts are those of MINRES run to its relative test
+    alone, the reference here with the absolute stop patched away."""
+    model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
+    grid = cw.make_grid(cw.default_half_length(model), n)
+    configs = (
+        cw.SolveConfig(epsilon=1.0, damping=0.7),
+        cw.SolveConfig(epsilon=0.4),
+        cw.SolveConfig(epsilon=0.05),
+    )
+    runs = _count_calls(monkeypatch, "_minres")
+    per_solve = _per_solve(monkeypatch, runs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        solutions = [cw.solve_wave(model, grid, config) for config in configs]
+        assert per_solve == [1] * sum(s.diagnostics.iterations for s in solutions)
+        minres = linearized._preconditioned_minres
+
+        def relative_only(matvec, precondition, b, rtol, atol, x0):
+            return minres(matvec, precondition, b, rtol, 0.0, x0)
+
+        monkeypatch.setattr(linearized, "_preconditioned_minres", relative_only)
+        for config, solution in zip(configs, solutions):
+            reference = cw.solve_wave(model, grid, config)
+            assert reference.diagnostics.iterations == solution.diagnostics.iterations
+            assert cw.sup_norm(reference.w - solution.w) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])

@@ -282,26 +282,16 @@ def test_tw_residual_matches_raw_eigenvalue_form(model2_cubic):
 
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic", "M3-toda"])
-def test_tw_defect_transform_count(name, model1, model2, model2_cubic, model3_toda, monkeypatch):
+def test_tw_defect_transform_count(
+    name, model1, model2, model2_cubic, model3_toda, transform_lengths
+):
     # one rfft of w, one batched inverse and one batched forward transform
     # of M rows, and one inverse transform: 2 + 2M of length N, psi or not
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     w = cw.kdv_profile(model, grid)
     cw.tw_defect(model, 0.1, w)  # fills the symbol caches
-    lengths = []
-
-    def counted(transform):
-        def call(a, n=None, axis=-1):
-            a = np.asarray(a)
-            rows = a.size // a.shape[axis]
-            lengths.extend([n or a.shape[axis]] * rows)
-            return transform(a, n=n, axis=axis)
-
-        return call
-
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    lengths = transform_lengths()
     cw.tw_defect(model, 0.1, w)
     assert lengths == [grid.num_points] * (2 + 2 * model.neighbor_range)
 
