@@ -6,17 +6,19 @@ Newton's equations for the chain read
 
 integrated here with velocity Verlet under free boundaries: pair terms whose
 partner index leaves the chain are omitted, so total momentum is conserved
-exactly. The stretches u_{j+m} - u_j of all M ranges sit in one zero-padded
-(M, J) block, which ``ChainModel.pair_laws`` turns into forces or pair
-potentials in place; the acceleration is the column sum of the force block
-minus each row shifted by its range. A transport run allocates its buffers
-once and evaluates only the forces per step: each step keeps its stretch
-block in one slot of a 16-deep stack and its kinetic energy, and one pass
-over the full stack gives the pair potentials of 16 steps. The energies are
-bitwise those of ``total_energy`` after each ``step``. A solved
-wave provides initial data through the exact-solution form
-u_j(t) = eps U(eps j - eps c t), and transport quality is measured on an
-interior window against the translated velocity profile.
+exactly. One kernel runs every step, whether of ``step`` or of
+``run_transport``. The stretches u_{j+m} - u_j of all M ranges sit in one
+zero-padded (M, J) block; force laws whose coefficients carry the factor
+dt/2 turn it into the half-kick of every bond, and the half-kick of each
+particle is the column sum of that block minus each row shifted by its
+range. Each step keeps its stretch block in one slot of a 16-deep stack and
+its kinetic energy; the pair potentials of 16 steps come from the power
+sums sum r^2, sum r^3 (and sum r^4) of each row of the stack. Each row is
+summed alone, so the energies of a transport run are bitwise those of
+``total_energy`` after each ``step``. A solved wave provides initial data
+through the exact-solution form u_j(t) = eps U(eps j - eps c t), and
+transport quality is measured on an interior window against the translated
+velocity profile.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from numpy.typing import NDArray
 
 from .errors import WindowOverflowError
 from .grid import apply_symbol, sample, sup_norm
-from .model import ChainModel
+from .model import ChainModel, _exp_tail
 from .solver import WaveSolution
 
 __all__ = [
@@ -48,7 +50,7 @@ __all__ = [
 _DT_GUARD = 0.1
 _SUPPORT_THRESHOLD = 1e-6
 _BUFFER_FACTOR = 4
-_BATCH = 16  # Verlet steps whose pair potentials one stacked evaluation covers
+_BATCH = 16  # Verlet steps whose pair potentials one power-sum pass covers
 
 
 @dataclass
@@ -84,118 +86,163 @@ def acceleration(state: LatticeState, linear_only: bool = False) -> NDArray[np.f
     ``linear_only`` is a testing hook keeping only the alpha_m r part of the
     force law.
     """
-    return _PairBlock(state.model, state.positions, linear_only).evaluate()
+    # with dt = 2 the half-kick dt/2 * acceleration is the acceleration
+    return _Verlet(state.model, state.positions, state.velocities, 2.0, linear_only).forces()
 
 
 def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeState:
     """One velocity Verlet step; second order and symplectic.
 
-    dt must be positive and at most 0.1/c0.
+    dt must be positive and at most 0.1/c0. Each call evaluates the forces
+    twice, at the start and at the end of its step, so a loop of ``step``
+    calls costs two force evaluations per step; ``run_transport`` runs its
+    steps at one.
     """
     _check_dt(state.model, dt)
     positions, velocities = state.positions.copy(), state.velocities.copy()
-    block = _PairBlock(state.model, positions, linear_only)
-    block.start(dt)
-    block.verlet(velocities, dt)
+    _Verlet(state.model, positions, velocities, dt, linear_only).run(1)
     return LatticeState(state.model, positions, velocities, state.time + dt)
 
 
 def total_energy(state: LatticeState) -> float:
     """Kinetic plus pair-potential energy over in-range pairs."""
-    block = _PairBlock(state.model, state.positions)
-    block.load()
-    (potential,) = block.potentials(1)
+    kernel = _Verlet(state.model, state.positions, state.velocities, 2.0)
+    kernel.load(0)
+    (potential,) = kernel.potentials(1)
     return 0.5 * float(np.dot(state.velocities, state.velocities)) + potential
 
 
-class _PairBlock:
-    """Pair terms of a chain whose positions live in one buffer.
+class _Verlet:
+    """Velocity Verlet on one chain, in place on its positions and velocities.
 
     Slot k of the (depth, M, J) stretch stack is one (M, J) block whose row
     m - 1 holds u_{j+m} - u_j for j < J - m and zeros beyond; the zero
     padding is exact, since every force law and potential vanishes at
-    r = 0. Each evaluation writes the stretches of the current positions to
-    a slot and turns them into forces at once; the pair potentials of up to
-    ``depth`` slots are evaluated later in one pass. The law coefficients,
-    buffers and the row views pairing them by range are made once; the
-    Verlet steps update the positions buffer in place.
+    r = 0. A force evaluation into slot k is a list of (ufunc, a, b, out)
+    calls on views bound once: the stretches, the force laws by Horner's
+    rule with dt/2 folded into their coefficients, which gives the force
+    block the half-kick of every bond, and ``kick``, the half-kick of every
+    particle. Pair potentials come from the power sums of up to ``depth``
+    slots at once.
     """
 
-    def __init__(self, model: ChainModel, positions, linear_only: bool = False, depth: int = 1) -> None:
+    def __init__(
+        self, model: ChainModel, positions, velocities, dt: float,
+        linear_only: bool = False, depth: int = 1,
+    ) -> None:
         size = len(positions)
-        shape = (model.neighbor_range, size)
-        self.model = model
-        self.positions = positions
-        self.columns = model.law_columns(size, linear_only)
-        self.stretches = np.zeros((depth,) + shape)
-        self.potential = np.empty((depth,) + shape)
-        self.force = np.empty(shape)
-        self.accel = np.empty(size)
-        self.kick = np.empty(size)
-        self.drift = np.empty(size)
         ranges = range(1, model.neighbor_range + 1)
-        self._shifts = [(positions[m:], positions[:-m]) for m in ranges]
-        self._rows = [[stretch[m - 1, : size - m] for m in ranges] for stretch in self.stretches]
-        # the force on j from its bond to j + m is row m - 1 at j, and its
-        # reaction on j + m is the same row shifted by m
-        self._reactions = [(self.accel[m:], self.force[m - 1, : size - m]) for m in ranges]
+        self.positions, self.velocities, self.dt = positions, velocities, dt
+        self.stretches = np.zeros((depth, len(ranges), size))
+        self.squares = np.empty_like(self.stretches)
+        # one zero ahead of the force block makes row 0 shifted by 1 a slice:
+        # an M = 1 kick is one subtraction
+        padded = np.zeros(1 + len(ranges) * size)
+        self.force = force = padded[1:].reshape(len(ranges), size)
+        self.kick, self.drift = np.empty(size), np.empty(size)
+        force_columns, potential, scales = model.law_columns
+        self._potential = [column[:, 0] for column in potential]
+        self._tail = None if scales is None else scales[:, 0]
+        if linear_only:
+            force_columns, scales = force_columns[:1], None
+        # same-shape operands multiply about twice as fast as (M, 1) columns
+        coefficients = [np.repeat(0.5 * dt * c, size, axis=1) for c in force_columns[::-1]]
+        if scales is not None:
+            tail_scales = np.repeat(0.5 * dt * scales, size, axis=1)
+        # the half-kick on j from its bond to j + m is force row m - 1 at j,
+        # and its reaction on j + m the same row shifted by m
+        out = self.kick
+        if len(ranges) == 1:
+            kick = [(np.subtract, force[0], padded[:size], out)]
+        else:
+            kick = [(np.add, force[0], force[1], out)] + [(np.add, out, row, out) for row in force[2:]]
+            kick += [(np.subtract, out[m:], force[m - 1, : size - m], out[m:]) for m in ranges]
+        self._forces = []
+        for stretch in self.stretches:
+            rows = [stretch[m - 1, : size - m] for m in ranges]
+            program = [(np.subtract, positions[m:], positions[:-m], rows[m - 1]) for m in ranges]
+            program.append((np.multiply, stretch, coefficients[0], force))
+            for column in coefficients[1:]:
+                program += [(np.add, force, column, force), (np.multiply, force, stretch, force)]
+            if scales is not None:
+                program.append((_add_exp_tail, stretch, tail_scales, force))
+            self._forces.append(program + kick)
 
-    def load(self, slot: int = 0):
+    def load(self, slot: int):
         """Write the stretches of the positions to ``slot`` and return it."""
-        for (ahead, behind), row in zip(self._shifts, self._rows[slot]):
-            np.subtract(ahead, behind, out=row)
+        # the first M calls of a force program are the stretches
+        for ufunc, first, second, out in self._forces[slot][: len(self.force)]:
+            ufunc(first, second, out)
         return self.stretches[slot]
 
-    def evaluate(self, slot: int = 0):
-        """Acceleration at the positions (the ``accel`` buffer): the column
-        sum of the force block minus each row shifted by its range."""
-        self.model.pair_laws(self.load(slot), self.force, None, self.columns)
-        np.copyto(self.accel, self.force[0])
-        for row in self.force[1:]:
-            self.accel += row
-        for target, row in self._reactions:
-            target -= row
-        return self.accel
+    def forces(self, slot: int = 0):
+        """Half-kick at the positions (the ``kick`` buffer), loading their
+        stretches to ``slot``."""
+        for ufunc, first, second, out in self._forces[slot]:
+            ufunc(first, second, out)
+        return self.kick
 
     def potentials(self, count: int) -> list:
-        """Total pair potential of each of the first ``count`` slots."""
-        potential = self.potential[:count]
-        self.model.pair_laws(self.stretches[:count], None, potential, self.columns)
-        return np.add.reduce(potential.reshape(count, -1), axis=1).tolist()
+        """Total pair potential of each of the first ``count`` slots.
 
-    def start(self, dt: float) -> None:
-        """Evaluate at the positions into slot 0 and prime ``kick`` for ``verlet``."""
-        self.evaluate()
-        np.multiply(self.accel, 0.5 * dt, out=self.kick)
-
-    def verlet(self, velocities, dt: float, slot: int = 0) -> None:
-        """One velocity Verlet step in place, kick-drift-kick.
-
-        Starts with ``kick`` holding accel dt/2 at the positions and leaves
-        it holding that at the new positions, whose stretches go to
-        ``slot``: one product serves this step's closing half-kick and the
-        next step's opening one.
+        Row m of a slot contributes alpha_m/2 sum r^2 + beta_m/3 sum r^3
+        (+ delta_m/4 sum r^4 for the cubic family, + s_m times the sum of
+        the exp tail for the toda remainder). Each sum is over one row in a
+        fixed order, so a slot's potential does not depend on ``count``.
         """
-        velocities += self.kick
-        np.multiply(velocities, dt, out=self.drift)
-        self.positions += self.drift
-        self.evaluate(slot)
-        np.multiply(self.accel, 0.5 * dt, out=self.kick)
-        velocities += self.kick
+        stretch = self.stretches[:count]
+        square = np.multiply(stretch, stretch, out=self.squares[:count])
+        factors = (stretch, square)[: len(self._potential) - 1]
+        sums = [np.add.reduce(square, axis=2)] + [np.einsum("kmj,kmj->km", square, f) for f in factors]
+        total = sums[0] * self._potential[0]
+        for power, coefficient in zip(sums[1:], self._potential[1:]):
+            total += power * coefficient
+        if self._tail is not None:
+            total += np.add.reduce(_exp_tail(stretch, 4), axis=2) * self._tail
+        return np.add.reduce(total, axis=1).tolist()
+
+    def run(self, steps: int, energies=None) -> None:
+        """``steps`` velocity Verlet steps in place, kick-drift-kick, at one
+        force evaluation per step plus one at the start. With ``energies``
+        (length steps + 1) also the energy of the start and of every step,
+        the pair potentials summed per ``depth`` steps; raises
+        ``ValueError`` at the first step after step 0 whose energy is not
+        finite, once its batch is summed."""
+        depth = len(self.stretches)
+        positions, velocities, kick, drift = self.positions, self.velocities, self.kick, self.drift
+        add, multiply, dot, forces, dt = np.add, np.multiply, np.dot, self.forces, self.dt
+        kinetic = np.empty(depth)
+        forces(0)
+        kinetic[0] = dot(velocities, velocities)
+        for n in range(1, steps + 1):
+            slot = n % depth
+            if slot == 0 and energies is not None:
+                self._record(kinetic, energies, n - depth)
+            add(velocities, kick, velocities)
+            multiply(velocities, dt, drift)
+            add(positions, drift, positions)
+            forces(slot)
+            add(velocities, kick, velocities)
+            kinetic[slot] = dot(velocities, velocities)
+        if energies is not None:
+            self._record(kinetic, energies, steps - steps % depth)
+
+    def _record(self, kinetic, energies, first: int) -> None:
+        """Energies of steps first, first + 1, ... from the stack's slots and
+        the kinetic terms, as many as the stack holds or the run has left."""
+        count = min(len(kinetic), len(energies) - first)
+        energies[first : first + count] = 0.5 * kinetic[:count] + self.potentials(count)
+        for n in range(max(first, 1), first + count):
+            if not math.isfinite(energies[n]):
+                raise ValueError(
+                    f"state entries must be finite; the energy after step {n} "
+                    f"is {energies[n]}"
+                )
 
 
-def _record_energies(block: _PairBlock, kinetic, energies, first: int) -> None:
-    """Energies of steps first, first + 1, ... from the stack's slots and
-    the stored kinetic terms, as many as the stack holds or the run has
-    left; raises at the first step after step 0 whose energy is not finite."""
-    count = min(_BATCH, len(energies) - first)
-    energies[first : first + count] = 0.5 * kinetic[:count] + block.potentials(count)
-    for n in range(max(first, 1), first + count):
-        if not math.isfinite(energies[n]):
-            raise ValueError(
-                f"state entries must be finite; the energy after step {n} "
-                f"is {energies[n]}"
-            )
+def _add_exp_tail(stretch, scales, force) -> None:
+    """Add the toda remainder's exp tail, times ``scales``, to ``force``."""
+    force += _exp_tail(stretch, 3) * scales
 
 
 def _check_dt(model: ChainModel, dt: float) -> None:
@@ -290,14 +337,14 @@ def run_transport(
     property from the bounded oscillation of the shadow energy; the peak
     deviation is reported alongside.
 
-    The loop is ``step`` in place on one pair block: each step evaluates
-    the forces once, at its new positions, giving the acceleration it ends
-    with (and the next step starts from), and stores its stretches and
-    kinetic energy. The pair potentials of every 16 steps, and of the steps
-    left at the end, come from one evaluation over the stacked stretches;
-    the recorded energies are bitwise those of ``total_energy``. A run whose
-    energy stops being finite raises ``ValueError`` naming the first step
-    whose energy is not finite, once that step's batch is evaluated.
+    The run is the lattice kernel over all steps, in place on the initial
+    state: each step evaluates the forces once, at its new positions, giving
+    the half-kick it ends with and the next step starts from, and stores its
+    stretches and kinetic energy. The pair potentials of every 16 steps, and
+    of the steps left at the end, come from the power sums of the stacked
+    stretches; the recorded energies are bitwise those of ``total_energy``.
+    A run whose energy stops being finite raises ``ValueError`` naming the
+    first step whose energy is not finite, once that step's batch is summed.
     """
     model = solution.model
     eps = solution.epsilon
@@ -335,18 +382,8 @@ def run_transport(
         dt_used = dt
     momentum_start = total_momentum(state)
     positions, velocities = state.positions, state.velocities
-    block = _PairBlock(model, positions, depth=_BATCH)
     energies = np.empty(steps + 1)
-    kinetic = np.empty(_BATCH)
-    block.start(dt_used)
-    kinetic[0] = np.dot(velocities, velocities)
-    for n in range(1, steps + 1):
-        slot = n % _BATCH
-        if slot == 0:
-            _record_energies(block, kinetic, energies, n - _BATCH)
-        block.verlet(velocities, dt_used, slot)
-        kinetic[slot] = np.dot(velocities, velocities)
-    _record_energies(block, kinetic, energies, steps - steps % _BATCH)
+    _Verlet(model, positions, velocities, dt_used, depth=_BATCH).run(steps, energies)
     state = LatticeState(model, positions, velocities, horizon)
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * sample(solution.grid, solution.w.values, phases)

@@ -74,9 +74,9 @@ def _exp_tail(r, first_order: int):
     return out if out.ndim else float(out)
 
 
-def _horner(r, coefficients, out=None):
-    """r (c_0 + r (c_1 + ... + r c_k)) by Horner's rule, into ``out`` if given."""
-    out = np.multiply(r, coefficients[-1], out=out)
+def _horner(r, coefficients):
+    """r (c_0 + r (c_1 + ... + r c_k)) by Horner's rule."""
+    out = r * coefficients[-1]
     for c in coefficients[-2::-1]:
         out += c
         out *= r
@@ -205,7 +205,7 @@ class ChainModel:
         return float(sum(a * m**2 for m, a in enumerate(self.alpha, start=1)))
 
     @cached_property
-    def _law_columns(self) -> tuple:
+    def law_columns(self) -> tuple:
         """(M, 1) coefficient columns of the force and potential polynomials,
         and the scale column of the toda remainder (None for other kinds).
 
@@ -228,28 +228,11 @@ class ChainModel:
             column.flags.writeable = False
         return tuple(force), tuple(potential), scales
 
-    def law_columns(self, size: int, linear_only: bool = False) -> tuple:
-        """Coefficients of :meth:`pair_laws`, each column repeated to (M, size).
-
-        A chain integrator expands them to its length once, because a
-        same-shape operand multiplies about twice as fast as a broadcast
-        (M, 1) column. ``linear_only`` is a testing hook keeping only the
-        alpha_m r part of both laws.
-        """
-        force, potential, scales = self._law_columns
-        if linear_only:
-            force, potential, scales = force[:1], potential[:1], None
-        return (
-            tuple(np.repeat(column, size, axis=1) for column in force),
-            tuple(np.repeat(column, size, axis=1) for column in potential),
-            None if scales is None else np.repeat(scales, size, axis=1),
-        )
-
     def force(self, m: int, r):
         """Force law alpha_m r + beta_m r^2 + psi'_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        out = _horner(r, [c[m - 1, 0] for c in self._law_columns[0]])
+        out = _horner(r, [c[m - 1, 0] for c in self.law_columns[0]])
         if self.psi.kind == "toda-remainder":
             out = out + self.psi.prime(m, r)
         return out if np.ndim(out) else float(out)
@@ -258,33 +241,10 @@ class ChainModel:
         """Pair potential alpha_m r^2/2 + beta_m r^3/3 + psi_m(r)."""
         self._check_index(m)
         r = np.asarray(r, dtype=float)
-        out = _horner(r, [c[m - 1, 0] for c in self._law_columns[1]]) * r
+        out = _horner(r, [c[m - 1, 0] for c in self.law_columns[1]]) * r
         if self.psi.kind == "toda-remainder":
             out = out + self.psi.value(m, r)
         return out if np.ndim(out) else float(out)
-
-    def pair_laws(self, stretch, force, potential, columns=None) -> None:
-        """Force laws and pair potentials of every neighbor range at once.
-
-        ``stretch`` is an (M, J) block whose row m - 1 holds range-m
-        stretches, or a (K, M, J) stack of such blocks; ``force`` and
-        ``potential`` are buffers of its shape, overwritten in place, and
-        either may be None to skip its law. ``columns`` are the coefficients
-        of :meth:`law_columns`, (M, 1) columns by default. Row m - 1 is
-        bitwise what :meth:`force` and :meth:`potential` give for m.
-        """
-        if columns is None:
-            columns = self._law_columns
-        force_columns, potential_columns, scales = columns
-        if force is not None:
-            _horner(stretch, force_columns, out=force)
-            if scales is not None:
-                force += _exp_tail(stretch, 3) * scales
-        if potential is not None:
-            _horner(stretch, potential_columns, out=potential)
-            potential *= stretch
-            if scales is not None:
-                potential += _exp_tail(stretch, 4) * scales
 
     def _check_index(self, m: int) -> None:
         if not 1 <= m <= len(self.alpha):

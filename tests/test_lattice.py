@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves import lattice
 from chainwaves.lattice import _initial_profiles
 
 
@@ -115,14 +116,15 @@ def test_pair_block_matches_double_loop(model, size):
     ids=lambda psi: psi.kind,
 )
 def test_pair_laws_rows_equal_force_laws(psi):
-    # one definition of each law: a block row is bitwise the per-m call
+    # one definition of each law: a row of the integrator's force block is
+    # bitwise the per-m call, with dt = 2 making the half-kick factor 1
     model = cw.ChainModel((1.0, 0.5), (1.0, 0.25), psi)
-    stretch = np.random.default_rng(7).uniform(-1.0, 1.0, (2, 57))
-    force, potential = np.empty_like(stretch), np.empty_like(stretch)
-    model.pair_laws(stretch, force, potential)
+    positions = np.cumsum(np.random.default_rng(7).uniform(-1.0, 1.0, 57))
+    kernel = lattice._Verlet(model, positions, np.zeros(57), 2.0)
+    kernel.forces()
     for m in (1, 2):
-        assert np.array_equal(force[m - 1], model.force(m, stretch[m - 1]))
-        assert np.array_equal(potential[m - 1], model.potential(m, stretch[m - 1]))
+        stretch = positions[m:] - positions[:-m]
+        assert np.array_equal(kernel.force[m - 1, : 57 - m], model.force(m, stretch))
 
 
 def test_state_validation(model2):
@@ -333,28 +335,92 @@ def test_transport_matches_step_reference(model, num_particles, horizon, dt, ste
 def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
     # cost guard without timing: the forces of all ranges in one block
     # evaluation for the initial state and one per step, and their pair
-    # potentials stacked, one evaluation per 16 states; 47 steps end on a
-    # full batch of 16
+    # potentials from the 16-deep stretch stack, one power-sum pass per 16
+    # states; 47 steps end on a full batch of 16
     solution = _solve(model2)
-    forces, potentials = [], []
-    pair_laws = cw.ChainModel.pair_laws
+    forces, batches = [], []
+    evaluate, potentials = lattice._Verlet.forces, lattice._Verlet.potentials
 
-    def counting(self, stretch, force, potential, *args, **kwargs):
-        if force is not None:
-            forces.append(stretch.shape)
-        if potential is not None:
-            potentials.append(stretch.shape)
-        return pair_laws(self, stretch, force, potential, *args, **kwargs)
+    def counting_forces(self, slot=0):
+        forces.append(self.stretches[slot].shape)
+        return evaluate(self, slot)
 
-    monkeypatch.setattr(cw.ChainModel, "pair_laws", counting)
-    for horizon, steps, batches in ((0.8, 20, [16, 5]), (1.88, 47, [16, 16, 16])):
+    def counting_potentials(self, count):
+        assert self.stretches.shape == (16, 2, 300)
+        batches.append(count)
+        return potentials(self, count)
+
+    monkeypatch.setattr(lattice._Verlet, "forces", counting_forces)
+    monkeypatch.setattr(lattice._Verlet, "potentials", counting_potentials)
+    for horizon, steps, expected in ((0.8, 20, [16, 5]), (1.88, 47, [16, 16, 16])):
         forces.clear()
-        potentials.clear()
+        batches.clear()
         report = cw.run_transport(solution, 300, horizon, 0.04)
         assert report.steps == steps
         assert forces == [(2, 300)] * (steps + 1)
-        assert len(potentials) == math.ceil((steps + 1) / 16)
-        assert potentials == [(k, 2, 300) for k in batches]
+        assert batches == expected
+
+
+def _random_chain(model, size, seed):
+    rng = np.random.default_rng(seed)
+    positions = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.5, 0.5, size - 1))])
+    return cw.LatticeState(model, positions, rng.uniform(-0.5, 0.5, size))
+
+
+_FAMILIES = [
+    cw.ChainModel((1.0,), (1.0,)),
+    cw.ChainModel((1.0, 0.5), (1.0, 0.25), cw.PsiFamily.cubic((0.1, 0.3))),
+    cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 0.25), cw.PsiFamily.toda_remainder((1.0, 0.5, 0.2))),
+    cw.ChainModel((1.0, 0.5, 1 / 3), (1.0, 0.5, 0.25), cw.PsiFamily.cubic((0.1, 0.2, 0.3))),
+    cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((1.0,))),
+]
+_FAMILY_IDS = ["M1-none", "M2-cubic", "M3-toda-remainder", "M3-cubic", "M1-toda-remainder"]
+
+
+@pytest.mark.parametrize("size", ["minimum", 57, 1428, 5000])
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
+def test_power_sum_potential_matches_pair_potentials(model, size):
+    # the potential from power sums of the stretches against the per-pair
+    # law, summed exactly
+    M = model.neighbor_range
+    size = 2 * M + 2 if size == "minimum" else size
+    state = _random_chain(model, size, size + M)
+    state.velocities[:] = 0.0
+    terms = [
+        model.potential(m, state.positions[m:] - state.positions[:-m]) for m in range(1, M + 1)
+    ]
+    expected = math.fsum(np.concatenate(terms))
+    assert abs(cw.total_energy(state) - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.013])
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
+def test_folded_half_kick_equals_scaled_acceleration(model, dt):
+    # dt/2 folded into the force-law coefficients moves the half-kick by
+    # round-off only
+    state = _random_chain(model, 300, 3)
+    expected = 0.5 * dt * cw.acceleration(state)
+    kick = lattice._Verlet(model, state.positions, state.velocities, dt).forces()
+    assert np.max(np.abs(kick - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("size", ["minimum", 37, 300, 1428, 5000])
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
+def test_stacked_potentials_equal_single_state(model, size):
+    # a state's pair potential is bitwise the same alone and in any slot of
+    # a 16-state stack, full or partly filled: this keeps run_transport's
+    # energies those of total_energy
+    M = model.neighbor_range
+    size = 2 * M + 2 if size == "minimum" else size
+    states = [_random_chain(model, size, seed) for seed in range(16)]
+    stack = lattice._Verlet(model, states[0].positions, states[0].velocities, 0.01, depth=16)
+    alone = []
+    for slot, state in enumerate(states):
+        single = lattice._Verlet(model, state.positions, state.velocities, 0.01)
+        stack.stretches[slot] = single.load(0)
+        alone.extend(single.potentials(1))
+    assert stack.potentials(16) == alone
+    assert stack.potentials(5) == alone[:5]
 
 
 def test_transport_blow_up_raises(wave):
