@@ -416,7 +416,9 @@ def transport_error(
 
 
 def energy_drift_rate(energies, dt: float) -> float:
-    """Secular energy drift over a run: |fit slope| * duration / |E(0)|."""
+    """Secular energy drift over a run: |fit slope| * duration / |E(0)|.
+
+    Below about 1e-14 it is the rounding of the trajectory, not a trend."""
     energies = np.asarray(energies, dtype=float)
     if len(energies) < 2:
         return 0.0

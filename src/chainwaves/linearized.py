@@ -18,8 +18,10 @@ one irfft: 2 + 2M length-N transforms. L is symmetric indefinite, so solves
 use MINRES (Paige & Saunders 1975), implemented here on numpy with a
 two-level SPD preconditioner: V |Lambda|^{-1} V^T on the first N_c/2 + 1
 cosine coordinates, from the eigendecomposition that certified sigma_min
-below, and B_eps^{-1} on the rest. ``solve`` certifies the plain residual
-to the absolute budget tol max(1, ||G||), and MINRES stops once
+below, and B_eps^{-1} on the rest. ``solve`` maps the rfft of G to the
+coordinates of V and certifies the plain residual ||L x - g||_2 of G's even
+part, one application in coordinates and by Parseval the grid residual, to
+the absolute budget tol max(1, ||G||). MINRES stops once
 phibar sqrt(max(max b_eps, max |Lambda|)), a bound on that residual from
 its preconditioned residual norm phibar, is budget / 100. A chord step thus
 takes the MINRES steps its budget asks and no more (the forcing idea of
@@ -56,14 +58,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
-from .grid import GridFunction, SpectralGrid, l2_norm, project_even
+from .grid import GridFunction, SpectralGrid
 from .model import ChainModel, PsiFamily, kdv_profile
 from .operators import averaging_stack, b0_symbol, b_symbol
 
 __all__ = [
-    "LinearizedOperator",
-    "linearized_operator",
-    "even_coefficients",
+    "LinearizedOperator", "linearized_operator", "cosine_scale", "even_coefficients",
     "even_synthesis",
 ]
 
@@ -140,7 +140,7 @@ def _preconditioned_minres(matvec, precondition, b, rtol, atol, x0=None):
 
 
 @lru_cache(maxsize=8)
-def _cosine_scale(grid: SpectralGrid) -> NDArray[np.float64]:
+def cosine_scale(grid: SpectralGrid) -> NDArray[np.float64]:
     """Cosine-basis coordinate per real rfft entry of an even function.
 
     The orthonormal modes are e_n(x_i) = norm_n cos(k_n x_i); the
@@ -155,7 +155,7 @@ def _cosine_scale(grid: SpectralGrid) -> NDArray[np.float64]:
 
 def even_coefficients(f: GridFunction) -> NDArray[np.float64]:
     """Coordinates of the even part of f in the orthonormal cosine basis."""
-    return _cosine_scale(f.grid) * np.fft.rfft(f.values).real
+    return cosine_scale(f.grid) * np.fft.rfft(f.values).real
 
 
 def even_synthesis(grid: SpectralGrid, coefficients) -> GridFunction:
@@ -164,7 +164,7 @@ def even_synthesis(grid: SpectralGrid, coefficients) -> GridFunction:
     n_modes = grid.num_points // 2 + 1
     if coefficients.shape != (n_modes,):
         raise ValueError(f"expected {n_modes} coefficients, got {coefficients.shape}")
-    values = np.fft.irfft(coefficients / _cosine_scale(grid), n=grid.num_points)
+    values = np.fft.irfft(coefficients / cosine_scale(grid), n=grid.num_points)
     return GridFunction(grid, values)
 
 
@@ -189,6 +189,11 @@ class LinearizedOperator:
             raise GridMismatchError("profile and operator grids differ")
 
     @cached_property
+    def w0_spectrum(self) -> NDArray[np.complex128]:
+        """rfft of the profile ``w0``."""
+        return np.fft.rfft(self.w0.values)
+
+    @cached_property
     def _b_diagonal(self) -> NDArray[np.float64]:
         """Symbol of B_eps on ``grid.half_wavenumbers``, its diagonal in
         cosine coordinates."""
@@ -203,7 +208,7 @@ class LinearizedOperator:
         and the stack of window averages A_{m eps} (all symbols 1 at eps = 0)."""
         ranges = np.arange(1, self.model.neighbor_range + 1)
         stack = averaging_stack(self.grid, self.eps, self.model.neighbor_range)
-        averages = stack.average(np.fft.rfft(self.w0.values))
+        averages = stack.average(self.w0_spectrum)
         columns = averages * (2.0 * np.array(self.model.beta) * ranges**3)[:, None]
         if self.model.psi.kind != "none" and self.eps > 0:
             for j, m in enumerate(ranges):
@@ -235,7 +240,7 @@ class LinearizedOperator:
 
     def _apply_even(self, coefficients: NDArray) -> NDArray:
         """L_eps in orthonormal cosine coordinates."""
-        scale = _cosine_scale(self.grid)
+        scale = cosine_scale(self.grid)
         coupling = self._coupling_spectrum(coefficients / scale).real
         return self._b_diagonal * coefficients - scale * coupling
 
@@ -257,7 +262,7 @@ class LinearizedOperator:
         columns, stack = self._assembled
         n = self.grid.num_points
         m = n // 2 + 1
-        scale = _cosine_scale(self.grid)
+        scale = cosine_scale(self.grid)
         column_factor = self.grid.half_weights / ((2.0 * n) * scale)
         matrix = np.diag(self._b_diagonal)
         for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols):
@@ -319,7 +324,7 @@ class LinearizedOperator:
         # two-grid: dense eigenpair nearest 0 on a coarse grid, zero-padded
         # and certified by its Rayleigh quotient and residual on this grid
         n = self.grid.num_points
-        spectrum = np.fft.rfft(self.w0.values)
+        spectrum = self.w0_spectrum
         for n_coarse in _COARSE_SIZES:
             n_coarse = min(n_coarse, n)
             m = n_coarse // 2 + 1
@@ -343,25 +348,27 @@ class LinearizedOperator:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""
         return self._coarse_eigenpairs[0]
 
-    def solve(self, g: GridFunction, tol: float = 1e-12) -> GridFunction:
+    def solve(self, g: NDArray, tol: float = 1e-12) -> NDArray[np.float64]:
         """Solve L_eps V = G on the even subspace to a verified residual.
 
-        The input must be numerically even; sub-gate odd round-off is
-        projected away, since the even-restricted operator cannot represent
-        it. MINRES runs until its bound on the plain residual is a hundredth
-        of the budget ``tol * max(1, ||G||_2)``, or until its relative test
-        passes, whichever comes first; the residual of the synthesized
-        solution is then checked against the budget. Raises
-        ``NearSingularError`` when the operator leaves its invertibility
-        regime and ``NoConvergenceError`` if MINRES, restarted once from its
-        own iterate, cannot reach the budget.
+        G is given by its rfft ``g``, V returned in the cosine coordinates of
+        ``even_coefficients``. G must be numerically even: its odd part, the
+        imaginary part of ``g``, is gated, and dropped below the gate. MINRES
+        runs until its bound on the plain residual is a hundredth of the
+        budget ``tol * max(1, ||G||_2)``, or until its relative test passes;
+        the residual ||L x - g_even||_2 of its iterate x, one application in
+        coordinates and by Parseval the grid residual, is then checked
+        against the budget. Raises ``NearSingularError`` when the operator
+        leaves its invertibility regime and ``NoConvergenceError`` if MINRES,
+        restarted once from its own iterate, cannot reach the budget.
         """
-        if g.grid != self.grid:
-            raise GridMismatchError("right-hand side grid differs from operator grid")
-        g_norm = l2_norm(g)
-        odd_part = 0.5 * float(
-            np.sqrt(self.grid.spacing * np.sum((g.values - g.reflected()) ** 2))
-        )
+        scale = cosine_scale(self.grid)
+        g = np.asarray(g)
+        if g.shape != scale.shape:
+            raise GridMismatchError(f"right-hand side has {g.shape} modes, grid {scale.shape}")
+        rhs = scale * g.real
+        odd_part = float(np.linalg.norm(scale * g.imag))
+        g_norm = math.hypot(float(np.linalg.norm(rhs)), odd_part)
         if odd_part > _EVENNESS_GATE * max(1.0, g_norm):
             raise NotEvenError(
                 f"right-hand side has odd contamination {odd_part:.3e} "
@@ -372,16 +379,13 @@ class LinearizedOperator:
                 f"sigma_min = {self.smallest_singular_value():.3e} below "
                 f"{NEAR_SINGULAR_THRESHOLD:g}"
             )
-        g_even = project_even(g)
-        rhs = even_coefficients(g_even)
         budget = tol * max(1.0, g_norm)
-        coeffs = None
+        x = None
         for _ in range(2):
-            coeffs = self._minres(rhs, tol, budget, coeffs)
-            solution = even_synthesis(self.grid, coeffs)
-            residual = l2_norm(self.apply_l(solution) - g_even)
+            x = self._minres(rhs, tol, budget, x)
+            residual = float(np.linalg.norm(self._apply_even(x) - rhs))
             if residual <= budget:
-                return solution
+                return x
         raise NoConvergenceError(
             f"linear solve residual {residual:.3e} above budget {budget:.3e}"
         )

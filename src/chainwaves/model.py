@@ -30,16 +30,8 @@ from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
 from .operators import averaging_stack, averaging_symbol, b_operator
 
 __all__ = [
-    "PsiFamily",
-    "ChainModel",
-    "KdvConstants",
-    "kdv_constants",
-    "default_half_length",
-    "kdv_profile",
-    "apply_Q",
-    "apply_Q0",
-    "apply_P",
-    "tw_defect",
+    "PsiFamily", "ChainModel", "KdvConstants", "kdv_constants", "default_half_length",
+    "kdv_profile", "apply_Q", "apply_Q0", "apply_P", "tw_defect", "tw_defect_spectrum",
     "tw_residual",
 ]
 
@@ -365,21 +357,17 @@ def _check_curvature_regime(m: int, argument) -> None:
         )
 
 
-def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
-    """Traveling-wave defect G_eps(w) = B_eps w - Q_eps[w] - eps^2 P_eps[w].
+def tw_defect_spectrum(model: ChainModel, eps: float, grid: SpectralGrid, spectrum) -> np.ndarray:
+    """rfft of the defect G_eps(w) from the rfft ``spectrum`` of w on ``grid``.
 
-    It is the raw eigenvalue-problem defect eps^2 c_eps^2 w - sum_m m A
-    force_m(m eps^2 A w) divided by eps^4, which makes values comparable
-    across eps; solitary waves are its even zeros. One spectral pass: the
-    averages A_{m eps} w of every range come from one batched inverse FFT,
-    and the inner terms beta_m m^3 (A w)^2 + m eps^-4 psi'_m(m eps^2 A w)
-    go back through one batched forward FFT, so the defect costs 2 + 2M
-    length-N transforms. ``apply_Q`` and ``apply_P`` are its term-by-term
-    reference.
-    """
-    b = b_operator(model, w.grid, eps).symbol
-    stack = averaging_stack(w.grid, eps, model.neighbor_range)
-    spectrum = np.fft.rfft(w.values)
+    One spectral pass: the averages A_{m eps} w of every range come from one
+    batched inverse FFT, and the inner terms beta_m m^3 (A w)^2 +
+    m eps^-4 psi'_m(m eps^2 A w) go back through one batched forward FFT,
+    2M length-N transforms. Every symbol is real, so for an even w the real
+    and imaginary parts of the result are the spectra of G's even and odd
+    parts."""
+    b = b_operator(model, grid, eps).symbol
+    stack = averaging_stack(grid, eps, model.neighbor_range)
     averages = stack.average(spectrum)
     ranges = np.arange(1, model.neighbor_range + 1)
     inner = averages * averages
@@ -389,8 +377,20 @@ def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
             argument = (m * eps**2) * average
             _check_curvature_regime(m, argument)
             row += (m / eps**4) * model.psi.prime(m, argument)
-    defect = np.fft.irfft(b * spectrum - stack.adjoint_sum(inner), n=w.grid.num_points)
-    return GridFunction(w.grid, defect)
+    return b * spectrum - stack.adjoint_sum(inner)
+
+
+def tw_defect(model: ChainModel, eps: float, w: GridFunction) -> GridFunction:
+    """Traveling-wave defect G_eps(w) = B_eps w - Q_eps[w] - eps^2 P_eps[w].
+
+    It is the raw eigenvalue-problem defect eps^2 c_eps^2 w - sum_m m A
+    force_m(m eps^2 A w) divided by eps^4, which makes values comparable
+    across eps; solitary waves are its even zeros. It is ``tw_defect_spectrum``
+    between one rfft and one irfft, 2 + 2M length-N transforms; ``apply_Q``
+    and ``apply_P`` are its term-by-term reference.
+    """
+    spectrum = tw_defect_spectrum(model, eps, w.grid, np.fft.rfft(w.values))
+    return GridFunction(w.grid, np.fft.irfft(spectrum, n=w.grid.num_points))
 
 
 def tw_residual(model: ChainModel, eps: float, w: GridFunction) -> float:

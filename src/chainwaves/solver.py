@@ -16,9 +16,10 @@ exactly the chord step
 
     F_eps[v] = v - L_eps^{-1}(G_eps(w0 + eps^2 v) / eps^2).
 
-It is iterated from v = 0 with optional damping; the iteration stops on
-small increments, and a traveling-wave residual check is mandatory before a
-solve is reported as successful.
+It is iterated from v = 0 with optional damping on the cosine coordinates of
+v, and v is synthesized on the grid once, after the loop. The iteration
+stops on small increments, and a traveling-wave residual check is mandatory
+before a solve is reported as successful.
 """
 
 from __future__ import annotations
@@ -30,29 +31,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ChainwavesError,
-    CurvatureWarning,
-    EmptyWindowError,
-    NoConvergenceError,
-)
+from .errors import ChainwavesError, CurvatureWarning, EmptyWindowError, NoConvergenceError
 from .grid import GridFunction, SpectralGrid, derivative, l2_norm, project_even, sup_norm
-from .linearized import LinearizedOperator, linearized_operator
-from .model import ChainModel, apply_P, apply_Q, kdv_profile, tw_defect, tw_residual
-from .operators import b_operator
+from .linearized import LinearizedOperator, cosine_scale, even_synthesis, linearized_operator
+from .model import ChainModel, PsiFamily, kdv_profile, tw_defect, tw_defect_spectrum, tw_residual
 
 __all__ = [
-    "SolveConfig",
-    "SolveDiagnostics",
-    "WaveSolution",
-    "ResidualPair",
-    "residuals",
-    "fixed_point_map",
-    "solve_wave",
-    "eigen_identity_check",
-    "measure_tail_decay",
-    "SweepRow",
-    "convergence_sweep",
+    "SolveConfig", "SolveDiagnostics", "WaveSolution", "ResidualPair", "residuals",
+    "fixed_point_map", "solve_wave", "eigen_identity_check", "measure_tail_decay",
+    "SweepRow", "convergence_sweep",
 ]
 
 
@@ -124,12 +111,15 @@ class ResidualPair:
 
 
 def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> ResidualPair:
-    """R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and S_eps = P_eps[w0]; both even."""
+    """R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and S_eps = P_eps[w0]; both even. With
+    G_none the psi-free defect, R = -G_none(w0)/eps^2, S = (G_none - G_eps)(w0)/eps^2."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     w0 = kdv_profile(model, grid)
-    r = (1.0 / eps**2) * (apply_Q(model, eps, w0) - b_operator(model, grid, eps).apply(w0))
-    s = apply_P(model, eps, w0)
+    quadratic = tw_defect(replace(model, psi=PsiFamily()), eps, w0)
+    full = quadratic if model.psi.kind == "none" else tw_defect(model, eps, w0)
+    r = (-1.0 / eps**2) * quadratic
+    s = (1.0 / eps**2) * (quadratic - full)
     # the 1/eps^2 amplifies odd round-off noise; both terms are analytically even
     return ResidualPair(project_even(r), project_even(s))
 
@@ -138,16 +128,23 @@ def fixed_point_map(
     model: ChainModel,
     grid: SpectralGrid,
     eps: float,
-    v: GridFunction,
+    v: np.ndarray,
     *,
     tol_linear: float = 1e-12,
     operator: LinearizedOperator | None = None,
-) -> GridFunction:
-    """One application of F_eps, as the chord step v - L_eps^{-1}(G_eps(w) / eps^2)."""
+) -> np.ndarray:
+    """One application of F_eps, as the chord step v - L_eps^{-1}(G_eps(w) / eps^2),
+    on the cosine coordinates ``v`` of the corrector; returns those of the image.
+
+    The rfft of w = w0 + eps^2 v is that of w0 plus eps^2 v over the cosine
+    scale. ``LinearizedOperator.solve`` takes the defect's spectrum: the even
+    part from its real part, and it gates the odd part, round-off that the
+    1/eps^2 amplifies, in its imaginary part.
+    """
     if operator is None:
         operator = linearized_operator(model, grid, eps)
-    # the 1/eps^2 amplifies odd round-off noise; the defect is analytically even
-    defect = project_even(tw_defect(model, eps, operator.w0 + eps**2 * v))
+    spectrum = operator.w0_spectrum.real + (eps**2 / cosine_scale(grid)) * v
+    defect = tw_defect_spectrum(model, eps, grid, spectrum)
     return v - operator.solve((1.0 / eps**2) * defect, tol_linear)
 
 
@@ -207,28 +204,24 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
 def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
-    w0 = operator.w0
-    v = GridFunction(grid, np.zeros(grid.num_points))
-    iterations = 0
-    increment = math.inf
-    converged = False
+    v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, config.max_iterations + 1):
         image = fixed_point_map(
             model, grid, eps, v, tol_linear=config.tol_linear, operator=operator
         )
         if config.damping < 1.0:
             image = (1.0 - config.damping) * v + config.damping * image
-        increment = l2_norm(image - v)
+        increment = float(np.linalg.norm(image - v))
         v = image
-        if increment <= config.tol_fixed_point * max(1.0, l2_norm(v)):
-            converged = True
+        if increment <= config.tol_fixed_point * max(1.0, float(np.linalg.norm(v))):
             break
-    if not converged:
+    else:
         raise NoConvergenceError(
             f"fixed point increments at {increment:.3e} after "
             f"{config.max_iterations} iterations (eps = {eps:g})"
         )
-    w = w0 + eps**2 * v
+    v = even_synthesis(grid, v)
+    w = operator.w0 + eps**2 * v
     residual = tw_residual(model, eps, w)
     if residual > config.tol_residual:
         raise NoConvergenceError(
@@ -252,7 +245,7 @@ def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> W
         grid=grid,
         epsilon=eps,
         wave_speed_sq=model.sound_speed_sq + eps**2,
-        w0=w0,
+        w0=operator.w0,
         v=v,
         w=w,
         diagnostics=diagnostics,

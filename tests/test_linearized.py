@@ -13,6 +13,7 @@ import chainwaves as cw
 from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
+    cosine_scale,
     even_coefficients,
     even_synthesis,
     linearized_operator,
@@ -28,6 +29,12 @@ def op1(model1, grid1):
 @pytest.fixture(scope="module")
 def op1_limit(model1, grid1):
     return linearized_operator(model1, grid1, 0.0)
+
+
+def solve_on_grid(operator, g, tol=1e-12):
+    """``solve`` for a right-hand side on the grid, its solution synthesized
+    back on the grid."""
+    return even_synthesis(operator.grid, operator.solve(np.fft.rfft(g.values), tol))
 
 
 def test_even_basis_roundtrip(grid1, rng):
@@ -180,7 +187,7 @@ def test_solve_matches_dense_reference(references, rng):
     for operator, matrix in references:
         g = random_band_limited(operator.grid, 30.0, rng, parity="even", decay=0.5)
         direct = np.linalg.solve(matrix, even_coefficients(g))
-        gap = np.linalg.norm(even_coefficients(operator.solve(g)) - direct)
+        gap = np.linalg.norm(operator.solve(np.fft.rfft(g.values)) - direct)
         assert gap <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -340,16 +347,34 @@ def test_cold_solve_application_count(model2, grid2, monkeypatch):
     one also makes sigma_min's certificate application, and all are on the
     solve grid. MINRES stops once its bound on the plain residual is a
     hundredth of the solve's absolute budget, so the late chord steps, whose
-    right-hand sides shrink with the increments, take two MINRES steps each.
-    With the relative test alone they took [4, 3, 4, 5, 6, 7], 29 in all, and
-    MINRES preconditioned by B_eps^{-1} alone made 71."""
+    right-hand sides shrink with the increments, take two MINRES steps each,
+    and each solve's residual certificate is one more application. With the
+    relative test alone MINRES took [4, 3, 4, 5, 6, 7] steps, 29 in all, and
+    preconditioned by B_eps^{-1} alone 71."""
     applications = _count_calls(monkeypatch, "_apply_even")
     per_solve = _per_solve(monkeypatch, applications)
     linearized_operator.cache_clear()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert per_solve == [4, 2, 2, 2, 2, 2]
-    assert applications == [1024] * 14
+    assert per_solve == [5, 3, 3, 3, 3, 3]
+    assert applications == [1024] * 20
+
+
+def test_cold_solve_transform_count(model2, grid2, transform_lengths):
+    """Counts the real FFT rows of one cold solve on M2 at eps 0.1,
+    N = 1024. sigma_min's N_c = 256 rung: the restriction of w0 and the
+    coarse operator's rfft of it, its averages and its columns (6 rows of
+    256). On the solve grid: the rfft of w0 and the averages of the
+    coupling (3 rows); 20 applications of L_eps in coordinates, 2M rows
+    each (80); 6 chord defects from the real spectrum of w, 2M rows each
+    (24); one synthesis of v after the loop, and the final residual's
+    2 + 2M rows (7). Each chord step transforms nothing beyond its defect
+    and its applications; the grid-space chord step took 156 rows."""
+    linearized_operator.cache_clear()
+    lengths = transform_lengths()
+    solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
+    assert solution.diagnostics.iterations == 6
+    assert sorted(lengths) == [256] * 6 + [1024] * 114
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -358,9 +383,11 @@ def test_chord_solves_certify_on_first_run(
     name, n, model1, model2_cubic, model3_toda, monkeypatch
 ):
     """MINRES's absolute stop leaves the plain-residual certificate of
-    ``solve`` nothing to restart: every chord solve is one MINRES run. The
-    waves and iteration counts are those of MINRES run to its relative test
-    alone, the reference here with the absolute stop patched away."""
+    ``solve`` nothing to restart: every chord solve is one MINRES run, and
+    the certificate, a residual in cosine coordinates, equals the residual
+    of the synthesized solution on the grid. The waves and iteration counts
+    are those of MINRES run to its relative test alone, the reference here
+    with the absolute stop patched away."""
     model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
     grid = cw.make_grid(cw.default_half_length(model), n)
     configs = (
@@ -370,10 +397,28 @@ def test_chord_solves_certify_on_first_run(
     )
     runs = _count_calls(monkeypatch, "_minres")
     per_solve = _per_solve(monkeypatch, runs)
+    chord_solves = []
+    solve = LinearizedOperator.solve
+
+    def recorded(self, g, tol=1e-12):
+        x = solve(self, g, tol)
+        chord_solves.append((self, g, x))
+        return x
+
+    monkeypatch.setattr(LinearizedOperator, "solve", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cw.CurvatureWarning)
         solutions = [cw.solve_wave(model, grid, config) for config in configs]
         assert per_solve == [1] * sum(s.diagnostics.iterations for s in solutions)
+        # the certificate in coordinates is the plain grid residual, up to
+        # the round-off of the synthesized solution, which B_eps amplifies:
+        # eps_mach max(b) ||x|| reaches 1e-13 on M1 at N = 16384
+        for operator, g, x in chord_solves:
+            coordinate = np.linalg.norm(operator._apply_even(x) - cosine_scale(grid) * g.real)
+            g_even = cw.project_even(cw.grid_function(grid, np.fft.irfft(g, n=n)))
+            residual = cw.l2_norm(operator.apply_l(even_synthesis(grid, x)) - g_even)
+            floor = 4 * np.finfo(float).eps * operator._b_diagonal.max() * np.linalg.norm(x)
+            assert abs(coordinate - residual) <= 1e-14 * max(1.0, cw.l2_norm(g_even)) + floor
         minres = linearized._preconditioned_minres
 
         def relative_only(matvec, precondition, b, rtol, atol, x0):
@@ -468,18 +513,18 @@ def test_sigma_min_uniform_in_eps(model1, grid1):
 
 
 def test_solve_zero_and_manufactured(op1_limit, grid1, rng):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(op1_limit.solve(zero)) == 0.0
+    zero = np.zeros(grid1.num_points // 2 + 1, dtype=complex)
+    assert np.max(np.abs(op1_limit.solve(zero))) == 0.0
     target = random_band_limited(grid1, 20.0, rng, parity="even", decay=0.5)
     rhs = op1_limit.apply_l(target)
-    recovered = op1_limit.solve(rhs, tol=1e-12)
+    recovered = solve_on_grid(op1_limit, rhs, tol=1e-12)
     assert cw.l2_norm(recovered - target) <= 1e-8 * cw.l2_norm(target)
 
 
 def test_solve_contract_residual(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     tol = 1e-12
-    v = op1.solve(g, tol)
+    v = solve_on_grid(op1, g, tol)
     assert cw.l2_norm(op1.apply_l(v) - g) <= tol * max(1.0, cw.l2_norm(g)) + 1e-13
     assert cw.evenness_defect(v) <= 1e-13 * max(1.0, cw.sup_norm(v))
 
@@ -487,7 +532,7 @@ def test_solve_contract_residual(op1, grid1, rng):
 def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     with pytest.raises(cw.NoConvergenceError):
-        op1.solve(g, tol=1e-20)
+        op1.solve(np.fft.rfft(g.values), tol=1e-20)
 
 
 def test_solve_rejects_odd_input(op1, grid1, rng):
@@ -496,14 +541,14 @@ def test_solve_rejects_odd_input(op1, grid1, rng):
     energy = np.abs(np.fft.rfft(odd.values)) ** 2
     assert np.sum(energy[grid1.half_wavenumbers > 20.0]) <= 1e-26 * np.sum(energy)
     with pytest.raises(cw.NotEvenError):
-        op1.solve(odd)
+        op1.solve(np.fft.rfft(odd.values))
 
 
 def test_solve_near_singular_guard(op1, grid1, monkeypatch, rng):
     monkeypatch.setattr(LinearizedOperator, "smallest_singular_value", lambda self: 1e-9)
     g = random_band_limited(grid1, 20.0, rng, parity="even")
     with pytest.raises(cw.NearSingularError):
-        op1.solve(g)
+        op1.solve(np.fft.rfft(g.values))
 
 
 def test_unconverged_sigma_min_is_near_singular(model1, rng):
@@ -516,7 +561,7 @@ def test_unconverged_sigma_min_is_near_singular(model1, rng):
     operator = LinearizedOperator(model1, grid, 0.2, cw.kdv_profile(model1, grid))
     assert operator.smallest_singular_value() == 0.0
     with pytest.raises(cw.NearSingularError):
-        operator.solve(random_band_limited(grid, 20.0, rng, parity="even"))
+        operator.solve(np.fft.rfft(random_band_limited(grid, 20.0, rng, parity="even").values))
 
 
 def test_grid_mismatch_rejected(op1):
@@ -524,3 +569,5 @@ def test_grid_mismatch_rejected(op1):
     f = cw.grid_function(other, np.zeros(other.num_points))
     with pytest.raises(cw.GridMismatchError):
         op1.apply_l(f)
+    with pytest.raises(cw.GridMismatchError):
+        op1.solve(np.fft.rfft(f.values))

@@ -9,7 +9,7 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import solver
-from chainwaves.linearized import linearized_operator
+from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
 from chainwaves.verify import random_band_limited, unimodality_defect
 
@@ -34,6 +34,25 @@ def test_residuals_psi_none_has_zero_s(model1, grid1):
     pair = cw.residuals(model1, grid1, 0.2)
     assert cw.sup_norm(pair.s) == 0.0
     assert cw.evenness_defect(pair.r) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.4, 0.1, 0.05])
+def test_residuals_match_term_by_term_reference(eps, model1, model2_cubic, model3_toda):
+    # R and S come from two defects; apply_Q, apply_P and B_eps give them
+    # term by term. Both routes amplify the round-off of B_eps w0 by
+    # 1/eps^2, so they agree to that floor, eps_mach max(b) ||w0|| / eps^2
+    for model in (model1, model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        w0 = cw.kdv_profile(model, grid)
+        b = cw.b_operator(model, grid, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cw.CurvatureWarning)
+            pair = cw.residuals(model, grid, eps)
+            r = (1.0 / eps**2) * (cw.apply_Q(model, eps, w0) - b.apply(w0))
+            s = cw.apply_P(model, eps, w0)
+        floor = np.finfo(float).eps * b.symbol.max() * cw.l2_norm(w0) / eps**2
+        assert cw.l2_norm(pair.r - r) <= 4 * floor
+        assert cw.l2_norm(pair.s - s) <= 4 * floor
 
 
 def test_residuals_bounded_over_sweep(model1, model2, model2_cubic):
@@ -75,8 +94,10 @@ def test_apply_N_lipschitz_scale(model2_cubic):
 
 
 def test_fixed_point_property(model1, grid1, solution1):
-    image = cw.fixed_point_map(model1, grid1, solution1.epsilon, solution1.v)
-    gap = cw.l2_norm(image - solution1.v)
+    # the map acts on cosine coordinates, whose Euclidean norm is the l2 norm
+    v = even_coefficients(solution1.v)
+    image = cw.fixed_point_map(model1, grid1, solution1.epsilon, v)
+    gap = float(np.linalg.norm(image - v))
     assert gap <= 10 * cw.SolveConfig(epsilon=0.2).tol_fixed_point * max(
         1.0, cw.l2_norm(solution1.v)
     )
@@ -85,31 +106,55 @@ def test_fixed_point_property(model1, grid1, solution1):
 def test_fixed_point_contraction(model1, grid1):
     eps = 0.2
     operator = linearized_operator(model1, grid1, eps)
-    v = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    v = np.zeros(grid1.num_points // 2 + 1)
     increments = []
     for _ in range(8):
         image = cw.fixed_point_map(model1, grid1, eps, v, operator=operator)
-        increments.append(cw.l2_norm(image - v))
+        increments.append(float(np.linalg.norm(image - v)))
         v = image
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 1e-14]
     assert all(r < 1.0 for r in ratios)
 
 
+def _paper_rhs(model, eps, w0, pair, v):
+    """R + S + eps^2 Q[v] + eps^2 N[v] on the grid, from the term-by-term
+    operators."""
+    remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
+    return cw.project_even(pair.r + pair.s + eps**2 * cw.apply_Q(model, eps, v) + remainder)
+
+
 def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
-    # the chord step equals L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v])
+    # the chord step in cosine coordinates equals the paper's map
+    # L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v]) assembled on the grid; a
+    # cold solve_wave takes as many steps as that map iterated on grid
+    # functions under the same stop test, to the same wave and sigma_min
     eps = 0.2
     rng = np.random.default_rng(11)
     for model in (model1, model2_cubic, model3_toda):
         grid = cw.make_grid(cw.default_half_length(model), 1024)
+        linearized_operator.cache_clear()
+        solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
+        linearized_operator.cache_clear()
         operator = linearized_operator(model, grid, eps)
         w0 = operator.w0
-        v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
         pair = cw.residuals(model, grid, eps)
-        remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
-        rhs = pair.r + pair.s + eps**2 * cw.apply_Q(model, eps, v) + remainder
-        paper = operator.solve(cw.project_even(rhs))
-        image = cw.fixed_point_map(model, grid, eps, v, operator=operator)
-        assert cw.l2_norm(image - paper) <= 1e-11 * cw.l2_norm(paper)
+        v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
+        rhs = _paper_rhs(model, eps, w0, pair, v)
+        paper = operator.solve(np.fft.rfft(rhs.values))
+        image = cw.fixed_point_map(model, grid, eps, even_coefficients(v), operator=operator)
+        assert np.linalg.norm(image - paper) <= 1e-11 * np.linalg.norm(paper)
+        v = cw.grid_function(grid, np.zeros(grid.num_points))
+        for iterations in range(1, 51):
+            rhs = _paper_rhs(model, eps, w0, pair, v)
+            image = even_synthesis(grid, operator.solve(np.fft.rfft(rhs.values)))
+            increment = cw.l2_norm(image - v)
+            v = image
+            if increment <= 1e-12 * max(1.0, cw.l2_norm(v)):
+                break
+        assert solution.diagnostics.iterations == iterations
+        assert solution.diagnostics.sigma_min == operator.smallest_singular_value()
+        gap = cw.sup_norm(solution.w - (w0 + eps**2 * v))
+        assert gap <= 1e-14 * cw.sup_norm(solution.w)
 
 
 def test_solve_wave_contract(model1, grid1, solution1):
