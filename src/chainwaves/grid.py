@@ -95,6 +95,14 @@ class SpectralGrid:
         return weights
 
     @cached_property
+    def sobolev22_weights(self) -> NDArray[np.float64]:
+        """half_weights * (1 + k^2 + k^4), the W^{2,2} weight of each half-lattice mode."""
+        k2 = self.half_wavenumbers**2
+        weights = self.half_weights * (1.0 + k2 + k2**2)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def _reflection(self) -> NDArray[np.int64]:
         # index map i -> (N - i) mod N, realizing x -> -x on the grid
         idx = np.arange(self.num_points)
@@ -206,10 +214,9 @@ def sobolev22_norm(f: GridFunction) -> float:
     W^{2,2} norm of the continuum profile.
     """
     grid = f.grid
-    k2 = grid.half_wavenumbers**2
-    weight = grid.half_weights * (1.0 + k2 + k2**2)
     # h^2/(2L) = h/N converts |rfft|^2 sums to the continuum normalization
-    total = np.sum(weight * np.abs(np.fft.rfft(f.values)) ** 2) * grid.spacing / grid.num_points
+    spectrum = np.abs(np.fft.rfft(f.values)) ** 2
+    total = np.sum(grid.sobolev22_weights * spectrum) * grid.spacing / grid.num_points
     return float(np.sqrt(total))
 
 

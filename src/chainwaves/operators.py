@@ -46,6 +46,7 @@ __all__ = [
     "invert_b",
     "invert_b0",
     "cutoff",
+    "cutoff_symbol",
     "von_neumann_partial_sums",
     "von_neumann_inverse",
 ]
@@ -240,15 +241,16 @@ def invert_b0(model: "ChainModel", grid: SpectralGrid, g: GridFunction) -> GridF
     return MultiplierOperator(grid, 1.0 / b0_symbol(model, grid.half_wavenumbers)).apply(g)
 
 
-def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
-    """Zero all modes with |k| > 4/eps; the band edge |k| = 4/eps is kept.
-
-    Idempotent and l2-nonexpansive.
-    """
+def cutoff_symbol(grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
+    """Indicator of |k| <= 4/eps on ``grid.half_wavenumbers``; the band edge is kept."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    mask = (grid.half_wavenumbers <= 4.0 / eps).astype(float)
-    return MultiplierOperator(grid, mask).apply(f)
+    return (grid.half_wavenumbers <= 4.0 / eps).astype(float)
+
+
+def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
+    """Zero all modes with |k| > 4/eps; idempotent and l2-nonexpansive."""
+    return MultiplierOperator(grid, cutoff_symbol(grid, eps)).apply(f)
 
 
 def von_neumann_partial_sums(
@@ -258,15 +260,17 @@ def von_neumann_partial_sums(
     f: GridFunction,
 ) -> Iterator[GridFunction]:
     """Partial sums partial(1), partial(2), ... of the geometric series
-    representation of b_eps^{-1} f, one application of T per item.
+    representation of b_eps^{-1} f.
 
     With T = sum_m alpha_m m^2 A_{m eps}^2 and c0^2 = sum_m alpha_m m^2,
 
         partial(n) = eps^2 * sum_{i<n} T^i f / (eps^2 + c0^2)^(i+1),
 
     converging to invert_b(f) geometrically with ratio at most
-    c0^2/(eps^2 + c0^2). The generator is endless; eps <= 0 raises
-    ``ValueError`` at the first item.
+    c0^2/(eps^2 + c0^2). The running power T^i f and the running sum are
+    carried as rfft spectra: f is transformed once, and each item costs one
+    multiplication by T's symbol and one irfft. The generator is endless;
+    eps <= 0 raises ``ValueError`` at the first item.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -274,15 +278,13 @@ def von_neumann_partial_sums(
         alpha * m**2 * averaging_symbol(grid, m * eps) ** 2
         for m, alpha in enumerate(model.alpha, start=1)
     )
-    t_op = MultiplierOperator(grid, t_symbol)
     denominator = eps**2 + model.sound_speed_sq
-    power = f
-    total = (eps**2 / denominator) * f
-    yield total
+    power = np.fft.rfft(f.values)
+    total = (eps**2 / denominator) * power
     for i in count(1):
-        power = t_op.apply(power)
-        total = total + (eps**2 / denominator ** (i + 1)) * power
-        yield total
+        yield GridFunction(grid, np.fft.irfft(total, n=grid.num_points))
+        power *= t_symbol
+        total += (eps**2 / denominator ** (i + 1)) * power
 
 
 def von_neumann_inverse(
@@ -296,8 +298,8 @@ def von_neumann_inverse(
 
     Exposed with an explicit term count: this is a verification oracle, not
     the production inverse. A caller that needs several term counts should
-    read them from one pass of the generator, since this call redoes the
-    terms - 1 applications of T each time.
+    read them from one pass of the generator, since this call recomputes
+    the terms - 1 items before it each time.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")

@@ -24,7 +24,6 @@ from .grid import (
     evenness_defect,
     inner_product,
     l2_norm,
-    sobolev22_norm,
     sup_norm,
 )
 from .linearized import linearized_operator
@@ -34,13 +33,14 @@ from .operators import (
     averaging_operator,
     b_operator,
     b_symbol,
-    cutoff,
+    cutoff_symbol,
     invert_b,
     von_neumann_partial_sums,
 )
 from .solver import measure_tail_decay, residuals
 
-__all__ = ["CHECKS", "CheckResult", "run_verification", "random_band_limited", "unimodality_defect"]
+__all__ = ["CHECKS", "CheckResult", "run_verification", "unimodality_defect",
+           "random_band_limited", "random_band_limited_rows"]
 
 _ETA_SWEEP = (0.4, 0.2, 0.1, 0.05)
 _EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
@@ -53,6 +53,49 @@ class CheckResult:
     detail: str
 
 
+def random_band_limited_rows(
+    grid: SpectralGrid,
+    band: float,
+    rng: np.random.Generator,
+    count: int,
+    parity: str = "none",
+    decay: float = 0.0,
+) -> np.ndarray:
+    """(count, N) block of unit-l2 random profiles with spectral support in |k| <= band.
+
+    Row j is what the j-th of ``count`` successive :func:`random_band_limited`
+    calls gives: each profile consumes 2N standard normals from ``rng``, an
+    amplitude and a phase draw, whatever the parity. ``decay`` > 0 shapes the
+    spectrum with a (1 + k^2)^(-decay) envelope, mimicking the smoothness of
+    right-hand sides arising in practice.
+    """
+    n = grid.num_points
+    k = grid.half_wavenumbers
+    mirror = -np.arange(len(k)) % n
+    coeff = np.empty((count, len(k)), dtype=complex)
+    for row in coeff:
+        amplitude, phase = rng.standard_normal((2, n))
+        if parity == "even":
+            draws = amplitude
+        elif parity == "odd":
+            draws = 1j * amplitude
+        else:
+            draws = amplitude + 1j * phase
+        # mode n pairs the draws at +k_n and -k_n (FFT index N - n) into the
+        # Hermitian coefficient; real draws give an even, imaginary an odd profile
+        row[:] = 0.5 * (draws[: len(k)] + np.conj(draws[mirror]))
+    if decay:
+        coeff *= (1.0 + k**2) ** (-decay)
+    coeff[:, k > band] = 0.0
+    coeff[:, -1] = 0.0
+    rows = np.fft.irfft(coeff, n=n)
+    for row in rows:
+        norm = np.sqrt(grid.spacing * np.sum(row**2))  # l2_norm
+        if norm:
+            row *= 1.0 / norm
+    return rows
+
+
 def random_band_limited(
     grid: SpectralGrid,
     band: float,
@@ -60,45 +103,19 @@ def random_band_limited(
     parity: str = "none",
     decay: float = 0.0,
 ) -> GridFunction:
-    """Unit-l2 random profile with spectral support in |k| <= band.
-
-    ``decay`` > 0 shapes the spectrum with a (1 + k^2)^(-decay) envelope,
-    mimicking the smoothness of right-hand sides arising in practice.
-    """
-    n = grid.num_points
-    k = grid.half_wavenumbers
-    amplitude = rng.standard_normal(n)
-    phase = rng.standard_normal(n)
-    if parity == "even":
-        draws = amplitude
-    elif parity == "odd":
-        draws = 1j * amplitude
-    else:
-        draws = amplitude + 1j * phase
-    # mode n pairs the draws at +k_n and -k_n (FFT index N - n) into the
-    # Hermitian coefficient; real draws give an even, imaginary an odd profile
-    coeff = 0.5 * (draws[: len(k)] + np.conj(draws[-np.arange(len(k)) % n]))
-    inside = k <= band
-    inside[-1] = False
-    envelope = (1.0 + k**2) ** (-decay) if decay else 1.0
-    values = np.fft.irfft(np.where(inside, coeff * envelope, 0.0), n=n)
-    f = GridFunction(grid, values)
-    norm = l2_norm(f)
-    return f if norm == 0 else (1.0 / norm) * f
+    """Unit-l2 random profile with spectral support in |k| <= band, the one row
+    of :func:`random_band_limited_rows`; it consumes 2N standard normals from
+    ``rng``, whatever the parity."""
+    return GridFunction(grid, random_band_limited_rows(grid, band, rng, 1, parity, decay)[0])
 
 
 def unimodality_defect(values) -> float:
     """Largest violation of rise-then-fall monotonicity around the peak."""
     values = np.asarray(values, dtype=float)
     peak = int(np.argmax(values))
-    rising = np.diff(values[: peak + 1])
-    falling = np.diff(values[peak:])
-    worst = 0.0
-    if len(rising):
-        worst = max(worst, float(np.max(np.maximum(-rising, 0.0))))
-    if len(falling):
-        worst = max(worst, float(np.max(np.maximum(falling, 0.0))))
-    return worst
+    drop = np.max(-np.diff(values[: peak + 1]), initial=0.0)
+    rise = np.max(np.diff(values[peak:]), initial=0.0)
+    return float(max(0.0, drop, rise))  # +0.0, not -0.0, when nothing is violated
 
 
 def _fit_slope(xs, ys) -> float:
@@ -109,16 +126,44 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _uniformity(name: str, label: str, values: list, note: str = "") -> CheckResult:
+    """Pass when the values over the eps sweep stay within a factor 2 of each other."""
+    spread = max(values) / min(values)
+    listed = ["%.3f" % v for v in values]
+    return _result(name, spread < 2.0, f"{label} {listed}, spread {spread:.3f}{note}")
+
+
+def _second_order(name: str, gaps: list) -> CheckResult:
+    """Pass when the gaps over the eps sweep fall off as eps^2 (fitted slope 2 +- 0.3)."""
+    slope = _fit_slope(_EPS_SWEEP, gaps)
+    return _result(name, abs(slope - 2.0) <= 0.3, f"slope {slope:.3f} (want 2)")
+
+
+def _adjoint_defect(grid, rng, band, apply) -> float:
+    """Largest |<apply(f), g> - <f, apply(g)>| over three random band-limited pairs."""
+    worst = 0.0
+    for _ in range(3):
+        f = random_band_limited(grid, band, rng)
+        g = random_band_limited(grid, band, rng)
+        worst = max(worst, abs(inner_product(apply(f), g) - inner_product(f, apply(g))))
+    return worst
+
+
+def _shape_defects(f):
+    """Odd part, negative part and unimodality defect of f, and whether all
+    three are round-off (1e-12, 1e-12 and 1e-10 of sup |f|)."""
+    scale = sup_norm(f)
+    even = evenness_defect(f)
+    negativity = max(0.0, -float(np.min(f.values)))
+    bump = unimodality_defect(f.values)
+    shaped = even <= 1e-12 * scale and negativity <= 1e-12 * scale and bump <= 1e-10 * scale
+    return shaped, (even, negativity, bump)
+
+
 def _check_averaging_self_adjoint(model, grid):
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for eta in (0.3, 0.8):
-        operator = averaging_operator(grid, eta)
-        for _ in range(3):
-            f = random_band_limited(grid, 20.0, rng)
-            g = random_band_limited(grid, 20.0, rng)
-            gap = abs(inner_product(operator.apply(f), g) - inner_product(f, operator.apply(g)))
-            worst = max(worst, gap)
+    averages = [averaging_operator(grid, eta).apply for eta in (0.3, 0.8)]
+    worst = max(_adjoint_defect(grid, rng, 20.0, apply) for apply in averages)
     return _result("averaging_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -143,12 +188,8 @@ def _check_averaging_shape_preservation(model, grid):
     ok = True
     details = []
     for eta in (0.3, 0.8):
-        averaged = averaging_operator(grid, eta).apply(w0)
-        scale = sup_norm(averaged)
-        even = evenness_defect(averaged)
-        negativity = max(0.0, -float(np.min(averaged.values)))
-        bump = unimodality_defect(averaged.values)
-        ok &= even <= 1e-12 * scale and negativity <= 1e-12 * scale and bump <= 1e-10 * scale
+        shaped, (even, negativity, bump) = _shape_defects(averaging_operator(grid, eta).apply(w0))
+        ok &= shaped
         details.append(f"eta={eta:g}: even {even:.1e}, neg {negativity:.1e}, bump {bump:.1e}")
     return _result("averaging_shape_preservation", ok, "; ".join(details))
 
@@ -203,48 +244,46 @@ def _check_b_inverse_roundtrip(model, grid):
     rng = np.random.default_rng(107)
     worst = 0.0
     for eps in (0.4, 0.1):
-        operator = b_operator(model, grid, eps)
         g = random_band_limited(grid, 30.0, rng, parity="even")
-        back = operator.apply(invert_b(model, grid, eps, g))
+        back = b_operator(model, grid, eps).apply(invert_b(model, grid, eps, g))
         worst = max(worst, l2_norm(back - g) / l2_norm(g))
     return _result("b_inverse_roundtrip", worst <= 1e-12, f"max relative gap {worst:.2e}")
 
 
 def _check_b_inverse_self_adjoint(model, grid):
     rng = np.random.default_rng(108)
-    eps = 0.2
-    worst = 0.0
-    for _ in range(3):
-        f = random_band_limited(grid, 25.0, rng)
-        g = random_band_limited(grid, 25.0, rng)
-        gap = abs(
-            inner_product(invert_b(model, grid, eps, f), g)
-            - inner_product(f, invert_b(model, grid, eps, g))
-        )
-        worst = max(worst, gap)
+    worst = _adjoint_defect(grid, rng, 25.0, lambda f: invert_b(model, grid, 0.2, f))
     return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
-def _check_cutoff_inverse_stability(model, grid):
+def _split_inverse_constants(model, grid) -> list[float]:
+    """max over a 20-profile ensemble of (|S B_eps^{-1} g|_{W22} +
+    |(1 - S) B_eps^{-1} g|_2 / eps^2) / |g|_2, S the |k| <= 4/eps cutoff,
+    for each eps of the sweep."""
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
     rng = np.random.default_rng(109)
-    ensemble = [random_band_limited(grid, band, rng, parity="even", decay=1.0) for _ in range(20)]
+    # Parseval: each squared norm is a weighted sum of |rfft g|^2 (h/N cancels in
+    # the ratio) and B_eps^{-1} divides it by b_eps^2, so one rfft per profile
+    # serves every eps; blocks of five hold less memory than the per-profile route
+    power = np.empty((20, len(grid.half_wavenumbers)))
+    for block in np.split(power, 4):
+        rows = random_band_limited_rows(grid, band, rng, 5, "even", 1.0)
+        block[:] = np.abs(np.fft.rfft(rows)) ** 2
+        del rows
+    norms = np.sqrt(np.einsum("pn,n->p", power, grid.half_weights))
     ratios = []
     for eps in _EPS_SWEEP:
-        worst = 0.0
-        for g in ensemble:
-            inverted = invert_b(model, grid, eps, g)
-            smooth = cutoff(grid, eps, inverted)
-            rough = inverted - smooth
-            value = (sobolev22_norm(smooth) + l2_norm(rough) / eps**2) / l2_norm(g)
-            worst = max(worst, value)
-        ratios.append(worst)
-    spread = max(ratios) / min(ratios)
-    return _result(
-        "cutoff_inverse_stability",
-        spread < 2.0,
-        f"constants {['%.3f' % r for r in ratios]}, spread {spread:.3f}",
-    )
+        inverse_sq = (1.0 / b_operator(model, grid, eps).symbol) ** 2
+        smooth = cutoff_symbol(grid, eps)
+        smooth_sq = np.einsum("pn,n->p", power, grid.sobolev22_weights * smooth * inverse_sq)
+        rough_sq = np.einsum("pn,n->p", power, grid.half_weights * (1.0 - smooth) * inverse_sq)
+        ratios.append(float(np.max((np.sqrt(smooth_sq) + np.sqrt(rough_sq) / eps**2) / norms)))
+    return ratios
+
+
+def _check_cutoff_inverse_stability(model, grid):
+    constants = _split_inverse_constants(model, grid)
+    return _uniformity("cutoff_inverse_stability", "constants", constants)
 
 
 def _check_von_neumann_geometric(model, grid):
@@ -265,15 +304,8 @@ def _check_von_neumann_geometric(model, grid):
 
 def _check_von_neumann_shape_preservation(model, grid):
     w0 = kdv_profile(model, grid)
-    eps = 0.2
-    ok = True
-    partials = list(islice(von_neumann_partial_sums(model, grid, eps, w0), 10))
-    for terms in (1, 3, 10):
-        partial = partials[terms - 1]
-        scale = sup_norm(partial)
-        ok &= float(np.min(partial.values)) >= -1e-12 * scale
-        ok &= evenness_defect(partial) <= 1e-12 * scale
-        ok &= unimodality_defect(partial.values) <= 1e-10 * scale
+    partials = list(islice(von_neumann_partial_sums(model, grid, 0.2, w0), 10))
+    ok = all(_shape_defects(partials[terms - 1])[0] for terms in (1, 3, 10))
     return _result("von_neumann_shape_preservation", ok, "nonneg/even/unimodal partial sums")
 
 
@@ -313,36 +345,20 @@ def _check_residual_boundedness(model, grid):
         pair = residuals(model, grid, eps)
         norms.append(l2_norm(pair.r) + l2_norm(pair.s))
         higher_order.append(l2_norm(pair.s))
-    spread = max(norms) / min(norms)
     branch = " (S identically 0)" if max(higher_order) == 0.0 else ""
-    return _result(
-        "residual_boundedness",
-        spread < 2.0,
-        f"norms {['%.3f' % n for n in norms]}, spread {spread:.3f}{branch}",
-    )
+    return _uniformity("residual_boundedness", "norms", norms, branch)
 
 
 def _check_quadratic_operator_limit(model, grid):
     w0 = kdv_profile(model, grid)
     limit = apply_Q0(model, w0)
     gaps = [l2_norm(apply_Q(model, eps, w0) - limit) for eps in _EPS_SWEEP]
-    slope = _fit_slope(_EPS_SWEEP, gaps)
-    return _result(
-        "quadratic_operator_limit", abs(slope - 2.0) <= 0.3, f"slope {slope:.3f} (want 2)"
-    )
+    return _second_order("quadratic_operator_limit", gaps)
 
 
 def _check_linearized_symmetry(model, grid):
-    rng = np.random.default_rng(117)
     operator = linearized_operator(model, grid, 0.2)
-    worst = 0.0
-    for _ in range(3):
-        f = random_band_limited(grid, 25.0, rng)
-        g = random_band_limited(grid, 25.0, rng)
-        gap = abs(
-            inner_product(operator.apply_l(f), g) - inner_product(f, operator.apply_l(g))
-        )
-        worst = max(worst, gap)
+    worst = _adjoint_defect(grid, np.random.default_rng(117), 25.0, operator.apply_l)
     return _result("linearized_symmetry", worst <= 1e-10, f"max defect {worst:.2e}")
 
 
@@ -355,16 +371,10 @@ def _check_linearized_kernel_direction(model, grid):
 
 def _check_linearized_strong_convergence(model, grid):
     w0 = kdv_profile(model, grid)
-    limit_operator = linearized_operator(model, grid, 0.0)
-    limit = limit_operator.apply_l(w0)
-    gaps = []
-    for eps in _EPS_SWEEP:
-        operator = linearized_operator(model, grid, eps)
-        gaps.append(l2_norm(operator.apply_l(w0) - limit))
-    slope = _fit_slope(_EPS_SWEEP, gaps)
-    return _result(
-        "linearized_strong_convergence", abs(slope - 2.0) <= 0.3, f"slope {slope:.3f} (want 2)"
-    )
+    limit = linearized_operator(model, grid, 0.0).apply_l(w0)
+    operators = [linearized_operator(model, grid, eps) for eps in _EPS_SWEEP]
+    gaps = [l2_norm(operator.apply_l(w0) - limit) for operator in operators]
+    return _second_order("linearized_strong_convergence", gaps)
 
 
 def _check_sigma_min_uniformity(model, grid):
@@ -382,30 +392,11 @@ def _check_sigma_min_uniformity(model, grid):
     )
 
 
+# every _check_ function of this module, in the order of definition
 CHECKS = {
-    check.__name__.removeprefix("_check_"): check
-    for check in (
-        _check_averaging_self_adjoint,
-        _check_averaging_norm_bounds,
-        _check_averaging_shape_preservation,
-        _check_averaging_asymptotic_orders,
-        _check_averaging_symbol_vs_quadrature,
-        _check_b_symbol_floor,
-        _check_b_inverse_roundtrip,
-        _check_b_inverse_self_adjoint,
-        _check_cutoff_inverse_stability,
-        _check_von_neumann_geometric,
-        _check_von_neumann_shape_preservation,
-        _check_profile_ode_residual,
-        _check_profile_hamiltonian,
-        _check_profile_tail_rate,
-        _check_residual_boundedness,
-        _check_quadratic_operator_limit,
-        _check_linearized_symmetry,
-        _check_linearized_kernel_direction,
-        _check_linearized_strong_convergence,
-        _check_sigma_min_uniformity,
-    )
+    name.removeprefix("_check_"): check
+    for name, check in list(globals().items())
+    if name.startswith("_check_")
 }
 
 

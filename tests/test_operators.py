@@ -8,7 +8,13 @@ import pytest
 
 import chainwaves as cw
 from chainwaves.operators import _window_rule
-from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
+from chainwaves.verify import (
+    CHECKS,
+    _split_inverse_constants,
+    random_band_limited,
+    random_band_limited_rows,
+    unimodality_defect,
+)
 
 
 def test_sinc_values():
@@ -273,6 +279,16 @@ def test_von_neumann_preserves_shape(model1, grid1):
         cw.von_neumann_inverse(model1, grid1, 0.2, w0, 0)
 
 
+def test_unimodality_defect_values():
+    # the largest rise after the peak or drop before it, and +0.0, never
+    # -0.0, when there is none, so that verify's reports print 0.0e+00
+    assert unimodality_defect([0.0, 1.0, 3.0, 2.0, 2.5, 0.0]) == 0.5
+    assert unimodality_defect([1.0, 0.5, 3.0, 0.0]) == 0.5
+    for shaped in ([5.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0], [0.0, 2.0, 2.0, 1.0]):
+        assert math.copysign(1.0, unimodality_defect(shaped)) == 1.0
+        assert unimodality_defect(shaped) == 0.0
+
+
 def test_von_neumann_inverse_is_generator_item(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     partials = islice(cw.von_neumann_partial_sums(model1, grid1, 0.1, w0), 40)
@@ -285,36 +301,104 @@ def test_von_neumann_inverse_is_generator_item(model1, grid1):
         next(cw.von_neumann_partial_sums(model1, grid1, -0.1, w0))
 
 
-def test_von_neumann_check_makes_one_pass(model1, grid1, monkeypatch):
-    # the geometric check on M1, N = 1024: one invert_b and 39 applications
-    # of T per eps (0.4 and 0.1); rebuilding every partial sum from scratch
-    # took 1562
-    calls = []
-    apply = cw.MultiplierOperator.apply
+def test_von_neumann_partial_sums_match_term_by_term(model1, model2):
+    # the spectra carried from item to item against applying T to a grid
+    # function once per term, each application an rfft/irfft pair
+    for model in (model1, model2):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        w0 = cw.kdv_profile(model, grid)
+        for eps in (0.4, 0.1):
+            t_symbol = sum(
+                alpha * m**2 * cw.averaging_symbol(grid, m * eps) ** 2
+                for m, alpha in enumerate(model.alpha, start=1)
+            )
+            t_op = cw.MultiplierOperator(grid, t_symbol)
+            denominator = eps**2 + model.sound_speed_sq
+            power, total = w0, (eps**2 / denominator) * w0
+            partials = cw.von_neumann_partial_sums(model, grid, eps, w0)
+            for i, partial in enumerate(islice(partials, 40), start=1):
+                gap = cw.l2_norm(partial - total)
+                assert gap <= 1e-13 * cw.l2_norm(total), (model.alpha, eps, i)
+                power = t_op.apply(power)
+                total = total + (eps**2 / denominator ** (i + 1)) * power
 
-    def counted(self, f):
-        calls.append(self.grid.num_points)
-        return apply(self, f)
 
-    monkeypatch.setattr(cw.MultiplierOperator, "apply", counted)
+def test_von_neumann_check_makes_one_pass(model1, grid1, transform_lengths):
+    # the geometric check on M1, N = 1024, per eps (0.4 and 0.1): invert_b is
+    # one rfft/irfft pair, and the series one rfft of w0 and one irfft per
+    # partial sum (40): 2 x (2 + 1 + 40) transforms; applying T to a grid
+    # function per term took 160
+    lengths = transform_lengths()
     result = CHECKS["von_neumann_geometric"](model1, grid1)
     assert result.passed, result.detail
-    assert len(calls) == 80
+    assert lengths == [1024] * 86
 
 
-def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
-    # one 20-profile ensemble shared by the four eps; re-seeding per eps
-    # drew the same profiles 80 times
-    draws = []
+def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch, transform_lengths):
+    # one 20-profile ensemble shared by the four eps, drawn in four blocks of
+    # five and transformed once: per block one irfft (the draw) and one rfft
+    # call of five rows; the per-profile route made 420 single-row transforms
+    draws, calls = [], []
 
-    def counted(*args, **kwargs):
-        draws.append(args[1])
-        return random_band_limited(*args, **kwargs)
+    def counted(grid, band, rng, count, *args):
+        draws.append(count)
+        return random_band_limited_rows(grid, band, rng, count, *args)
 
-    monkeypatch.setattr("chainwaves.verify.random_band_limited", counted)
+    monkeypatch.setattr("chainwaves.verify.random_band_limited_rows", counted)
+    lengths = transform_lengths()
+    for name in ("rfft", "irfft"):
+
+        def call(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append((_name, len(a)))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
     result = CHECKS["cutoff_inverse_stability"](model1, grid1)
     assert result.passed, result.detail
-    assert len(draws) == 20
+    assert draws == [5] * 4
+    assert calls == [("irfft", 5), ("rfft", 5)] * 4
+    assert lengths == [1024] * 40
+
+
+@pytest.mark.parametrize("parity", ["none", "even", "odd"])
+def test_random_profiles_consume_2n_normals_each(grid1, parity):
+    # the stream the seeded checks were written against: an amplitude and a
+    # phase draw of N normals per profile, the phase unused unless parity is none
+    rng = np.random.default_rng(7)
+    random_band_limited_rows(grid1, 30.0, rng, 3, parity)
+    reference = np.random.default_rng(7)
+    reference.standard_normal(3 * 2 * grid1.num_points)
+    assert rng.standard_normal() == reference.standard_normal()
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
+def test_split_inverse_constants_match_per_profile_route(name, model1, model2, model2_cubic):
+    # the check's block route against random_band_limited -> invert_b ->
+    # cutoff -> sobolev22_norm / l2_norm, one profile at a time
+    model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
+    rng = np.random.default_rng(109)
+    ensemble = [random_band_limited(grid, band, rng, parity="even", decay=1.0) for _ in range(20)]
+    rows = random_band_limited_rows(grid, band, np.random.default_rng(109), 20, "even", 1.0)
+    assert np.max(np.abs(rows - np.array([g.values for g in ensemble]))) <= 1e-15
+    expected = []
+    for eps in (0.4, 0.2, 0.1, 0.05):
+        worst = 0.0
+        for g in ensemble:
+            inverted = cw.invert_b(model, grid, eps, g)
+            smooth = cw.cutoff(grid, eps, inverted)
+            rough = inverted - smooth
+            value = (cw.sobolev22_norm(smooth) + cw.l2_norm(rough) / eps**2) / cw.l2_norm(g)
+            worst = max(worst, value)
+        expected.append(worst)
+    # where the band lies inside |k| <= 4/eps the rough part is 0, and the
+    # per-profile route's inverted - smooth is its round-off, about eps_mach
+    # |inverted| <= eps_mach |g|, amplified by 1/eps^2: 8.4e-14 relative on M2
+    # at eps 0.05, against <= 1.0e-15 where the rough part is not 0
+    constants = _split_inverse_constants(model, grid)
+    for eps, got, want in zip((0.4, 0.2, 0.1, 0.05), constants, expected):
+        assert abs(got - want) <= 1e-13 * want + np.finfo(float).eps / eps**2, (eps, got, want)
 
 
 def test_averaging_self_adjoint_and_bounds(grid1, rng):
