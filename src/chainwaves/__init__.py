@@ -24,7 +24,6 @@ from .grid import (
     apply_symbol,
     derivative,
     evenness_defect,
-    grid_function,
     inner_product,
     l2_norm,
     make_grid,
@@ -60,21 +59,12 @@ from .model import (
     tw_residual,
 )
 from .operators import (
-    MultiplierOperator,
     averaging_direct,
-    averaging_operator,
     averaging_symbol,
-    b0_operator,
     b0_symbol,
-    b_operator,
+    b_diagonal,
     b_symbol,
-    cutoff,
-    discrete_gradient,
-    invert_b,
-    invert_b0,
     sinc,
-    translate,
-    von_neumann_inverse,
     von_neumann_partial_sums,
 )
 from .solver import (

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 
 from .errors import ChainwavesError, ConfigError, WindowOverflowError
 from .grid import SpectralGrid, make_grid
-from .lattice import run_transport
+from .lattice import _check_dt, _dt_guard, run_transport
 from .model import ChainModel, PsiFamily, default_half_length
 from .solver import SolveConfig, SweepRow, convergence_sweep, solve_wave
 from .verify import run_verification
@@ -230,9 +229,11 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(particles, int) or isinstance(particles, bool) or particles < 2:
             raise ConfigError("sim.particles must be an integer >= 2")
         dt = _positive_number(sim_section["dt"], "sim.dt")
-        guard = 0.1 / math.sqrt(model.sound_speed_sq)
-        if dt > guard * (1.0 + 1e-12):
-            raise ConfigError(f"sim.dt = {dt:g} above the stability guard {guard:g}")
+        try:
+            _check_dt(model, dt)
+        except ValueError:
+            guard = _dt_guard(model)
+            raise ConfigError(f"sim.dt = {dt:g} above the stability guard {guard:g}") from None
         horizon = _positive_number(sim_section["horizon"], "sim.horizon")
         threshold = _positive_number(
             sim_section.get("max_transport_error", 0.02), "sim.max_transport_error"

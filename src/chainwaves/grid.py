@@ -34,7 +34,6 @@ __all__ = [
     "GridFunction",
     "make_grid",
     "apply_symbol",
-    "grid_function",
     "l2_norm",
     "sup_norm",
     "sobolev22_norm",
@@ -125,9 +124,14 @@ def apply_symbol(values, half_symbol) -> NDArray[np.float64]:
     ``values`` is an (N,) array of real samples or an (N, B) array of columns;
     ``half_symbol`` is the symbol on ``grid.half_wavenumbers``. Only the real
     part of the Nyquist entry acts, so a symbol odd in k must vanish there.
+    A symbol of another length than N/2 + 1 raises ``GridMismatchError``.
     """
     values = np.asarray(values, dtype=float)
     symbol = np.asarray(half_symbol)
+    if len(symbol) != values.shape[0] // 2 + 1:
+        raise GridMismatchError(
+            f"symbol has {len(symbol)} entries, samples need {values.shape[0] // 2 + 1}"
+        )
     if values.ndim == 2:
         symbol = symbol[:, None]
     return np.fft.irfft(symbol * np.fft.rfft(values, axis=0), n=values.shape[0], axis=0)
@@ -180,11 +184,6 @@ class GridFunction:
 
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.grid, -self.values)
-
-
-def grid_function(grid: SpectralGrid, values) -> GridFunction:
-    """Convenience constructor accepting any array-like of samples."""
-    return GridFunction(grid, np.asarray(values, dtype=float))
 
 
 def l2_norm(f: GridFunction) -> float:

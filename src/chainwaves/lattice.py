@@ -245,8 +245,14 @@ def _add_exp_tail(stretch, scales, force) -> None:
     force += _exp_tail(stretch, 3) * scales
 
 
+def _dt_guard(model: ChainModel) -> float:
+    """The Verlet stability guard 0.1/c0 on the time step."""
+    return _DT_GUARD / math.sqrt(model.sound_speed_sq)
+
+
 def _check_dt(model: ChainModel, dt: float) -> None:
-    guard = _DT_GUARD / math.sqrt(model.sound_speed_sq)
+    """Reject dt outside (0, guard], admitting 1e-12 relative slack above the guard."""
+    guard = _dt_guard(model)
     if not 0 < dt <= guard * (1.0 + 1e-12):
         raise ValueError(f"dt must be in (0, {guard:g}], got {dt}")
 

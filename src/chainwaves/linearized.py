@@ -60,7 +60,7 @@ from numpy.typing import NDArray
 from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
 from .grid import GridFunction, SpectralGrid
 from .model import ChainModel, PsiFamily, kdv_profile
-from .operators import averaging_stack, b0_symbol, b_symbol
+from .operators import averaging_stack, b_diagonal
 
 __all__ = [
     "LinearizedOperator", "linearized_operator", "cosine_scale", "even_coefficients",
@@ -194,15 +194,6 @@ class LinearizedOperator:
         return np.fft.rfft(self.w0.values)
 
     @cached_property
-    def _b_diagonal(self) -> NDArray[np.float64]:
-        """Symbol of B_eps on ``grid.half_wavenumbers``, its diagonal in
-        cosine coordinates."""
-        k = self.grid.half_wavenumbers
-        if self.eps == 0:
-            return np.asarray(b0_symbol(self.model, k))
-        return np.asarray(b_symbol(self.model, self.eps, k))
-
-    @cached_property
     def _assembled(self):
         """Coupling data: the (M, N) columns c_m, one row per neighbor range,
         and the stack of window averages A_{m eps} (all symbols 1 at eps = 0)."""
@@ -235,14 +226,15 @@ class LinearizedOperator:
         if v.grid != self.grid:
             raise GridMismatchError("operand grid differs from operator grid")
         spectrum = np.fft.rfft(v.values)
-        spectrum = self._b_diagonal * spectrum - self._coupling_spectrum(spectrum)
+        b = b_diagonal(self.model, self.grid, self.eps)
+        spectrum = b * spectrum - self._coupling_spectrum(spectrum)
         return GridFunction(self.grid, np.fft.irfft(spectrum, n=self.grid.num_points))
 
     def _apply_even(self, coefficients: NDArray) -> NDArray:
         """L_eps in orthonormal cosine coordinates."""
         scale = cosine_scale(self.grid)
         coupling = self._coupling_spectrum(coefficients / scale).real
-        return self._b_diagonal * coefficients - scale * coupling
+        return b_diagonal(self.model, self.grid, self.eps) * coefficients - scale * coupling
 
     def even_matrix(self) -> NDArray[np.float64]:
         """Dense (N/2 + 1)^2 matrix of L_eps in the orthonormal cosine
@@ -264,7 +256,7 @@ class LinearizedOperator:
         m = n // 2 + 1
         scale = cosine_scale(self.grid)
         column_factor = self.grid.half_weights / ((2.0 * n) * scale)
-        matrix = np.diag(self._b_diagonal)
+        matrix = np.diag(b_diagonal(self.model, self.grid, self.eps))
         for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols):
             toeplitz = sliding_window_view(np.concatenate([spectrum[:0:-1], spectrum]), m)
             hankel = sliding_window_view(np.concatenate([spectrum, spectrum[-2::-1]]), m)
@@ -288,7 +280,8 @@ class LinearizedOperator:
         budget / 100. Both leave room for the round-off of the synthesis.
         """
         _, values, _ = self._coarse_eigenpairs
-        bound = math.sqrt(max(float(self._b_diagonal.max()), float(np.abs(values).max())))
+        b_max = float(b_diagonal(self.model, self.grid, self.eps).max())
+        bound = math.sqrt(max(b_max, float(np.abs(values).max())))
         return _preconditioned_minres(
             self._apply_even, self._preconditioner, rhs, 1e-2 * tol, 1e-2 * budget / bound, x0
         )
@@ -305,7 +298,7 @@ class LinearizedOperator:
         B_eps dominates L_eps. Both blocks are SPD, as MINRES requires.
         """
         _, values, vectors = self._coarse_eigenpairs
-        inverse_b = 1.0 / self._b_diagonal
+        inverse_b = 1.0 / b_diagonal(self.model, self.grid, self.eps)
         inverse_values = 1.0 / np.abs(values)
         m = values.size
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CurvatureWarning, DomainTooSmallError
 from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
-from .operators import averaging_stack, averaging_symbol, b_operator
+from .operators import averaging_stack, averaging_symbol, b_diagonal
 
 __all__ = [
     "PsiFamily", "ChainModel", "KdvConstants", "kdv_constants", "default_half_length",
@@ -366,7 +366,7 @@ def tw_defect_spectrum(model: ChainModel, eps: float, grid: SpectralGrid, spectr
     2M length-N transforms. Every symbol is real, so for an even w the real
     and imaginary parts of the result are the spectra of G's even and odd
     parts."""
-    b = b_operator(model, grid, eps).symbol
+    b = b_diagonal(model, grid, eps)
     stack = averaging_stack(grid, eps, model.neighbor_range)
     averages = stack.average(spectrum)
     ranges = np.arange(1, model.neighbor_range + 1)

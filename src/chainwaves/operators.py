@@ -1,4 +1,4 @@
-"""Fourier multiplier calculus: window averages, their inverses, and cutoffs.
+"""Fourier multiplier symbols: window averages, the linear part B_eps, cutoffs.
 
 The sliding-window average over [x - eta/2, x + eta/2] diagonalizes in Fourier
 space with symbol sinc(eta*k/2). Collecting the linear terms of the traveling
@@ -9,7 +9,9 @@ wave problem produces the operator with symbol
 whose formal small-eps limit is b_0(k) = 1 + (sum_m alpha_m m^4 / 12) k^2.
 Both symbols are bounded below by 1, so their inverses act by safe pointwise
 division. All operators here are real, even in k, parity-preserving, and
-self-adjoint in the discrete L2 pairing.
+self-adjoint in the discrete L2 pairing. Each is an array on
+``grid.half_wavenumbers``, applied to samples by ``grid.apply_symbol``
+(``AveragingStack`` is its batched form); the cached ones are read-only.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GridMismatchError
 from .grid import GridFunction, SpectralGrid, apply_symbol
 
 if TYPE_CHECKING:
@@ -31,24 +32,15 @@ if TYPE_CHECKING:
 
 __all__ = [
     "sinc",
-    "MultiplierOperator",
     "averaging_symbol",
     "AveragingStack",
     "averaging_stack",
-    "averaging_operator",
     "averaging_direct",
-    "translate",
-    "discrete_gradient",
     "b_symbol",
     "b0_symbol",
-    "b_operator",
-    "b0_operator",
-    "invert_b",
-    "invert_b0",
-    "cutoff",
+    "b_diagonal",
     "cutoff_symbol",
     "von_neumann_partial_sums",
-    "von_neumann_inverse",
 ]
 
 _SINC_SERIES_CUTOFF = 1e-4
@@ -81,30 +73,6 @@ def _one_minus_sinc_sq(z):
     series = z2 * (1.0 / 3.0 + z2 * (-2.0 / 45.0 + z2 * (1.0 / 315.0 - z2 * 2.0 / 14175.0)))
     s = sinc(np.where(small, 1.0, z))
     return np.where(small, series, 1.0 - np.asarray(s) ** 2)
-
-
-@dataclass(frozen=True)
-class MultiplierOperator:
-    """Diagonal-in-Fourier operator: a real symbol, even in k, on ``grid.half_wavenumbers``."""
-
-    grid: SpectralGrid
-    symbol: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        symbol = np.array(self.symbol, dtype=float, copy=True)
-        n_modes = self.grid.num_points // 2 + 1
-        if symbol.shape != (n_modes,):
-            raise ValueError(f"symbol needs {n_modes} entries, got {symbol.shape}")
-        if not np.all(np.isfinite(symbol)):
-            raise ValueError("symbol values must be finite")
-        symbol.flags.writeable = False
-        object.__setattr__(self, "symbol", symbol)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        """Multiply coefficients by the symbol; preserves realness and parity."""
-        if f.grid != self.grid:
-            raise GridMismatchError(f"operator on {self.grid}, function on {f.grid}")
-        return GridFunction(self.grid, apply_symbol(f.values, self.symbol))
 
 
 @lru_cache(maxsize=32)
@@ -145,13 +113,6 @@ def averaging_stack(grid: SpectralGrid, eps: float, count: int) -> AveragingStac
     return AveragingStack(grid, symbols)
 
 
-def averaging_operator(grid: SpectralGrid, eta: float) -> MultiplierOperator:
-    """Sliding-window average of width eta, symbol sinc(eta*k/2)."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return MultiplierOperator(grid, averaging_symbol(grid, eta))
-
-
 def _window_rule(eta: float, count: int):
     """Gauss-Legendre offsets and weights for (1/eta) int_{-eta/2}^{eta/2} g(o) do."""
     nodes, weights = np.polynomial.legendre.leggauss(count)
@@ -175,34 +136,6 @@ def averaging_direct(eta: float, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, apply_symbol(f.values, window))
 
 
-def translate(f: GridFunction, shift: float) -> GridFunction:
-    """Samples of x -> f(x + shift) via phase multiplication.
-
-    The Nyquist mode is zeroed: for shifts off the grid it has no
-    symmetric real representation.
-    """
-    phase = np.exp(1j * f.grid.half_wavenumbers * shift)
-    phase[-1] = 0.0
-    return GridFunction(f.grid, apply_symbol(f.values, phase))
-
-
-def discrete_gradient(f: GridFunction, shift: float) -> GridFunction:
-    """Difference quotient over a signed shift, translations done spectrally.
-
-    Positive shift s gives (f(x+s) - f(x))/s, negative gives
-    (f(x) - f(x-|s|))/|s|. The shift need not be commensurate with the
-    grid spacing.
-    """
-    if shift == 0:
-        raise ValueError("shift must be nonzero")
-    step = abs(shift)
-    if shift > 0:
-        diff = translate(f, step).values - f.values
-    else:
-        diff = f.values - translate(f, -step).values
-    return GridFunction(f.grid, diff / step)
-
-
 def b_symbol(model: "ChainModel", eps: float, k):
     """Symbol 1 + sum_m alpha_m m^2 (1 - sinc^2(m k eps / 2)) / eps^2, >= 1."""
     if not eps > 0:
@@ -222,23 +155,14 @@ def b0_symbol(model: "ChainModel", k):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=8)
-def b_operator(model: "ChainModel", grid: SpectralGrid, eps: float) -> MultiplierOperator:
-    # cached: the corrector evaluates the defect, and with it B_eps, every step
-    return MultiplierOperator(grid, b_symbol(model, eps, grid.half_wavenumbers))
-
-
-def b0_operator(model: "ChainModel", grid: SpectralGrid) -> MultiplierOperator:
-    return MultiplierOperator(grid, b0_symbol(model, grid.half_wavenumbers))
-
-
-def invert_b(model: "ChainModel", grid: SpectralGrid, eps: float, g: GridFunction) -> GridFunction:
-    """Divide coefficients by b_eps; safe since the symbol is >= 1."""
-    return MultiplierOperator(grid, 1.0 / b_operator(model, grid, eps).symbol).apply(g)
-
-
-def invert_b0(model: "ChainModel", grid: SpectralGrid, g: GridFunction) -> GridFunction:
-    return MultiplierOperator(grid, 1.0 / b0_symbol(model, grid.half_wavenumbers)).apply(g)
+@lru_cache(maxsize=16)
+def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
+    """Read-only symbol of B_eps on ``grid.half_wavenumbers``, B_0 at eps = 0;
+    cached: the defect and L_eps read it at every chord step."""
+    k = grid.half_wavenumbers
+    symbol = np.asarray(b_symbol(model, eps, k) if eps else b0_symbol(model, k))
+    symbol.flags.writeable = False
+    return symbol
 
 
 def cutoff_symbol(grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
@@ -246,11 +170,6 @@ def cutoff_symbol(grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return (grid.half_wavenumbers <= 4.0 / eps).astype(float)
-
-
-def cutoff(grid: SpectralGrid, eps: float, f: GridFunction) -> GridFunction:
-    """Zero all modes with |k| > 4/eps; idempotent and l2-nonexpansive."""
-    return MultiplierOperator(grid, cutoff_symbol(grid, eps)).apply(f)
 
 
 def von_neumann_partial_sums(
@@ -266,7 +185,7 @@ def von_neumann_partial_sums(
 
         partial(n) = eps^2 * sum_{i<n} T^i f / (eps^2 + c0^2)^(i+1),
 
-    converging to invert_b(f) geometrically with ratio at most
+    converging to B_eps^{-1} f geometrically with ratio at most
     c0^2/(eps^2 + c0^2). The running power T^i f and the running sum are
     carried as rfft spectra: f is transformed once, and each item costs one
     multiplication by T's symbol and one irfft. The generator is endless;
@@ -286,21 +205,3 @@ def von_neumann_partial_sums(
         power *= t_symbol
         total += (eps**2 / denominator ** (i + 1)) * power
 
-
-def von_neumann_inverse(
-    model: "ChainModel",
-    grid: SpectralGrid,
-    eps: float,
-    f: GridFunction,
-    terms: int,
-) -> GridFunction:
-    """partial(terms) of ``von_neumann_partial_sums``, bitwise its item.
-
-    Exposed with an explicit term count: this is a verification oracle, not
-    the production inverse. A caller that needs several term counts should
-    read them from one pass of the generator, since this call recomputes
-    the terms - 1 items before it each time.
-    """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    return next(islice(von_neumann_partial_sums(model, grid, eps, f), terms - 1, None))

@@ -20,6 +20,7 @@ import numpy as np
 from .grid import (
     GridFunction,
     SpectralGrid,
+    apply_symbol,
     derivative,
     evenness_defect,
     inner_product,
@@ -30,11 +31,10 @@ from .linearized import linearized_operator
 from .model import ChainModel, apply_Q, apply_Q0, kdv_constants, kdv_profile
 from .operators import (
     averaging_direct,
-    averaging_operator,
-    b_operator,
+    averaging_symbol,
+    b_diagonal,
     b_symbol,
     cutoff_symbol,
-    invert_b,
     von_neumann_partial_sums,
 )
 from .solver import measure_tail_decay, residuals
@@ -162,8 +162,11 @@ def _shape_defects(f):
 
 def _check_averaging_self_adjoint(model, grid):
     rng = np.random.default_rng(101)
-    averages = [averaging_operator(grid, eta).apply for eta in (0.3, 0.8)]
-    worst = max(_adjoint_defect(grid, rng, 20.0, apply) for apply in averages)
+    symbols = [averaging_symbol(grid, eta) for eta in (0.3, 0.8)]
+    worst = max(
+        _adjoint_defect(grid, rng, 20.0, lambda f: GridFunction(grid, apply_symbol(f.values, s)))
+        for s in symbols
+    )
     return _result("averaging_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -172,10 +175,10 @@ def _check_averaging_norm_bounds(model, grid):
     ok = True
     worst = 0.0
     for eta in (0.3, 0.8):
-        operator = averaging_operator(grid, eta)
+        symbol = averaging_symbol(grid, eta)
         for _ in range(3):
             f = random_band_limited(grid, 40.0, rng)
-            averaged = operator.apply(f)
+            averaged = GridFunction(grid, apply_symbol(f.values, symbol))
             ok &= l2_norm(averaged) <= l2_norm(f) * (1 + 1e-12)
             ratio = sup_norm(averaged) / (eta**-0.5 * l2_norm(f))
             worst = max(worst, ratio)
@@ -188,7 +191,8 @@ def _check_averaging_shape_preservation(model, grid):
     ok = True
     details = []
     for eta in (0.3, 0.8):
-        shaped, (even, negativity, bump) = _shape_defects(averaging_operator(grid, eta).apply(w0))
+        averaged = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
+        shaped, (even, negativity, bump) = _shape_defects(averaged)
         ok &= shaped
         details.append(f"eta={eta:g}: even {even:.1e}, neg {negativity:.1e}, bump {bump:.1e}")
     return _result("averaging_shape_preservation", ok, "; ".join(details))
@@ -202,7 +206,7 @@ def _check_averaging_asymptotic_orders(model, grid):
     w2 = constants.d1 * w0 - constants.d2 * (w0 * w0)
     plain, corrected = [], []
     for eta in _ETA_SWEEP:
-        averaged = averaging_operator(grid, eta).apply(w0)
+        averaged = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
         plain.append(l2_norm(averaged - w0))
         corrected.append(l2_norm(averaged - w0 - (eta**2 / 24.0) * w2))
     slope1 = _fit_slope(_ETA_SWEEP, plain)
@@ -217,7 +221,7 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
     w0 = kdv_profile(model, grid)
     worst = 0.0
     for eta in (0.4, 0.1):
-        symbol_route = averaging_operator(grid, eta).apply(w0)
+        symbol_route = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
         direct_route = averaging_direct(eta, w0)
         worst = max(worst, l2_norm(symbol_route - direct_route))
     return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
@@ -245,14 +249,18 @@ def _check_b_inverse_roundtrip(model, grid):
     worst = 0.0
     for eps in (0.4, 0.1):
         g = random_band_limited(grid, 30.0, rng, parity="even")
-        back = b_operator(model, grid, eps).apply(invert_b(model, grid, eps, g))
+        b = b_diagonal(model, grid, eps)
+        back = GridFunction(grid, apply_symbol(apply_symbol(g.values, 1.0 / b), b))
         worst = max(worst, l2_norm(back - g) / l2_norm(g))
     return _result("b_inverse_roundtrip", worst <= 1e-12, f"max relative gap {worst:.2e}")
 
 
 def _check_b_inverse_self_adjoint(model, grid):
     rng = np.random.default_rng(108)
-    worst = _adjoint_defect(grid, rng, 25.0, lambda f: invert_b(model, grid, 0.2, f))
+    inverse = 1.0 / b_diagonal(model, grid, 0.2)
+    worst = _adjoint_defect(
+        grid, rng, 25.0, lambda f: GridFunction(grid, apply_symbol(f.values, inverse))
+    )
     return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -273,7 +281,7 @@ def _split_inverse_constants(model, grid) -> list[float]:
     norms = np.sqrt(np.einsum("pn,n->p", power, grid.half_weights))
     ratios = []
     for eps in _EPS_SWEEP:
-        inverse_sq = (1.0 / b_operator(model, grid, eps).symbol) ** 2
+        inverse_sq = (1.0 / b_diagonal(model, grid, eps)) ** 2
         smooth = cutoff_symbol(grid, eps)
         smooth_sq = np.einsum("pn,n->p", power, grid.sobolev22_weights * smooth * inverse_sq)
         rough_sq = np.einsum("pn,n->p", power, grid.half_weights * (1.0 - smooth) * inverse_sq)
@@ -291,7 +299,7 @@ def _check_von_neumann_geometric(model, grid):
     ok = True
     details = []
     for eps in (0.4, 0.1):
-        exact = invert_b(model, grid, eps, w0)
+        exact = GridFunction(grid, apply_symbol(w0.values, 1.0 / b_diagonal(model, grid, eps)))
         partials = von_neumann_partial_sums(model, grid, eps, w0)
         errors = [l2_norm(partial - exact) for partial in islice(partials, 40)]
         measured = (errors[-1] / errors[-11]) ** 0.1

@@ -15,6 +15,7 @@ import pytest
 import chainwaves as cw
 from chainwaves import cli
 from chainwaves.linearized import linearized_operator
+from chainwaves.operators import cutoff_symbol
 from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
 
 EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
@@ -75,9 +76,10 @@ def test_c02_operator_oracle_equivalence(grids):
     for eps in (0.4, 0.1):
         for m in range(1, model.neighbor_range + 1):
             eta = m * eps
-            operator = cw.averaging_operator(grid, eta)
+            symbol = cw.averaging_symbol(grid, eta)
             for probe in probes:
-                gap = cw.l2_norm(operator.apply(probe) - cw.averaging_direct(eta, probe))
+                symbol_route = cw.GridFunction(grid, cw.apply_symbol(probe.values, symbol))
+                gap = cw.l2_norm(symbol_route - cw.averaging_direct(eta, probe))
                 worst = max(worst, gap)
     report("C2 operator oracle equivalence", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
@@ -93,12 +95,13 @@ def test_c04_inverse_stability(grids):
     band = 120.0
     constants = []
     for eps in EPS_SWEEP:
+        inverse, cutoff = 1.0 / cw.b_diagonal(model, grid, eps), cutoff_symbol(grid, eps)
         rng = np.random.default_rng(204)  # identical ensemble per eps
         worst = 0.0
         for _ in range(20):
             g = random_band_limited(grid, band, rng, parity="even", decay=1.0)
-            inverted = cw.invert_b(model, grid, eps, g)
-            smooth = cw.cutoff(grid, eps, inverted)
+            inverted = cw.GridFunction(grid, cw.apply_symbol(g.values, inverse))
+            smooth = cw.GridFunction(grid, cw.apply_symbol(inverted.values, cutoff))
             rough = inverted - smooth
             value = (
                 cw.sobolev22_norm(smooth) + cw.l2_norm(rough) / eps**2

@@ -33,22 +33,22 @@ def test_grid_function_rejects_nonfinite(grid1):
     values = np.zeros(grid1.num_points)
     values[3] = np.inf
     with pytest.raises(ValueError):
-        cw.grid_function(grid1, values)
+        cw.GridFunction(grid1, values)
 
 
 def test_grid_function_values_locked(grid1):
-    f = cw.grid_function(grid1, np.ones(grid1.num_points))
+    f = cw.GridFunction(grid1, np.ones(grid1.num_points))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
 
 
 def test_l2_norm_zero(grid1):
-    assert cw.l2_norm(cw.grid_function(grid1, np.zeros(grid1.num_points))) == 0.0
+    assert cw.l2_norm(cw.GridFunction(grid1, np.zeros(grid1.num_points))) == 0.0
 
 
 def test_l2_norm_constant():
     grid = cw.make_grid(1.0, 16)
-    f = cw.grid_function(grid, np.ones(16))
+    f = cw.GridFunction(grid, np.ones(16))
     assert cw.l2_norm(f) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
@@ -56,26 +56,26 @@ def test_l2_norm_sech_squared_analytic():
     # independent oracle: int sech^4(x/2) dx = 8/3 (antiderivative of sech^4
     # is tanh - tanh^3/3, doubled by the substitution u = x/2)
     grid = cw.make_grid(40.0, 4096)
-    f = cw.grid_function(grid, 1.0 / np.cosh(grid.nodes / 2.0) ** 2)
+    f = cw.GridFunction(grid, 1.0 / np.cosh(grid.nodes / 2.0) ** 2)
     assert cw.l2_norm(f) == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-8)
 
 
 def test_sup_norm_cases(grid1, model1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sup_norm(zero) == 0.0
     w0 = cw.kdv_profile(model1, grid1)
     constants = cw.kdv_constants(model1)
     assert cw.sup_norm(w0) == pytest.approx(1.5 * constants.d1 / constants.d2, abs=1e-10)
     spike = np.zeros(grid1.num_points)
     spike[7] = -5.0
-    assert cw.sup_norm(cw.grid_function(grid1, spike)) == 5.0
+    assert cw.sup_norm(cw.GridFunction(grid1, spike)) == 5.0
 
 
 def test_sobolev_norm_zero_and_single_mode(grid1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sobolev22_norm(zero) == 0.0
     k = grid1.half_wavenumbers[5]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
+    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     expected = math.sqrt(1 + k**2 + k**4) * cw.l2_norm(f)
     assert cw.sobolev22_norm(f) == pytest.approx(expected, rel=1e-13)
 
@@ -90,31 +90,31 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
     k1, k2 = grid1.half_wavenumbers[3], grid1.half_wavenumbers[8]
     even_part = np.cos(k1 * grid1.nodes)
     odd_part = np.sin(k2 * grid1.nodes)
-    f = cw.grid_function(grid1, even_part + odd_part)
+    f = cw.GridFunction(grid1, even_part + odd_part)
     projected = cw.project_even(f)
     np.testing.assert_allclose(projected.values, even_part, atol=1e-13)
     assert cw.evenness_defect(projected) == 0.0
     twice = cw.project_even(projected)
     np.testing.assert_allclose(twice.values, projected.values, atol=1e-15)
     # annihilates odd input
-    odd = cw.grid_function(grid1, odd_part)
+    odd = cw.GridFunction(grid1, odd_part)
     assert cw.sup_norm(cw.project_even(odd)) < 1e-13
     # nonexpansive on random data
-    g = cw.grid_function(grid1, rng.standard_normal(grid1.num_points))
+    g = cw.GridFunction(grid1, rng.standard_normal(grid1.num_points))
     assert cw.l2_norm(cw.project_even(g)) <= cw.l2_norm(g) * (1 + 1e-14)
 
 
 def test_evenness_defect(grid1):
-    odd = cw.grid_function(grid1, np.sin(grid1.half_wavenumbers[4] * grid1.nodes))
+    odd = cw.GridFunction(grid1, np.sin(grid1.half_wavenumbers[4] * grid1.nodes))
     assert cw.evenness_defect(odd) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_derivative_constant_and_modes(grid1):
-    const = cw.grid_function(grid1, np.full(grid1.num_points, 3.7))
+    const = cw.GridFunction(grid1, np.full(grid1.num_points, 3.7))
     for order in (1, 2, 3, 4):
         assert cw.sup_norm(cw.derivative(const, order)) < 1e-12
     k = grid1.half_wavenumbers[6]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
+    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     second = cw.derivative(f, 2)
     np.testing.assert_allclose(second.values, -k**2 * f.values, atol=1e-10 * k**2)
 
@@ -128,7 +128,7 @@ def test_derivative_profile_ode(model1, grid1):
 
 @pytest.mark.parametrize("order", [0, 5, -1])
 def test_derivative_rejects_order(grid1, order):
-    f = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    f = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     with pytest.raises(ValueError):
         cw.derivative(f, order)
 
@@ -144,7 +144,7 @@ def test_derivative_composes(grid1, rng):
 
 def test_transform_roundtrip_and_parseval(grid1, rng):
     values = rng.standard_normal(grid1.num_points)
-    f = cw.grid_function(grid1, values)
+    f = cw.GridFunction(grid1, values)
     # integral-convention coefficients c_n = h (-1)^n rfft(f)_n on the half lattice
     coeff = grid1.spacing * grid1.half_sign * np.fft.rfft(f.values)
     back = np.fft.irfft(coeff / (grid1.spacing * grid1.half_sign), n=grid1.num_points)
@@ -243,7 +243,7 @@ def test_apply_symbol_matches_complex_fft(grid1, rng):
         assert np.max(np.abs(batched - expected)) <= bound
         single = cw.apply_symbol(columns[:, 0], symbol[:half])
         assert np.max(np.abs(single - expected[:, 0])) <= bound
-    f = cw.grid_function(grid1, columns[:, 1])
+    f = cw.GridFunction(grid1, columns[:, 1])
     expected = np.fft.ifft(first_order * np.fft.fft(f.values)).real
     gap = np.max(np.abs(cw.derivative(f, 1).values - expected))
     assert gap <= 1e-14 * np.max(np.abs(expected))

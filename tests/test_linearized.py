@@ -49,7 +49,7 @@ def test_even_basis_roundtrip(grid1, rng):
 
 
 def test_apply_m_zero_and_limit_formula(op1, op1_limit, grid1, model1, rng):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sup_norm(op1.apply_m(zero)) == 0.0
     v = random_band_limited(grid1, 25.0, rng, parity="even")
     coeff = 2.0 * sum(b * m**3 for m, b in enumerate(model1.beta, start=1))
@@ -76,7 +76,7 @@ def test_apply_l_kernel_direction(op1_limit):
 
 
 def test_apply_l_zero_and_symmetry(op1, grid1, rng):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sup_norm(op1.apply_l(zero)) == 0.0
     for _ in range(3):
         f = random_band_limited(grid1, 25.0, rng)
@@ -137,7 +137,8 @@ def test_apply_l_is_one_fft_pair(
         operator = linearized_operator(*arguments[case])
     grid = operator.grid
     v = random_band_limited(grid, 25.0, np.random.default_rng(29))  # neither even nor odd
-    composed = cw.grid_function(grid, cw.apply_symbol(v.values, operator._b_diagonal))
+    b = cw.b_diagonal(operator.model, grid, operator.eps)
+    composed = cw.GridFunction(grid, cw.apply_symbol(v.values, b))
     composed = composed - operator.apply_m(v)
     lengths = transform_lengths()
     applied = operator.apply_l(v)
@@ -225,7 +226,7 @@ def test_limit_poeschl_teller_eigenvectors(name, references, model2, grid2):
     y = 0.5 * np.sqrt(cw.kdv_constants(operator.model).d1) * operator.grid.nodes
     modes = (np.cosh(y) ** -3, (5.0 * np.tanh(y) ** 2 - 1.0) / np.cosh(y))
     for vector, mode in zip(vectors[:, :2].T, modes):
-        coefficients = even_coefficients(cw.grid_function(operator.grid, mode))
+        coefficients = even_coefficients(cw.GridFunction(operator.grid, mode))
         overlap = vector @ coefficients / np.linalg.norm(coefficients)
         assert 1.0 - abs(overlap) <= 1e-10
 
@@ -415,9 +416,10 @@ def test_chord_solves_certify_on_first_run(
         # eps_mach max(b) ||x|| reaches 1e-13 on M1 at N = 16384
         for operator, g, x in chord_solves:
             coordinate = np.linalg.norm(operator._apply_even(x) - cosine_scale(grid) * g.real)
-            g_even = cw.project_even(cw.grid_function(grid, np.fft.irfft(g, n=n)))
+            g_even = cw.project_even(cw.GridFunction(grid, np.fft.irfft(g, n=n)))
             residual = cw.l2_norm(operator.apply_l(even_synthesis(grid, x)) - g_even)
-            floor = 4 * np.finfo(float).eps * operator._b_diagonal.max() * np.linalg.norm(x)
+            b = cw.b_diagonal(operator.model, grid, operator.eps)
+            floor = 4 * np.finfo(float).eps * b.max() * np.linalg.norm(x)
             assert abs(coordinate - residual) <= 1e-14 * max(1.0, cw.l2_norm(g_even)) + floor
         minres = linearized._preconditioned_minres
 
@@ -566,7 +568,7 @@ def test_unconverged_sigma_min_is_near_singular(model1, rng):
 
 def test_grid_mismatch_rejected(op1):
     other = cw.make_grid(op1.grid.half_length, op1.grid.num_points * 2)
-    f = cw.grid_function(other, np.zeros(other.num_points))
+    f = cw.GridFunction(other, np.zeros(other.num_points))
     with pytest.raises(cw.GridMismatchError):
         op1.apply_l(f)
     with pytest.raises(cw.GridMismatchError):

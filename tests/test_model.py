@@ -184,7 +184,7 @@ def test_profile_hamiltonian_vanishes(model1, grid1):
 
 
 def test_apply_Q_zero_and_limit(model1, grid1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sup_norm(cw.apply_Q(model1, 0.2, zero)) == 0.0
     w0 = cw.kdv_profile(model1, grid1)
     limit = cw.apply_Q0(model1, w0)
@@ -198,7 +198,7 @@ def test_apply_Q_matches_quadrature_oracle(model1, grid1):
     # single-mode input against the direct-quadrature averaging route
     eps = 0.3
     k = grid1.half_wavenumbers[6]
-    w = cw.grid_function(grid1, np.cos(k * grid1.nodes))
+    w = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     inner = cw.averaging_direct(eps, w)
     oracle = cw.averaging_direct(eps, inner * inner)
     assert cw.l2_norm(cw.apply_Q(model1, eps, w) - oracle) < 1e-12
@@ -215,9 +215,9 @@ def test_apply_Q_nonnegative_and_even(model1, grid1, rng):
 
 
 def test_apply_Q0_cases(model2, grid2):
-    ones = cw.grid_function(grid2, np.ones(grid2.num_points))
+    ones = cw.GridFunction(grid2, np.ones(grid2.num_points))
     np.testing.assert_allclose(cw.apply_Q0(model2, ones).values, 9.0, atol=1e-14)
-    zero = cw.grid_function(grid2, np.zeros(grid2.num_points))
+    zero = cw.GridFunction(grid2, np.zeros(grid2.num_points))
     assert cw.sup_norm(cw.apply_Q0(model2, zero)) == 0.0
 
 
@@ -231,9 +231,9 @@ def test_apply_P_cubic_closed_form(grid1):
     model = cw.ChainModel((1.0,), (1.0,), PsiFamily.cubic((0.7,)))
     w0 = cw.kdv_profile(model, grid1)
     eps = 0.23
-    averaging = cw.averaging_operator(grid1, eps)
-    inner = averaging.apply(w0)
-    expected = 0.7 * averaging.apply(inner * inner * inner)
+    averaging = cw.averaging_symbol(grid1, eps)
+    inner = cw.apply_symbol(w0.values, averaging)
+    expected = cw.GridFunction(grid1, 0.7 * cw.apply_symbol(inner * inner * inner, averaging))
     image = cw.apply_P(model, eps, w0)
     assert cw.l2_norm(image - expected) <= 1e-12 * cw.l2_norm(expected)
 
@@ -247,7 +247,7 @@ def test_apply_P_bounded_over_sweep(model2_cubic):
 
 def test_apply_P_warns_outside_regime(grid1):
     model = cw.ChainModel((1.0,), (1.0,), PsiFamily.cubic((0.1,)))
-    big = cw.grid_function(grid1, np.full(grid1.num_points, 30.0))
+    big = cw.GridFunction(grid1, np.full(grid1.num_points, 30.0))
     with pytest.warns(UserWarning, match="curvature"):
         cw.apply_P(model, 1.0, big)
     with warnings.catch_warnings():
@@ -256,7 +256,7 @@ def test_apply_P_warns_outside_regime(grid1):
 
 
 def test_tw_residual_zero_and_profile_order(model1, grid1):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.tw_residual(model1, 0.2, zero) == 0.0
     w0 = cw.kdv_profile(model1, grid1)
     eps_values = (0.4, 0.2, 0.1, 0.05)
@@ -273,11 +273,11 @@ def test_tw_residual_matches_raw_eigenvalue_form(model2_cubic):
     speed_sq = model2_cubic.sound_speed_sq + eps**2
     raw = eps**2 * speed_sq * w.values
     for m in range(1, model2_cubic.neighbor_range + 1):
-        averaging = cw.averaging_operator(grid, m * eps)
-        argument = m * eps**2 * averaging.apply(w).values
+        averaging = cw.averaging_symbol(grid, m * eps)
+        argument = m * eps**2 * cw.apply_symbol(w.values, averaging)
         forced = np.asarray(model2_cubic.force(m, argument))
-        raw = raw - m * averaging.apply(cw.grid_function(grid, forced)).values
-    raw_norm = cw.l2_norm(cw.grid_function(grid, raw)) / eps**4
+        raw = raw - m * cw.apply_symbol(forced, averaging)
+    raw_norm = cw.l2_norm(cw.GridFunction(grid, raw)) / eps**4
     assert cw.tw_residual(model2_cubic, eps, w) == pytest.approx(raw_norm, rel=1e-6)
 
 

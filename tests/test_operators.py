@@ -1,13 +1,19 @@
-"""Multiplier operators: averaging, difference quotients, b-symbols, cutoff."""
+"""Multiplier symbols: averaging, b-symbols, cutoff, and the von Neumann series."""
 
+import ast
+import importlib
+import inspect
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves.operators import _window_rule
+from chainwaves import operators
+from chainwaves.model import tw_defect_spectrum
+from chainwaves.operators import _window_rule, cutoff_symbol
 from chainwaves.verify import (
     CHECKS,
     _split_inverse_constants,
@@ -15,6 +21,11 @@ from chainwaves.verify import (
     random_band_limited_rows,
     unimodality_defect,
 )
+
+
+def _apply(symbol, f):
+    """The multiplier ``symbol`` applied to the grid function f."""
+    return cw.GridFunction(f.grid, cw.apply_symbol(f.values, symbol))
 
 
 def test_sinc_values():
@@ -28,25 +39,27 @@ def test_sinc_values():
 
 
 def test_averaging_constant(grid1):
-    ones = cw.grid_function(grid1, np.ones(grid1.num_points))
-    averaged = cw.averaging_operator(grid1, 0.7).apply(ones)
+    ones = cw.GridFunction(grid1, np.ones(grid1.num_points))
+    averaged = _apply(cw.averaging_symbol(grid1, 0.7), ones)
     np.testing.assert_allclose(averaged.values, 1.0, atol=1e-13)
 
 
 def test_averaging_single_mode_exact(grid1):
     eta = 0.45
     k = grid1.half_wavenumbers[9]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
-    averaged = cw.averaging_operator(grid1, eta).apply(f)
+    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
+    averaged = _apply(cw.averaging_symbol(grid1, eta), f)
     np.testing.assert_allclose(averaged.values, cw.sinc(eta * k / 2) * f.values, atol=1e-13)
 
 
 def test_averaging_rejects_bad_eta(grid1):
-    with pytest.raises(ValueError):
-        cw.averaging_operator(grid1, 0.0)
-    f = cw.grid_function(grid1, np.ones(grid1.num_points))
-    with pytest.raises(ValueError):
-        cw.averaging_direct(-1.0, f)
+    # the symbol at eta = 0 is the identity, the one the eps = 0 stack uses;
+    # the quadrature route needs a window
+    assert np.array_equal(cw.averaging_symbol(grid1, 0.0), np.ones(grid1.num_points // 2 + 1))
+    f = cw.GridFunction(grid1, np.ones(grid1.num_points))
+    for eta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            cw.averaging_direct(eta, f)
 
 
 def test_window_quadrature_of_parabola():
@@ -58,31 +71,30 @@ def test_window_quadrature_of_parabola():
 def test_apply_identity_zero_and_composition(grid1, rng):
     f = random_band_limited(grid1, 30.0, rng)
     half = grid1.num_points // 2 + 1
-    identity = cw.MultiplierOperator(grid1, np.ones(half))
-    assert cw.l2_norm(identity.apply(f) - f) < 1e-14
-    zero = cw.MultiplierOperator(grid1, np.zeros(half))
-    assert cw.sup_norm(zero.apply(f)) == 0.0
-    averaging = cw.averaging_operator(grid1, 0.6)
-    squared = cw.MultiplierOperator(grid1, averaging.symbol**2)
-    twice = averaging.apply(averaging.apply(f))
-    assert cw.l2_norm(twice - squared.apply(f)) < 1e-12
-    with pytest.raises(ValueError, match="entries"):
-        cw.MultiplierOperator(grid1, np.ones(grid1.num_points))
+    assert cw.l2_norm(_apply(np.ones(half), f) - f) < 1e-14
+    assert cw.sup_norm(_apply(np.zeros(half), f)) == 0.0
+    averaging = cw.averaging_symbol(grid1, 0.6)
+    twice = _apply(averaging, _apply(averaging, f))
+    assert cw.l2_norm(twice - _apply(averaging**2, f)) < 1e-12
+    with pytest.raises(cw.GridMismatchError, match="entries"):
+        cw.apply_symbol(f.values, np.ones(grid1.num_points))
 
 
 def test_apply_grid_mismatch(grid1):
     other = cw.make_grid(grid1.half_length, grid1.num_points * 2)
-    f = cw.grid_function(other, np.zeros(other.num_points))
-    with pytest.raises(cw.GridMismatchError):
-        cw.averaging_operator(grid1, 0.5).apply(f)
+    symbol = cw.averaging_symbol(grid1, 0.5)
+    # samples from another grid, one profile or a batch of columns
+    for shape in ((other.num_points,), (other.num_points, 3)):
+        with pytest.raises(cw.GridMismatchError):
+            cw.apply_symbol(np.zeros(shape), symbol)
 
 
 def test_averaging_direct_constant_and_mode(grid1):
-    ones = cw.grid_function(grid1, np.ones(grid1.num_points))
+    ones = cw.GridFunction(grid1, np.ones(grid1.num_points))
     np.testing.assert_allclose(cw.averaging_direct(0.5, ones).values, 1.0, atol=1e-12)
     eta = 0.8
     k = grid1.half_wavenumbers[7]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
+    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     direct = cw.averaging_direct(eta, f)
     np.testing.assert_allclose(direct.values, cw.sinc(eta * k / 2) * f.values, atol=1e-12)
 
@@ -90,25 +102,9 @@ def test_averaging_direct_constant_and_mode(grid1):
 def test_averaging_direct_matches_symbol_on_profile(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     for eta in (0.4, 0.1):
-        symbol_route = cw.averaging_operator(grid1, eta).apply(w0)
+        symbol_route = _apply(cw.averaging_symbol(grid1, eta), w0)
         direct_route = cw.averaging_direct(eta, w0)
         assert cw.l2_norm(symbol_route - direct_route) < 1e-12
-
-
-def test_discrete_gradient_constant_and_mode(grid1):
-    const = cw.grid_function(grid1, np.full(grid1.num_points, 2.5))
-    assert cw.sup_norm(cw.discrete_gradient(const, 0.3)) < 1e-12
-    k = grid1.half_wavenumbers[5]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
-    shift = 0.37
-    forward = cw.discrete_gradient(f, shift)
-    expected = (np.cos(k * (grid1.nodes + shift)) - f.values) / shift
-    np.testing.assert_allclose(forward.values, expected, atol=1e-11)
-    backward = cw.discrete_gradient(f, -shift)
-    expected_back = (f.values - np.cos(k * (grid1.nodes - shift))) / shift
-    np.testing.assert_allclose(backward.values, expected_back, atol=1e-11)
-    with pytest.raises(ValueError):
-        cw.discrete_gradient(f, 0.0)
 
 
 def test_gradient_of_primitive_is_shifted_average(model1, grid1):
@@ -116,14 +112,18 @@ def test_gradient_of_primitive_is_shifted_average(model1, grid1):
     # velocity profile at half-shifted arguments
     w0 = cw.kdv_profile(model1, grid1)
     shift = 2 * 0.17
-    averaged = cw.averaging_operator(grid1, shift).apply(w0)
-    target = cw.translate(averaged, shift / 2.0)
+    averaged = _apply(cw.averaging_symbol(grid1, shift), w0)
+    # x -> f(x + s) is the phase exp(i k s); off the grid the Nyquist mode
+    # has no symmetric real representation, so it is zeroed
+    half_shift, full_shift = (np.exp(1j * grid1.half_wavenumbers * s) for s in (shift / 2, shift))
+    half_shift[-1] = full_shift[-1] = 0.0
+    target = _apply(half_shift, averaged)
     # build the primitive as ramp + periodic part so translations are legal
     mean = float(np.mean(w0.values))
-    periodic = cw.grid_function(grid1, w0.values - mean)
+    periodic = cw.GridFunction(grid1, w0.values - mean)
     primitive_periodic = _spectral_antiderivative(periodic)
-    grad = cw.discrete_gradient(primitive_periodic, shift)
-    total = cw.grid_function(grid1, grad.values + mean)  # ramp contributes its slope
+    grad = (_apply(full_shift, primitive_periodic).values - primitive_periodic.values) / shift
+    total = cw.GridFunction(grid1, grad + mean)  # ramp contributes its slope
     assert cw.l2_norm(total - target) < 1e-8
 
 
@@ -131,7 +131,7 @@ def _spectral_antiderivative(f):
     k = f.grid.half_wavenumbers
     symbol = np.zeros(len(k), dtype=complex)
     symbol[1:-1] = 1.0 / (1j * k[1:-1])
-    return cw.grid_function(f.grid, cw.apply_symbol(f.values, symbol))
+    return _apply(symbol, f)
 
 
 def test_b_symbol_floor_and_value(model1):
@@ -158,58 +158,59 @@ def test_b_symbol_converges_to_limit(model2):
 
 def test_b_operator_limit_on_profile(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
-    limit = cw.b0_operator(model1, grid1).apply(w0)
+    limit = _apply(cw.b_diagonal(model1, grid1, 0.0), w0)
     gaps = [
-        cw.l2_norm(cw.b_operator(model1, grid1, eps).apply(w0) - limit)
+        cw.l2_norm(_apply(cw.b_diagonal(model1, grid1, eps), w0) - limit)
         for eps in (0.4, 0.2, 0.1)
     ]
     slopes = [math.log(gaps[i] / gaps[i + 1]) / math.log(2.0) for i in range(2)]
     for slope in slopes:
         assert slope == pytest.approx(2.0, abs=0.3)
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(cw.b_operator(model1, grid1, 0.2).apply(zero)) == 0.0
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
+    assert cw.sup_norm(_apply(cw.b_diagonal(model1, grid1, 0.2), zero)) == 0.0
 
 
 def test_b0_applied_to_profile_is_quadratic_limit(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
-    lhs = cw.b0_operator(model1, grid1).apply(w0)
+    lhs = _apply(cw.b_diagonal(model1, grid1, 0.0), w0)
     rhs = cw.apply_Q0(model1, w0)
     assert cw.l2_norm(lhs - rhs) < 1e-8
 
 
 def test_invert_b_roundtrip_and_mode(model1, grid1, rng):
-    zero = cw.grid_function(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(cw.invert_b(model1, grid1, 0.2, zero)) == 0.0
+    b, b0 = cw.b_diagonal(model1, grid1, 0.2), cw.b_diagonal(model1, grid1, 0.0)
+    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
+    assert cw.sup_norm(_apply(1.0 / b, zero)) == 0.0
     k = grid1.half_wavenumbers[11]
-    f = cw.grid_function(grid1, np.cos(k * grid1.nodes))
-    inverted = cw.invert_b(model1, grid1, 0.2, f)
+    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
+    inverted = _apply(1.0 / b, f)
     np.testing.assert_allclose(
         inverted.values, f.values / cw.b_symbol(model1, 0.2, k), atol=1e-13
     )
     g = random_band_limited(grid1, 40.0, rng, parity="even")
-    back = cw.b_operator(model1, grid1, 0.2).apply(cw.invert_b(model1, grid1, 0.2, g))
+    back = _apply(b, _apply(1.0 / b, g))
     assert cw.l2_norm(back - g) <= 1e-12 * cw.l2_norm(g)
-    back0 = cw.b0_operator(model1, grid1).apply(cw.invert_b0(model1, grid1, g))
+    back0 = _apply(b0, _apply(1.0 / b0, g))
     assert cw.l2_norm(back0 - g) <= 1e-12 * cw.l2_norm(g)
 
 
 def test_cutoff_band_edges(grid1, rng):
     f = random_band_limited(grid1, 3.5, rng)
-    passed = cw.cutoff(grid1, 1.0, f)  # band edge 4 > 3.5
+    passed = _apply(cutoff_symbol(grid1, 1.0), f)  # band edge 4 > 3.5
     assert cw.l2_norm(passed - f) < 1e-13
     k_high = grid1.half_wavenumbers[250]
     assert abs(k_high) > 4.0 / 0.05
-    mode = cw.grid_function(grid1, np.cos(k_high * grid1.nodes))
-    assert cw.sup_norm(cw.cutoff(grid1, 0.05, mode)) < 1e-12
+    mode = cw.GridFunction(grid1, np.cos(k_high * grid1.nodes))
+    assert cw.sup_norm(_apply(cutoff_symbol(grid1, 0.05), mode)) < 1e-12
     # closed boundary: a mode exactly at |k| = 4/eps survives
     k_edge = grid1.half_wavenumbers[10]
     eps_edge = 4.0 / k_edge
-    edge_mode = cw.grid_function(grid1, np.cos(k_edge * grid1.nodes))
-    kept = cw.cutoff(grid1, eps_edge, edge_mode)
+    edge_mode = cw.GridFunction(grid1, np.cos(k_edge * grid1.nodes))
+    kept = _apply(cutoff_symbol(grid1, eps_edge), edge_mode)
     assert cw.l2_norm(kept - edge_mode) < 1e-12
     # idempotent and nonexpansive
-    once = cw.cutoff(grid1, 0.1, f)
-    twice = cw.cutoff(grid1, 0.1, once)
+    once = _apply(cutoff_symbol(grid1, 0.1), f)
+    twice = _apply(cutoff_symbol(grid1, 0.1), once)
     assert cw.l2_norm(twice - once) < 1e-14
     assert cw.l2_norm(once) <= cw.l2_norm(f) * (1 + 1e-14)
 
@@ -223,8 +224,8 @@ def test_cutoff_inverse_stability_small(model1, grid1):
         worst = 0.0
         for _ in range(10):
             g = random_band_limited(grid1, band, rng, parity="even", decay=1.0)
-            inverted = cw.invert_b(model1, grid1, eps, g)
-            smooth = cw.cutoff(grid1, eps, inverted)
+            inverted = _apply(1.0 / cw.b_diagonal(model1, grid1, eps), g)
+            smooth = _apply(cutoff_symbol(grid1, eps), inverted)
             rough = inverted - smooth
             worst = max(
                 worst,
@@ -249,8 +250,8 @@ def test_sharp_inverse_constant_stable(model1, grid1):
 
 def test_von_neumann_first_term(model1, grid1):
     eps = 0.3
-    f = cw.grid_function(grid1, np.ones(grid1.num_points))
-    partial = cw.von_neumann_inverse(model1, grid1, eps, f, 1)
+    f = cw.GridFunction(grid1, np.ones(grid1.num_points))
+    partial = next(cw.von_neumann_partial_sums(model1, grid1, eps, f))
     expected = eps**2 / (eps**2 + model1.sound_speed_sq)
     np.testing.assert_allclose(partial.values, expected, atol=1e-14)
 
@@ -258,7 +259,7 @@ def test_von_neumann_first_term(model1, grid1):
 def test_von_neumann_geometric_ratio(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     for eps in (0.4, 0.1):
-        exact = cw.invert_b(model1, grid1, eps, w0)
+        exact = _apply(1.0 / cw.b_diagonal(model1, grid1, eps), w0)
         partials = cw.von_neumann_partial_sums(model1, grid1, eps, w0)
         errors = [cw.l2_norm(partial - exact) for partial in islice(partials, 40)]
         measured = (errors[-1] / errors[-11]) ** 0.1
@@ -275,8 +276,9 @@ def test_von_neumann_preserves_shape(model1, grid1):
         assert float(np.min(partial.values)) >= -1e-12 * scale
         assert cw.evenness_defect(partial) <= 1e-12 * scale
         assert unimodality_defect(partial.values) <= 1e-10 * scale
-    with pytest.raises(ValueError):
-        cw.von_neumann_inverse(model1, grid1, 0.2, w0, 0)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            next(cw.von_neumann_partial_sums(model1, grid1, eps, w0))
 
 
 def test_unimodality_defect_values():
@@ -287,18 +289,6 @@ def test_unimodality_defect_values():
     for shaped in ([5.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0], [0.0, 2.0, 2.0, 1.0]):
         assert math.copysign(1.0, unimodality_defect(shaped)) == 1.0
         assert unimodality_defect(shaped) == 0.0
-
-
-def test_von_neumann_inverse_is_generator_item(model1, grid1):
-    w0 = cw.kdv_profile(model1, grid1)
-    partials = islice(cw.von_neumann_partial_sums(model1, grid1, 0.1, w0), 40)
-    for terms, partial in enumerate(partials, start=1):
-        single = cw.von_neumann_inverse(model1, grid1, 0.1, w0, terms)
-        assert np.array_equal(single.values, partial.values), terms
-    with pytest.raises(ValueError):
-        cw.von_neumann_inverse(model1, grid1, 0.0, w0, 3)
-    with pytest.raises(ValueError):
-        next(cw.von_neumann_partial_sums(model1, grid1, -0.1, w0))
 
 
 def test_von_neumann_partial_sums_match_term_by_term(model1, model2):
@@ -312,20 +302,19 @@ def test_von_neumann_partial_sums_match_term_by_term(model1, model2):
                 alpha * m**2 * cw.averaging_symbol(grid, m * eps) ** 2
                 for m, alpha in enumerate(model.alpha, start=1)
             )
-            t_op = cw.MultiplierOperator(grid, t_symbol)
             denominator = eps**2 + model.sound_speed_sq
             power, total = w0, (eps**2 / denominator) * w0
             partials = cw.von_neumann_partial_sums(model, grid, eps, w0)
             for i, partial in enumerate(islice(partials, 40), start=1):
                 gap = cw.l2_norm(partial - total)
                 assert gap <= 1e-13 * cw.l2_norm(total), (model.alpha, eps, i)
-                power = t_op.apply(power)
+                power = _apply(t_symbol, power)
                 total = total + (eps**2 / denominator ** (i + 1)) * power
 
 
 def test_von_neumann_check_makes_one_pass(model1, grid1, transform_lengths):
-    # the geometric check on M1, N = 1024, per eps (0.4 and 0.1): invert_b is
-    # one rfft/irfft pair, and the series one rfft of w0 and one irfft per
+    # the geometric check on M1, N = 1024, per eps (0.4 and 0.1): B_eps^{-1}
+    # w0 is one rfft/irfft pair, and the series one rfft of w0 and one irfft per
     # partial sum (40): 2 x (2 + 1 + 40) transforms; applying T to a grid
     # function per term took 160
     lengths = transform_lengths()
@@ -373,7 +362,7 @@ def test_random_profiles_consume_2n_normals_each(grid1, parity):
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
 def test_split_inverse_constants_match_per_profile_route(name, model1, model2, model2_cubic):
-    # the check's block route against random_band_limited -> invert_b ->
+    # the check's block route against random_band_limited -> B_eps^{-1} ->
     # cutoff -> sobolev22_norm / l2_norm, one profile at a time
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
@@ -386,8 +375,8 @@ def test_split_inverse_constants_match_per_profile_route(name, model1, model2, m
     for eps in (0.4, 0.2, 0.1, 0.05):
         worst = 0.0
         for g in ensemble:
-            inverted = cw.invert_b(model, grid, eps, g)
-            smooth = cw.cutoff(grid, eps, inverted)
+            inverted = _apply(1.0 / cw.b_diagonal(model, grid, eps), g)
+            smooth = _apply(cutoff_symbol(grid, eps), inverted)
             rough = inverted - smooth
             value = (cw.sobolev22_norm(smooth) + cw.l2_norm(rough) / eps**2) / cw.l2_norm(g)
             worst = max(worst, value)
@@ -402,14 +391,14 @@ def test_split_inverse_constants_match_per_profile_route(name, model1, model2, m
 
 
 def test_averaging_self_adjoint_and_bounds(grid1, rng):
-    operator = cw.averaging_operator(grid1, 0.55)
+    symbol = cw.averaging_symbol(grid1, 0.55)
     for _ in range(3):
         f = random_band_limited(grid1, 25.0, rng)
         g = random_band_limited(grid1, 25.0, rng)
-        lhs = cw.inner_product(operator.apply(f), g)
-        rhs = cw.inner_product(f, operator.apply(g))
+        lhs = cw.inner_product(_apply(symbol, f), g)
+        rhs = cw.inner_product(f, _apply(symbol, g))
         assert abs(lhs - rhs) <= 1e-12
-        averaged = operator.apply(f)
+        averaged = _apply(symbol, f)
         assert cw.l2_norm(averaged) <= cw.l2_norm(f) * (1 + 1e-12)
         assert cw.sup_norm(averaged) <= 0.55**-0.5 * cw.l2_norm(f) * (1 + 1e-12)
 
@@ -420,7 +409,7 @@ def test_averaging_asymptotic_orders(model1, grid1):
     etas = (0.4, 0.2, 0.1, 0.05)
     plain, corrected = [], []
     for eta in etas:
-        averaged = cw.averaging_operator(grid1, eta).apply(w0)
+        averaged = _apply(cw.averaging_symbol(grid1, eta), w0)
         plain.append(cw.l2_norm(averaged - w0))
         corrected.append(cw.l2_norm(averaged - w0 - (eta**2 / 24.0) * w2))
     slope1 = np.polyfit(np.log(etas), np.log(plain), 1)[0]
@@ -439,3 +428,51 @@ def test_b_symbol_banded_lower_bound(model1, grid1):
     c_outside = np.min(symbol[~inside]) * eps**2
     assert c_inside > 0.01
     assert c_outside > 0.1
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.4])
+def test_b_diagonal_is_the_b_symbol_cached_read_only(model2, grid2, eps):
+    symbol = cw.b_diagonal(model2, grid2, eps)
+    k = grid2.half_wavenumbers
+    expected = cw.b_symbol(model2, eps, k) if eps else cw.b0_symbol(model2, k)
+    assert symbol.dtype == expected.dtype and symbol.tobytes() == expected.tobytes()
+    assert cw.b_diagonal(model2, grid2, eps) is symbol
+    assert not symbol.flags.writeable
+    with pytest.raises(ValueError):
+        symbol[0] = 2.0
+
+
+def test_defect_and_linearized_operator_read_one_b_symbol(model2, grid2, monkeypatch):
+    # B_eps of the psi-free model is built once: the defect and L_eps read the
+    # same array object
+    seen = []
+
+    def recorded(*args):
+        seen.append(operators.b_diagonal(*args))
+        return seen[-1]
+
+    monkeypatch.setattr("chainwaves.model.b_diagonal", recorded)
+    monkeypatch.setattr("chainwaves.linearized.b_diagonal", recorded)
+    w0 = cw.kdv_profile(model2, grid2)
+    tw_defect_spectrum(model2, 0.2, grid2, np.fft.rfft(w0.values))
+    cw.linearized_operator(model2, grid2, 0.2).apply_l(w0)
+    assert len(seen) == 2
+    assert seen[0] is seen[1] is cw.b_diagonal(model2, grid2, 0.2)
+
+
+def test_package_imports_match_submodule_exports():
+    # every name the package imports from a submodule is in that submodule's
+    # __all__ (its public names where it has none), and every __all__ entry
+    # resolves
+    tree = ast.parse(inspect.getsource(cw))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"chainwaves.{node.module}")
+            public = [name for name in vars(module) if not name.startswith("_")]
+            exported = getattr(module, "__all__", public)
+            for alias in node.names:
+                assert alias.name in exported, (node.module, alias.name)
+    for path in Path(cw.__file__).parent.glob("[!_]*.py"):
+        module = importlib.import_module(f"chainwaves.{path.stem}")
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), (path.stem, name)
