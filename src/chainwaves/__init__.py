@@ -32,18 +32,7 @@ from .grid import (
     sobolev22_norm,
     sup_norm,
 )
-from .lattice import (
-    LatticeState,
-    TransportReport,
-    acceleration,
-    energy_drift_rate,
-    run_transport,
-    step,
-    total_energy,
-    total_momentum,
-    transport_error,
-    wave_initial_data,
-)
+from .lattice import TransportReport, energy_drift_rate, run_transport, wave_initial_data
 from .linearized import LinearizedOperator, linearized_operator
 from .model import (
     ChainModel,

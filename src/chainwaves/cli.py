@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ChainwavesError, ConfigError, WindowOverflowError
 from .grid import SpectralGrid, make_grid
-from .lattice import _check_dt, _dt_guard, run_transport
+from .lattice import _BUFFER_FACTOR, _check_dt, _dt_guard, run_transport
 from .model import ChainModel, PsiFamily, default_half_length
 from .solver import SolveConfig, SweepRow, convergence_sweep, solve_wave
 from .verify import run_verification
@@ -226,8 +226,10 @@ def parse_config(data: dict) -> RunConfig:
             if key not in sim_section:
                 raise ConfigError(f"sim.{key} is required")
         particles = sim_section["particles"]
-        if not isinstance(particles, int) or isinstance(particles, bool) or particles < 2:
-            raise ConfigError("sim.particles must be an integer >= 2")
+        # the transport window starts _BUFFER_FACTOR * M sites in from each end
+        minimum = 2 * _BUFFER_FACTOR * model.neighbor_range + 1
+        if not isinstance(particles, int) or isinstance(particles, bool) or particles < minimum:
+            raise ConfigError(f"sim.particles must be an integer >= {minimum}, got {particles!r}")
         dt = _positive_number(sim_section["dt"], "sim.dt")
         try:
             _check_dt(model, dt)

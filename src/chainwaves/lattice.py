@@ -6,17 +6,17 @@ Newton's equations for the chain read
 
 integrated here with velocity Verlet under free boundaries: pair terms whose
 partner index leaves the chain are omitted, so total momentum is conserved
-exactly. One kernel runs every step, whether of ``step`` or of
-``run_transport``. The stretches u_{j+m} - u_j of all M ranges sit in one
-zero-padded (M, J) block; force laws whose coefficients carry the factor
-dt/2 turn it into the half-kick of every bond, and the half-kick of each
-particle is the column sum of that block minus each row shifted by its
-range. Each step keeps its stretch block in one slot of a 16-deep stack and
-its kinetic energy; the pair potentials of 16 steps come from the power
-sums sum r^2, sum r^3 (and sum r^4) of each row of the stack. Each row is
-summed alone, so the energies of a transport run are bitwise those of
-``total_energy`` after each ``step``. A solved wave provides initial data
-through the exact-solution form u_j(t) = eps U(eps j - eps c t), and
+exactly. ``run_transport`` is the one entry point, and one kernel makes its
+steps. The stretches u_{j+m} - u_j of all M ranges sit in one zero-padded
+(M, J) block; force laws whose coefficients carry the factor dt/2 turn it
+into the half-kick of every bond, and the half-kick of each particle is the
+column sum of that block minus each row shifted by its range. Each step
+keeps its stretch block in one slot of a 16-deep stack and its kinetic
+energy; the pair potentials of 16 steps come from the power sums sum r^2,
+sum r^3 (and sum r^4) of each row of the stack. Each row is summed alone, so
+the energies of a transport run are bitwise those of a depth-1 kernel run,
+which sums the potentials of each step alone. A solved wave provides initial
+data through the exact-solution form u_j(t) = eps U(eps j - eps c t), and
 transport quality is measured on an interior window against the translated
 velocity profile.
 """
@@ -34,82 +34,12 @@ from .grid import apply_symbol, sample, sup_norm
 from .model import ChainModel, _exp_tail
 from .solver import WaveSolution
 
-__all__ = [
-    "LatticeState",
-    "acceleration",
-    "step",
-    "total_energy",
-    "total_momentum",
-    "wave_initial_data",
-    "TransportReport",
-    "run_transport",
-    "transport_error",
-    "energy_drift_rate",
-]
+__all__ = ["wave_initial_data", "TransportReport", "run_transport", "energy_drift_rate"]
 
 _DT_GUARD = 0.1
 _SUPPORT_THRESHOLD = 1e-6
 _BUFFER_FACTOR = 4
 _BATCH = 16  # Verlet steps whose pair potentials one power-sum pass covers
-
-
-@dataclass
-class LatticeState:
-    """Positions and velocities of a finite free-boundary chain at one time."""
-
-    model: ChainModel
-    positions: NDArray[np.float64]
-    velocities: NDArray[np.float64]
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.positions = np.array(self.positions, dtype=float, copy=True)
-        self.velocities = np.array(self.velocities, dtype=float, copy=True)
-        if self.positions.shape != self.velocities.shape or self.positions.ndim != 1:
-            raise ValueError("positions and velocities must be matching 1-d arrays")
-        if len(self.positions) < 2 * self.model.neighbor_range + 2:
-            raise ValueError(
-                f"need at least {2 * self.model.neighbor_range + 2} particles "
-                f"for neighbor range {self.model.neighbor_range}"
-            )
-        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
-            raise ValueError("state entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-
-def acceleration(state: LatticeState, linear_only: bool = False) -> NDArray[np.float64]:
-    """Net force per unit mass; out-of-range pair terms are omitted.
-
-    ``linear_only`` is a testing hook keeping only the alpha_m r part of the
-    force law.
-    """
-    # with dt = 2 the half-kick dt/2 * acceleration is the acceleration
-    return _Verlet(state.model, state.positions, state.velocities, 2.0, linear_only).forces()
-
-
-def step(state: LatticeState, dt: float, linear_only: bool = False) -> LatticeState:
-    """One velocity Verlet step; second order and symplectic.
-
-    dt must be positive and at most 0.1/c0. Each call evaluates the forces
-    twice, at the start and at the end of its step, so a loop of ``step``
-    calls costs two force evaluations per step; ``run_transport`` runs its
-    steps at one.
-    """
-    _check_dt(state.model, dt)
-    positions, velocities = state.positions.copy(), state.velocities.copy()
-    _Verlet(state.model, positions, velocities, dt, linear_only).run(1)
-    return LatticeState(state.model, positions, velocities, state.time + dt)
-
-
-def total_energy(state: LatticeState) -> float:
-    """Kinetic plus pair-potential energy over in-range pairs."""
-    kernel = _Verlet(state.model, state.positions, state.velocities, 2.0)
-    kernel.load(0)
-    (potential,) = kernel.potentials(1)
-    return 0.5 * float(np.dot(state.velocities, state.velocities)) + potential
 
 
 class _Verlet:
@@ -127,8 +57,7 @@ class _Verlet:
     """
 
     def __init__(
-        self, model: ChainModel, positions, velocities, dt: float,
-        linear_only: bool = False, depth: int = 1,
+        self, model: ChainModel, positions, velocities, dt: float, depth: int = 1
     ) -> None:
         size = len(positions)
         ranges = range(1, model.neighbor_range + 1)
@@ -143,8 +72,6 @@ class _Verlet:
         force_columns, potential, scales = model.law_columns
         self._potential = [column[:, 0] for column in potential]
         self._tail = None if scales is None else scales[:, 0]
-        if linear_only:
-            force_columns, scales = force_columns[:1], None
         # same-shape operands multiply about twice as fast as (M, 1) columns
         coefficients = [np.repeat(0.5 * dt * c, size, axis=1) for c in force_columns[::-1]]
         if scales is not None:
@@ -167,13 +94,6 @@ class _Verlet:
             if scales is not None:
                 program.append((_add_exp_tail, stretch, tail_scales, force))
             self._forces.append(program + kick)
-
-    def load(self, slot: int):
-        """Write the stretches of the positions to ``slot`` and return it."""
-        # the first M calls of a force program are the stretches
-        for ufunc, first, second, out in self._forces[slot][: len(self.force)]:
-            ufunc(first, second, out)
-        return self.stretches[slot]
 
     def forces(self, slot: int = 0):
         """Half-kick at the positions (the ``kick`` buffer), loading their
@@ -257,12 +177,11 @@ def _check_dt(model: ChainModel, dt: float) -> None:
         raise ValueError(f"dt must be in (0, {guard:g}], got {dt}")
 
 
-def total_momentum(state: LatticeState) -> float:
-    return float(np.sum(state.velocities))
-
-
-def wave_initial_data(solution: WaveSolution, num_particles: int) -> LatticeState:
-    """Chain state sampling the wave centered at the chain midpoint.
+def wave_initial_data(
+    solution: WaveSolution, num_particles: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Positions and velocities of a chain sampling the wave centered at the
+    chain midpoint.
 
     Particle j sits at phase x_j = eps (j - J/2); positions come from the
     antiderivative of the velocity profile and velocities from
@@ -286,7 +205,7 @@ def wave_initial_data(solution: WaveSolution, num_particles: int) -> LatticeStat
     antiderivative, values = _initial_profiles(solution.w, phases)
     positions = eps * antiderivative
     velocities = -(eps**2) * solution.wave_speed * values
-    return LatticeState(model, positions, velocities, 0.0)
+    return positions, velocities
 
 
 def _initial_profiles(w, points):
@@ -334,21 +253,23 @@ def run_transport(
     The step count is rounded up so the run hits the horizon exactly with a
     step no larger than ``dt`` (the actual dt is reported); a quotient
     horizon / dt within 1e-12 relative of an integer counts as that
-    integer, so round-off neither adds a step nor takes dt past ``step``'s
-    guard. The transport error is the sup over the interior window, 4M
-    sites in from each end, of the velocity mismatch against the translated
-    profile, normalized by the peak initial speed. Energy drift is the
-    secular trend of the sampled energies (least-squares slope times
+    integer, so round-off neither adds a step nor takes dt past the guard
+    of ``_check_dt``. The transport error is the sup over the interior
+    window, 4M sites in from each end, of the velocity mismatch against the
+    translated profile, normalized by the peak initial speed. Energy drift
+    is the secular trend of the sampled energies (least-squares slope times
     duration, relative to the initial energy), which isolates the symplectic
     property from the bounded oscillation of the shadow energy; the peak
     deviation is reported alongside.
 
     The run is the lattice kernel over all steps, in place on the initial
-    state: each step evaluates the forces once, at its new positions, giving
-    the half-kick it ends with and the next step starts from, and stores its
-    stretches and kinetic energy. The pair potentials of every 16 steps, and
-    of the steps left at the end, come from the power sums of the stacked
-    stretches; the recorded energies are bitwise those of ``total_energy``.
+    positions and velocities: each step evaluates the forces once, at its
+    new positions, giving the half-kick it ends with and the next step
+    starts from, and stores its stretches and kinetic energy. The pair
+    potentials of every 16 steps, and of the steps left at the end, come
+    from the power sums of the stacked stretches; the recorded energies are
+    bitwise those of a depth-1 kernel run, which sums the potentials of each
+    step alone.
     A run whose energy stops being finite raises ``ValueError`` naming the
     first step whose energy is not finite, once that step's batch is summed.
     """
@@ -374,7 +295,7 @@ def run_transport(
             f"support half-width {half_width:g} plus travel {travel:g} "
             f"exceeds the interior window {window:g}"
         )
-    state = wave_initial_data(solution, num_particles)
+    positions, velocities = wave_initial_data(solution, num_particles)
     if horizon > 0:
         quotient = horizon / dt
         steps = round(quotient)
@@ -386,18 +307,16 @@ def run_transport(
     else:
         steps = 0
         dt_used = dt
-    momentum_start = total_momentum(state)
-    positions, velocities = state.positions, state.velocities
+    momentum_start = float(np.sum(velocities))
     energies = np.empty(steps + 1)
     _Verlet(model, positions, velocities, dt_used, depth=_BATCH).run(steps, energies)
-    state = LatticeState(model, positions, velocities, horizon)
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * sample(solution.grid, solution.w.values, phases)
     interior = slice(buffer, num_particles - buffer)
     scale = eps**2 * speed * peak
-    error = float(np.max(np.abs(state.velocities[interior] - predicted[interior]))) / scale
+    error = float(np.max(np.abs(velocities[interior] - predicted[interior]))) / scale
     momentum_drift = (
-        abs(total_momentum(state) - momentum_start) / steps if steps else 0.0
+        abs(float(np.sum(velocities)) - momentum_start) / steps if steps else 0.0
     )
     return TransportReport(
         num_particles=int(num_particles),
@@ -409,16 +328,6 @@ def run_transport(
         peak_energy_deviation=_peak_deviation(energies),
         momentum_drift_per_step=momentum_drift,
     )
-
-
-def transport_error(
-    solution: WaveSolution,
-    num_particles: int,
-    horizon: float,
-    dt: float,
-) -> float:
-    """Normalized interior velocity-profile mismatch after transport."""
-    return run_transport(solution, num_particles, horizon, dt).transport_error
 
 
 def energy_drift_rate(energies, dt: float) -> float:

@@ -219,6 +219,21 @@ def test_simulate_window_overflow_exits_5(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == 5
 
 
+@pytest.mark.parametrize("alpha", [[1.0], [1.0, 1.0]], ids=["M1", "M2"])
+def test_simulate_chain_without_interior_exits_2(tmp_path, capsys, alpha):
+    # the transport window starts 4M sites in from each end: J = 8M has no
+    # interior and is a config error; J = 8M + 1 passes the config check and
+    # its one-site window cannot hold the eps 0.2 wave
+    model = {"alpha": alpha, "beta": alpha}
+    for particles, code in ((8 * len(alpha), 2), (8 * len(alpha) + 1, 5)):
+        path, _ = base_config(
+            tmp_path, model=model, sim={"particles": particles, "dt": 0.02, "horizon": 1.0}
+        )
+        assert cli.main(["simulate", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.particles") == (code == 2), err
+
+
 def test_simulate_dt_guard_exits_2(tmp_path):
     path, _ = base_config(
         tmp_path, sim={"particles": 80, "dt": 0.5, "horizon": 1.0}

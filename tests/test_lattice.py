@@ -28,31 +28,41 @@ def dispersion_sq(model, kappa):
     )
 
 
+def _acceleration(model, positions):
+    # with dt = 2 the half-kick dt/2 * acceleration is the acceleration
+    return lattice._Verlet(model, positions, np.zeros_like(positions), 2.0).forces()
+
+
+def _energy(model, positions, velocities):
+    # kinetic plus pair potential, as the kernel records it for one state
+    kernel = lattice._Verlet(model, positions, velocities, 2.0)
+    kernel.forces()
+    return 0.5 * float(np.dot(velocities, velocities)) + kernel.potentials(1)[0]
+
+
 def test_acceleration_zero_state(model1):
-    state = cw.LatticeState(model1, np.zeros(16), np.zeros(16))
-    assert np.all(cw.acceleration(state) == 0.0)
+    assert np.all(_acceleration(model1, np.zeros(16)) == 0.0)
 
 
 def test_acceleration_uniform_stretch_interior(model2):
     J = 24
     stretch = 0.05
-    state = cw.LatticeState(model2, stretch * np.arange(J), np.zeros(J))
-    accel = cw.acceleration(state)
+    accel = _acceleration(model2, stretch * np.arange(J))
     M = model2.neighbor_range
     np.testing.assert_allclose(accel[M:-M], 0.0, atol=1e-14)
     assert abs(accel[0]) > 0  # free ends feel the missing partner
 
 
 def test_acceleration_plane_wave_dispersion(model2):
+    # at amplitude 1e-8 the nonlinear force terms sit below the bound
     J = 64
     kappa = 0.7
-    amplitude = 1e-3
-    j = np.arange(J)
-    state = cw.LatticeState(model2, amplitude * np.cos(kappa * j), np.zeros(J))
-    accel = cw.acceleration(state, linear_only=True)
-    expected = -dispersion_sq(model2, kappa) * state.positions
+    amplitude = 1e-8
+    positions = amplitude * np.cos(kappa * np.arange(J))
+    accel = _acceleration(model2, positions)
+    expected = -dispersion_sq(model2, kappa) * positions
     M = model2.neighbor_range
-    np.testing.assert_allclose(accel[M:-M], expected[M:-M], atol=1e-10)
+    np.testing.assert_allclose(accel[M:-M], expected[M:-M], atol=1e-15)
 
 
 def _double_loop(model, positions, velocities, linear_only):
@@ -99,15 +109,12 @@ def test_pair_block_matches_double_loop(model, size):
     rng = np.random.default_rng(size + 10 * model.neighbor_range)
     positions = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.5, 0.5, size - 1))])
     velocities = rng.uniform(-0.5, 0.5, size)
-    state = cw.LatticeState(model, positions, velocities)
-    for linear_only in (False, True):
-        expected, _ = _double_loop(model, positions, velocities, linear_only)
-        accel = cw.acceleration(state, linear_only=linear_only)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(accel - expected)) <= 1e-13 * scale
-        assert abs(np.sum(accel)) <= 1e-15 * np.sum(np.abs(accel))
-    _, energy = _double_loop(model, positions, velocities, False)
-    assert abs(cw.total_energy(state) - energy) <= 1e-13 * abs(energy)
+    expected, energy = _double_loop(model, positions, velocities, False)
+    accel = _acceleration(model, positions)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(accel - expected)) <= 1e-13 * scale
+    assert abs(np.sum(accel)) <= 1e-15 * np.sum(np.abs(accel))
+    assert abs(_energy(model, positions, velocities) - energy) <= 1e-13 * abs(energy)
 
 
 @pytest.mark.parametrize(
@@ -127,22 +134,13 @@ def test_pair_laws_rows_equal_force_laws(psi):
         assert np.array_equal(kernel.force[m - 1, : 57 - m], model.force(m, stretch))
 
 
-def test_state_validation(model2):
-    with pytest.raises(ValueError):
-        cw.LatticeState(model2, np.zeros(5), np.zeros(5))  # below 2M+2
-    with pytest.raises(ValueError):
-        cw.LatticeState(model2, np.full(16, np.nan), np.zeros(16))
-
-
-def test_step_zero_state_and_guard(model1):
-    state = cw.LatticeState(model1, np.zeros(16), np.zeros(16))
-    after = cw.step(state, 0.05)
-    assert np.all(after.positions == 0.0) and np.all(after.velocities == 0.0)
-    assert after.time == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        cw.step(state, 0.2)  # above 0.1/c0
-    with pytest.raises(ValueError):
-        cw.step(state, 0.0)
+def test_step_zero_state_and_guard(model1, wave):
+    positions, velocities = np.zeros(16), np.zeros(16)
+    lattice._Verlet(model1, positions, velocities, 0.05).run(1)
+    assert np.all(positions == 0.0) and np.all(velocities == 0.0)
+    # two steps of 0.2, above the guard 0.1/c0
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\]"):
+        cw.run_transport(wave, 80, 0.4, 0.2)
 
 
 def test_step_harmonic_frequency(model1):
@@ -153,14 +151,15 @@ def test_step_harmonic_frequency(model1):
     omega = math.sqrt(dispersion_sq(model1, kappa))
     shape = np.cos(kappa * (np.arange(J) + 0.5))
     dt = 0.02
-    state = cw.LatticeState(model1, 1e-8 * shape, np.zeros(J))
-    previous = float(shape @ state.positions)
+    positions = 1e-8 * shape
+    kernel = lattice._Verlet(model1, positions, np.zeros(J), dt)
+    previous = float(shape @ positions)
     crossing = None
     for n in range(1, 20000):
-        state = cw.step(state, dt, linear_only=True)
-        current = float(shape @ state.positions)
+        kernel.run(1)
+        current = float(shape @ positions)
         if previous > 0 >= current:
-            crossing = state.time - dt * current / (current - previous)
+            crossing = n * dt - dt * current / (current - previous)
             break
         previous = current
     assert crossing is not None
@@ -170,41 +169,32 @@ def test_step_harmonic_frequency(model1):
 
 def test_total_energy_single_bond(model1):
     positions = np.array([0.0, 0.3, 0.3, 0.3])
-    state = cw.LatticeState(model1, positions, np.zeros(4))
     expected = 0.5 * 0.3**2 + 0.3**3 / 3.0
-    assert cw.total_energy(state) == pytest.approx(expected, rel=1e-14)
-    zero = cw.LatticeState(model1, np.zeros(4), np.zeros(4))
-    assert cw.total_energy(zero) == 0.0
+    assert _energy(model1, positions, np.zeros(4)) == pytest.approx(expected, rel=1e-14)
+    assert _energy(model1, np.zeros(4), np.zeros(4)) == 0.0
 
 
 def test_energy_drift_standing_mode(model1):
     # bounded low-mode motion, guard step, ten thousand steps
     J = 80
     kappa = math.pi * 2 / J
-    state = cw.LatticeState(
-        model1, 0.01 * np.cos(kappa * (np.arange(J) + 0.5)), np.zeros(J)
-    )
+    positions = 0.01 * np.cos(kappa * (np.arange(J) + 0.5))
     guard = 0.1 / math.sqrt(model1.sound_speed_sq)
-    energies = [cw.total_energy(state)]
-    for n in range(10000):
-        state = cw.step(state, guard)
-        if n % 10 == 9:
-            energies.append(cw.total_energy(state))
-    assert cw.energy_drift_rate(energies, 10 * guard) <= 1e-6
+    energies = np.empty(10001)
+    lattice._Verlet(model1, positions, np.zeros(J), guard).run(10000, energies)
+    assert cw.energy_drift_rate(energies[::10], 10 * guard) <= 1e-6
 
 
 def test_wave_initial_data_shape(wave):
     J = 80
-    state = cw.wave_initial_data(wave, J)
-    assert np.all(state.velocities <= 1e-15)
-    assert np.sum(np.diff(np.signbit(-state.velocities + 1e-300))) <= 2
+    _, velocities = cw.wave_initial_data(wave, J)
+    assert np.all(velocities <= 1e-15)
+    assert np.sum(np.diff(np.signbit(-velocities + 1e-300))) <= 2
     eps, speed = wave.epsilon, wave.wave_speed
     expected_peak = eps**2 * speed * cw.sup_norm(wave.w)
-    assert float(np.max(np.abs(state.velocities))) == pytest.approx(
-        expected_peak, abs=1e-9
-    )
+    assert float(np.max(np.abs(velocities))) == pytest.approx(expected_peak, abs=1e-9)
     # midpoint particle sits at the wave crest
-    assert int(np.argmax(-state.velocities)) == J // 2
+    assert int(np.argmax(-velocities)) == J // 2
 
 
 @pytest.mark.parametrize("num_points", [1024, 4096])
@@ -237,7 +227,7 @@ def test_wave_initial_data_rejects(wave, model1):
 
 
 def test_transport_zero_horizon(wave):
-    assert cw.transport_error(wave, 80, 0.0, 0.02) <= 1e-10
+    assert cw.run_transport(wave, 80, 0.0, 0.02).transport_error <= 1e-10
 
 
 def test_transport_error_defaults(wave, model1):
@@ -270,22 +260,19 @@ def test_transport_window_overflow(wave):
 
 
 def test_momentum_conserved_through_steps(wave):
-    state = cw.wave_initial_data(wave, 80)
-    start = cw.total_momentum(state)
-    for _ in range(100):
-        state = cw.step(state, 0.05)
-    assert abs(cw.total_momentum(state) - start) / 100 <= 1e-12
+    positions, velocities = cw.wave_initial_data(wave, 80)
+    start = float(np.sum(velocities))
+    lattice._Verlet(wave.model, positions, velocities, 0.05).run(100)
+    assert abs(float(np.sum(velocities)) - start) / 100 <= 1e-12
 
 
 def _reference_report(solution, num_particles, horizon, dt, steps):
-    # run_transport rebuilt from the public step and total_energy
-    state = cw.wave_initial_data(solution, num_particles)
-    momentum_start = cw.total_momentum(state)
-    energies = [cw.total_energy(state)]
-    for _ in range(steps):
-        state = cw.step(state, dt)
-        energies.append(cw.total_energy(state))
-    energies = np.asarray(energies)
+    # run_transport rebuilt from a depth-1 kernel run, which sums the pair
+    # potentials of each step alone
+    positions, velocities = cw.wave_initial_data(solution, num_particles)
+    momentum_start = float(np.sum(velocities))
+    energies = np.empty(steps + 1)
+    lattice._Verlet(solution.model, positions, velocities, dt).run(steps, energies)
     eps, speed = solution.epsilon, solution.wave_speed
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * cw.sample(solution.grid, solution.w.values, phases)
@@ -298,11 +285,11 @@ def _reference_report(solution, num_particles, horizon, dt, steps):
         horizon=horizon,
         steps=steps,
         transport_error=float(
-            np.max(np.abs(state.velocities[interior] - predicted[interior]))
+            np.max(np.abs(velocities[interior] - predicted[interior]))
         ) / scale,
         energy_drift=cw.energy_drift_rate(energies, dt),
         peak_energy_deviation=float(np.max(np.abs(energies - energies[0]))) / abs(energies[0]),
-        momentum_drift_per_step=abs(cw.total_momentum(state) - momentum_start) / steps,
+        momentum_drift_per_step=abs(float(np.sum(velocities)) - momentum_start) / steps,
     )
 
 
@@ -322,7 +309,7 @@ def _reference_report(solution, num_particles, horizon, dt, steps):
     ids=["M2-cubic", "M1-toda-remainder", "M3-toda-remainder"],
 )
 def test_transport_matches_step_reference(model, num_particles, horizon, dt, steps):
-    # the array loop inside run_transport is bitwise the public step loop;
+    # the 16-deep run inside run_transport is bitwise the depth-1 kernel run;
     # each run crosses at least one boundary of its 16-step potential batches
     solution = _solve(model)
     report = cw.run_transport(solution, num_particles, horizon, dt)
@@ -361,10 +348,10 @@ def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
         assert batches == expected
 
 
-def _random_chain(model, size, seed):
+def _random_chain(size, seed):
     rng = np.random.default_rng(seed)
     positions = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.5, 0.5, size - 1))])
-    return cw.LatticeState(model, positions, rng.uniform(-0.5, 0.5, size))
+    return positions, rng.uniform(-0.5, 0.5, size)
 
 
 _FAMILIES = [
@@ -384,13 +371,10 @@ def test_power_sum_potential_matches_pair_potentials(model, size):
     # law, summed exactly
     M = model.neighbor_range
     size = 2 * M + 2 if size == "minimum" else size
-    state = _random_chain(model, size, size + M)
-    state.velocities[:] = 0.0
-    terms = [
-        model.potential(m, state.positions[m:] - state.positions[:-m]) for m in range(1, M + 1)
-    ]
+    positions, _ = _random_chain(size, size + M)
+    terms = [model.potential(m, positions[m:] - positions[:-m]) for m in range(1, M + 1)]
     expected = math.fsum(np.concatenate(terms))
-    assert abs(cw.total_energy(state) - expected) <= 1e-14 * abs(expected)
+    assert abs(_energy(model, positions, np.zeros(size)) - expected) <= 1e-14 * abs(expected)
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.013])
@@ -398,9 +382,9 @@ def test_power_sum_potential_matches_pair_potentials(model, size):
 def test_folded_half_kick_equals_scaled_acceleration(model, dt):
     # dt/2 folded into the force-law coefficients moves the half-kick by
     # round-off only
-    state = _random_chain(model, 300, 3)
-    expected = 0.5 * dt * cw.acceleration(state)
-    kick = lattice._Verlet(model, state.positions, state.velocities, dt).forces()
+    positions, velocities = _random_chain(300, 3)
+    expected = 0.5 * dt * _acceleration(model, positions)
+    kick = lattice._Verlet(model, positions, velocities, dt).forces()
     assert np.max(np.abs(kick - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -409,15 +393,16 @@ def test_folded_half_kick_equals_scaled_acceleration(model, dt):
 def test_stacked_potentials_equal_single_state(model, size):
     # a state's pair potential is bitwise the same alone and in any slot of
     # a 16-state stack, full or partly filled: this keeps run_transport's
-    # energies those of total_energy
+    # energies those of a depth-1 kernel run
     M = model.neighbor_range
     size = 2 * M + 2 if size == "minimum" else size
-    states = [_random_chain(model, size, seed) for seed in range(16)]
-    stack = lattice._Verlet(model, states[0].positions, states[0].velocities, 0.01, depth=16)
+    states = [_random_chain(size, seed) for seed in range(16)]
+    stack = lattice._Verlet(model, *states[0], 0.01, depth=16)
     alone = []
     for slot, state in enumerate(states):
-        single = lattice._Verlet(model, state.positions, state.velocities, 0.01)
-        stack.stretches[slot] = single.load(0)
+        single = lattice._Verlet(model, *state, 0.01)
+        single.forces(0)
+        stack.stretches[slot] = single.stretches[0]
         alone.extend(single.potentials(1))
     assert stack.potentials(16) == alone
     assert stack.potentials(5) == alone[:5]
@@ -436,18 +421,18 @@ def test_transport_blow_up_raises(wave):
 def test_transport_blow_up_mid_batch_names_reference_step(wave, horizon):
     # at dt 0.04 the -40 w collapse first has a non-finite energy after step
     # 57, slot 9 of the batch of steps 48-63: the run reports the step and
-    # energy of the public step loop, whether later steps of that batch run
-    # (horizon 20) or the run ends inside it (horizon 2.4, 60 steps)
+    # energy of the depth-1 kernel run, which stops at once, whether later
+    # steps of that batch run (horizon 20) or the run ends inside it
+    # (horizon 2.4, 60 steps)
     collapsing = dataclasses.replace(wave, w=-40.0 * wave.w)
     with np.errstate(over="ignore", invalid="ignore"):
-        state = cw.wave_initial_data(collapsing, 80)
-        for n in range(1, 61):
-            state = cw.step(state, 0.04)
-            energy = cw.total_energy(state)
-            if not math.isfinite(energy):
-                break
-        assert n == 57
-        message = f"state entries must be finite; the energy after step {n} is {energy}"
+        positions, velocities = cw.wave_initial_data(collapsing, 80)
+        energies = np.empty(61)
+        with pytest.raises(ValueError) as reference:
+            lattice._Verlet(wave.model, positions, velocities, 0.04).run(60, energies)
+        assert np.all(np.isfinite(energies[:57])) and not math.isfinite(energies[57])
+        message = f"state entries must be finite; the energy after step 57 is {energies[57]}"
+        assert str(reference.value) == message
         with pytest.raises(ValueError) as raised:
             cw.run_transport(collapsing, 80, horizon, 0.04)
     assert str(raised.value) == message
