@@ -14,19 +14,17 @@ the orthonormal cosine coordinates of ``even_coefficients``, where B_eps and
 every A_{m eps} are diagonal: one application costs a batched inverse real
 FFT and a forward one, and the operator stores O(N) numbers. On grid
 functions, ``apply_l`` is one rfft, b S - rfft(M V) on the spectrum S, and
-one irfft: 2 + 2M length-N transforms. L is symmetric indefinite, so solves
-use MINRES (Paige & Saunders 1975), implemented here on numpy with a
-two-level SPD preconditioner: V |Lambda|^{-1} V^T on the first N_c/2 + 1
-cosine coordinates, from the eigendecomposition that certified sigma_min
-below, and B_eps^{-1} on the rest. ``solve`` maps the rfft of G to the
-coordinates of V and certifies the plain residual ||L x - g||_2 of G's even
-part, one application in coordinates and by Parseval the grid residual, to
-the absolute budget tol max(1, ||G||). MINRES stops once
-phibar sqrt(max(max b_eps, max |Lambda|)), a bound on that residual from
-its preconditioned residual norm phibar, is budget / 100. A chord step thus
-takes the MINRES steps its budget asks and no more (the forcing idea of
-inexact Newton methods; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
-19, 1982).
+one irfft: 2 + 2M length-N transforms. L is symmetric indefinite; solves
+are defect correction (preconditioned Richardson; Xu, SIAM Review 34, 1992)
+with a two-level signed inverse P: V Lambda^{-1} V^T on the first
+N_c/2 + 1 cosine coordinates, from the eigendecomposition that certified
+sigma_min below, and B_eps^{-1} on the rest. P is nearly L^{-1}, so
+x += P (g - L x) contracts. ``solve`` maps the rfft of G to the coordinates
+of V and corrects until the plain residual ||L x - g||_2 of G's even part,
+one application in coordinates and by Parseval the grid residual, is within
+the absolute budget tol max(1, ||G||). That residual is the certificate; a
+correction that does not halve it raises. On the default domain a chord
+step takes one correction.
 
 sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
 Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
@@ -69,74 +67,8 @@ __all__ = [
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
 _EVENNESS_GATE = 1e-8
-_EPS = float(np.finfo(float).eps)
 _COARSE_SIZES = (256, 512, 1024, 2048)  # sigma_min's dense-solve ladder, capped at N
 _CERTIFICATE = 1e-8  # relative solve-grid residual that accepts a coarse eigenvector
-
-
-def _preconditioned_minres(matvec, precondition, b, rtol, atol, x0=None):
-    """MINRES (Paige & Saunders 1975) for a symmetric A x = b.
-
-    ``precondition`` applies the SPD preconditioner to a vector and returns
-    a new one. The stopping tests are those of SciPy's translation
-    of the SOL code: stop once ||r|| <= rtol ||A|| ||x|| (test1) or
-    ||A r|| <= rtol ||A|| ||r|| (test2), either test reaches round-off, the
-    estimate Acond of cond(A) reaches 0.1/eps, ||A|| ||x|| eps reaches the
-    preconditioned norm beta1 of the first residual (epsx), or after 5 n
-    steps. Beside them, it stops once the preconditioned residual norm
-    phibar is at most ``atol``. Returns the last iterate.
-    """
-    n = b.size
-    x = np.zeros(n) if x0 is None else x0.copy()
-    r1 = b.copy() if x0 is None else b - matvec(x)
-    y = precondition(r1)
-    beta1 = float(np.dot(r1, y))
-    if beta1 == 0.0:
-        return x
-    beta1 = math.sqrt(beta1)
-    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
-    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, np.inf, -1.0, 0.0
-    w, w2, r2 = np.zeros(n), np.zeros(n), r1
-    for itn in range(1, 5 * n + 1):
-        v = (1.0 / beta) * y
-        y = matvec(v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = precondition(r2)
-        oldb, beta = beta, math.sqrt(float(np.dot(r2, y)))
-        tnorm2 += alfa**2 + oldb**2 + beta**2
-        # previous rotation, then the next one
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = math.hypot(gbar, dbar)
-        gamma = max(math.hypot(gbar, beta), _EPS)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
-        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
-        anorm = math.sqrt(tnorm2)
-        ynorm = float(np.linalg.norm(x))
-        test1 = phibar / (anorm * ynorm) if anorm * ynorm > 0 else np.inf
-        test2 = root / anorm if anorm > 0 else np.inf
-        if itn == 1 and beta / beta1 <= 10 * _EPS:
-            break  # the first residual spans an invariant subspace
-        if (
-            phibar <= atol
-            or min(test1, test2) <= rtol
-            or 1.0 + min(test1, test2) <= 1.0
-            or gmax / gmin >= 0.1 / _EPS
-            or anorm * ynorm * _EPS >= beta1
-        ):
-            break
-    return x
 
 
 @lru_cache(maxsize=8)
@@ -266,40 +198,21 @@ class LinearizedOperator:
             matrix -= block
         return matrix
 
-    def _minres(
-        self, rhs: NDArray, tol: float, budget: float, x0: NDArray | None = None
-    ) -> NDArray:
-        """MINRES in cosine coordinates with the two-level preconditioner.
-
-        Its relative test bounds a preconditioned residual relative to the
-        iterate, so it runs to tol / 100. Its absolute test stops at the
-        plain residual ``solve`` certifies: the inverse preconditioner has
-        largest eigenvalue max(max b_eps, max |Lambda|), so the residual r
-        of an iterate obeys ||r||_2 <= phibar sqrt(max(max b_eps,
-        max |Lambda|)), and MINRES stops once that bound is
-        budget / 100. Both leave room for the round-off of the synthesis.
-        """
-        _, values, _ = self._coarse_eigenpairs
-        b_max = float(b_diagonal(self.model, self.grid, self.eps).max())
-        bound = math.sqrt(max(b_max, float(np.abs(values).max())))
-        return _preconditioned_minres(
-            self._apply_even, self._preconditioner, rhs, 1e-2 * tol, 1e-2 * budget / bound, x0
-        )
-
     @cached_property
     def _preconditioner(self):
-        """The SPD map V |Lambda|^{-1} V^T on the first N_c/2 + 1 cosine
+        """The signed inverse V Lambda^{-1} V^T on the first N_c/2 + 1 cosine
         coordinates, from the eigendecomposition of sigma_min's certified
         coarse rung, and B_eps^{-1} on the rest.
 
         Those coordinates are the coarse grid's cosine modes and the coupling
-        of L_eps is smooth, so the low block is nearly |L_eps|^{-1} and the
-        preconditioned spectrum clusters at -1 and 1 there; on the rest
-        B_eps dominates L_eps. Both blocks are SPD, as MINRES requires.
+        of L_eps is smooth, so the low block is nearly L_eps^{-1}, negative
+        direction included; on the rest B_eps dominates L_eps. So
+        I - P L_eps is a contraction, which an SPD map such as
+        V |Lambda|^{-1} V^T is not: it flips the negative direction.
         """
         _, values, vectors = self._coarse_eigenpairs
         inverse_b = 1.0 / b_diagonal(self.model, self.grid, self.eps)
-        inverse_values = 1.0 / np.abs(values)
+        inverse_values = 1.0 / values
         m = values.size
 
         def precondition(r: NDArray) -> NDArray:
@@ -346,14 +259,15 @@ class LinearizedOperator:
 
         G is given by its rfft ``g``, V returned in the cosine coordinates of
         ``even_coefficients``. G must be numerically even: its odd part, the
-        imaginary part of ``g``, is gated, and dropped below the gate. MINRES
-        runs until its bound on the plain residual is a hundredth of the
-        budget ``tol * max(1, ||G||_2)``, or until its relative test passes;
-        the residual ||L x - g_even||_2 of its iterate x, one application in
-        coordinates and by Parseval the grid residual, is then checked
-        against the budget. Raises ``NearSingularError`` when the operator
-        leaves its invertibility regime and ``NoConvergenceError`` if MINRES,
-        restarted once from its own iterate, cannot reach the budget.
+        imaginary part of ``g``, is gated, and dropped below the gate. The
+        solve is defect correction with the preconditioner P: x = P g, then
+        x += P r while the residual r = g_even - L x exceeds the budget
+        ``tol * max(1, ||G||_2)``. Each residual, one application in
+        coordinates and by Parseval the grid residual, certifies its iterate,
+        so the last one is the certificate. Raises ``NearSingularError`` when
+        the operator leaves its invertibility regime and, with no restart,
+        ``NoConvergenceError`` once a correction fails to halve the residual
+        (the first one that of x = 0), so a stalled or diverging solve ends.
         """
         scale = cosine_scale(self.grid)
         g = np.asarray(g)
@@ -373,15 +287,19 @@ class LinearizedOperator:
                 f"{NEAR_SINGULAR_THRESHOLD:g}"
             )
         budget = tol * max(1.0, g_norm)
-        x = None
-        for _ in range(2):
-            x = self._minres(rhs, tol, budget, x)
-            residual = float(np.linalg.norm(self._apply_even(x) - rhs))
-            if residual <= budget:
-                return x
-        raise NoConvergenceError(
-            f"linear solve residual {residual:.3e} above budget {budget:.3e}"
-        )
+        x = self._preconditioner(rhs)
+        residual = rhs - self._apply_even(x)
+        previous, norm = float(np.linalg.norm(rhs)), float(np.linalg.norm(residual))
+        while norm > budget:
+            if norm > 0.5 * previous:
+                raise NoConvergenceError(
+                    f"linear solve residual {norm:.3e} above budget {budget:.3e} "
+                    f"and not halved from {previous:.3e}"
+                )
+            x += self._preconditioner(residual)
+            residual = rhs - self._apply_even(x)
+            previous, norm = norm, float(np.linalg.norm(residual))
+        return x
 
 
 @lru_cache(maxsize=6)

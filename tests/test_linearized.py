@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
     cosine_scale,
@@ -167,14 +166,19 @@ def dense_reference(operator):
 def references(op1, op1_limit, model1, grid1, model2, grid2, model3_toda):
     """Dense references on M1 (eps 0.2, the limit, and eps 1.0, where the
     eigenvalue nearest 0 is not the limit's 3/4), on the psi-free M2 at
-    eps 0.1, and on the M3-toda Jacobian at w0, psi'' term included."""
+    eps 0.1, on the M3-toda Jacobian at w0, psi'' term included, and on M2
+    at four times its default half length, N = 2048 and eps 0.2, where the
+    certified coarse rung is N_c = 1024 and a solve takes several
+    corrections."""
     toda_grid = cw.make_grid(cw.default_half_length(model3_toda), 1024)
+    wide_grid = cw.make_grid(4 * cw.default_half_length(model2), 2048)
     operators = (
         op1,
         op1_limit,
         linearized_operator(model1, grid1, 1.0),
         linearized_operator(model2, grid2, 0.1),
         LinearizedOperator(model3_toda, toda_grid, 0.2, cw.kdv_profile(model3_toda, toda_grid)),
+        linearized_operator(model2, wide_grid, 0.2),
     )
     return [(operator, dense_reference(operator)) for operator in operators]
 
@@ -237,8 +241,8 @@ def test_dense_reference_morse_index_one(references):
 
 
 def test_import_loads_no_scipy():
-    # MINRES and the eigensolver are the package's own numpy code: a fresh
-    # interpreter that imports it has loaded no scipy module
+    # the linear solve and the eigensolver are the package's own numpy code:
+    # a fresh interpreter that imports it has loaded no scipy module
     source = str(Path(cw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
     script = "import sys, chainwaves; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -346,19 +350,15 @@ def test_cold_solve_application_count(model2, grid2, monkeypatch):
     """Counts the L_eps applications in cosine coordinates (``_apply_even``)
     of one cold solve on M2 at eps 0.1, N = 1024, per chord solve: the first
     one also makes sigma_min's certificate application, and all are on the
-    solve grid. MINRES stops once its bound on the plain residual is a
-    hundredth of the solve's absolute budget, so the late chord steps, whose
-    right-hand sides shrink with the increments, take two MINRES steps each,
-    and each solve's residual certificate is one more application. With the
-    relative test alone MINRES took [4, 3, 4, 5, 6, 7] steps, 29 in all, and
-    preconditioned by B_eps^{-1} alone 71."""
+    solve grid. Each chord solve is one correction x = P g, whose residual,
+    one application, is within the budget and certifies it."""
     applications = _count_calls(monkeypatch, "_apply_even")
     per_solve = _per_solve(monkeypatch, applications)
     linearized_operator.cache_clear()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert per_solve == [5, 3, 3, 3, 3, 3]
-    assert applications == [1024] * 20
+    assert per_solve == [2, 1, 1, 1, 1, 1]
+    assert applications == [1024] * 7
 
 
 def test_cold_solve_transform_count(model2, grid2, transform_lengths):
@@ -366,8 +366,8 @@ def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     N = 1024. sigma_min's N_c = 256 rung: the restriction of w0 and the
     coarse operator's rfft of it, its averages and its columns (6 rows of
     256). On the solve grid: the rfft of w0 and the averages of the
-    coupling (3 rows); 20 applications of L_eps in coordinates, 2M rows
-    each (80); 6 chord defects from the real spectrum of w, 2M rows each
+    coupling (3 rows); 7 applications of L_eps in coordinates, 2M rows
+    each (28); 6 chord defects from the real spectrum of w, 2M rows each
     (24); one synthesis of v after the loop, and the final residual's
     2 + 2M rows (7). Each chord step transforms nothing beyond its defect
     and its applications; the grid-space chord step took 156 rows."""
@@ -375,7 +375,7 @@ def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     lengths = transform_lengths()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert sorted(lengths) == [256] * 6 + [1024] * 114
+    assert sorted(lengths) == [256] * 6 + [1024] * 62
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -383,12 +383,11 @@ def test_cold_solve_transform_count(model2, grid2, transform_lengths):
 def test_chord_solves_certify_on_first_run(
     name, n, model1, model2_cubic, model3_toda, monkeypatch
 ):
-    """MINRES's absolute stop leaves the plain-residual certificate of
-    ``solve`` nothing to restart: every chord solve is one MINRES run, and
-    the certificate, a residual in cosine coordinates, equals the residual
-    of the synthesized solution on the grid. The waves and iteration counts
-    are those of MINRES run to its relative test alone, the reference here
-    with the absolute stop patched away."""
+    """Every chord solve is one correction x = P g: its residual, the
+    certificate, is already within the budget. That residual in cosine
+    coordinates equals the residual of the synthesized solution on the grid.
+    At N = 1024 the waves and iteration counts are those of the same chord
+    iteration with each solve a dense ``np.linalg.solve`` of ``even_matrix``."""
     model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
     grid = cw.make_grid(cw.default_half_length(model), n)
     configs = (
@@ -396,8 +395,20 @@ def test_chord_solves_certify_on_first_run(
         cw.SolveConfig(epsilon=0.4),
         cw.SolveConfig(epsilon=0.05),
     )
-    runs = _count_calls(monkeypatch, "_minres")
-    per_solve = _per_solve(monkeypatch, runs)
+    corrections = []
+    preconditioner = LinearizedOperator.__dict__["_preconditioner"]
+
+    def counted_preconditioner(self):
+        precondition = preconditioner.__get__(self, LinearizedOperator)
+
+        def counted(r):
+            corrections.append(r.size)
+            return precondition(r)
+
+        return counted
+
+    monkeypatch.setattr(LinearizedOperator, "_preconditioner", property(counted_preconditioner))
+    per_solve = _per_solve(monkeypatch, corrections)
     chord_solves = []
     solve = LinearizedOperator.solve
 
@@ -421,12 +432,13 @@ def test_chord_solves_certify_on_first_run(
             b = cw.b_diagonal(operator.model, grid, operator.eps)
             floor = 4 * np.finfo(float).eps * b.max() * np.linalg.norm(x)
             assert abs(coordinate - residual) <= 1e-14 * max(1.0, cw.l2_norm(g_even)) + floor
-        minres = linearized._preconditioned_minres
+        if n > 1024:
+            return  # the dense matrix at N = 16384 would take 0.5 GB
 
-        def relative_only(matvec, precondition, b, rtol, atol, x0):
-            return minres(matvec, precondition, b, rtol, 0.0, x0)
+        def dense(self, g, tol=1e-12):
+            return np.linalg.solve(self.even_matrix(), cosine_scale(self.grid) * g.real)
 
-        monkeypatch.setattr(linearized, "_preconditioned_minres", relative_only)
+        monkeypatch.setattr(LinearizedOperator, "solve", dense)
         for config, solution in zip(configs, solutions):
             reference = cw.solve_wave(model, grid, config)
             assert reference.diagnostics.iterations == solution.diagnostics.iterations
@@ -535,6 +547,27 @@ def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     with pytest.raises(cw.NoConvergenceError):
         op1.solve(np.fft.rfft(g.values), tol=1e-20)
+
+
+@pytest.mark.parametrize("low_block", ["none", "absolute"])
+def test_solve_without_signed_inverse_raises(low_block, model1, grid1, rng):
+    """With B_eps^{-1} alone, or with the SPD |Lambda|^{-1} in place of the
+    signed Lambda^{-1} on the coarse eigenbasis, a correction does not halve
+    the residual: the solve raises instead of looping."""
+    operator = LinearizedOperator(model1, grid1, 0.2, cw.kdv_profile(model1, grid1))
+    _, values, vectors = operator._coarse_eigenpairs
+    inverse_b = 1.0 / cw.b_diagonal(model1, grid1, 0.2)
+
+    def precondition(r):
+        y = inverse_b * r
+        if low_block == "absolute":
+            y[: values.size] = vectors @ ((r[: values.size] @ vectors) / np.abs(values))
+        return y
+
+    operator.__dict__["_preconditioner"] = precondition
+    g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
+    with pytest.raises(cw.NoConvergenceError):
+        operator.solve(np.fft.rfft(g.values))
 
 
 def test_solve_rejects_odd_input(op1, grid1, rng):
