@@ -75,11 +75,7 @@ class RunConfig:
 
     def solve_config(self, epsilon: float) -> SolveConfig:
         return SolveConfig(
-            epsilon=epsilon,
-            tol_fixed_point=self.tol,
-            tol_linear=self.tol,
-            max_iterations=self.max_iter,
-            damping=self.damping,
+            epsilon=epsilon, tol=self.tol, max_iterations=self.max_iter, damping=self.damping
         )
 
     def to_dict(self) -> dict:
@@ -142,8 +138,10 @@ def _positive_number(value, where: str) -> float:
 
 def _epsilon(value, where: str) -> float:
     epsilon = _positive_number(value, where)
-    if epsilon > 1:
-        raise ConfigError(f"{where} must be in (0, 1], got {epsilon!r}")
+    try:
+        SolveConfig(epsilon)  # the one range check of epsilon
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return epsilon
 
 

@@ -16,9 +16,9 @@ FFT and a forward one, and the operator stores O(N) numbers. On grid
 functions, ``apply_l`` is one rfft, b S - rfft(M V) on the spectrum S, and
 one irfft: 2 + 2M length-N transforms. L is symmetric indefinite; solves
 are defect correction (preconditioned Richardson; Xu, SIAM Review 34, 1992)
-with a two-level signed inverse P: V Lambda^{-1} V^T on the first
-N_c/2 + 1 cosine coordinates, from the eigendecomposition that certified
-sigma_min below, and B_eps^{-1} on the rest. P is nearly L^{-1}, so
+with a two-level signed inverse P: V Lambda^{-1} V^T on the first m
+cosine coordinates, from the eigendecomposition that certified sigma_min
+below, and B_eps^{-1} on the rest. P is nearly L^{-1}, so
 x += P (g - L x) contracts. ``solve`` maps the rfft of G to the coordinates
 of V and corrects until the plain residual ||L x - g||_2 of G's even part,
 one application in coordinates and by Parseval the grid residual, is within
@@ -26,23 +26,23 @@ the absolute budget tol max(1, ||G||). That residual is the certificate; a
 correction that does not halve it raises. On the default domain a chord
 step takes one correction.
 
-sigma_min is the eigenvalue nearest 0, found by the two-grid scheme of Xu &
-Zhou (Math. Comp. 70, 2001). Its eigenvector is smooth and localized, so the
-eigenvalue is grid-converged on a few hundred points. On a coarse grid of
-N_c points on the same half length (w0 restricted by truncating its rfft),
-the (N_c/2 + 1)^2 matrix of L_eps is written in closed form by
-``even_matrix`` (a Toeplitz plus a Hankel matrix per neighbor range, with no
-application of L) and solved densely with ``np.linalg.eigh``; being dense,
-the solve is global. Its eigenvector, zero-padded to the solve grid, gives
-the Rayleigh quotient of the solve-grid L_eps at one application, accurate
-to the square of the vector's error (Parlett, The Symmetric Eigenvalue
-Problem, 4.6). The value is accepted once the solve-grid residual
-||L x - theta x|| is at most 1e-8 |theta| ||x||, or when N_c = N and the
-dense value is exact. The ladder
-N_c = 256, 512, 1024, 2048 is capped at N; an uncertified 2048 rung gives
-sigma_min = 0, which ``solve`` turns into ``NearSingularError``. Only the
-certified rung's eigenvalues and eigenvectors are kept, for the
-preconditioner: 129 numbers and a 129 x 129 matrix on the default domain.
+sigma_min is the eigenvalue nearest 0, found by the two-level scheme of Xu &
+Zhou (Math. Comp. 70, 2001) with the Galerkin coarse space of the first m
+cosine modes. Its eigenvector is smooth and localized, so the eigenvalue is
+converged in a few hundred modes. The leading m x m block of L_eps, the
+restriction of the solve-grid matrix to that space, is written in closed
+form by ``even_matrix(m)`` (a Toeplitz plus a Hankel matrix per neighbor
+range, with no application of L) and solved densely with
+``np.linalg.eigh``; being dense, the solve is global. Its eigenvector,
+zero-padded, gives the Rayleigh quotient of L_eps at one application,
+accurate to the square of the vector's error (Parlett, The Symmetric
+Eigenvalue Problem, 4.6). The value is accepted once the residual
+||L x - theta x|| is at most 1e-8 |theta| ||x||, or when m = N/2 + 1 and the
+dense value is exact. The ladder m = 129, 257, 513, 1025 is capped at
+N/2 + 1; an uncertified 1025 rung gives sigma_min = 0, which ``solve`` turns
+into ``NearSingularError``. Only the certified rung's eigenvalues and
+eigenvectors are kept, for the preconditioner: 129 numbers and a 129 x 129
+matrix on the default domain.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ __all__ = [
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
 _EVENNESS_GATE = 1e-8
-_COARSE_SIZES = (256, 512, 1024, 2048)  # sigma_min's dense-solve ladder, capped at N
-_CERTIFICATE = 1e-8  # relative solve-grid residual that accepts a coarse eigenvector
+_COARSE_MODES = (129, 257, 513, 1025)  # sigma_min's dense-block ladder, capped at N/2 + 1
+_CERTIFICATE = 1e-8  # relative residual that accepts a leading-block eigenvector
 
 
 @lru_cache(maxsize=8)
@@ -168,9 +168,11 @@ class LinearizedOperator:
         coupling = self._coupling_spectrum(coefficients / scale).real
         return b_diagonal(self.model, self.grid, self.eps) * coefficients - scale * coupling
 
-    def even_matrix(self) -> NDArray[np.float64]:
-        """Dense (N/2 + 1)^2 matrix of L_eps in the orthonormal cosine
-        coordinates of ``even_coefficients``, in closed form.
+    def even_matrix(self, modes: int | None = None) -> NDArray[np.float64]:
+        """Dense matrix of L_eps in the orthonormal cosine coordinates of
+        ``even_coefficients``, in closed form: all N/2 + 1 modes, or the
+        leading ``modes`` x ``modes`` block, L_eps on the first ``modes``
+        cosine modes.
 
         On the real rfft S of an even V, V -> rfft(c irfft(S)) is the matrix
 
@@ -185,14 +187,14 @@ class LinearizedOperator:
         """
         columns, stack = self._assembled
         n = self.grid.num_points
-        m = n // 2 + 1
-        scale = cosine_scale(self.grid)
-        column_factor = self.grid.half_weights / ((2.0 * n) * scale)
-        matrix = np.diag(b_diagonal(self.model, self.grid, self.eps))
-        for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols):
-            toeplitz = sliding_window_view(np.concatenate([spectrum[:0:-1], spectrum]), m)
-            hankel = sliding_window_view(np.concatenate([spectrum, spectrum[-2::-1]]), m)
-            block = toeplitz[::-1] + hankel
+        m = n // 2 + 1 if modes is None else modes
+        scale = cosine_scale(self.grid)[:m]
+        column_factor = self.grid.half_weights[:m] / ((2.0 * n) * scale)
+        matrix = np.diag(b_diagonal(self.model, self.grid, self.eps)[:m])
+        for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols[:, :m]):
+            toeplitz = sliding_window_view(np.concatenate([spectrum[m - 1:0:-1], spectrum[:m]]), m)
+            folded = np.concatenate([spectrum, spectrum[-2::-1]])[: 2 * m - 1]
+            block = toeplitz[::-1] + sliding_window_view(folded, m)
             block *= (scale * symbol)[:, None]
             block *= symbol * column_factor
             matrix -= block
@@ -200,13 +202,14 @@ class LinearizedOperator:
 
     @cached_property
     def _preconditioner(self):
-        """The signed inverse V Lambda^{-1} V^T on the first N_c/2 + 1 cosine
+        """The signed inverse V Lambda^{-1} V^T on the first m cosine
         coordinates, from the eigendecomposition of sigma_min's certified
-        coarse rung, and B_eps^{-1} on the rest.
+        m x m leading block, and B_eps^{-1} on the rest.
 
-        Those coordinates are the coarse grid's cosine modes and the coupling
-        of L_eps is smooth, so the low block is nearly L_eps^{-1}, negative
-        direction included; on the rest B_eps dominates L_eps. So
+        The low block is the exact inverse of L_eps restricted to those
+        modes, negative direction included, and the coupling of L_eps is
+        smooth, so it links them only weakly to the rest, where B_eps
+        dominates L_eps. So
         I - P L_eps is a contraction, which an SPD map such as
         V |Lambda|^{-1} V^T is not: it flips the negative direction.
         """
@@ -224,29 +227,21 @@ class LinearizedOperator:
 
     @cached_property
     def _coarse_eigenpairs(self) -> tuple[float, NDArray | None, NDArray | None]:
-        """sigma_min and the ``eigh`` pair (values, vectors) of the dense
-        coarse matrix whose eigenvector certified it; (0.0, None, None) when
-        no rung is certified."""
-        # two-grid: dense eigenpair nearest 0 on a coarse grid, zero-padded
-        # and certified by its Rayleigh quotient and residual on this grid
-        n = self.grid.num_points
-        spectrum = self.w0_spectrum
-        for n_coarse in _COARSE_SIZES:
-            n_coarse = min(n_coarse, n)
-            m = n_coarse // 2 + 1
-            coarse = self
-            if n_coarse < n:
-                grid = SpectralGrid(self.grid.half_length, n_coarse)
-                restricted = np.fft.irfft(spectrum[:m] * (n_coarse / n), n=n_coarse)
-                w0 = GridFunction(grid, restricted)
-                coarse = LinearizedOperator(self.model, grid, self.eps, w0)
-            matrix = coarse.even_matrix()
+        """sigma_min and the ``eigh`` pair (values, vectors) of the leading
+        block of ``even_matrix`` whose eigenvector certified it;
+        (0.0, None, None) when no rung is certified."""
+        # two-level: dense eigenpair nearest 0 of the leading block, padded
+        # with zeros and certified by its Rayleigh quotient and residual
+        n_modes = self.grid.num_points // 2 + 1
+        for m in _COARSE_MODES:
+            m = min(m, n_modes)
+            matrix = self.even_matrix(m)
             values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
-            x = np.zeros(n // 2 + 1)  # the unit eigenvector, zero-padded
+            x = np.zeros(n_modes)  # the unit eigenvector, zero-padded
             x[:m] = vectors[:, int(np.argmin(np.abs(values)))]
             lx = self._apply_even(x)
             theta = float(x @ lx)
-            if n_coarse == n or np.linalg.norm(lx - theta * x) <= _CERTIFICATE * abs(theta):
+            if m == n_modes or np.linalg.norm(lx - theta * x) <= _CERTIFICATE * abs(theta):
                 return abs(theta), values, vectors
         return 0.0, None, None
 

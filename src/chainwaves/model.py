@@ -285,18 +285,21 @@ def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
 
     Even, positive, unimodal, and satisfying w'' = d1 w - d2 w^2 up to
     spectral truncation. Raises if the domain is too small for the profile
-    to decay below 1e-12 at the boundary.
+    to decay below 1e-12 at the boundary. Wide domains do not overflow: the
+    boundary value is 4 peak e^{-2y} / (1 + e^{-2y})^2 at y = rate L, and
+    the samples clip rate |x| at 350, where sech^2 is below 1e-303.
     """
     constants = kdv_constants(model)
     peak = 1.5 * constants.d1 / constants.d2
     rate = 0.5 * math.sqrt(constants.d1)
-    boundary = peak / math.cosh(rate * grid.half_length) ** 2
+    decay = math.exp(-2.0 * rate * grid.half_length)
+    boundary = 4.0 * peak * decay / (1.0 + decay) ** 2
     if boundary >= _BOUNDARY_GATE:
         raise DomainTooSmallError(
             f"profile is {boundary:.3e} at x = {grid.half_length:g}; "
             f"need half_length >= {default_half_length(model):.9g}"
         )
-    values = peak / np.cosh(rate * grid.nodes) ** 2
+    values = peak / np.cosh(np.minimum(rate * np.abs(grid.nodes), 350.0)) ** 2
     return GridFunction(grid, values)
 
 

@@ -25,6 +25,7 @@ before a solve is reported as successful.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -42,27 +43,30 @@ __all__ = [
     "SweepRow", "convergence_sweep",
 ]
 
+_EPSILON_MIN = sys.float_info.min**0.25  # the least epsilon whose eps^4 is a normal float
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Iteration controls for one corrector solve.
 
-    ``tol_residual`` backs the mandatory final traveling-wave residual check;
-    an iteration that stagnates without reaching it is reported as failed
-    rather than returned silently.
+    ``tol`` bounds the relative chord increment and each linear solve's
+    residual. ``tol_residual`` backs the mandatory final traveling-wave
+    residual check; an iteration that stagnates without reaching it is
+    reported as failed rather than returned silently. The defect is scaled
+    by eps^-4, so epsilon starts where eps^4 is a normal float.
     """
 
     epsilon: float
-    tol_fixed_point: float = 1e-12
-    tol_linear: float = 1e-12
+    tol: float = 1e-12
     max_iterations: int = 200
     damping: float = 1.0
     tol_residual: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if min(self.tol_fixed_point, self.tol_linear, self.tol_residual) <= 0:
+        if not _EPSILON_MIN <= self.epsilon <= 1:
+            raise ValueError(f"epsilon must be in [{_EPSILON_MIN:.3g}, 1], got {self.epsilon}")
+        if min(self.tol, self.tol_residual) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -130,7 +134,7 @@ def fixed_point_map(
     eps: float,
     v: np.ndarray,
     *,
-    tol_linear: float = 1e-12,
+    tol: float = 1e-12,
     operator: LinearizedOperator | None = None,
 ) -> np.ndarray:
     """One application of F_eps, as the chord step v - L_eps^{-1}(G_eps(w) / eps^2),
@@ -145,7 +149,7 @@ def fixed_point_map(
         operator = linearized_operator(model, grid, eps)
     spectrum = operator.w0_spectrum.real + (eps**2 / cosine_scale(grid)) * v
     defect = tw_defect_spectrum(model, eps, grid, spectrum)
-    return v - operator.solve((1.0 / eps**2) * defect, tol_linear)
+    return v - operator.solve((1.0 / eps**2) * defect, tol)
 
 
 def measure_tail_decay(w: GridFunction, lower: float = 1e-8, upper: float = 1e-4) -> float:
@@ -206,14 +210,12 @@ def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> W
     operator = linearized_operator(model, grid, eps)
     v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, config.max_iterations + 1):
-        image = fixed_point_map(
-            model, grid, eps, v, tol_linear=config.tol_linear, operator=operator
-        )
+        image = fixed_point_map(model, grid, eps, v, tol=config.tol, operator=operator)
         if config.damping < 1.0:
             image = (1.0 - config.damping) * v + config.damping * image
         increment = float(np.linalg.norm(image - v))
         v = image
-        if increment <= config.tol_fixed_point * max(1.0, float(np.linalg.norm(v))):
+        if increment <= config.tol * max(1.0, float(np.linalg.norm(v))):
             break
     else:
         raise NoConvergenceError(

@@ -56,13 +56,10 @@ def bundle(grids):
 
 
 def test_c01_closed_form_leading_order(grids):
-    worst = 0.0
-    for name, model in MODELS.items():
-        constants = cw.kdv_constants(model)
-        w0 = cw.kdv_profile(model, grids[name])
-        residual = cw.derivative(w0, 2) - constants.d1 * w0 + constants.d2 * (w0 * w0)
-        worst = max(worst, cw.sup_norm(residual))
-    report("C1 closed-form leading order", worst <= 1e-8, f"max sup residual {worst:.2e}")
+    # the verify check of w0'' = d1 w0 - d2 w0^2 on each model
+    results = [CHECKS["profile_ode_residual"](model, grids[name]) for name, model in MODELS.items()]
+    detail = ", ".join(f"{name} {r.detail}" for name, r in zip(MODELS, results))
+    report("C1 closed-form leading order", all(r.passed for r in results), detail)
 
 
 def test_c02_operator_oracle_equivalence(grids):

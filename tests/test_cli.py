@@ -125,6 +125,28 @@ def test_epsilon_above_one_exits_2(tmp_path, capsys):
     assert "solver.epsilon_list" in capsys.readouterr().err
 
 
+def test_tiny_epsilon_exits_2(tmp_path, capsys):
+    # eps**4 below the smallest normal float is one config error, from
+    # solver.epsilon, an epsilon_list entry and --epsilon alike
+    path, _ = base_config(tmp_path, solver={"epsilon": 1e-170})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "config error: solver.epsilon" in capsys.readouterr().err
+    path, _ = base_config(tmp_path, solver={"epsilon_list": [0.2, 1e-170]})
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "config error: solver.epsilon_list" in capsys.readouterr().err
+    path, _ = base_config(tmp_path, solver={"epsilon": 0.2})
+    assert cli.main(["solve", "--config", str(path), "--epsilon", "1e-170"]) == 2
+    assert "config error: --epsilon" in capsys.readouterr().err
+
+
+def test_wide_domain_solve_is_typed(tmp_path, capsys):
+    # M1 on 24 times its default half length: the profile no longer
+    # overflows, and no sigma_min rung up to 1025 modes is certified
+    path, _ = base_config(tmp_path, grid={"num_points": 4096, "half_length": 210.0})
+    assert cli.main(["solve", "--config", str(path)]) == 3
+    assert "NearSingularError" in capsys.readouterr().err
+
+
 def test_infinite_number_exits_2(tmp_path, capsys):
     # json reads the literal Infinity; it is no admissible length or tolerance
     path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": math.inf})

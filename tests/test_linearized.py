@@ -168,7 +168,7 @@ def references(op1, op1_limit, model1, grid1, model2, grid2, model3_toda):
     eigenvalue nearest 0 is not the limit's 3/4), on the psi-free M2 at
     eps 0.1, on the M3-toda Jacobian at w0, psi'' term included, and on M2
     at four times its default half length, N = 2048 and eps 0.2, where the
-    certified coarse rung is N_c = 1024 and a solve takes several
+    certified rung is the 513-mode block and a solve takes several
     corrections."""
     toda_grid = cw.make_grid(cw.default_half_length(model3_toda), 1024)
     wide_grid = cw.make_grid(4 * cw.default_half_length(model2), 2048)
@@ -304,14 +304,16 @@ def test_sigma_min_pinned_values(name, model1, model2):
 
 
 def _count_calls(monkeypatch, name):
-    """Records the grid size of every call of the ``LinearizedOperator``
-    method ``name``."""
+    """Records the size of every call of the ``LinearizedOperator`` method
+    ``name``: the block size of a dense ``even_matrix``, the grid size of
+    any other method."""
     sizes = []
     method = getattr(LinearizedOperator, name)
 
     def counted(self, *args):
-        sizes.append(self.grid.num_points)
-        return method(self, *args)
+        result = method(self, *args)
+        sizes.append(len(result) if name == "even_matrix" else self.grid.num_points)
+        return result
 
     monkeypatch.setattr(LinearizedOperator, name, counted)
     return sizes
@@ -319,15 +321,15 @@ def _count_calls(monkeypatch, name):
 
 def test_sigma_min_application_count(model2, grid2, monkeypatch):
     """Counts the work of one sigma_min on M2 at eps 0.1, N = 1024: one dense
-    N_c = 256 matrix (``even_matrix``), built in closed form with no
-    L_eps application, and one solve-grid application in cosine coordinates
+    129 x 129 leading block of ``even_matrix``, built in closed form with no
+    L_eps application, and one application in cosine coordinates
     (``_apply_even``) for the Rayleigh quotient and its certificate. The
     column-by-column assembly it replaces made 129 coarse applications here."""
     applications = _count_calls(monkeypatch, "_apply_even")
     matrices = _count_calls(monkeypatch, "even_matrix")
     operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
     assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
-    assert matrices == [256]
+    assert matrices == [129]
     assert applications == [1024]
 
 
@@ -363,10 +365,9 @@ def test_cold_solve_application_count(model2, grid2, monkeypatch):
 
 def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     """Counts the real FFT rows of one cold solve on M2 at eps 0.1,
-    N = 1024. sigma_min's N_c = 256 rung: the restriction of w0 and the
-    coarse operator's rfft of it, its averages and its columns (6 rows of
-    256). On the solve grid: the rfft of w0 and the averages of the
-    coupling (3 rows); 7 applications of L_eps in coordinates, 2M rows
+    N = 1024, all of length N. The rfft of w0 and the averages of the
+    coupling (3 rows); sigma_min's 129-mode block, the rfft of the M
+    coupling columns (2); 7 applications of L_eps in coordinates, 2M rows
     each (28); 6 chord defects from the real spectrum of w, 2M rows each
     (24); one synthesis of v after the loop, and the final residual's
     2 + 2M rows (7). Each chord step transforms nothing beyond its defect
@@ -375,7 +376,7 @@ def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     lengths = transform_lengths()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert sorted(lengths) == [256] * 6 + [1024] * 62
+    assert lengths == [1024] * 64
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -449,7 +450,7 @@ def test_chord_solves_certify_on_first_run(
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
 def test_coarse_eigenbasis_morse_index_one(name, eps, model1, model2, model2_cubic):
     # the eigendecomposition kept for the preconditioner is that of the
-    # certified N_c = 256 rung; at w0 the Jacobian has exactly one negative
+    # certified 129-mode rung; at w0 the Jacobian has exactly one negative
     # eigenvalue (the M2-cubic case includes its psi'' term)
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
@@ -463,12 +464,12 @@ def test_coarse_eigenbasis_morse_index_one(name, eps, model1, model2, model2_cub
 @pytest.mark.parametrize(
     "scale, n, expected, rungs",
     [
-        # four times the default half length: the 256 and 512 rungs fail the
-        # certificate and 1024 passes, with one solve-grid application each
-        (4, 4096, 0.7513992998873238, [256, 512, 1024]),
-        # N = 16384 on the default domain: the N_c = 256 vector is certified
+        # four times the default half length: the 129- and 257-mode rungs
+        # fail the certificate and 513 passes, with one application each
+        (4, 4096, 0.7513992998873238, [129, 257, 513]),
+        # N = 16384 on the default domain: the 129-mode vector is certified
         # and the value is the N = 1024 pin
-        (1, 16384, 0.751399299886099, [256]),
+        (1, 16384, 0.751399299886099, [129]),
     ],
     ids=["wide-domain", "large-grid"],
 )
@@ -505,6 +506,31 @@ def test_even_matrix_matches_column_assembly(n, eps, model1, model2, model2_cubi
     operator = LinearizedOperator(model3_toda, grid, eps, cw.kdv_profile(model3_toda, grid))
     oracle = column_assembly(operator)
     assert np.max(np.abs(operator.even_matrix() - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_sigma_min_rungs_are_leading_blocks(eps, model1, model2_cubic, model3_toda, monkeypatch):
+    """sigma_min's coarse space is the span of the first cosine modes of the
+    solve grid: a cold sigma_min builds no grid, grid function or operator
+    of its own, and each rung ``even_matrix(m)`` is the leading m x m block
+    of the full matrix, bit for bit."""
+    built = []
+    for cls in (cw.SpectralGrid, cw.GridFunction, LinearizedOperator):
+
+        def recorded(self, init=cls.__post_init__):
+            built.append(type(self).__name__)
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+    for model in (model1, model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        operator = LinearizedOperator(model, grid, eps, cw.kdv_profile(model, grid))
+        del built[:]
+        assert operator.smallest_singular_value() > 0.5
+        assert built == [], model
+        full = operator.even_matrix()
+        for m in (129, 257, 513):
+            assert np.array_equal(operator.even_matrix(m), full[:m, :m]), (model, m)
 
 
 @pytest.mark.parametrize("name", ["M1", "M2"])
@@ -588,7 +614,7 @@ def test_solve_near_singular_guard(op1, grid1, monkeypatch, rng):
 
 def test_unconverged_sigma_min_is_near_singular(model1, rng):
     """On 16 times the default half length the mode of M1 is too narrow for
-    every coarse grid up to N_c = 2048, so no rung is certified: sigma_min
+    every leading block up to 1025 modes, so no rung is certified: sigma_min
     reports 0, which the solve gate turns into NearSingularError. The
     shift-invert Lanczos solved this case; no default or workload uses a
     domain this wide."""

@@ -145,6 +145,21 @@ def test_kdv_profile_peak_and_domain(model2):
         cw.kdv_profile(model2, small)
 
 
+@pytest.mark.parametrize("half_length", [210.0, 420.0, 1000.0])
+def test_kdv_profile_wide_domain(model1, half_length):
+    # rate L = sqrt(3) L passes 355, where cosh(rate L)^2 overflows a float:
+    # the profile is built with no error or warning, equals sech^2 wherever
+    # rate |x| <= 350 and is below 1e-300 beyond
+    grid = cw.make_grid(half_length, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w0 = cw.kdv_profile(model1, grid)
+    rate = 0.5 * math.sqrt(cw.kdv_constants(model1).d1)
+    near = rate * np.abs(grid.nodes) <= 350.0
+    assert np.array_equal(w0.values[near], 1.5 / np.cosh(rate * grid.nodes[near]) ** 2)
+    assert np.all((0 < w0.values[~near]) & (w0.values[~near] < 1e-300))
+
+
 def test_default_half_length(model1, model2, model2_cubic):
     # 30/sqrt(d1) wherever it suffices, the 1e-12 tail length beyond
     for model in (model1, model2, model2_cubic):

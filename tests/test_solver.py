@@ -1,6 +1,7 @@
 """Residuals, corrector fixed point, wave solves, diagnostics, sweeps."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,15 @@ def test_config_validation():
         cw.SolveConfig(epsilon=0.1, damping=0.0)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.1, max_iterations=0)
+
+
+def test_config_rejects_subnormal_fourth_power():
+    # the defect is scaled by eps^-4: an eps whose fourth power is below the
+    # smallest normal float is rejected before any solve
+    for eps in (1e-170, 1e-77, math.nextafter(sys.float_info.min**0.25, 0.0)):
+        with pytest.raises(ValueError, match="epsilon"):
+            cw.SolveConfig(epsilon=eps)
+    assert cw.SolveConfig(epsilon=2e-77).epsilon == 2e-77
 
 
 def test_residuals_psi_none_has_zero_s(model1, grid1):
@@ -99,7 +109,7 @@ def test_fixed_point_property(model1, grid1, solution1):
     v = even_coefficients(solution1.v)
     image = cw.fixed_point_map(model1, grid1, solution1.epsilon, v)
     gap = float(np.linalg.norm(image - v))
-    assert gap <= 10 * cw.SolveConfig(epsilon=0.2).tol_fixed_point * max(
+    assert gap <= 10 * cw.SolveConfig(epsilon=0.2).tol * max(
         1.0, cw.l2_norm(solution1.v)
     )
 
@@ -277,9 +287,7 @@ def test_eigen_identity_tracks_solver_tolerance(model1, grid1):
     loose = cw.solve_wave(
         model1,
         grid1,
-        cw.SolveConfig(
-            epsilon=0.2, tol_fixed_point=1e-6, tol_linear=1e-6, tol_residual=1e-3
-        ),
+        cw.SolveConfig(epsilon=0.2, tol=1e-6, tol_residual=1e-3),
     )
     assert cw.eigen_identity_check(loose) > cw.eigen_identity_check(tight)
 
