@@ -29,15 +29,16 @@ def dispersion_sq(model, kappa):
 
 
 def _acceleration(model, positions):
-    # with dt = 2 the half-kick dt/2 * acceleration is the acceleration
-    return lattice._Verlet(model, positions, np.zeros_like(positions), 2.0).forces()
+    # with dt = 1 the kick dt^2 * acceleration is the acceleration
+    return lattice._Verlet(model, positions, np.zeros_like(positions), 1.0).forces()
 
 
 def _energy(model, positions, velocities):
-    # kinetic plus pair potential, as the kernel records it for one state
-    kernel = lattice._Verlet(model, positions, velocities, 2.0)
-    kernel.forces()
-    return 0.5 * float(np.dot(velocities, velocities)) + kernel.potentials(1)[0]
+    # kinetic plus pair potential, as the kernel records it for step 0: the
+    # velocities rebuilt from the momenta of the half steps either side
+    energies = np.empty(1)
+    lattice._Verlet(model, positions, velocities, 1.0).run(0, energies)
+    return float(energies[0])
 
 
 def test_acceleration_zero_state(model1):
@@ -124,10 +125,10 @@ def test_pair_block_matches_double_loop(model, size):
 )
 def test_pair_laws_rows_equal_force_laws(psi):
     # one definition of each law: a row of the integrator's force block is
-    # bitwise the per-m call, with dt = 2 making the half-kick factor 1
+    # bitwise the per-m call, with dt = 1 making the kick factor dt^2 1
     model = cw.ChainModel((1.0, 0.5), (1.0, 0.25), psi)
     positions = np.cumsum(np.random.default_rng(7).uniform(-1.0, 1.0, 57))
-    kernel = lattice._Verlet(model, positions, np.zeros(57), 2.0)
+    kernel = lattice._Verlet(model, positions, np.zeros(57), 1.0)
     kernel.forces()
     for m in (1, 2):
         stretch = positions[m:] - positions[:-m]
@@ -217,6 +218,12 @@ def test_position_profile_matches_closed_form(request, name, eps, num_points):
 def test_transport_rejects_bad_dt(wave, dt):
     with pytest.raises(ValueError, match="dt"):
         cw.run_transport(wave, 80, 0.05, dt)
+
+
+@pytest.mark.parametrize("horizon", [-0.5, math.nan, math.inf])
+def test_transport_rejects_bad_horizon(wave, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        cw.run_transport(wave, 80, horizon, 0.02)
 
 
 def test_wave_initial_data_rejects(wave, model1):
@@ -319,32 +326,49 @@ def test_transport_matches_step_reference(model, num_particles, horizon, dt, ste
     assert report.transport_error <= 0.02 and report.energy_drift <= 1e-6
 
 
+def _count_calls(kernel, calls):
+    # wrap every call of the kernel's step programs, which its force
+    # evaluations share, so that it appends its ufunc's name to calls
+    def counting(ufunc):
+        def call(first, second, out):
+            calls.append(ufunc.__name__)
+            ufunc(first, second, out)
+
+        return call
+
+    for program in kernel._steps:
+        program[:] = [(counting(ufunc), *operands) for ufunc, *operands in program]
+
+
 def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
     # cost guard without timing: the forces of all ranges in one block
-    # evaluation for the initial state and one per step, and their pair
-    # potentials from the 16-deep stretch stack, one power-sum pass per 16
-    # states; 47 steps end on a full batch of 16
+    # evaluation for the initial state (8 array calls on M2) and one per step
+    # (10 calls with the drift and the momentum add, 2 of them the Horner
+    # multiplies), and the pair potentials from the 16-deep stretch stack,
+    # one power-sum pass per 16 states; 47 steps end on a full batch of 16
     solution = _solve(model2)
-    forces, batches = [], []
-    evaluate, potentials = lattice._Verlet.forces, lattice._Verlet.potentials
+    calls, batches = [], []
+    run, potentials = lattice._Verlet.run, lattice._Verlet.potentials
 
-    def counting_forces(self, slot=0):
-        forces.append(self.stretches[slot].shape)
-        return evaluate(self, slot)
+    def counting_run(self, steps, energies=None):
+        _count_calls(self, calls)
+        return run(self, steps, energies)
 
     def counting_potentials(self, count):
         assert self.stretches.shape == (16, 2, 300)
+        assert self.momenta.shape == (17, 300)
         batches.append(count)
         return potentials(self, count)
 
-    monkeypatch.setattr(lattice._Verlet, "forces", counting_forces)
+    monkeypatch.setattr(lattice._Verlet, "run", counting_run)
     monkeypatch.setattr(lattice._Verlet, "potentials", counting_potentials)
     for horizon, steps, expected in ((0.8, 20, [16, 5]), (1.88, 47, [16, 16, 16])):
-        forces.clear()
+        calls.clear()
         batches.clear()
         report = cw.run_transport(solution, 300, horizon, 0.04)
         assert report.steps == steps
-        assert forces == [(2, 300)] * (steps + 1)
+        assert len(calls) == 8 + 10 * steps
+        assert calls.count("multiply") == 2 * (steps + 1)
         assert batches == expected
 
 
@@ -364,6 +388,21 @@ _FAMILIES = [
 _FAMILY_IDS = ["M1-none", "M2-cubic", "M3-toda-remainder", "M3-cubic", "M1-toda-remainder"]
 
 
+@pytest.mark.parametrize("model, per_step", zip(_FAMILIES, (7, 12, 14, 15, 8)), ids=_FAMILY_IDS)
+def test_step_array_calls_are_pinned(model, per_step):
+    # cost guard without timing: a step is the drift, the M stretches, the
+    # Horner program (3 calls, 5 with the cubic term, one more for the toda
+    # remainder's exp tail, which counts as one call), the kick (2M - 1
+    # calls) and the momentum add; the start's force evaluation has no drift
+    # and no momentum add
+    positions, velocities = _random_chain(64, 5)
+    kernel = lattice._Verlet(model, positions, velocities, 0.01, depth=16)
+    calls = []
+    _count_calls(kernel, calls)
+    kernel.run(40, np.empty(41))
+    assert len(calls) == per_step - 2 + 40 * per_step
+
+
 @pytest.mark.parametrize("size", ["minimum", 57, 1428, 5000])
 @pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
 def test_power_sum_potential_matches_pair_potentials(model, size):
@@ -377,13 +416,58 @@ def test_power_sum_potential_matches_pair_potentials(model, size):
     assert abs(_energy(model, positions, np.zeros(size)) - expected) <= 1e-14 * abs(expected)
 
 
+def _textbook_verlet(model, positions, velocities, dt, steps):
+    # kick-drift-kick velocity Verlet as printed: the acceleration from a
+    # loop over m of model.force, dt unfolded, and the energy of every state
+    # from model.potential summed exactly
+    M = model.neighbor_range
+
+    def acceleration(x):
+        a = np.zeros_like(x)
+        for m in range(1, M + 1):
+            force = model.force(m, x[m:] - x[:-m])
+            a[:-m] += force
+            a[m:] -= force
+        return a
+
+    def energy(x, v):
+        terms = [0.5 * v * v] + [model.potential(m, x[m:] - x[:-m]) for m in range(1, M + 1)]
+        return math.fsum(np.concatenate(terms))
+
+    x, v = positions.copy(), velocities.copy()
+    a = acceleration(x)
+    energies = [energy(x, v)]
+    for _ in range(steps):
+        v = v + 0.5 * dt * a
+        x = x + dt * v
+        a = acceleration(x)
+        v = v + 0.5 * dt * a
+        energies.append(energy(x, v))
+    return x, v, np.array(energies)
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
+def test_kernel_matches_textbook_velocity_verlet(model):
+    # the drift-kick kernel with dt^2 folded into its force laws is velocity
+    # Verlet: 200 steps at half the guard step, twelve full 16-step energy
+    # batches and a partial one, from stretches and velocities within +-0.1
+    positions, velocities = (0.2 * state for state in _random_chain(300, 11))
+    dt = 0.5 * lattice._dt_guard(model)
+    x, v, expected = _textbook_verlet(model, positions, velocities, dt, 200)
+    energies = np.empty(201)
+    lattice._Verlet(model, positions, velocities, dt, depth=16).run(200, energies)
+    assert np.max(np.abs(positions - x)) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(velocities - v)) <= 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(energies - expected)) <= 1e-13 * abs(expected[0])
+
+
 @pytest.mark.parametrize("dt", [0.05, 0.013])
 @pytest.mark.parametrize("model", _FAMILIES, ids=_FAMILY_IDS)
 def test_folded_half_kick_equals_scaled_acceleration(model, dt):
-    # dt/2 folded into the force-law coefficients moves the half-kick by
+    # dt^2 folded into the force-law coefficients moves the kick by
     # round-off only
     positions, velocities = _random_chain(300, 3)
-    expected = 0.5 * dt * _acceleration(model, positions)
+    expected = dt * dt * _acceleration(model, positions)
     kick = lattice._Verlet(model, positions, velocities, dt).forces()
     assert np.max(np.abs(kick - expected)) <= 1e-15 * np.max(np.abs(expected))
 
