@@ -1,8 +1,16 @@
 """Command line front end: config ingestion, dispatch, serialized reports.
 
 Configs are strict JSON; unknown keys are errors, since silent typos in
-coefficient lists are the dominant user hazard. Reports are byte-stable
-across repeated runs with the same config.
+coefficient lists are the dominant user hazard. This module checks the JSON
+shapes and types, a nonempty ``epsilon_list`` (two entries for a sweep), a
+positive ``sim.horizon`` and ``sim.max_transport_error``, and the output
+format. Every other rule is kept by the type that uses it, and its
+``ValueError`` becomes a config error: ``SolveConfig`` the ranges of epsilon,
+``tol``, ``max_iter`` and ``damping``; ``ChainModel`` and ``PsiFamily`` the
+coefficients; ``make_grid`` the grid; ``lattice.check_chain`` J > 8M and the
+dt guard; ``convergence_sweep`` a strictly decreasing ``epsilon_list``.
+Reports are written from the result dataclasses and are byte-stable across
+repeated runs with the same config.
 
 Exit codes: 0 ok, 1 property/threshold failure, 2 config error,
 3 solver error, 4 I/O error, 5 window error.
@@ -13,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 from .errors import ChainwavesError, ConfigError, WindowOverflowError
 from .grid import SpectralGrid, make_grid
-from .lattice import _BUFFER_FACTOR, _check_dt, _dt_guard, run_transport
+from .lattice import check_chain, run_transport
 from .model import ChainModel, PsiFamily, default_half_length
-from .solver import SolveConfig, SweepRow, convergence_sweep, solve_wave
+from .solver import SolveConfig, convergence_sweep, solve_wave
 from .verify import run_verification
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_sweep", "cmd_simulate", "cmd_verify", "main"]
@@ -31,6 +39,7 @@ EXIT_SOLVER_ERROR = 3
 EXIT_IO_ERROR = 4
 EXIT_WINDOW_ERROR = 5
 
+# report schemas: the columns of a SweepRow and of a TransportReport
 SWEEP_COLUMNS = (
     "epsilon",
     "l2_error",
@@ -42,6 +51,16 @@ SWEEP_COLUMNS = (
     "sigma_min",
     "residual_norm_RS",
     "tail_rate",
+)
+SIMULATE_COLUMNS = (
+    "J",
+    "dt",
+    "T",
+    "steps",
+    "transport_error",
+    "energy_drift",
+    "peak_energy_deviation",
+    "momentum_drift",
 )
 
 
@@ -61,83 +80,65 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with defaults materialized."""
+    """Validated run configuration with defaults materialized.
+
+    ``solver`` holds the solve controls with ``solver.epsilon``, or with the
+    first entry of ``epsilon_list`` for a sweep.
+    """
 
     model: ChainModel
     grid: SpectralGrid
-    epsilon: float | None
+    solver: SolveConfig
     epsilon_list: tuple | None
-    tol: float
-    max_iter: int
-    damping: float
     sim: SimSettings | None
     output: OutputSettings
 
+    @property
+    def epsilon(self) -> float | None:
+        """The one epsilon of a solve, simulate or verify config; None for a sweep."""
+        return None if self.epsilon_list is not None else self.solver.epsilon
+
     def solve_config(self, epsilon: float) -> SolveConfig:
-        return SolveConfig(
-            epsilon=epsilon, tol=self.tol, max_iterations=self.max_iter, damping=self.damping
-        )
-
-    def to_dict(self) -> dict:
-        """Normalized plain-dict form; loading it again is a fixed point."""
-        psi = {"family": self.model.psi.kind}
-        if self.model.psi.kind != "none":
-            psi["params"] = list(self.model.psi.params)
-        solver: dict = {"tol": self.tol, "max_iter": self.max_iter, "damping": self.damping}
-        if self.epsilon_list is not None:
-            solver["epsilon_list"] = list(self.epsilon_list)
-        else:
-            solver["epsilon"] = self.epsilon
-        out: dict = {
-            "model": {"alpha": list(self.model.alpha), "beta": list(self.model.beta), "psi": psi},
-            "grid": {
-                "half_length": self.grid.half_length,
-                "num_points": self.grid.num_points,
-            },
-            "solver": solver,
-            "output": {"path": self.output.path, "format": self.output.format},
-        }
-        if self.sim is not None:
-            out["sim"] = {
-                "particles": self.sim.particles,
-                "dt": self.sim.dt,
-                "horizon": self.sim.horizon,
-                "max_transport_error": self.sim.max_transport_error,
-            }
-        return out
+        return replace(self.solver, epsilon=epsilon)
 
 
-def _require_keys(section, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object, got {section!r}")
-    unknown = set(section) - allowed
+def _object(value, where: str, keys: str, required: str = "") -> dict:
+    """``value`` if it is a JSON object with only the ``keys`` and all the
+    ``required`` ones (both space-separated)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - set(keys.split())
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    for key in required.split():
+        if key not in value:
+            raise ConfigError(f"{where} needs {key!r}")
+    return value
 
 
-def _finite_number(value, where: str) -> float:
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not abs(value) <= sys.float_info.max
-    ):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive_number(value, where: str) -> float:
+def _number(value, where: str, kind: type = float, positive: bool = False):
+    """``value`` as ``kind`` if JSON gave an integer for ``int``, else a finite
+    number, positive where asked; booleans are no numbers."""
     # the bound rejects Infinity, NaN and integers no float can hold
     if (
-        not isinstance(value, (int, float))
+        not isinstance(value, int if kind is int else (int, float))
         or isinstance(value, bool)
-        or not 0 < value <= sys.float_info.max
+        or (kind is float and not abs(value) <= sys.float_info.max)
+        or (positive and value <= 0)
     ):
-        raise ConfigError(f"{where} must be a positive finite number, got {value!r}")
-    return float(value)
+        what = "an integer" if kind is int else f"a {'positive ' if positive else ''}finite number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return tuple(_number(v, f"{where} entry") for v in value)
 
 
 def _epsilon(value, where: str) -> float:
-    epsilon = _positive_number(value, where)
+    epsilon = _number(value, where)
     try:
         SolveConfig(epsilon)  # the one range check of epsilon
     except ValueError as exc:
@@ -145,124 +146,77 @@ def _epsilon(value, where: str) -> float:
     return epsilon
 
 
-def _coefficient_list(value, where: str) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty list")
-    return tuple(_positive_number(v, f"{where} entry") for v in value)
-
-
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw config dict; every violation raises ``ConfigError``."""
-    _require_keys(data, {"model", "grid", "solver", "sim", "output"}, "config root")
-    for key in ("model", "grid", "solver"):
-        if key not in data:
-            raise ConfigError(f"missing required section {key!r}")
+    _object(data, "config root", "model grid solver sim output", required="model grid solver")
 
-    model_section = data["model"]
-    _require_keys(model_section, {"alpha", "beta", "psi"}, "model")
-    alpha = _coefficient_list(model_section.get("alpha"), "model.alpha")
-    beta = _coefficient_list(model_section.get("beta"), "model.beta")
-    psi_section = model_section.get("psi", {"family": "none"})
-    _require_keys(psi_section, {"family", "params"}, "model.psi")
-    family = psi_section.get("family", "none")
-    params = psi_section.get("params", [])
-    if not isinstance(params, list):
-        raise ConfigError("model.psi.params must be a list")
-    params = tuple(_finite_number(p, "model.psi.params entry") for p in params)
+    section = _object(data["model"], "model", "alpha beta psi")
+    psi = _object(section.get("psi", {}), "model.psi", "family params")
+    alpha = _numbers(section.get("alpha"), "model.alpha")
+    beta = _numbers(section.get("beta"), "model.beta")
+    params = _numbers(psi.get("params", []), "model.psi.params")
     try:
-        psi = PsiFamily(family, params)
-        model = ChainModel(alpha, beta, psi)
+        model = ChainModel(alpha, beta, PsiFamily(psi.get("family", "none"), params))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
-    grid_section = data["grid"]
-    _require_keys(grid_section, {"half_length", "num_points"}, "grid")
-    if "num_points" not in grid_section:
-        raise ConfigError("grid.num_points is required")
-    num_points = grid_section["num_points"]
-    if not isinstance(num_points, int) or isinstance(num_points, bool):
-        raise ConfigError("grid.num_points must be an integer")
-    half_length = grid_section.get("half_length")
+    section = _object(data["grid"], "grid", "half_length num_points", required="num_points")
+    num_points = _number(section["num_points"], "grid.num_points", int)
+    half_length = section.get("half_length")
     if half_length is None:
         half_length = default_half_length(model)
-    else:
-        half_length = _positive_number(half_length, "grid.half_length")
     try:
-        grid = make_grid(half_length, num_points)
+        grid = make_grid(_number(half_length, "grid.half_length"), num_points)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    solver_section = data["solver"]
-    _require_keys(
-        solver_section, {"epsilon", "epsilon_list", "tol", "max_iter", "damping"}, "solver"
-    )
-    epsilon = solver_section.get("epsilon")
-    epsilon_list = solver_section.get("epsilon_list")
-    if (epsilon is None) == (epsilon_list is None):
+    section = _object(data["solver"], "solver", "epsilon epsilon_list tol max_iter damping")
+    epsilon_list = section.get("epsilon_list")
+    if (section.get("epsilon") is None) == (epsilon_list is None):
         raise ConfigError("solver needs exactly one of epsilon or epsilon_list")
-    if epsilon is not None:
-        epsilon = _epsilon(epsilon, "solver.epsilon")
-    if epsilon_list is not None:
-        if not isinstance(epsilon_list, list):
-            raise ConfigError("solver.epsilon_list must be a list")
-        epsilon_list = tuple(_epsilon(e, "solver.epsilon_list entry") for e in epsilon_list)
-    tol = _positive_number(solver_section.get("tol", 1e-12), "solver.tol")
-    max_iter = solver_section.get("max_iter", 200)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ConfigError("solver.max_iter must be a positive integer")
-    damping = _positive_number(solver_section.get("damping", 1.0), "solver.damping")
-    if damping > 1:
-        raise ConfigError("solver.damping must be in (0, 1]")
+    if epsilon_list is None:
+        epsilon = _epsilon(section["epsilon"], "solver.epsilon")
+    else:
+        where = "solver.epsilon_list"
+        if not isinstance(epsilon_list, list) or not epsilon_list:
+            raise ConfigError(f"{where} must be a nonempty list, got {epsilon_list!r}")
+        epsilon_list = tuple(_epsilon(e, f"{where} entry") for e in epsilon_list)
+        epsilon = epsilon_list[0]
+    names = {"tol": "tol", "max_iter": "max_iterations", "damping": "damping"}
+    controls = {
+        names[key]: _number(value, f"solver.{key}", int if key == "max_iter" else float)
+        for key, value in section.items()
+        if key in names
+    }
+    try:
+        solver = SolveConfig(epsilon, **controls)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
 
     sim = None
     if "sim" in data:
-        sim_section = data["sim"]
-        _require_keys(
-            sim_section, {"particles", "dt", "horizon", "max_transport_error"}, "sim"
+        section = _object(
+            data["sim"], "sim", "particles dt horizon max_transport_error", "particles dt horizon"
         )
-        for key in ("particles", "dt", "horizon"):
-            if key not in sim_section:
-                raise ConfigError(f"sim.{key} is required")
-        particles = sim_section["particles"]
-        # the transport window starts _BUFFER_FACTOR * M sites in from each end
-        minimum = 2 * _BUFFER_FACTOR * model.neighbor_range + 1
-        if not isinstance(particles, int) or isinstance(particles, bool) or particles < minimum:
-            raise ConfigError(f"sim.particles must be an integer >= {minimum}, got {particles!r}")
-        dt = _positive_number(sim_section["dt"], "sim.dt")
+        sim = SimSettings(**{
+            key: _number(
+                value, f"sim.{key}", int if key == "particles" else float,
+                positive=key in ("horizon", "max_transport_error"),
+            )
+            for key, value in section.items()
+        })
         try:
-            _check_dt(model, dt)
-        except ValueError:
-            guard = _dt_guard(model)
-            raise ConfigError(f"sim.dt = {dt:g} above the stability guard {guard:g}") from None
-        horizon = _positive_number(sim_section["horizon"], "sim.horizon")
-        threshold = _positive_number(
-            sim_section.get("max_transport_error", 0.02), "sim.max_transport_error"
-        )
-        sim = SimSettings(particles, dt, horizon, threshold)
+            check_chain(model, sim.particles, sim.dt)
+        except ValueError as exc:
+            raise ConfigError(f"sim.{exc}") from None
 
-    output = OutputSettings()
-    if "output" in data:
-        output_section = data["output"]
-        _require_keys(output_section, {"path", "format"}, "output")
-        fmt = output_section.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-        path = output_section.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ConfigError("output.path must be a string")
-        output = OutputSettings(path, fmt)
+    output = OutputSettings(**_object(data.get("output", {}), "output", "path format"))
+    if output.format not in ("csv", "json"):
+        raise ConfigError(f"output.format must be csv or json, got {output.format!r}")
+    if output.path is not None and not isinstance(output.path, str):
+        raise ConfigError("output.path must be a string")
 
-    return RunConfig(
-        model=model,
-        grid=grid,
-        epsilon=epsilon,
-        epsilon_list=epsilon_list,
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
-        sim=sim,
-        output=output,
-    )
+    return RunConfig(model, grid, solver, epsilon_list, sim, output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -286,6 +240,15 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns)] + [",".join(_format_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class _CommandFailure(Exception):
     """Ends a command with exit ``code``; ``main`` prints the message."""
 
@@ -302,81 +265,32 @@ def _write_report(path: str, text: str) -> None:
         raise _CommandFailure(EXIT_IO_ERROR, f"cannot write {path}: {exc}") from exc
 
 
-def _solve(config: RunConfig):
+def _solver_call(function, *args):
+    """``function(*args)``, ending the command with exit 3 on a package error."""
     try:
-        return solve_wave(config.model, config.grid, config.solve_config(config.epsilon))
+        return function(*args)
     except ChainwavesError as exc:
         message = f"solver error: {type(exc).__name__}: {exc}"
         raise _CommandFailure(EXIT_SOLVER_ERROR, message) from exc
 
 
-def _sweep_row_cells(row: SweepRow) -> list:
-    if row.error is not None:
-        marker = f"error:{row.error}"
-        return [row.epsilon, marker, None, None, None, None, None, None, row.residual_norm_rs, None]
-    return [
-        row.epsilon,
-        row.l2_error,
-        row.sup_error,
-        row.order_l2,
-        row.order_sup,
-        row.iterations,
-        row.tw_residual,
-        row.sigma_min,
-        row.residual_norm_rs,
-        row.tail_rate,
-    ]
-
-
-def _sweep_csv(rows: list) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in _sweep_row_cells(row)))
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_json(rows: list) -> str:
-    payload = [
-        dict(zip(SWEEP_COLUMNS, (_format_cell(c) or None for c in _sweep_row_cells(row))))
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _diagnostics_dict(solution) -> dict:
-    d = solution.diagnostics
-    return {
+def _solve_report(solution, fmt: str) -> str:
+    diagnostics = {
         "epsilon": solution.epsilon,
         "wave_speed_sq": solution.wave_speed_sq,
-        "iterations": d.iterations,
-        "final_increment": d.final_increment,
-        "tw_residual": d.tw_residual,
-        "corrector_norm": d.corrector_norm,
-        "sigma_min": d.sigma_min,
-        "tail_decay_rate": d.tail_decay_rate,
+        **asdict(solution.diagnostics),
     }
-
-
-def _solve_report(solution, fmt: str) -> str:
-    diagnostics = _diagnostics_dict(solution)
+    profile = {
+        "x": solution.grid.nodes,
+        "W0": solution.w0.values,
+        "W_eps": solution.w.values,
+        "V_eps": solution.v.values,
+    }
     if fmt == "json":
-        payload = {
-            "diagnostics": diagnostics,
-            "profile": {
-                "x": [repr(v) for v in solution.grid.nodes.tolist()],
-                "W0": [repr(v) for v in solution.w0.values.tolist()],
-                "W_eps": [repr(v) for v in solution.w.values.tolist()],
-                "V_eps": [repr(v) for v in solution.v.values.tolist()],
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"# {key}: {_format_cell(value)}" for key, value in diagnostics.items()]
-    lines.append("x,W0,W_eps,V_eps")
-    for row in zip(
-        solution.grid.nodes, solution.w0.values, solution.w.values, solution.v.values
-    ):
-        lines.append(",".join(_format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+        profile = {key: [repr(v) for v in values.tolist()] for key, values in profile.items()}
+        return _json({"diagnostics": diagnostics, "profile": profile})
+    header = "".join(f"# {key}: {_format_cell(value)}\n" for key, value in diagnostics.items())
+    return header + _csv(profile, zip(*profile.values()))
 
 
 def _resolve_output(config: RunConfig, args) -> OutputSettings:
@@ -391,7 +305,7 @@ def cmd_solve(config: RunConfig, args) -> int:
     if config.epsilon is None:
         raise ConfigError("solve needs solver.epsilon (a single value)")
     output = _resolve_output(config, args)
-    solution = _solve(config)
+    solution = _solver_call(solve_wave, config.model, config.grid, config.solver)
     _write_report(output.path, _solve_report(solution, output.format))
     if not args.quiet:
         print(
@@ -404,15 +318,26 @@ def cmd_solve(config: RunConfig, args) -> int:
 def cmd_sweep(config: RunConfig, args) -> int:
     if config.epsilon_list is None or len(config.epsilon_list) < 2:
         raise ConfigError("sweep needs solver.epsilon_list with at least two entries")
-    if any(b >= a for a, b in zip(config.epsilon_list, config.epsilon_list[1:])):
-        raise ConfigError("solver.epsilon_list must be strictly decreasing")
     output = _resolve_output(config, args)
-    template = config.solve_config(config.epsilon_list[0])
-    rows = convergence_sweep(config.model, config.grid, config.epsilon_list, template)
-    _write_report(output.path, _sweep_json(rows) if output.format == "json" else _sweep_csv(rows))
-    failed = [row for row in rows if row.error is not None]
-    for row in failed:
-        print(f"warning: eps={row.epsilon:g} failed with {row.error}", file=sys.stderr)
+    try:
+        rows = _solver_call(
+            convergence_sweep, config.model, config.grid, config.epsilon_list, config.solver
+        )
+    except ValueError as exc:  # the list is not strictly decreasing
+        raise ConfigError(f"solver.{exc}") from None
+    table = []
+    for row in rows:  # the SWEEP_COLUMNS cells; a failed row has error:<Name> as l2_error
+        *cells, error = astuple(row)
+        table.append(cells if error is None else [cells[0], f"error:{error}", *cells[2:]])
+    if output.format == "json":
+        records = [[_format_cell(c) or None for c in cells] for cells in table]
+        text = _json([dict(zip(SWEEP_COLUMNS, record)) for record in records])
+    else:
+        text = _csv(SWEEP_COLUMNS, table)
+    _write_report(output.path, text)
+    for row in rows:
+        if row.error is not None:
+            print(f"warning: eps={row.epsilon:g} failed with {row.error}", file=sys.stderr)
     if not args.quiet:
         print(f"sweep over {len(rows)} epsilon values -> {output.path}")
     return EXIT_OK
@@ -424,28 +349,17 @@ def cmd_simulate(config: RunConfig, args) -> int:
     if config.epsilon is None:
         raise ConfigError("simulate needs solver.epsilon (a single value)")
     output = _resolve_output(config, args)
-    solution = _solve(config)
+    solution = _solver_call(solve_wave, config.model, config.grid, config.solver)
     try:
         report = run_transport(
             solution, config.sim.particles, config.sim.horizon, config.sim.dt
         )
     except WindowOverflowError as exc:
         raise _CommandFailure(EXIT_WINDOW_ERROR, f"window error: {exc}") from exc
-    payload = {
-        "J": report.num_particles,
-        "dt": report.dt,
-        "T": report.horizon,
-        "steps": report.steps,
-        "transport_error": report.transport_error,
-        "energy_drift": report.energy_drift,
-        "peak_energy_deviation": report.peak_energy_deviation,
-        "momentum_drift": report.momentum_drift_per_step,
-    }
     if output.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(dict(zip(SIMULATE_COLUMNS, astuple(report))))
     else:
-        keys = list(payload)
-        text = ",".join(keys) + "\n" + ",".join(_format_cell(payload[k]) for k in keys) + "\n"
+        text = _csv(SIMULATE_COLUMNS, [astuple(report)])
     _write_report(output.path, text)
     ok = report.transport_error <= config.sim.max_transport_error
     if not args.quiet:
@@ -500,8 +414,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.epsilon is not None:
-            epsilon = _epsilon(args.epsilon, "--epsilon")
-            config = replace(config, epsilon=epsilon, epsilon_list=None)
+            solver = replace(config.solver, epsilon=_epsilon(args.epsilon, "--epsilon"))
+            config = replace(config, solver=solver, epsilon_list=None)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,7 +35,9 @@ from .grid import apply_symbol, sample, sup_norm
 from .model import ChainModel, _exp_tail
 from .solver import WaveSolution
 
-__all__ = ["wave_initial_data", "TransportReport", "run_transport", "energy_drift_rate"]
+__all__ = [
+    "wave_initial_data", "TransportReport", "check_chain", "run_transport", "energy_drift_rate",
+]
 
 _DT_GUARD = 0.1
 _SUPPORT_THRESHOLD = 1e-6
@@ -212,6 +214,20 @@ def _dt_guard(model: ChainModel) -> float:
     return _DT_GUARD / math.sqrt(model.sound_speed_sq)
 
 
+def check_chain(model: ChainModel, particles: int, dt: float) -> None:
+    """Reject a chain of J <= 8M particles, whose transport window, 4M sites
+    in from each end, is empty, and a time step outside (0, 0.1/c0]. The
+    ``ValueError`` message starts with the name of the argument at fault."""
+    _check_particles(model, particles)
+    _check_dt(model, dt)
+
+
+def _check_particles(model: ChainModel, particles: int) -> None:
+    limit = 2 * _BUFFER_FACTOR * model.neighbor_range
+    if particles <= limit:
+        raise ValueError(f"particles must exceed 8M = {limit}, got {particles!r}")
+
+
 def _check_dt(model: ChainModel, dt: float) -> None:
     """Reject dt outside (0, guard], admitting 1e-12 relative slack above the guard."""
     guard = _dt_guard(model)
@@ -296,7 +312,7 @@ def run_transport(
     step no larger than ``dt`` (the actual dt is reported); a quotient
     horizon / dt within 1e-12 relative of an integer counts as that
     integer, so round-off neither adds a step nor takes dt past the guard
-    of ``_check_dt``. The transport error is the sup over the interior
+    of ``check_chain``. The transport error is the sup over the interior
     window, 4M sites in from each end, of the velocity mismatch against the
     translated profile, normalized by the peak initial speed. Energy drift
     is the secular trend of the sampled energies (least-squares slope times
@@ -324,11 +340,8 @@ def run_transport(
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_particles(model, num_particles)
     buffer = _BUFFER_FACTOR * model.neighbor_range
-    if num_particles <= 2 * buffer:
-        raise ValueError(
-            f"chain of {num_particles} has no interior for buffer {buffer}"
-        )
     peak = sup_norm(solution.w)
     support = solution.grid.nodes[solution.w.values > _SUPPORT_THRESHOLD * peak]
     half_width = float(np.max(np.abs(support))) if len(support) else 0.0

@@ -173,18 +173,6 @@ class ChainModel:
                 f"psi family needs {len(self.alpha)} parameters, "
                 f"got {len(self.psi.params)}"
             )
-        self._check_curvature_bound()
-
-    def _check_curvature_bound(self) -> None:
-        # sampled verification of |psi''(r)| <= gamma r^2 on [-1, 1]
-        r = np.linspace(-1.0, 1.0, 201)
-        for m in range(1, len(self.alpha) + 1):
-            second = np.asarray(self.psi.second(m, r))
-            bound = self.psi.gamma(m) * r**2
-            if np.any(np.abs(second) > bound * (1.0 + 1e-12) + 1e-300):
-                raise ValueError(f"psi'' exceeds its gamma bound for m={m}")
-            if abs(float(np.asarray(self.psi.prime(m, 0.0)))) > 0.0:
-                raise ValueError(f"psi'(0) must vanish for m={m}")
 
     @property
     def neighbor_range(self) -> int:

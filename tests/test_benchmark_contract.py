@@ -6,6 +6,7 @@ go together with a change to the benchmark.
 
 import importlib
 import inspect
+import json
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +28,7 @@ SPAN_TARGETS = (
 )
 
 
-def test_worker_bound_names_exist():
+def test_worker_bound_names_exist(tmp_path):
     modules = {name: importlib.import_module(f"chainwaves.{name}") for name in LAYERS}
     assert callable(modules["linearized"].linearized_operator.cache_info)
     assert isinstance(
@@ -44,6 +45,19 @@ def test_worker_bound_names_exist():
     assert callable(modules["lattice"].run_transport)
     assert "__post_init__" in vars(modules["grid"].GridFunction)
     assert callable(modules["cli"].main) and callable(modules["cli"].load_config)
+    # what the worker reads from a loaded simulate config
+    path = tmp_path / "simulate.json"
+    path.write_text(json.dumps({
+        "model": {"alpha": [1.0, 1.0], "beta": [1.0, 1.0]},
+        "grid": {"num_points": 256},
+        "solver": {"epsilon": 0.2},
+        "sim": {"particles": 80, "dt": 0.02, "horizon": 1.0},
+    }))
+    config = modules["cli"].load_config(str(path))
+    assert config.model == model and config.grid == grid and config.epsilon == 0.2
+    assert config.sim.particles == 80
+    solve_config = config.solve_config(0.1)
+    assert isinstance(solve_config, modules["solver"].SolveConfig) and solve_config.epsilon == 0.1
 
 
 def test_traced_span_targets_exist():

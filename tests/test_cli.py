@@ -6,7 +6,7 @@ import math
 import pytest
 
 from chainwaves import cli
-from chainwaves.cli import load_config, parse_config
+from chainwaves.cli import parse_config
 from chainwaves.linearized import LinearizedOperator
 
 
@@ -205,6 +205,47 @@ def test_small_beta_default_grid_solves(tmp_path):
     assert cli.main(["solve", "--config", str(path), "--quiet"]) == 0
 
 
+SIM = {"particles": 80, "dt": 0.02, "horizon": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, where",
+    [
+        ("solve", {"solver": {"epsilon": 0.2, "damping": 1.5}}, "damping"),
+        ("solve", {"solver": {"epsilon": 0.2, "max_iter": 0}}, "max_iter"),
+        ("solve", {"solver": {"epsilon": 0.2, "max_iter": 2.0}}, "max_iter"),
+        ("solve", {"solver": {"epsilon": 0.2, "tol": 0}}, "tol"),
+        ("sweep", {"solver": {"epsilon_list": []}}, "epsilon_list"),
+        ("sweep", {"solver": {"epsilon_list": [0.2]}}, "epsilon_list"),
+        ("sweep", {"solver": {"epsilon_list": [0.1, 0.2]}}, "epsilon_list"),
+        ("solve", {"grid": {"num_points": 15}}, "num_points"),
+        ("solve", {"output": {"path": "out.xml", "format": "xml"}}, "format"),
+        ("simulate", {"sim": {**SIM, "dt": 0.5}}, "sim.dt"),
+        ("simulate", {"sim": {**SIM, "particles": 8}}, "sim.particles"),
+    ],
+    ids=[
+        "damping", "max_iter-0", "max_iter-float", "tol", "empty-list", "one-entry",
+        "increasing", "num_points", "format", "dt-guard", "J-8M",
+    ],
+)
+def test_config_error_table(tmp_path, capsys, command, overrides, where):
+    # each rule, whichever type keeps it, ends as one config error line
+    path, _ = base_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err, err
+    assert "Traceback" not in err
+
+
+def test_sweep_domain_too_small_exits_3(tmp_path, capsys):
+    # the sweep's limiting profile fails as a solver error, as in solve
+    path, _ = base_config(
+        tmp_path, grid={"num_points": 512, "half_length": 2}, solver={"epsilon_list": [0.2, 0.1]}
+    )
+    assert cli.main(["sweep", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: DomainTooSmallError: ")
+
+
 def test_sweep_partial_failure_marks_row(tmp_path, monkeypatch, capsys):
     # a near-singular linearization marks its row but the sweep continues
     monkeypatch.setattr(
@@ -305,18 +346,6 @@ def test_epsilon_override(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["diagnostics"]["epsilon"] == 0.1
-
-
-def test_config_roundtrip_idempotent(tmp_path):
-    path, _ = base_config(
-        tmp_path,
-        model={"alpha": [1.0, 1.0], "beta": [1.0, 1.0], "psi": {"family": "cubic", "params": [0.1, 0.1]}},
-        sim={"particles": 60, "dt": 0.01, "horizon": 2.0},
-    )
-    config = load_config(str(path))
-    once = config.to_dict()
-    twice = parse_config(once).to_dict()
-    assert once == twice
 
 
 def test_invalid_json_exits_2(tmp_path):

@@ -220,6 +220,17 @@ def test_transport_rejects_bad_dt(wave, dt):
         cw.run_transport(wave, 80, 0.05, dt)
 
 
+def test_check_chain_shares_the_particle_rule(wave, model1):
+    # J = 8M has no transport interior, for the config check and the run alike
+    lattice.check_chain(model1, 9, 0.1)
+    with pytest.raises(ValueError, match="particles must exceed 8M = 8"):
+        lattice.check_chain(model1, 8, 0.05)
+    with pytest.raises(ValueError, match="particles must exceed 8M = 8"):
+        cw.run_transport(wave, 8, 0.05, 0.02)
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\]"):
+        lattice.check_chain(model1, 9, 0.11)
+
+
 @pytest.mark.parametrize("horizon", [-0.5, math.nan, math.inf])
 def test_transport_rejects_bad_horizon(wave, horizon):
     with pytest.raises(ValueError, match="horizon"):

@@ -312,8 +312,13 @@ def test_tw_defect_transform_count(
 
 
 def test_curvature_bound_sampled():
-    # built-in families satisfy |psi''(r)| <= gamma r^2 on [-1, 1]
-    model = cw.ChainModel((1.0,), (1.0,), PsiFamily.toda_remainder((2.5,)))
+    # built-in families satisfy |psi''(r)| <= gamma r^2 on [-1, 1] and
+    # psi'(0) = 0, at every range of an M = 3 model, for two parameter sets
     r = np.linspace(-1, 1, 401)
-    second = np.asarray(model.psi.second(1, r))
-    assert np.all(np.abs(second) <= model.psi.gamma(1) * r**2 + 1e-15)
+    for kind in ("cubic", "toda-remainder"):
+        for params in ((2.5, 0.1, 1.0), (0.05, 7.0, 0.0)):
+            model = cw.ChainModel((1.0,) * 3, (1.0,) * 3, PsiFamily(kind, params))
+            for m in range(1, model.neighbor_range + 1):
+                second = np.asarray(model.psi.second(m, r))
+                assert np.all(np.abs(second) <= model.psi.gamma(m) * r**2 + 1e-15)
+                assert model.psi.prime(m, 0.0) == 0.0
