@@ -52,8 +52,8 @@ class SpectralGrid:
     num_points: int
 
     def __post_init__(self) -> None:
-        if not self.half_length > 0:
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not 0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
         if self.num_points < 16 or self.num_points % 2 != 0:
             raise ValueError(
                 f"num_points must be even and >= 16, got {self.num_points}"

@@ -96,8 +96,8 @@ class PsiFamily:
         if self.kind not in _PSI_KINDS:
             raise ValueError(f"psi kind must be one of {_PSI_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if any(p < 0 for p in self.params):
-            raise ValueError("psi family parameters must be nonnegative")
+        if not all(0 <= p < math.inf for p in self.params):
+            raise ValueError("psi family parameters must be nonnegative and finite")
 
     @staticmethod
     def none() -> "PsiFamily":
@@ -164,13 +164,14 @@ class ChainModel:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if len(self.alpha) == 0 or len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must be nonempty and equally long")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError("all alpha coefficients must be positive")
-        if any(b <= 0 for b in self.beta):
-            raise ValueError("all beta coefficients must be positive")
-        if self.psi.kind != "none" and len(self.psi.params) != len(self.alpha):
+        if not all(0 < a < math.inf for a in self.alpha):
+            raise ValueError("all alpha coefficients must be positive and finite")
+        if not all(0 < b < math.inf for b in self.beta):
+            raise ValueError("all beta coefficients must be positive and finite")
+        needed = 0 if self.psi.kind == "none" else len(self.alpha)
+        if len(self.psi.params) != needed:
             raise ValueError(
-                f"psi family needs {len(self.alpha)} parameters, "
+                f"psi family {self.psi.kind!r} needs {needed} parameters, "
                 f"got {len(self.psi.params)}"
             )
 

@@ -119,21 +119,22 @@ def _window_rule(eta: float, count: int):
     return 0.5 * eta * nodes, 0.5 * weights
 
 
-def averaging_direct(eta: float, f: GridFunction) -> GridFunction:
-    """Window average by direct quadrature instead of the closed-form symbol.
+def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float64]:
+    """Window average of (N,) samples or (N, B) columns by direct quadrature
+    instead of the closed-form symbol.
 
-    Each Gauss-Legendre node translates the profile through its band-limited
-    interpolant, a phase exp(i k o) on its coefficients, and the rule then
-    integrates over the window. The nodes are symmetric, so the phases reduce
-    to cos(k o). With ceil(eta*max|k|/2) + 20 nodes the rule integrates every
-    mode on the grid to round-off.
+    Each Gauss-Legendre node translates the samples through their
+    band-limited interpolant, a phase exp(i k o) on their coefficients, and
+    the rule then integrates over the window. The nodes are symmetric, so the
+    phases reduce to cos(k o). With ceil(eta*max|k|/2) + 20 nodes the rule
+    integrates every mode on the grid to round-off. The window is built once
+    per call and ``apply_symbol`` applies it to every column.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    k = f.grid.half_wavenumbers
+    k = grid.half_wavenumbers
     offsets, weights = _window_rule(eta, math.ceil(0.5 * eta * k[-1]) + 20)
-    window = np.cos(np.outer(k, offsets)) @ weights
-    return GridFunction(f.grid, apply_symbol(f.values, window))
+    return apply_symbol(values, np.cos(np.outer(k, offsets)) @ weights)
 
 
 def b_symbol(model: "ChainModel", eps: float, k):

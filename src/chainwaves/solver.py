@@ -66,10 +66,11 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not _EPSILON_MIN <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [{_EPSILON_MIN:.3g}, 1], got {self.epsilon}")
-        if min(self.tol, self.tol_residual) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not all(0 < tol < math.inf for tol in (self.tol, self.tol_residual)):
+            raise ValueError("tolerances must be positive and finite")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {count!r}")
         if not 0 < self.damping <= 1:
             raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 

@@ -22,6 +22,7 @@ SPAN_TARGETS = (
     "model.apply_Q",
     "model.apply_P",
     "model.tw_residual",
+    "operators.averaging_direct",
     "linearized.LinearizedOperator.even_matrix",
     "linearized.LinearizedOperator.solve",
     "linearized.LinearizedOperator.smallest_singular_value",
@@ -43,6 +44,8 @@ def test_worker_bound_names_exist(tmp_path):
     assert callable(modules["solver"].solve_wave)
     assert callable(modules["solver"].eigen_identity_check)
     assert callable(modules["lattice"].run_transport)
+    # the worker passes a verify run on exactly VERIFY_CHECKS = 20 [PASS] lines
+    assert len(modules["verify"].CHECKS) == 20
     assert "__post_init__" in vars(modules["grid"].GridFunction)
     assert callable(modules["cli"].main) and callable(modules["cli"].load_config)
     # what the worker reads from a loaded simulate config

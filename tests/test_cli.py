@@ -219,13 +219,18 @@ SIM = {"particles": 80, "dt": 0.02, "horizon": 1.0}
         ("sweep", {"solver": {"epsilon_list": [0.2]}}, "epsilon_list"),
         ("sweep", {"solver": {"epsilon_list": [0.1, 0.2]}}, "epsilon_list"),
         ("solve", {"grid": {"num_points": 15}}, "num_points"),
+        (
+            "solve",
+            {"model": {"alpha": [1.0], "beta": [1.0], "psi": {"family": "none", "params": [0.3]}}},
+            "'none' needs 0 parameters",
+        ),
         ("solve", {"output": {"path": "out.xml", "format": "xml"}}, "format"),
         ("simulate", {"sim": {**SIM, "dt": 0.5}}, "sim.dt"),
         ("simulate", {"sim": {**SIM, "particles": 8}}, "sim.particles"),
     ],
     ids=[
         "damping", "max_iter-0", "max_iter-float", "tol", "empty-list", "one-entry",
-        "increasing", "num_points", "format", "dt-guard", "J-8M",
+        "increasing", "num_points", "none-with-params", "format", "dt-guard", "J-8M",
     ],
 )
 def test_config_error_table(tmp_path, capsys, command, overrides, where):

@@ -23,7 +23,10 @@ def test_make_grid_integer_wavenumbers():
     np.testing.assert_allclose(grid.half_wavenumbers, np.arange(9), atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [(40.0, 17), (40.0, 14), (40.0, 0), (-1.0, 64), (0.0, 64)])
+@pytest.mark.parametrize(
+    "bad",
+    [(40.0, 17), (40.0, 14), (40.0, 0), (-1.0, 64), (0.0, 64), (math.inf, 1024), (math.nan, 1024)],
+)
 def test_make_grid_rejects(bad):
     with pytest.raises(ValueError):
         cw.make_grid(*bad)

@@ -36,6 +36,17 @@ def test_model_validation_rejects():
         cw.ChainModel((1.0,), (1.0,), PsiFamily.cubic((0.1, 0.2)))
     with pytest.raises(ValueError):
         PsiFamily("quartic", (1.0,))
+    # non-finite values used to pass and fail later as a non-finite grid
+    # function; parameters of family none used to be dropped silently
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cw.ChainModel((bad,), (1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            cw.ChainModel((1.0,), (bad,))
+        with pytest.raises(ValueError, match="finite"):
+            cw.ChainModel((1.0,), (1.0,), PsiFamily.cubic((bad,)))
+    with pytest.raises(ValueError, match="'none' needs 0 parameters, got 1"):
+        cw.ChainModel((1.0,), (1.0,), PsiFamily("none", (0.3,)))
 
 
 def test_kdv_constants_cases(model1, model2):
@@ -214,8 +225,8 @@ def test_apply_Q_matches_quadrature_oracle(model1, grid1):
     eps = 0.3
     k = grid1.half_wavenumbers[6]
     w = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
-    inner = cw.averaging_direct(eps, w)
-    oracle = cw.averaging_direct(eps, inner * inner)
+    inner = cw.averaging_direct(grid1, eps, w.values)
+    oracle = cw.GridFunction(grid1, cw.averaging_direct(grid1, eps, inner * inner))
     assert cw.l2_norm(cw.apply_Q(model1, eps, w) - oracle) < 1e-12
 
 

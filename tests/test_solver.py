@@ -12,7 +12,7 @@ import chainwaves as cw
 from chainwaves import solver
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
-from chainwaves.verify import random_band_limited, unimodality_defect
+from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,15 @@ def test_config_validation():
         cw.SolveConfig(epsilon=0.1, damping=0.0)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.1, max_iterations=0)
+    # a NaN tol_residual used to switch the final residual gate off
+    for bad in (math.nan, math.inf):
+        for name in ("tol", "tol_residual"):
+            with pytest.raises(ValueError, match="finite"):
+                cw.SolveConfig(epsilon=0.1, **{name: bad})
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            cw.SolveConfig(epsilon=0.1, max_iterations=bad)
+    assert cw.SolveConfig(epsilon=0.1, max_iterations=np.int64(3)).max_iterations == 3
 
 
 def test_config_rejects_subnormal_fourth_power():
@@ -69,11 +78,8 @@ def test_residuals_match_term_by_term_reference(eps, model1, model2_cubic, model
 def test_residuals_bounded_over_sweep(model1, model2, model2_cubic):
     for model in (model1, model2, model2_cubic):
         grid = cw.make_grid(cw.default_half_length(model), 1024)
-        norms = []
-        for eps in (0.4, 0.2, 0.1, 0.05):
-            pair = cw.residuals(model, grid, eps)
-            norms.append(cw.l2_norm(pair.r) + cw.l2_norm(pair.s))
-        assert max(norms) / min(norms) < 2.0
+        result = CHECKS["residual_boundedness"](model, grid)
+        assert result.passed, result.detail
 
 
 def test_residuals_cauchy_in_eps(model1, grid1):
