@@ -44,6 +44,8 @@ __all__ = [
     "sample",
 ]
 
+_SAMPLE_BLOCK = 256  # points per pair of exponential tables in ``sample``
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform grid on [-L, L) paired with its half wavenumber lattice."""
@@ -252,10 +254,11 @@ def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
 
     The sum over the N/2+1 modes runs baby-step/giant-step: with
     n = q S + r and S = floor(sqrt(N/2)), exp(i k_n x) factors into
-    exp(i k_r x) exp(i k_{qS} x), so a P x S and a P x Q table of
-    exponentials, Q = ceil((N/2+1)/S), take the place of the P x (N/2+1)
-    phase matrix. Each column is reduced on its own, so a column of a batch
-    is bitwise what a single-column call gives.
+    exp(i k_r x) exp(i k_{qS} x), so for each block of 256 points a 256 x S
+    and a 256 x Q table of exponentials, Q = ceil((N/2+1)/S), take the place
+    of the P x (N/2+1) phase matrix, and memory beyond the result is O(N).
+    Each point and column is reduced on its own, so a column of a batch, or
+    a run of two or more points, is bitwise what a call on it alone gives.
     """
     values = np.asarray(values, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -268,13 +271,15 @@ def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
     padded = np.zeros((giant_steps * baby_steps,) + coeff.shape[1:], dtype=complex)
     padded[: len(coeff)] = coeff
     giant_k = np.pi * np.arange(0, len(padded), baby_steps) / grid.half_length
-    baby = np.exp(1j * np.outer(pts, grid.half_wavenumbers[:baby_steps]))
-    giant = np.exp(1j * np.outer(pts, giant_k))
-
-    def evaluate(column):
-        inner = baby @ column.reshape(giant_steps, baby_steps).T
-        return np.einsum("pq,pq->p", giant, inner).real
-
-    if values.ndim == 1:
-        return evaluate(padded)
-    return np.column_stack([evaluate(column) for column in padded.T])
+    # per column, c_{qS + r} at (r, q) of an (S, Q) square, alike alone or in a batch
+    columns = padded.T if values.ndim == 2 else [padded]
+    squares = [np.ascontiguousarray(c.reshape(giant_steps, baby_steps)).T for c in columns]
+    out = np.empty((len(pts), len(squares)))
+    # a lone last point joins the block before: a one-row product rounds otherwise
+    edges = [0, *range(_SAMPLE_BLOCK, len(pts) - 1, _SAMPLE_BLOCK), len(pts)]
+    for block in map(slice, edges[:-1], edges[1:]):
+        baby = np.exp(1j * np.outer(pts[block], grid.half_wavenumbers[:baby_steps]))
+        giant = np.exp(1j * np.outer(pts[block], giant_k))
+        for b, square in enumerate(squares):
+            out[block, b] = np.einsum("pq,pq->p", giant, baby @ square).real
+    return out if values.ndim == 2 else out[:, 0]

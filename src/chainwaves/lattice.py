@@ -364,8 +364,6 @@ def run_transport(
     else:
         steps = 0
         dt_used = dt
-    # the translated profile before the kernel: the stacks then reuse the
-    # memory of its exponential tables, which lowers a run's peak RSS
     phases = eps * (np.arange(num_particles) - num_particles / 2.0) - eps * speed * horizon
     predicted = -(eps**2) * speed * sample(solution.grid, solution.w.values, phases)
     momentum_start = float(np.sum(velocities))

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SINC_SERIES_CUTOFF = 1e-4
+_WINDOW_BLOCK = 256  # wavenumbers per block of the quadrature window
 
 
 def sinc(z):
@@ -113,10 +114,31 @@ def averaging_stack(grid: SpectralGrid, eps: float, count: int) -> AveragingStac
     return AveragingStack(grid, symbols)
 
 
+@lru_cache(maxsize=64)
+def _legendre_rule(count: int) -> NDArray[np.float64]:
+    # read-only rows of nodes and half weights on [-1, 1], built once per count
+    rule = np.stack(np.polynomial.legendre.leggauss(count)) * [[1.0], [0.5]]
+    rule.flags.writeable = False
+    return rule
+
+
 def _window_rule(eta: float, count: int):
     """Gauss-Legendre offsets and weights for (1/eta) int_{-eta/2}^{eta/2} g(o) do."""
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return 0.5 * eta * nodes, 0.5 * weights
+    nodes, weights = _legendre_rule(count)
+    return 0.5 * eta * nodes, weights
+
+
+def _quadrature_window(grid: SpectralGrid, eta: float) -> NDArray[np.float64]:
+    """The quadrature window on ``grid.half_wavenumbers``, 256 of them at a time."""
+    k = grid.half_wavenumbers
+    count = math.ceil(0.5 * eta * k[-1]) + 20
+    offsets, weights = _window_rule(eta, count)
+    pairs = slice(count - count // 2, None)  # the nodes o > 0
+    window = np.full(len(k), weights[count // 2] if count % 2 else 0.0)
+    for start in range(0, len(k), _WINDOW_BLOCK):
+        block = slice(start, start + _WINDOW_BLOCK)
+        window[block] += np.cos(np.outer(k[block], offsets[pairs])) @ (2.0 * weights[pairs])
+    return window
 
 
 def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float64]:
@@ -125,16 +147,15 @@ def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float
 
     Each Gauss-Legendre node translates the samples through their
     band-limited interpolant, a phase exp(i k o) on their coefficients, and
-    the rule then integrates over the window. The nodes are symmetric, so the
-    phases reduce to cos(k o). With ceil(eta*max|k|/2) + 20 nodes the rule
+    the rule then integrates over the window. The rule is symmetric, so each
+    node pair +-o sums once as 2 cos(k o), and an odd rule's middle node sits
+    at 0, where cos = 1. With ceil(eta*max|k|/2) + 20 nodes the rule
     integrates every mode on the grid to round-off. The window is built once
     per call and ``apply_symbol`` applies it to every column.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    k = grid.half_wavenumbers
-    offsets, weights = _window_rule(eta, math.ceil(0.5 * eta * k[-1]) + 20)
-    return apply_symbol(values, np.cos(np.outer(k, offsets)) @ weights)
+    return apply_symbol(values, _quadrature_window(grid, eta))
 
 
 def b_symbol(model: "ChainModel", eps: float, k):

@@ -230,6 +230,36 @@ def test_sample_memory_below_dense_phase_matrix(model1):
     assert peak <= dense_bytes / 10
 
 
+def test_sample_memory_is_flat_in_the_points(model1):
+    # the exponential tables are built one block of points at a time; built
+    # for all 50,000 points at once they alone would take about 37 MB
+    grid = cw.make_grid(cw.default_half_length(model1), 1024)
+    points = np.linspace(-grid.half_length, grid.half_length, 50000)
+    values = cw.kdv_profile(model1, grid).values
+    tracemalloc.start()
+    try:
+        out = cw.sample(grid, values, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 2**20
+
+
+def test_sample_split_off_block_edges_is_bitwise(grid1, rng):
+    # three blocks and a lone last point, cut where no block edge falls:
+    # each run of points reads bitwise what the whole call gives it
+    from chainwaves.grid import _SAMPLE_BLOCK
+    from chainwaves.verify import random_band_limited_rows
+
+    columns = random_band_limited_rows(grid1, 30.0, rng, 2).T
+    points = rng.uniform(-grid1.half_length, grid1.half_length, 3 * _SAMPLE_BLOCK + 1)
+    for values in (columns, columns[:, 1]):
+        whole = cw.sample(grid1, values, points)
+        for cut in (2, _SAMPLE_BLOCK + 44, 2 * _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK - 1):
+            parts = [cw.sample(grid1, values, run) for run in (points[:cut], points[cut:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_apply_symbol_matches_complex_fft(grid1, rng):
     # real-FFT route against ifft(symbol * fft(x)).real on the full lattice;
     # the first N/2 + 1 FFT bins carry the half symbol, since each symbol

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import math
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import chainwaves as cw
 from chainwaves import operators
 from chainwaves.model import tw_defect_spectrum
-from chainwaves.operators import _window_rule, cutoff_symbol
+from chainwaves.operators import _legendre_rule, _quadrature_window, _window_rule, cutoff_symbol
 from chainwaves.verify import (
     CHECKS,
     _split_inverse_constants,
@@ -65,6 +66,39 @@ def test_window_quadrature_of_parabola():
     # mean of x^2 over [-1/2, 1/2] is 1/12
     offsets, weights = _window_rule(1.0, 20)
     assert weights @ offsets**2 == pytest.approx(1.0 / 12.0, abs=1e-15)
+
+
+def test_window_rule_scales_one_cached_rule():
+    # two widths with one node count read the same Legendre rule
+    narrow, wide = _window_rule(0.4, 25), _window_rule(0.8, 25)
+    np.testing.assert_allclose(wide[0] / 0.8, narrow[0] / 0.4, rtol=1e-15)
+    assert np.shares_memory(wide[1], narrow[1])
+    assert not _legendre_rule(25).flags.writeable
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.2, 0.8])
+def test_quadrature_window_folds_the_symmetric_rule(model2, eta):
+    # 25, 30 and 57 nodes: each +-o pair summed once, and an odd rule's
+    # middle node, against the full cos table of every node
+    grid = cw.make_grid(cw.default_half_length(model2), 2048)
+    k = grid.half_wavenumbers
+    offsets, weights = _window_rule(eta, math.ceil(0.5 * eta * k[-1]) + 20)
+    full_table = np.cos(np.outer(k, offsets)) @ weights
+    assert np.max(np.abs(_quadrature_window(grid, eta) - full_table)) <= 1e-15
+
+
+def test_averaging_direct_memory_is_flat_in_n(model2):
+    # the window is summed in blocks of wavenumbers; its full cos table at
+    # N = 16384 and eta 0.8 would take about 40 MB
+    grid = cw.make_grid(cw.default_half_length(model2), 16384)
+    values = cw.kdv_profile(model2, grid).values
+    tracemalloc.start()
+    try:
+        cw.averaging_direct(grid, 0.8, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_apply_identity_zero_and_composition(grid1, rng):
