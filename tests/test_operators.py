@@ -4,6 +4,9 @@ import ast
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -76,20 +79,63 @@ def test_window_rule_scales_one_cached_rule():
     assert not _legendre_rule(25).flags.writeable
 
 
-@pytest.mark.parametrize("eta", [0.1, 0.2, 0.8])
-def test_quadrature_window_folds_the_symmetric_rule(model2, eta):
-    # 25, 30 and 57 nodes: each +-o pair summed once, and an odd rule's
-    # middle node, against the full cos table of every node
-    grid = cw.make_grid(cw.default_half_length(model2), 2048)
+def test_legendre_rule_matches_leggauss():
+    # numpy's rule is the reference. Its end weights stray from the rule
+    # computed to 50 digits by up to 1.003e-14 (count 293), so the half
+    # weights are held to 1.1e-14
+    for count in range(20, 321):
+        rule = _legendre_rule(count)
+        reference = np.stack(np.polynomial.legendre.leggauss(count)) * [[1.0], [0.5]]
+        assert np.max(np.abs(rule[0] - reference[0])) <= 2e-16
+        assert np.max(np.abs(rule[1] - reference[1])) <= 1.1e-14
+        assert np.array_equal(rule, rule[:, ::-1] * [[-1.0], [1.0]])
+        assert count % 2 == 0 or rule[0, count // 2] == 0.0
+        assert abs(np.sum(rule[1]) - 1.0) <= 1e-15
+
+
+def test_verification_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is the package's own; numpy < 2 imports
+    # numpy.polynomial with numpy, so only the modules the run adds count
+    source = str(Path(cw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import chainwaves as cw\n"
+        "from chainwaves.verify import run_verification\n"
+        "model = cw.ChainModel((1.0,), (1.0,))\n"
+        "run_verification(model, cw.make_grid(cw.default_half_length(model), 1024))\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "n, eta, bound",
+    [(2048, 0.1, 1e-15), (2048, 0.2, 1e-15), (2048, 0.8, 1e-15), (16384, 0.1, 1e-14), (16384, 0.8, 1e-14)],
+)
+def test_quadrature_window_folds_the_symmetric_rule(model2, n, eta, bound):
+    # 25, 30 and 57 nodes at N 2048, 57 and 309 at N 16384: each +-o pair
+    # summed once, and an odd rule's middle node, against the full cos table
+    # of every node
+    grid = cw.make_grid(cw.default_half_length(model2), n)
     k = grid.half_wavenumbers
     offsets, weights = _window_rule(eta, math.ceil(0.5 * eta * k[-1]) + 20)
     full_table = np.cos(np.outer(k, offsets)) @ weights
-    assert np.max(np.abs(_quadrature_window(grid, eta) - full_table)) <= 1e-15
+    assert np.max(np.abs(_quadrature_window(grid, eta) - full_table)) <= bound
 
 
 def test_averaging_direct_memory_is_flat_in_n(model2):
-    # the window is summed in blocks of wavenumbers; its full cos table at
-    # N = 16384 and eta 0.8 would take about 40 MB
+    # the window is one product of nodes x sqrt(N) tables; its full cos table
+    # at N = 16384 and eta 0.8 would take about 40 MB
     grid = cw.make_grid(cw.default_half_length(model2), 16384)
     values = cw.kdv_profile(model2, grid).values
     tracemalloc.start()
@@ -367,6 +413,12 @@ def test_oracle_check_probes_every_window_of_the_model(model2, grid2, monkeypatc
     monkeypatch.setattr("chainwaves.verify.averaging_symbol", skewed)
     result = check(model2, grid2)
     assert not result.passed, result.detail
+
+
+def test_oracle_check_passes_at_n_16384(model2):
+    grid = cw.make_grid(cw.default_half_length(model2), 16384)
+    result = CHECKS["averaging_symbol_vs_quadrature"](model2, grid)
+    assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("parity", ["none", "even", "odd"])
