@@ -118,14 +118,20 @@ def test_verification_loads_no_numpy_polynomial():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize(
-    "n, eta, bound",
-    [(2048, 0.1, 1e-15), (2048, 0.2, 1e-15), (2048, 0.8, 1e-15), (16384, 0.1, 1e-14), (16384, 0.8, 1e-14)],
-)
-def test_quadrature_window_folds_the_symmetric_rule(model2, n, eta, bound):
-    # 25, 30 and 57 nodes at N 2048, 57 and 309 at N 16384: each +-o pair
-    # summed once, and an odd rule's middle node, against the full cos table
-    # of every node
+@pytest.mark.parametrize("eta", [0.1, 0.2, 0.8])
+def test_quadrature_window_folds_the_symmetric_rule(model2, eta):
+    # 25, 30 and 57 nodes: each +-o pair summed once, and an odd rule's
+    # middle node, against the full cos table of every node
+    _check_window_against_full_table(model2, 2048, eta, 1e-15)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.8])
+def test_quadrature_window_holds_at_large_n(model2, eta):
+    # 57 and 309 nodes at N 16384, where the giant-step table has the most rows
+    _check_window_against_full_table(model2, 16384, eta, 1e-14)
+
+
+def _check_window_against_full_table(model2, n, eta, bound):
     grid = cw.make_grid(cw.default_half_length(model2), n)
     k = grid.half_wavenumbers
     offsets, weights = _window_rule(eta, math.ceil(0.5 * eta * k[-1]) + 20)
