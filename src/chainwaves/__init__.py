@@ -15,7 +15,6 @@ from .errors import (
     GridMismatchError,
     NearSingularError,
     NoConvergenceError,
-    NotEvenError,
     WindowOverflowError,
 )
 from .grid import (
@@ -29,7 +28,6 @@ from .grid import (
     make_grid,
     project_even,
     sample,
-    sobolev22_norm,
     sup_norm,
 )
 from .lattice import TransportReport, energy_drift_rate, run_transport, wave_initial_data
@@ -57,7 +55,6 @@ from .operators import (
     von_neumann_partial_sums,
 )
 from .solver import (
-    ResidualPair,
     SolveConfig,
     SolveDiagnostics,
     SweepRow,

@@ -13,10 +13,6 @@ class DomainTooSmallError(ChainwavesError):
     """The requested profile does not decay below threshold at the boundary."""
 
 
-class NotEvenError(ChainwavesError):
-    """An operation restricted to the even subspace received odd contamination."""
-
-
 class NearSingularError(ChainwavesError):
     """The linearized operator is numerically singular on the even subspace."""
 

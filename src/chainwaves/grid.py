@@ -36,7 +36,6 @@ __all__ = [
     "apply_symbol",
     "l2_norm",
     "sup_norm",
-    "sobolev22_norm",
     "inner_product",
     "project_even",
     "evenness_defect",
@@ -206,19 +205,6 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Discrete L2 pairing h * sum_i f_i g_i."""
     f._check_same_grid(g)
     return float(f.grid.spacing * np.sum(f.values * g.values))
-
-
-def sobolev22_norm(f: GridFunction) -> float:
-    """Norm with spectral weight 1 + k^2 + k^4.
-
-    Normalized so that weight 1 reproduces :func:`l2_norm`, matching the
-    W^{2,2} norm of the continuum profile.
-    """
-    grid = f.grid
-    # h^2/(2L) = h/N converts |rfft|^2 sums to the continuum normalization
-    spectrum = np.abs(np.fft.rfft(f.values)) ** 2
-    total = np.sum(grid.sobolev22_weights * spectrum) * grid.spacing / grid.num_points
-    return float(np.sqrt(total))
 
 
 def project_even(f: GridFunction) -> GridFunction:

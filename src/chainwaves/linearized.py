@@ -19,11 +19,11 @@ are defect correction (preconditioned Richardson; Xu, SIAM Review 34, 1992)
 with a two-level signed inverse P: V Lambda^{-1} V^T on the first m
 cosine coordinates, from the eigendecomposition that certified sigma_min
 below, and B_eps^{-1} on the rest. P is nearly L^{-1}, so
-x += P (g - L x) contracts. ``solve`` maps the rfft of G to the coordinates
-of V and corrects until the plain residual ||L x - g||_2 of G's even part,
-one application in coordinates and by Parseval the grid residual, is within
-the absolute budget tol max(1, ||G||). That residual is the certificate; a
-correction that does not halve it raises. On the default domain a chord
+x += P (g - L x) contracts. ``solve`` takes and returns cosine
+coordinates and corrects until the plain residual ||L x - g||_2, one
+application in coordinates and by Parseval the grid residual, is within the
+absolute budget tol max(1, ||G||). That residual is the certificate; a
+correction that does not halve it raises. On the default domain a corrector
 step takes one correction.
 
 sigma_min is the eigenvalue nearest 0, found by the two-level scheme of Xu &
@@ -47,7 +47,6 @@ matrix on the default domain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -55,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .errors import GridMismatchError, NearSingularError, NoConvergenceError, NotEvenError
+from .errors import GridMismatchError, NearSingularError, NoConvergenceError
 from .grid import GridFunction, SpectralGrid
 from .model import ChainModel, PsiFamily, kdv_profile
 from .operators import averaging_stack, b_diagonal
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
-_EVENNESS_GATE = 1e-8
 _COARSE_MODES = (129, 257, 513, 1025)  # sigma_min's dense-block ladder, capped at N/2 + 1
 _CERTIFICATE = 1e-8  # relative residual that accepts a leading-block eigenvector
 
@@ -143,13 +141,6 @@ class LinearizedOperator:
         """rfft of M V = sum_m A_{m eps}(c_m A_{m eps} V) from the rfft of V."""
         columns, stack = self._assembled
         return stack.adjoint_sum(columns * stack.average(spectrum))
-
-    def apply_m(self, v: GridFunction) -> GridFunction:
-        """Coupling term M V = B_eps V - J_w V; maps even functions to even ones."""
-        if v.grid != self.grid:
-            raise GridMismatchError("operand grid differs from operator grid")
-        spectrum = self._coupling_spectrum(np.fft.rfft(v.values))
-        return GridFunction(self.grid, np.fft.irfft(spectrum, n=self.grid.num_points))
 
     def apply_l(self, v: GridFunction) -> GridFunction:
         """The Jacobian J_w V = B_eps V - M V in one spectral pass: one rfft
@@ -252,39 +243,30 @@ class LinearizedOperator:
     def solve(self, g: NDArray, tol: float = 1e-12) -> NDArray[np.float64]:
         """Solve L_eps V = G on the even subspace to a verified residual.
 
-        G is given by its rfft ``g``, V returned in the cosine coordinates of
-        ``even_coefficients``. G must be numerically even: its odd part, the
-        imaginary part of ``g``, is gated, and dropped below the gate. The
-        solve is defect correction with the preconditioner P: x = P g, then
-        x += P r while the residual r = g_even - L x exceeds the budget
-        ``tol * max(1, ||G||_2)``. Each residual, one application in
-        coordinates and by Parseval the grid residual, certifies its iterate,
-        so the last one is the certificate. Raises ``NearSingularError`` when
-        the operator leaves its invertibility regime and, with no restart,
-        ``NoConvergenceError`` once a correction fails to halve the residual
-        (the first one that of x = 0), so a stalled or diverging solve ends.
+        G is given and V returned in the cosine coordinates of
+        ``even_coefficients``. The solve is defect correction with the
+        preconditioner P: x = P g, then x += P r while the residual
+        r = g - L x exceeds the budget ``tol * max(1, ||G||_2)``. Each
+        residual, one application in coordinates and by Parseval the grid
+        residual, certifies its iterate, so the last one is the certificate.
+        Raises ``NearSingularError`` when the operator leaves its
+        invertibility regime and, with no restart, ``NoConvergenceError``
+        once a correction fails to halve the residual (the first one that of
+        x = 0), so a stalled or diverging solve ends.
         """
-        scale = cosine_scale(self.grid)
-        g = np.asarray(g)
-        if g.shape != scale.shape:
-            raise GridMismatchError(f"right-hand side has {g.shape} modes, grid {scale.shape}")
-        rhs = scale * g.real
-        odd_part = float(np.linalg.norm(scale * g.imag))
-        g_norm = math.hypot(float(np.linalg.norm(rhs)), odd_part)
-        if odd_part > _EVENNESS_GATE * max(1.0, g_norm):
-            raise NotEvenError(
-                f"right-hand side has odd contamination {odd_part:.3e} "
-                f"(gate {_EVENNESS_GATE:g} relative)"
-            )
+        g = np.asarray(g, dtype=float)
+        if g.shape != cosine_scale(self.grid).shape:
+            raise GridMismatchError(f"right-hand side has {g.shape} modes, not N/2 + 1")
         if self.smallest_singular_value() < NEAR_SINGULAR_THRESHOLD:
             raise NearSingularError(
                 f"sigma_min = {self.smallest_singular_value():.3e} below "
                 f"{NEAR_SINGULAR_THRESHOLD:g}"
             )
-        budget = tol * max(1.0, g_norm)
-        x = self._preconditioner(rhs)
-        residual = rhs - self._apply_even(x)
-        previous, norm = float(np.linalg.norm(rhs)), float(np.linalg.norm(residual))
+        previous = float(np.linalg.norm(g))
+        budget = tol * max(1.0, previous)
+        x = self._preconditioner(g)
+        residual = g - self._apply_even(x)
+        norm = float(np.linalg.norm(residual))
         while norm > budget:
             if norm > 0.5 * previous:
                 raise NoConvergenceError(
@@ -292,7 +274,7 @@ class LinearizedOperator:
                     f"and not halved from {previous:.3e}"
                 )
             x += self._preconditioner(residual)
-            residual = rhs - self._apply_even(x)
+            residual = g - self._apply_even(x)
             previous, norm = norm, float(np.linalg.norm(residual))
         return x
 

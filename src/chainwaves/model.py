@@ -349,6 +349,17 @@ def _check_curvature_regime(m: int, argument) -> None:
         )
 
 
+def psi_rows(model: ChainModel, eps: float, averages) -> np.ndarray:
+    """(M, N) rows m eps^-4 psi'_m(m eps^2 a_m) of the averages a_m = A_{m eps} w:
+    eps^2 P_eps[w] = sum_m A_{m eps} row_m. Warns as ``apply_P`` does."""
+    rows = np.empty_like(averages)
+    for m, row, average in zip(range(1, model.neighbor_range + 1), rows, averages):
+        argument = (m * eps**2) * average
+        _check_curvature_regime(m, argument)
+        row[:] = (m / eps**4) * model.psi.prime(m, argument)
+    return rows
+
+
 def tw_defect_spectrum(model: ChainModel, eps: float, grid: SpectralGrid, spectrum) -> np.ndarray:
     """rfft of the defect G_eps(w) from the rfft ``spectrum`` of w on ``grid``.
 
@@ -365,10 +376,7 @@ def tw_defect_spectrum(model: ChainModel, eps: float, grid: SpectralGrid, spectr
     inner = averages * averages
     inner *= (np.array(model.beta) * ranges**3)[:, None]
     if model.psi.kind != "none":
-        for m, row, average in zip(ranges, inner, averages):
-            argument = (m * eps**2) * average
-            _check_curvature_regime(m, argument)
-            row += (m / eps**4) * model.psi.prime(m, argument)
+        inner += psi_rows(model, eps, averages)
     return b * spectrum - stack.adjoint_sum(inner)
 
 

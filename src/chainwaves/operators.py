@@ -107,7 +107,7 @@ class AveragingStack:
 
 @lru_cache(maxsize=8)
 def averaging_stack(grid: SpectralGrid, eps: float, count: int) -> AveragingStack:
-    # cached: the corrector evaluates the defect with the same stack every step
+    # cached: every corrector step averages with the same stack
     symbols = np.stack([averaging_symbol(grid, m * eps) for m in range(1, count + 1)])
     symbols.flags.writeable = False
     return AveragingStack(grid, symbols)
@@ -198,7 +198,7 @@ def b0_symbol(model: "ChainModel", k):
 @lru_cache(maxsize=16)
 def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
     """Read-only symbol of B_eps on ``grid.half_wavenumbers``, B_0 at eps = 0;
-    cached: the defect and L_eps read it at every chord step."""
+    cached: L_eps reads it at every corrector step."""
     k = grid.half_wavenumbers
     symbol = np.asarray(b_symbol(model, eps, k) if eps else b0_symbol(model, k))
     symbol.flags.writeable = False

@@ -5,21 +5,18 @@ problem G_eps(w) = 0 of ``model.tw_defect`` becomes
 
     L_eps v = R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v],
 
-where R and S collect the residual of the limiting profile, N the
-higher-order force remainder, and L_eps = B_eps - 2 sum_m beta_m m^3
-A(A w0 A .) is the Jacobian of the quadratic defect at w0. The paper's map
+where R + S = -G_eps(w0)/eps^2 is the residual of the limiting profile,
+S = P_eps[w0] and eps^2 N[v] = P_eps[w0 + eps^2 v] - S the higher-order
+terms, and L_eps = B_eps - 2 sum_m beta_m m^3 A(A w0 A .) the Jacobian of
+the quadratic defect at w0. The paper's map
 
     F_eps[v] = L_eps^{-1}(R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v])
 
-is, since G_eps(w0 + eps^2 v) = eps^2 (L_eps v - R - S - eps^2 Q[v] - eps^2 N[v]),
-exactly the chord step
-
-    F_eps[v] = v - L_eps^{-1}(G_eps(w0 + eps^2 v) / eps^2).
-
-It is iterated from v = 0 with optional damping on the cosine coordinates of
-v, and v is synthesized on the grid once, after the loop. The iteration
-stops on small increments, and a traveling-wave residual check is mandatory
-before a solve is reported as successful.
+is iterated on the cosine coordinates of v from v = 0, with optional
+damping: R once per solve, and each step's eps^2 Q[v] + P_eps[w0 + eps^2 v]
+from averages, so no O(1) term cancels in a step. It stops on small
+increments or at the first non-finite one, and a traveling-wave residual
+check is mandatory before a solve is reported as successful.
 """
 
 from __future__ import annotations
@@ -33,12 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChainwavesError, CurvatureWarning, EmptyWindowError, NoConvergenceError
-from .grid import GridFunction, SpectralGrid, derivative, l2_norm, project_even, sup_norm
+from .grid import GridFunction, SpectralGrid, derivative, l2_norm, sup_norm
 from .linearized import LinearizedOperator, cosine_scale, even_synthesis, linearized_operator
-from .model import ChainModel, PsiFamily, kdv_profile, tw_defect, tw_defect_spectrum, tw_residual
+from .model import ChainModel, kdv_profile, psi_rows, tw_defect_spectrum, tw_residual
+from .operators import averaging_stack
 
 __all__ = [
-    "SolveConfig", "SolveDiagnostics", "WaveSolution", "ResidualPair", "residuals",
+    "SolveConfig", "SolveDiagnostics", "WaveSolution", "residuals",
     "fixed_point_map", "solve_wave", "eigen_identity_check", "measure_tail_decay",
     "SweepRow", "convergence_sweep",
 ]
@@ -50,11 +48,15 @@ _EPSILON_MIN = sys.float_info.min**0.25  # the least epsilon whose eps^4 is a no
 class SolveConfig:
     """Iteration controls for one corrector solve.
 
-    ``tol`` bounds the relative chord increment and each linear solve's
+    ``tol`` bounds the relative corrector increment and each linear solve's
     residual. ``tol_residual`` backs the mandatory final traveling-wave
     residual check; an iteration that stagnates without reaching it is
     reported as failed rather than returned silently. The defect is scaled
     by eps^-4, so epsilon starts where eps^4 is a normal float.
+
+    v is not trusted below epsilon 1e-4, since R carries round-off of about
+    eps_mach/eps^2: on M2, ||v|| reads 0.0423646 at 1e-4, 0.0423694 at 1e-5
+    and 0.0801466 at 1e-6, which the traveling-wave residual cannot see.
     """
 
     epsilon: float
@@ -107,26 +109,28 @@ class WaveSolution:
         return math.sqrt(self.wave_speed_sq)
 
 
-@dataclass(frozen=True)
-class ResidualPair:
-    """Residual of the limiting profile, split into quadratic and higher parts."""
+def _quadratic_residual(operator: LinearizedOperator) -> np.ndarray:
+    """Cosine coordinates of R_eps = -G_eps(w0)/eps^2 of the operator's
+    psi-free model: the real, so even, part of the defect's spectrum at the
+    real spectrum of w0."""
+    eps, grid = operator.eps, operator.grid
+    defect = tw_defect_spectrum(operator.model, eps, grid, operator.w0_spectrum.real)
+    return (-1.0 / eps**2) * cosine_scale(grid) * defect.real
 
-    r: GridFunction
-    s: GridFunction
 
-
-def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> ResidualPair:
-    """R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and S_eps = P_eps[w0]; both even. With
-    G_none the psi-free defect, R = -G_none(w0)/eps^2, S = (G_none - G_eps)(w0)/eps^2."""
+def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine coordinates (r, s) of R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and
+    S_eps = P_eps[w0], both from the averages A_{m eps} w0; s is 0 for
+    psi = none."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w0 = kdv_profile(model, grid)
-    quadratic = tw_defect(replace(model, psi=PsiFamily()), eps, w0)
-    full = quadratic if model.psi.kind == "none" else tw_defect(model, eps, w0)
-    r = (-1.0 / eps**2) * quadratic
-    s = (1.0 / eps**2) * (quadratic - full)
-    # the 1/eps^2 amplifies odd round-off noise; both terms are analytically even
-    return ResidualPair(project_even(r), project_even(s))
+    operator = linearized_operator(model, grid, eps)
+    s = np.zeros(grid.num_points // 2 + 1)
+    if model.psi.kind != "none":
+        stack = averaging_stack(grid, eps, model.neighbor_range)
+        rows = psi_rows(model, eps, stack.average(operator.w0_spectrum))
+        s = (1.0 / eps**2) * cosine_scale(grid) * stack.adjoint_sum(rows).real
+    return _quadratic_residual(operator), s
 
 
 def fixed_point_map(
@@ -137,20 +141,31 @@ def fixed_point_map(
     *,
     tol: float = 1e-12,
     operator: LinearizedOperator | None = None,
+    residual: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One application of F_eps, as the chord step v - L_eps^{-1}(G_eps(w) / eps^2),
+    """One application of F_eps[v] = L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v])
     on the cosine coordinates ``v`` of the corrector; returns those of the image.
 
-    The rfft of w = w0 + eps^2 v is that of w0 plus eps^2 v over the cosine
-    scale. ``LinearizedOperator.solve`` takes the defect's spectrum: the even
-    part from its real part, and it gates the odd part, round-off that the
-    1/eps^2 amplifies, in its imaginary part.
+    Since S + eps^2 N[v] = P_eps[w] at w = w0 + eps^2 v, the right-hand side
+    is R + eps^2 Q[v] + P_eps[w]. ``residual`` holds the coordinates of R,
+    computed from ``operator`` when not given. One batched irfft gives the
+    averages A_{m eps} v, a second one those of w when psi is not none, and
+    one batched rfft takes back the rows eps^2 beta_m m^3 (A v)^2 +
+    eps^-6 m psi'_m(m eps^2 A w).
     """
     if operator is None:
         operator = linearized_operator(model, grid, eps)
-    spectrum = operator.w0_spectrum.real + (eps**2 / cosine_scale(grid)) * v
-    defect = tw_defect_spectrum(model, eps, grid, spectrum)
-    return v - operator.solve((1.0 / eps**2) * defect, tol)
+    if residual is None:
+        residual = _quadratic_residual(operator)
+    scale = cosine_scale(grid)
+    stack = averaging_stack(grid, eps, model.neighbor_range)
+    spectrum = v / scale
+    ranges = np.arange(1, model.neighbor_range + 1)
+    rows = (eps**2 * np.array(model.beta) * ranges**3)[:, None] * stack.average(spectrum) ** 2
+    if model.psi.kind != "none":
+        w_spectrum = operator.w0_spectrum.real + eps**2 * spectrum
+        rows += (1.0 / eps**2) * psi_rows(model, eps, stack.average(w_spectrum))
+    return operator.solve(residual + scale * stack.adjoint_sum(rows).real, tol)
 
 
 def measure_tail_decay(w: GridFunction, lower: float = 1e-8, upper: float = 1e-4) -> float:
@@ -209,12 +224,20 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
 def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
+    residual = _quadratic_residual(operator)
     v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, config.max_iterations + 1):
-        image = fixed_point_map(model, grid, eps, v, tol=config.tol, operator=operator)
+        image = fixed_point_map(
+            model, grid, eps, v, tol=config.tol, operator=operator, residual=residual
+        )
         if config.damping < 1.0:
             image = (1.0 - config.damping) * v + config.damping * image
         increment = float(np.linalg.norm(image - v))
+        if not math.isfinite(increment):
+            raise NoConvergenceError(
+                f"non-finite fixed point increment {increment} at iteration "
+                f"{iterations} (eps = {eps:g})"
+            )
         v = image
         if increment <= config.tol * max(1.0, float(np.linalg.norm(v))):
             break
@@ -311,8 +334,7 @@ def convergence_sweep(
     previous: tuple[float, float, float] | None = None
     for eps in eps_values:
         row_config = replace(config, epsilon=eps)
-        pair = residuals(model, grid, eps)
-        rs_norm = l2_norm(pair.r) + l2_norm(pair.s)
+        rs_norm = sum(float(np.linalg.norm(term)) for term in residuals(model, grid, eps))
         try:
             solution = solve_wave(model, grid, row_config)
         except ChainwavesError as exc:

@@ -74,21 +74,6 @@ def test_sup_norm_cases(grid1, model1):
     assert cw.sup_norm(cw.GridFunction(grid1, spike)) == 5.0
 
 
-def test_sobolev_norm_zero_and_single_mode(grid1):
-    zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
-    assert cw.sobolev22_norm(zero) == 0.0
-    k = grid1.half_wavenumbers[5]
-    f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
-    expected = math.sqrt(1 + k**2 + k**4) * cw.l2_norm(f)
-    assert cw.sobolev22_norm(f) == pytest.approx(expected, rel=1e-13)
-
-
-def test_sobolev_norm_dominates_l2(model1, grid1):
-    w0 = cw.kdv_profile(model1, grid1)
-    assert np.isfinite(cw.sobolev22_norm(w0))
-    assert cw.sobolev22_norm(w0) >= cw.l2_norm(w0)
-
-
 def test_project_even_idempotent_and_parity_split(grid1, rng):
     k1, k2 = grid1.half_wavenumbers[3], grid1.half_wavenumbers[8]
     even_part = np.cos(k1 * grid1.nodes)

@@ -12,7 +12,6 @@ import pytest
 import chainwaves as cw
 from chainwaves.linearized import (
     LinearizedOperator,
-    cosine_scale,
     even_coefficients,
     even_synthesis,
     linearized_operator,
@@ -33,7 +32,13 @@ def op1_limit(model1, grid1):
 def solve_on_grid(operator, g, tol=1e-12):
     """``solve`` for a right-hand side on the grid, its solution synthesized
     back on the grid."""
-    return even_synthesis(operator.grid, operator.solve(np.fft.rfft(g.values), tol))
+    return even_synthesis(operator.grid, operator.solve(even_coefficients(g), tol))
+
+
+def coupling(operator, v):
+    """The coupling term M V = B_eps V - J V."""
+    b = cw.b_diagonal(operator.model, operator.grid, operator.eps)
+    return cw.GridFunction(operator.grid, cw.apply_symbol(v.values, b)) - operator.apply_l(v)
 
 
 def test_even_basis_roundtrip(grid1, rng):
@@ -48,20 +53,22 @@ def test_even_basis_roundtrip(grid1, rng):
 
 
 def test_apply_m_zero_and_limit_formula(op1, op1_limit, grid1, model1, rng):
+    # the coupling M V = B_eps V - J V vanishes at V = 0 and is the pointwise
+    # 2 (sum_m beta_m m^3) w0 V at eps = 0
     zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(op1.apply_m(zero)) == 0.0
+    assert cw.sup_norm(coupling(op1, zero)) == 0.0
     v = random_band_limited(grid1, 25.0, rng, parity="even")
     coeff = 2.0 * sum(b * m**3 for m, b in enumerate(model1.beta, start=1))
     pointwise = coeff * (op1_limit.w0 * v)
-    assert cw.l2_norm(op1_limit.apply_m(v) - pointwise) < 1e-13
+    assert cw.l2_norm(coupling(op1_limit, v) - pointwise) < 1e-13
 
 
 def test_apply_m_converges_to_limit(model1, grid1, rng):
     v = random_band_limited(grid1, 10.0, rng, parity="even", decay=1.0)
-    limit = linearized_operator(model1, grid1, 0.0).apply_m(v)
+    limit = coupling(linearized_operator(model1, grid1, 0.0), v)
     eps_values = (0.4, 0.2, 0.1, 0.05)
     gaps = [
-        cw.l2_norm(linearized_operator(model1, grid1, eps).apply_m(v) - limit)
+        cw.l2_norm(coupling(linearized_operator(model1, grid1, eps), v) - limit)
         for eps in eps_values
     ]
     slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
@@ -103,8 +110,10 @@ def test_apply_l_is_one_fft_pair(
 ):
     """apply_l is B_eps V - M V in one spectral pass: one rfft of V, the
     coupling's batched inverse and forward transforms of M rows, and one
-    irfft, 2 + 2M length-N transforms. It matches the composition of the
-    multiplier B_eps and ``apply_m``, on any profile and at eps = 0."""
+    irfft, 2 + 2M length-N transforms. It matches B_eps V minus the explicit
+    sum M V = sum_m A_{m eps}(c_m A_{m eps} V), with
+    c_m = 2 beta_m m^3 A_{m eps} w + (m^2/eps^2) psi''_m(m eps^2 A_{m eps} w),
+    each average a multiplier of its own, on any profile and at eps = 0."""
     if case == "M3-toda-solved":
         grid = cw.make_grid(cw.default_half_length(model3_toda), 1024)
         w = cw.solve_wave(model3_toda, grid, cw.SolveConfig(epsilon=0.2)).w
@@ -118,9 +127,17 @@ def test_apply_l_is_one_fft_pair(
         operator = linearized_operator(*arguments[case])
     grid = operator.grid
     v = random_band_limited(grid, 25.0, np.random.default_rng(29))  # neither even nor odd
-    b = cw.b_diagonal(operator.model, grid, operator.eps)
-    composed = cw.GridFunction(grid, cw.apply_symbol(v.values, b))
-    composed = composed - operator.apply_m(v)
+    model, eps = operator.model, operator.eps
+    composed = cw.apply_symbol(v.values, cw.b_diagonal(model, grid, eps))
+    for m, beta in enumerate(model.beta, start=1):
+        symbol = cw.averaging_symbol(grid, m * eps)
+        average = cw.apply_symbol(operator.w0.values, symbol)
+        column = 2.0 * beta * m**3 * average
+        if eps > 0:
+            column += (m**2 / eps**2) * model.psi.second(m, m * eps**2 * average)
+        composed -= cw.apply_symbol(column * cw.apply_symbol(v.values, symbol), symbol)
+    composed = cw.GridFunction(grid, composed)
+    operator.apply_l(v)  # builds the coupling columns before the count
     lengths = transform_lengths()
     applied = operator.apply_l(v)
     assert lengths == [grid.num_points] * (2 + 2 * operator.model.neighbor_range)
@@ -129,7 +146,7 @@ def test_apply_l_is_one_fft_pair(
 
 def test_parity_preservation(op1, grid1, rng):
     v = random_band_limited(grid1, 25.0, rng, parity="even")
-    assert cw.evenness_defect(op1.apply_m(v)) <= 1e-12
+    assert cw.evenness_defect(coupling(op1, v)) <= 1e-12
     assert cw.evenness_defect(op1.apply_l(v)) <= 1e-11
 
 
@@ -174,7 +191,7 @@ def test_solve_matches_dense_reference(references, rng):
     for operator, matrix in references:
         g = random_band_limited(operator.grid, 30.0, rng, parity="even", decay=0.5)
         direct = np.linalg.solve(matrix, even_coefficients(g))
-        gap = np.linalg.norm(operator.solve(np.fft.rfft(g.values)) - direct)
+        gap = np.linalg.norm(operator.solve(even_coefficients(g)) - direct)
         assert gap <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -332,9 +349,9 @@ def _per_solve(monkeypatch, record):
 
 def test_cold_solve_application_count(model2, grid2, monkeypatch):
     """Counts the L_eps applications in cosine coordinates (``_apply_even``)
-    of one cold solve on M2 at eps 0.1, N = 1024, per chord solve: the first
+    of one cold solve on M2 at eps 0.1, N = 1024, per corrector solve: the first
     one also makes sigma_min's certificate application, and all are on the
-    solve grid. Each chord solve is one correction x = P g, whose residual,
+    solve grid. Each corrector solve is one correction x = P g, whose residual,
     one application, is within the budget and certifies it."""
     applications = _count_calls(monkeypatch, "_apply_even")
     per_solve = _per_solve(monkeypatch, applications)
@@ -347,18 +364,18 @@ def test_cold_solve_application_count(model2, grid2, monkeypatch):
 
 def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     """Counts the real FFT rows of one cold solve on M2 at eps 0.1,
-    N = 1024, all of length N. The rfft of w0 and the averages of the
-    coupling (3 rows); sigma_min's 129-mode block, the rfft of the M
-    coupling columns (2); 7 applications of L_eps in coordinates, 2M rows
-    each (28); 6 chord defects from the real spectrum of w, 2M rows each
-    (24); one synthesis of v after the loop, and the final residual's
-    2 + 2M rows (7). Each chord step transforms nothing beyond its defect
-    and its applications; the grid-space chord step took 156 rows."""
+    N = 1024, all of length N. The rfft of w0 and its averages A_{m eps} w0
+    (3 rows); R + S from one defect at the real spectrum of w0, 2M rows (4);
+    sigma_min's 129-mode block, the rfft of the M coupling columns (2); 7
+    applications of L_eps in coordinates, 2M rows each (28); 6 corrector
+    steps, each the averages of v and the rfft of its M rows, 2M rows (24);
+    one synthesis of v after the loop, and the final residual's 2 + 2M rows
+    (7). Each step transforms nothing beyond its rows and its applications."""
     linearized_operator.cache_clear()
     lengths = transform_lengths()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
     assert solution.diagnostics.iterations == 6
-    assert lengths == [1024] * 64
+    assert lengths == [1024] * 68
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -366,10 +383,10 @@ def test_cold_solve_transform_count(model2, grid2, transform_lengths):
 def test_chord_solves_certify_on_first_run(
     name, n, model1, model2_cubic, model3_toda, monkeypatch
 ):
-    """Every chord solve is one correction x = P g: its residual, the
+    """Every corrector solve is one correction x = P g: its residual, the
     certificate, is already within the budget. That residual in cosine
     coordinates equals the residual of the synthesized solution on the grid.
-    At N = 1024 the waves and iteration counts are those of the same chord
+    At N = 1024 the waves and iteration counts are those of the same
     iteration with each solve a dense ``np.linalg.solve`` of ``even_matrix``."""
     model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
     grid = cw.make_grid(cw.default_half_length(model), n)
@@ -392,12 +409,12 @@ def test_chord_solves_certify_on_first_run(
 
     monkeypatch.setattr(LinearizedOperator, "_preconditioner", property(counted_preconditioner))
     per_solve = _per_solve(monkeypatch, corrections)
-    chord_solves = []
+    solves = []
     solve = LinearizedOperator.solve
 
     def recorded(self, g, tol=1e-12):
         x = solve(self, g, tol)
-        chord_solves.append((self, g, x))
+        solves.append((self, g, x))
         return x
 
     monkeypatch.setattr(LinearizedOperator, "solve", recorded)
@@ -408,18 +425,18 @@ def test_chord_solves_certify_on_first_run(
         # the certificate in coordinates is the plain grid residual, up to
         # the round-off of the synthesized solution, which B_eps amplifies:
         # eps_mach max(b) ||x|| reaches 1e-13 on M1 at N = 16384
-        for operator, g, x in chord_solves:
-            coordinate = np.linalg.norm(operator._apply_even(x) - cosine_scale(grid) * g.real)
-            g_even = cw.project_even(cw.GridFunction(grid, np.fft.irfft(g, n=n)))
-            residual = cw.l2_norm(operator.apply_l(even_synthesis(grid, x)) - g_even)
+        for operator, g, x in solves:
+            coordinate = np.linalg.norm(operator._apply_even(x) - g)
+            g_grid = even_synthesis(grid, g)
+            residual = cw.l2_norm(operator.apply_l(even_synthesis(grid, x)) - g_grid)
             b = cw.b_diagonal(operator.model, grid, operator.eps)
             floor = 4 * np.finfo(float).eps * b.max() * np.linalg.norm(x)
-            assert abs(coordinate - residual) <= 1e-14 * max(1.0, cw.l2_norm(g_even)) + floor
+            assert abs(coordinate - residual) <= 1e-14 * max(1.0, cw.l2_norm(g_grid)) + floor
         if n > 1024:
             return  # the dense matrix at N = 16384 would take 0.5 GB
 
         def dense(self, g, tol=1e-12):
-            return np.linalg.solve(self.even_matrix(), cosine_scale(self.grid) * g.real)
+            return np.linalg.solve(self.even_matrix(), g)
 
         monkeypatch.setattr(LinearizedOperator, "solve", dense)
         for config, solution in zip(configs, solutions):
@@ -528,7 +545,7 @@ def test_sigma_min_gap_grows_as_eps_squared(name, model1, grid1, model2, grid2):
 
 
 def test_solve_zero_and_manufactured(op1_limit, grid1, rng):
-    zero = np.zeros(grid1.num_points // 2 + 1, dtype=complex)
+    zero = np.zeros(grid1.num_points // 2 + 1)
     assert np.max(np.abs(op1_limit.solve(zero))) == 0.0
     target = random_band_limited(grid1, 20.0, rng, parity="even", decay=0.5)
     rhs = op1_limit.apply_l(target)
@@ -547,7 +564,7 @@ def test_solve_contract_residual(op1, grid1, rng):
 def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     with pytest.raises(cw.NoConvergenceError):
-        op1.solve(np.fft.rfft(g.values), tol=1e-20)
+        op1.solve(even_coefficients(g), tol=1e-20)
 
 
 @pytest.mark.parametrize("low_block", ["none", "absolute"])
@@ -568,23 +585,14 @@ def test_solve_without_signed_inverse_raises(low_block, model1, grid1, rng):
     operator.__dict__["_preconditioner"] = precondition
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     with pytest.raises(cw.NoConvergenceError):
-        operator.solve(np.fft.rfft(g.values))
-
-
-def test_solve_rejects_odd_input(op1, grid1, rng):
-    odd = random_band_limited(grid1, 20.0, rng, parity="odd")
-    assert cw.l2_norm(cw.project_even(odd)) <= 1e-13
-    energy = np.abs(np.fft.rfft(odd.values)) ** 2
-    assert np.sum(energy[grid1.half_wavenumbers > 20.0]) <= 1e-26 * np.sum(energy)
-    with pytest.raises(cw.NotEvenError):
-        op1.solve(np.fft.rfft(odd.values))
+        operator.solve(even_coefficients(g))
 
 
 def test_solve_near_singular_guard(op1, grid1, monkeypatch, rng):
     monkeypatch.setattr(LinearizedOperator, "smallest_singular_value", lambda self: 1e-9)
     g = random_band_limited(grid1, 20.0, rng, parity="even")
     with pytest.raises(cw.NearSingularError):
-        op1.solve(np.fft.rfft(g.values))
+        op1.solve(even_coefficients(g))
 
 
 def test_unconverged_sigma_min_is_near_singular(model1, rng):
@@ -597,7 +605,7 @@ def test_unconverged_sigma_min_is_near_singular(model1, rng):
     operator = LinearizedOperator(model1, grid, 0.2, cw.kdv_profile(model1, grid))
     assert operator.smallest_singular_value() == 0.0
     with pytest.raises(cw.NearSingularError):
-        operator.solve(np.fft.rfft(random_band_limited(grid, 20.0, rng, parity="even").values))
+        operator.solve(even_coefficients(random_band_limited(grid, 20.0, rng, parity="even")))
 
 
 def test_grid_mismatch_rejected(op1):
@@ -606,4 +614,4 @@ def test_grid_mismatch_rejected(op1):
     with pytest.raises(cw.GridMismatchError):
         op1.apply_l(f)
     with pytest.raises(cw.GridMismatchError):
-        op1.solve(np.fft.rfft(f.values))
+        op1.solve(even_coefficients(f))

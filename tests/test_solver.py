@@ -50,16 +50,18 @@ def test_config_rejects_subnormal_fourth_power():
 
 
 def test_residuals_psi_none_has_zero_s(model1, grid1):
-    pair = cw.residuals(model1, grid1, 0.2)
-    assert cw.sup_norm(pair.s) == 0.0
-    assert cw.evenness_defect(pair.r) == 0.0
+    r, s = cw.residuals(model1, grid1, 0.2)
+    assert r.shape == s.shape == (grid1.num_points // 2 + 1,)
+    assert not s.any()
+    assert np.linalg.norm(r) > 0.0
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.4, 0.1, 0.05])
 def test_residuals_match_term_by_term_reference(eps, model1, model2_cubic, model3_toda):
-    # R and S come from two defects; apply_Q, apply_P and B_eps give them
-    # term by term. Both routes amplify the round-off of B_eps w0 by
-    # 1/eps^2, so they agree to that floor, eps_mach max(b) ||w0|| / eps^2
+    # R comes from the psi-free defect and S from the averages of w0; apply_Q,
+    # apply_P and B_eps give them term by term on the grid. Both routes
+    # amplify the round-off of B_eps w0 by 1/eps^2, so they agree to that
+    # floor, eps_mach max(b) ||w0|| / eps^2
     for model in (model1, model2_cubic, model3_toda):
         grid = cw.make_grid(cw.default_half_length(model), 1024)
         w0 = cw.kdv_profile(model, grid)
@@ -67,12 +69,12 @@ def test_residuals_match_term_by_term_reference(eps, model1, model2_cubic, model
         b_w0 = cw.GridFunction(grid, cw.apply_symbol(w0.values, b))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cw.CurvatureWarning)
-            pair = cw.residuals(model, grid, eps)
-            r = (1.0 / eps**2) * (cw.apply_Q(model, eps, w0) - b_w0)
-            s = cw.apply_P(model, eps, w0)
+            r, s = cw.residuals(model, grid, eps)
+            r_grid = (1.0 / eps**2) * (cw.apply_Q(model, eps, w0) - b_w0)
+            s_grid = cw.apply_P(model, eps, w0)
         floor = np.finfo(float).eps * b.max() * cw.l2_norm(w0) / eps**2
-        assert cw.l2_norm(pair.r - r) <= 4 * floor
-        assert cw.l2_norm(pair.s - s) <= 4 * floor
+        assert np.linalg.norm(r - even_coefficients(r_grid)) <= 4 * floor
+        assert np.linalg.norm(s - even_coefficients(s_grid)) <= 4 * floor
 
 
 def test_residuals_bounded_over_sweep(model1, model2, model2_cubic):
@@ -85,8 +87,8 @@ def test_residuals_bounded_over_sweep(model1, model2, model2_cubic):
 def test_residuals_cauchy_in_eps(model1, grid1):
     # R_eps approaches a limit: consecutive sweep differences shrink
     eps_values = (0.4, 0.2, 0.1, 0.05)
-    rs = [cw.residuals(model1, grid1, eps).r for eps in eps_values]
-    gaps = [cw.l2_norm(rs[i + 1] - rs[i]) for i in range(len(rs) - 1)]
+    rs = [cw.residuals(model1, grid1, eps)[0] for eps in eps_values]
+    gaps = [np.linalg.norm(rs[i + 1] - rs[i]) for i in range(len(rs) - 1)]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -133,15 +135,36 @@ def test_fixed_point_contraction(model1, grid1):
     assert all(r < 1.0 for r in ratios)
 
 
-def _paper_rhs(model, eps, w0, pair, v):
+def test_fixed_point_map_residual_keyword(model2_cubic, model3_toda, monkeypatch):
+    # the R that solve_wave hands to every step once per solve gives a map
+    # bitwise equal to the one that computes R itself when it is not given
+    handed = []
+    step = solver.fixed_point_map
+
+    def recorded(*args, **kwargs):
+        handed.append((args, kwargs))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fixed_point_map", recorded)
+    for model in (model2_cubic, model3_toda):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        cw.solve_wave(model, grid, cw.SolveConfig(epsilon=0.1))
+    assert len(handed) == 11
+    for args, kwargs in handed:
+        given = step(*args, **kwargs)
+        del kwargs["residual"]
+        assert np.array_equal(step(*args, **kwargs), given)
+
+
+def _paper_rhs(model, eps, w0, residual, v):
     """R + S + eps^2 Q[v] + eps^2 N[v] on the grid, from the term-by-term
-    operators."""
+    operators, with R + S the grid function ``residual``."""
     remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
-    return cw.project_even(pair.r + pair.s + eps**2 * cw.apply_Q(model, eps, v) + remainder)
+    return cw.project_even(residual + eps**2 * cw.apply_Q(model, eps, v) + remainder)
 
 
 def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
-    # the chord step in cosine coordinates equals the paper's map
+    # the map in cosine coordinates equals the paper's map
     # L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v]) assembled on the grid; a
     # cold solve_wave takes as many steps as that map iterated on grid
     # functions under the same stop test, to the same wave and sigma_min
@@ -154,16 +177,16 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
         linearized_operator.cache_clear()
         operator = linearized_operator(model, grid, eps)
         w0 = operator.w0
-        pair = cw.residuals(model, grid, eps)
+        residual = even_synthesis(grid, sum(cw.residuals(model, grid, eps)))
         v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
-        rhs = _paper_rhs(model, eps, w0, pair, v)
-        paper = operator.solve(np.fft.rfft(rhs.values))
+        rhs = _paper_rhs(model, eps, w0, residual, v)
+        paper = operator.solve(even_coefficients(rhs))
         image = cw.fixed_point_map(model, grid, eps, even_coefficients(v), operator=operator)
         assert np.linalg.norm(image - paper) <= 1e-11 * np.linalg.norm(paper)
         v = cw.GridFunction(grid, np.zeros(grid.num_points))
         for iterations in range(1, 51):
-            rhs = _paper_rhs(model, eps, w0, pair, v)
-            image = even_synthesis(grid, operator.solve(np.fft.rfft(rhs.values)))
+            rhs = _paper_rhs(model, eps, w0, residual, v)
+            image = even_synthesis(grid, operator.solve(even_coefficients(rhs)))
             increment = cw.l2_norm(image - v)
             v = image
             if increment <= 1e-12 * max(1.0, cw.l2_norm(v)):
@@ -172,6 +195,44 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
         assert solution.diagnostics.sigma_min == operator.smallest_singular_value()
         gap = cw.sup_norm(solution.w - (w0 + eps**2 * v))
         assert gap <= 1e-14 * cw.sup_norm(solution.w)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("name", ["M1", "M2-cubic", "M3-toda"])
+def test_solve_wave_in_the_kdv_regime(name, n, model1, model2_cubic, model3_toda):
+    # the paper's eps -> 0 regime: no O(1) term cancels in a step, so the
+    # default config converges in a few steps
+    model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
+    grid = cw.make_grid(cw.default_half_length(model), n)
+    for eps in (1e-3, 1e-4):
+        diagnostics = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps)).diagnostics
+        assert diagnostics.iterations <= 5, eps
+        assert diagnostics.tw_residual <= 1e-9, eps
+
+
+def test_corrector_accuracy_floor(model1, grid1):
+    # R carries round-off of about eps_mach/eps^2, so v is trusted down
+    # to eps 1e-4 (SolveConfig): there ||v|| is within 1e-5 of its value at 1e-3
+    norms = [
+        cw.l2_norm(cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=eps)).v)
+        for eps in (1e-3, 1e-4)
+    ]
+    assert abs(norms[1] - norms[0]) <= 1e-5 * norms[0]
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("damping", [1.0, 0.7])
+def test_diverging_solve_fails_typed(n, damping):
+    # the Toda chain at eps 1.0 diverges; the solve stops at its first
+    # non-finite increment (steps 24 to 33 here) with NoConvergenceError
+    # instead of running its budget on NaN or passing an infinite ||v||
+    model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), n)
+    config = cw.SolveConfig(epsilon=1.0, damping=damping, max_iterations=40)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        with pytest.raises(cw.NoConvergenceError, match="non-finite"):
+            cw.solve_wave(model, grid, config)
 
 
 def test_solve_wave_contract(model1, grid1, solution1):
@@ -361,6 +422,16 @@ def test_convergence_sweep_rows(model1, grid1):
     assert min(sigma) > 0.3
     norms_v = [row.l2_error / row.epsilon**2 for row in rows]
     assert max(norms_v) / min(norms_v) < 2.0
+
+
+def test_convergence_sweep_to_small_eps(model2):
+    # down to eps 1e-3 every row converges, at C7's order rule 2 +- 0.3
+    grid = cw.make_grid(cw.default_half_length(model2), 1024)
+    schedule = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+    rows = cw.convergence_sweep(model2, grid, schedule, cw.SolveConfig(epsilon=0.1))
+    assert [row.error for row in rows] == [None] * len(schedule)
+    for row in rows[1:]:
+        assert abs(row.order_l2 - 2.0) <= 0.3 and abs(row.order_sup - 2.0) <= 0.3
 
 
 def test_convergence_sweep_single_row(model1, grid1):
