@@ -118,19 +118,25 @@ def _quadratic_residual(operator: LinearizedOperator) -> np.ndarray:
     return (-1.0 / eps**2) * cosine_scale(grid) * defect.real
 
 
+_held_residual = [None, None]  # operator and R of the last residuals call, for its solve
+
+
 def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Cosine coordinates (r, s) of R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and
     S_eps = P_eps[w0], both from the averages A_{m eps} w0; s is 0 for
-    psi = none."""
+    psi = none, and r is read-only."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     operator = linearized_operator(model, grid, eps)
+    r = _quadratic_residual(operator)
+    r.flags.writeable = False
+    _held_residual[:] = operator, r
     s = np.zeros(grid.num_points // 2 + 1)
     if model.psi.kind != "none":
         stack = averaging_stack(grid, eps, model.neighbor_range)
         rows = psi_rows(model, eps, stack.average(operator.w0_spectrum))
         s = (1.0 / eps**2) * cosine_scale(grid) * stack.adjoint_sum(rows).real
-    return _quadratic_residual(operator), s
+    return r, s
 
 
 def fixed_point_map(
@@ -224,15 +230,19 @@ def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> Wa
 def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
-    residual = _quadratic_residual(operator)
+    held, residual = _held_residual
+    if held is not operator:
+        residual = _quadratic_residual(operator)
     v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, config.max_iterations + 1):
-        image = fixed_point_map(
-            model, grid, eps, v, tol=config.tol, operator=operator, residual=residual
-        )
-        if config.damping < 1.0:
-            image = (1.0 - config.damping) * v + config.damping * image
-        increment = float(np.linalg.norm(image - v))
+        # a diverging map ends below, at its non-finite increment
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = fixed_point_map(
+                model, grid, eps, v, tol=config.tol, operator=operator, residual=residual
+            )
+            if config.damping < 1.0:
+                image = (1.0 - config.damping) * v + config.damping * image
+            increment = float(np.linalg.norm(image - v))
         if not math.isfinite(increment):
             raise NoConvergenceError(
                 f"non-finite fixed point increment {increment} at iteration "

@@ -1,13 +1,14 @@
 """Named property suite exercising the operator calculus end to end.
 
-Each check is deterministic (fixed seeds), returns a pass flag plus a short
-measurement detail, and is independent of the others. The suite backs the
-``verify`` command; the checks mirror the package's analytic guarantees:
-self-adjointness, norm bounds, shape preservation, asymptotic orders of the
-window average, agreement of every window A_{m eps} of the model with its
-quadrature oracle, stability of the inverted linear part, geometric
-convergence of its series representation, the limiting profile identities,
-residual boundedness, and uniform invertibility of the linearization.
+Each check is deterministic (seeded probes, no ``numpy.random``), returns a
+pass flag plus a short measurement detail, and is independent of the others.
+The suite backs the ``verify`` command; the checks mirror the package's
+analytic guarantees: self-adjointness, norm bounds, shape preservation,
+asymptotic orders of the window average, agreement of every window A_{m eps}
+of the model with its quadrature oracle, stability of the inverted linear
+part, geometric convergence of its series representation, the limiting
+profile identities, residual boundedness, and uniform invertibility of the
+linearization.
 ``CHECKS`` is the one implementation of each property: the acceptance
 criteria and the unit tests that state one of them call it by name.
 """
@@ -56,41 +57,49 @@ class CheckResult:
     detail: str
 
 
+class _Normals:
+    """Standard normals: Box-Muller on pairs of 53-bit uniforms in (0, 1],
+    uniform i from the SplitMix64 hash of (seed, i) (Steele, Lea & Flood,
+    OOPSLA 2014), so a block of draws is that many single draws."""
+
+    def __init__(self, seed: int):
+        self._seed, self._drawn = seed % 2**64, 0
+
+    def standard_normal(self, shape) -> np.ndarray:
+        size = int(np.prod(shape))
+        z = np.arange(2 * self._drawn + 1, 2 * (self._drawn + size) + 1, dtype=np.uint64)
+        self._drawn += size
+        z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(self._seed)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
+        u = (((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) + 1.0) * 2.0**-53
+        u1, u2 = u.reshape(-1, 2).T
+        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(shape)
+
+
 def random_band_limited_rows(
-    grid: SpectralGrid,
-    band: float,
-    rng: np.random.Generator,
-    count: int,
-    parity: str = "none",
-    decay: float = 0.0,
+    grid: SpectralGrid, band: float, rng, count: int, parity: str = "none", decay: float = 0.0
 ) -> np.ndarray:
     """(count, N) block of unit-l2 random profiles with spectral support in |k| <= band.
 
-    Row j is what the j-th of ``count`` successive :func:`random_band_limited`
-    calls gives: each profile consumes 2N standard normals from ``rng``, an
-    amplitude and a phase draw, whatever the parity. ``decay`` > 0 shapes the
-    spectrum with a (1 + k^2)^(-decay) envelope, mimicking the smoothness of
-    right-hand sides arising in practice.
+    One ``rng.standard_normal((count, 2, modes))`` call draws the real and
+    imaginary parts of the modes k <= band below Nyquist, so row j is the j-th
+    of ``count`` successive :func:`random_band_limited` calls. Parity even
+    takes the real parts, odd the imaginary ones (mode 0 set to 0), none both
+    (mode 0 real). ``decay`` > 0 shapes the spectrum with a (1 + k^2)^(-decay)
+    envelope, mimicking the smoothness of right-hand sides arising in practice.
     """
     n = grid.num_points
     k = grid.half_wavenumbers
-    mirror = -np.arange(len(k)) % n
-    coeff = np.empty((count, len(k)), dtype=complex)
-    for row in coeff:
-        amplitude, phase = rng.standard_normal((2, n))
-        if parity == "even":
-            draws = amplitude
-        elif parity == "odd":
-            draws = 1j * amplitude
-        else:
-            draws = amplitude + 1j * phase
-        # mode n pairs the draws at +k_n and -k_n (FFT index N - n) into the
-        # Hermitian coefficient; real draws give an even, imaginary an odd profile
-        row[:] = 0.5 * (draws[: len(k)] + np.conj(draws[mirror]))
+    modes = min(int(np.count_nonzero(k <= band)), n // 2)
+    draws = rng.standard_normal((count, 2, modes))
+    coeff = np.zeros((count, len(k)), dtype=complex)
+    if parity != "odd":
+        coeff.real[:, :modes] = draws[:, 0]
+    if parity != "even":
+        coeff.imag[:, 1:modes] = draws[:, 1, 1:]
     if decay:
         coeff *= (1.0 + k**2) ** (-decay)
-    coeff[:, k > band] = 0.0
-    coeff[:, -1] = 0.0
     rows = np.fft.irfft(coeff, n=n)
     for row in rows:
         norm = np.sqrt(grid.spacing * np.sum(row**2))  # l2_norm
@@ -100,15 +109,11 @@ def random_band_limited_rows(
 
 
 def random_band_limited(
-    grid: SpectralGrid,
-    band: float,
-    rng: np.random.Generator,
-    parity: str = "none",
-    decay: float = 0.0,
+    grid: SpectralGrid, band: float, rng, parity: str = "none", decay: float = 0.0
 ) -> GridFunction:
     """Unit-l2 random profile with spectral support in |k| <= band, the one row
-    of :func:`random_band_limited_rows`; it consumes 2N standard normals from
-    ``rng``, whatever the parity."""
+    of :func:`random_band_limited_rows`; ``rng`` has numpy's
+    ``standard_normal(shape)``."""
     return GridFunction(grid, random_band_limited_rows(grid, band, rng, 1, parity, decay)[0])
 
 
@@ -164,7 +169,7 @@ def _shape_defects(f):
 
 
 def _check_averaging_self_adjoint(model, grid):
-    rng = np.random.default_rng(101)
+    rng = _Normals(101)
     symbols = [averaging_symbol(grid, eta) for eta in (0.3, 0.8)]
     worst = max(
         _adjoint_defect(grid, rng, 20.0, lambda f: GridFunction(grid, apply_symbol(f.values, s)))
@@ -174,7 +179,7 @@ def _check_averaging_self_adjoint(model, grid):
 
 
 def _check_averaging_norm_bounds(model, grid):
-    rng = np.random.default_rng(102)
+    rng = _Normals(102)
     ok = True
     worst = 0.0
     for eta in (0.3, 0.8):
@@ -223,7 +228,7 @@ def _check_averaging_asymptotic_orders(model, grid):
 def _check_averaging_symbol_vs_quadrature(model, grid):
     # w0 and two smooth random probes against each window A_{m eps} of the
     # model, m = 1..M, at eps 0.4 and 0.1; one quadrature window per eta
-    rng = np.random.default_rng(202)
+    rng = _Normals(202)
     probes = np.column_stack(
         [kdv_profile(model, grid).values, *random_band_limited_rows(grid, 8.0, rng, 2, decay=1.0)]
     )
@@ -255,7 +260,7 @@ def _check_b_symbol_floor(model, grid):
 
 
 def _check_b_inverse_roundtrip(model, grid):
-    rng = np.random.default_rng(107)
+    rng = _Normals(107)
     worst = 0.0
     for eps in (0.4, 0.1):
         g = random_band_limited(grid, 30.0, rng, parity="even")
@@ -266,7 +271,7 @@ def _check_b_inverse_roundtrip(model, grid):
 
 
 def _check_b_inverse_self_adjoint(model, grid):
-    rng = np.random.default_rng(108)
+    rng = _Normals(108)
     inverse = 1.0 / b_diagonal(model, grid, 0.2)
     worst = _adjoint_defect(
         grid, rng, 25.0, lambda f: GridFunction(grid, apply_symbol(f.values, inverse))
@@ -279,7 +284,7 @@ def _split_inverse_constants(model, grid) -> list[float]:
     |(1 - S) B_eps^{-1} g|_2 / eps^2) / |g|_2, S the |k| <= 4/eps cutoff,
     for each eps of the sweep."""
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
-    rng = np.random.default_rng(109)
+    rng = _Normals(109)
     # Parseval: each squared norm is a weighted sum of |rfft g|^2 (h/N cancels in
     # the ratio) and B_eps^{-1} divides it by b_eps^2, so one rfft per profile
     # serves every eps; blocks of five hold less memory than the per-profile route
@@ -376,7 +381,7 @@ def _check_quadratic_operator_limit(model, grid):
 
 def _check_linearized_symmetry(model, grid):
     operator = linearized_operator(model, grid, 0.2)
-    worst = _adjoint_defect(grid, np.random.default_rng(117), 25.0, operator.apply_l)
+    worst = _adjoint_defect(grid, _Normals(117), 25.0, operator.apply_l)
     return _result("linearized_symmetry", worst <= 1e-10, f"max defect {worst:.2e}")
 
 

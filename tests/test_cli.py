@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +373,29 @@ def test_verify_command_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 20
     assert "[FAIL]" not in out
+
+
+def test_verify_never_imports_numpy_random(tmp_path):
+    # the checks draw their probes from the package's own seeded stream
+    path, _ = base_config(
+        tmp_path, model={"alpha": [1.0, 1.0], "beta": [1.0, 1.0]}, grid={"num_points": 1024}
+    )
+    script = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from chainwaves import cli\n"
+        f"code = cli.main(['verify', '--config', {str(path)!r}, '--quiet'])\n"
+        "print(code, before, 'numpy.random' in sys.modules)\n"
+    )
+    source = str(Path(cli.__file__).parents[1])
+    path_entries = filter(None, [source, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    code, before, after = done.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("numpy before 2.0 imports numpy.random with numpy itself")
+    assert (code, after) == ("0", "False")
 
 
 def test_verify_coarse_grid_fails_order_checks(tmp_path, capsys):

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chainwaves.model import tw_defect_spectrum
 from chainwaves.operators import _legendre_rule, _quadrature_window, _window_rule, cutoff_symbol
 from chainwaves.verify import (
     CHECKS,
+    _Normals,
     _split_inverse_constants,
     random_band_limited,
     random_band_limited_rows,
@@ -428,21 +430,100 @@ def test_oracle_check_probes_every_window_of_the_model(model2, grid2, monkeypatc
     assert not result.passed, result.detail
 
 
+@pytest.mark.parametrize(
+    "name", ["averaging_self_adjoint", "b_inverse_self_adjoint", "linearized_symmetry"]
+)
+def test_adjoint_checks_catch_a_relative_skew_of_1e9(name, model2, grid2, monkeypatch):
+    # the operator A the check probes becomes (1 + 1e-9 H) A, with H the
+    # skew-adjoint quarter turn of every mode below Nyquist (|H| = 1); the
+    # check passes on A and fails on the skewed one
+    turn = np.where(grid2.half_wavenumbers > 0, 1j, 0.0)
+    turn[-1] = 0.0
+
+    def skewed(values):
+        return values + 1e-9 * cw.apply_symbol(values, turn)
+
+    check = CHECKS[name]
+    assert check(model2, grid2).passed
+    if name == "linearized_symmetry":
+        operator = cw.linearized_operator(model2, grid2, 0.2)
+
+        def apply_l(f):
+            return cw.GridFunction(f.grid, skewed(operator.apply_l(f).values))
+
+        monkeypatch.setattr(
+            "chainwaves.verify.linearized_operator", lambda *args: SimpleNamespace(apply_l=apply_l)
+        )
+    else:
+        monkeypatch.setattr(
+            "chainwaves.verify.apply_symbol", lambda values, s: skewed(cw.apply_symbol(values, s))
+        )
+    result = check(model2, grid2)
+    assert not result.passed, result.detail
+
+
 def test_oracle_check_passes_at_n_16384(model2):
     grid = cw.make_grid(cw.default_half_length(model2), 16384)
     result = CHECKS["averaging_symbol_vs_quadrature"](model2, grid)
     assert result.passed, result.detail
 
 
+def _splitmix64(seed, i):
+    """Output i of SplitMix64 seeded with ``seed``, in Python ints."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def test_normal_stream_is_pinned():
+    # the Python-int SplitMix64 gives the reference outputs for seed 1234567
+    assert [_splitmix64(1234567, i) for i in range(3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423
+    ]
+    # the checks' stream for seed 7, bitwise: uint64 hashing that drifted to
+    # another dtype under a numpy's promotion rules would move these
+    draws = _Normals(7).standard_normal(64)
+    assert [x.hex() for x in draws[:4].tolist()] == [
+        "0x1.5d70229cdee61p+0", "-0x1.960a61872e245p-2",
+        "0x1.26d0bebc96c75p-8", "-0x1.29461d47f64d7p-1",
+    ]
+    # draw j is Box-Muller on outputs 2j and 2j + 1, to the ulp by which
+    # numpy's log may differ from the math module's on some CPUs
+    for j, draw in enumerate(draws):
+        u1, u2 = (((_splitmix64(7, i) >> 11) + 1) * 2.0**-53 for i in (2 * j, 2 * j + 1))
+        assert draw == pytest.approx(math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2), rel=1e-15)
+    # a block of draws is that many single draws
+    stream = _Normals(7)
+    split = [stream.standard_normal(3), stream.standard_normal((2, 5)), stream.standard_normal(1)]
+    assert np.array_equal(np.concatenate([block.ravel() for block in split]), draws[:14])
+
+
 @pytest.mark.parametrize("parity", ["none", "even", "odd"])
-def test_random_profiles_consume_2n_normals_each(grid1, parity):
-    # the stream the seeded checks were written against: an amplitude and a
-    # phase draw of N normals per profile, the phase unused unless parity is none
-    rng = np.random.default_rng(7)
-    random_band_limited_rows(grid1, 30.0, rng, 3, parity)
-    reference = np.random.default_rng(7)
-    reference.standard_normal(3 * 2 * grid1.num_points)
-    assert rng.standard_normal() == reference.standard_normal()
+def test_random_profiles_draw_in_band_modes_only(grid1, parity):
+    # a profile takes the real and imaginary parts of the modes k <= band
+    # below Nyquist, 2 x 83 normals at band 30 on N = 1024, whatever the
+    # parity, and a block of rows is that many single profiles
+    k = grid1.half_wavenumbers
+    modes = int(np.count_nonzero(k <= 30.0))
+    assert modes == 83
+    rng = _Normals(7)
+    rows = random_band_limited_rows(grid1, 30.0, rng, 3, parity)
+    reference = _Normals(7)
+    reference.standard_normal(3 * 2 * modes)
+    assert np.array_equal(rng.standard_normal(4), reference.standard_normal(4))
+    single = _Normals(7)
+    singles = [random_band_limited(grid1, 30.0, single, parity).values for _ in range(3)]
+    assert np.array_equal(rows, singles)
+    spectra = np.fft.rfft(rows)
+    scale = np.max(np.abs(spectra))
+    assert np.max(np.abs(spectra[:, k > 30.0])) <= 1e-13 * scale
+    if parity == "even":
+        assert np.max(np.abs(spectra.imag)) <= 1e-13 * scale
+    if parity == "odd":
+        assert np.max(np.abs(spectra.real)) <= 1e-13 * scale
+    if parity == "none":
+        assert np.min(np.max(np.abs(spectra.imag[:, 1:modes]), axis=1)) >= 1e-3 * scale
 
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
@@ -452,9 +533,9 @@ def test_split_inverse_constants_match_per_profile_route(name, model1, model2, m
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
-    rng = np.random.default_rng(109)
+    rng = _Normals(109)
     ensemble = [random_band_limited(grid, band, rng, parity="even", decay=1.0) for _ in range(20)]
-    rows = random_band_limited_rows(grid, band, np.random.default_rng(109), 20, "even", 1.0)
+    rows = random_band_limited_rows(grid, band, _Normals(109), 20, "even", 1.0)
     assert np.max(np.abs(rows - np.array([g.values for g in ensemble]))) <= 1e-15
     expected = []
     for eps in (0.4, 0.2, 0.1, 0.05):

@@ -229,10 +229,27 @@ def test_diverging_solve_fails_typed(n, damping):
     model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
     grid = cw.make_grid(cw.default_half_length(model), n)
     config = cw.SolveConfig(epsilon=1.0, damping=damping, max_iterations=40)
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", cw.CurvatureWarning)
         with pytest.raises(cw.NoConvergenceError, match="non-finite"):
             cw.solve_wave(model, grid, config)
+
+
+@pytest.mark.parametrize(("name", "rows"), [("M2", 68), ("M2-cubic", 84)])
+def test_sweep_row_forms_r_once(name, rows, model2, model2_cubic, transform_lengths):
+    """A cold one-row sweep at eps 0.1, N = 1024 transforms the rows of its
+    cold solve (68 on M2, 80 on M2-cubic) and the 2M rows of S_eps that only
+    ``residuals`` forms when psi is not none: the solve takes R from the
+    row's ``residuals`` call, where forming R again took 2M more rows (72 and
+    88). That R is read-only."""
+    model = {"M2": model2, "M2-cubic": model2_cubic}[name]
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    linearized_operator.cache_clear()
+    lengths = transform_lengths()
+    (row,) = cw.convergence_sweep(model, grid, [0.1], cw.SolveConfig(epsilon=0.1))
+    assert row.error is None and row.iterations == 6
+    assert lengths == [1024] * rows
+    assert not cw.residuals(model, grid, 0.1)[0].flags.writeable
 
 
 def test_solve_wave_contract(model1, grid1, solution1):
