@@ -6,6 +6,8 @@ fixed point around the closed-form quadratic-KdV limit, and validates the
 result against the chain's equations of motion.
 """
 
+# verify first: its compile peaks highest, best before the rest is held
+from .verify import CheckResult, run_verification
 from .errors import (
     ChainwavesError,
     ConfigError,
@@ -66,6 +68,5 @@ from .solver import (
     residuals,
     solve_wave,
 )
-from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"

@@ -118,25 +118,19 @@ def _quadratic_residual(operator: LinearizedOperator) -> np.ndarray:
     return (-1.0 / eps**2) * cosine_scale(grid) * defect.real
 
 
-_held_residual = [None, None]  # operator and R of the last residuals call, for its solve
-
-
 def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Cosine coordinates (r, s) of R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and
     S_eps = P_eps[w0], both from the averages A_{m eps} w0; s is 0 for
-    psi = none, and r is read-only."""
+    psi = none."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     operator = linearized_operator(model, grid, eps)
-    r = _quadratic_residual(operator)
-    r.flags.writeable = False
-    _held_residual[:] = operator, r
     s = np.zeros(grid.num_points // 2 + 1)
     if model.psi.kind != "none":
         stack = averaging_stack(grid, eps, model.neighbor_range)
         rows = psi_rows(model, eps, stack.average(operator.w0_spectrum))
         s = (1.0 / eps**2) * cosine_scale(grid) * stack.adjoint_sum(rows).real
-    return r, s
+    return _quadratic_residual(operator), s
 
 
 def fixed_point_map(
@@ -213,29 +207,32 @@ def _one_curvature_warning():
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
-def solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
+def solve_wave(
+    model: ChainModel, grid: SpectralGrid, config: SolveConfig, *, _residual=None
+) -> WaveSolution:
     """Iterate the corrector map from v = 0 until the increments stall.
 
     Deterministic: identical configurations produce bit-identical results.
     Raises ``NoConvergenceError`` when the iteration budget runs out or the
     final traveling-wave residual misses ``config.tol_residual``, and
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
-    The curvature warnings of its defect evaluations are merged into one,
-    the one with the largest |r|.
+    Overflow and invalid warnings are off: the loop ends at a non-finite
+    increment. The curvature warnings of its defect evaluations are merged
+    into one, the one with the largest |r|. ``_residual``: a sweep row's R.
     """
     with _one_curvature_warning():
-        return _solve_wave(model, grid, config)
+        return _solve_wave(model, grid, config, _residual)
 
 
-def _solve_wave(model: ChainModel, grid: SpectralGrid, config: SolveConfig) -> WaveSolution:
+def _solve_wave(
+    model: ChainModel, grid: SpectralGrid, config: SolveConfig, residual=None
+) -> WaveSolution:
     eps = config.epsilon
     operator = linearized_operator(model, grid, eps)
-    held, residual = _held_residual
-    if held is not operator:
+    if residual is None:
         residual = _quadratic_residual(operator)
     v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, config.max_iterations + 1):
-        # a diverging map ends below, at its non-finite increment
         with np.errstate(over="ignore", invalid="ignore"):
             image = fixed_point_map(
                 model, grid, eps, v, tol=config.tol, operator=operator, residual=residual
@@ -344,9 +341,11 @@ def convergence_sweep(
     previous: tuple[float, float, float] | None = None
     for eps in eps_values:
         row_config = replace(config, epsilon=eps)
-        rs_norm = sum(float(np.linalg.norm(term)) for term in residuals(model, grid, eps))
+        r, s = residuals(model, grid, eps)
+        rs_norm = float(np.linalg.norm(r)) + float(np.linalg.norm(s))
+        del s
         try:
-            solution = solve_wave(model, grid, row_config)
+            solution = solve_wave(model, grid, row_config, _residual=r)
         except ChainwavesError as exc:
             rows.append(
                 SweepRow(
