@@ -398,14 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chainwaves",
         description="Solitary traveling waves for chains with nonlocal interactions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="JSON run configuration")
-        cmd.add_argument("--output", default=None, help="report destination path")
-        cmd.add_argument("--format", default=None, choices=("csv", "json"))
-        cmd.add_argument("--epsilon", type=float, default=None, help="override solver.epsilon")
-        cmd.add_argument("--quiet", action="store_true")
+    # one flat parser: every command takes the same five options
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--output", default=None, help="report destination path")
+    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--epsilon", type=float, default=None, help="override solver.epsilon")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .errors import WindowOverflowError
 from .grid import apply_symbol, sample, sup_norm
 from .model import ChainModel, _exp_tail
-from .solver import WaveSolution
+from .solver import WaveSolution, _line_slope
 
 __all__ = [
     "wave_initial_data", "TransportReport", "check_chain", "run_transport", "energy_drift_rate",
@@ -395,7 +395,7 @@ def energy_drift_rate(energies, dt: float) -> float:
     if len(energies) < 2:
         return 0.0
     times = dt * np.arange(len(energies))
-    drift = abs(float(np.polyfit(times, energies, 1)[0])) * float(times[-1])
+    drift = abs(_line_slope(times, energies)) * float(times[-1])
     reference = abs(float(energies[0]))
     return drift / reference if reference else drift
 

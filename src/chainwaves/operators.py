@@ -217,9 +217,9 @@ def von_neumann_partial_sums(
     grid: SpectralGrid,
     eps: float,
     f: GridFunction,
-) -> Iterator[GridFunction]:
-    """Partial sums partial(1), partial(2), ... of the geometric series
-    representation of b_eps^{-1} f.
+) -> Iterator[NDArray[np.complex128]]:
+    """rfft half spectra of the partial sums partial(1), partial(2), ... of
+    the geometric series representation of b_eps^{-1} f.
 
     With T = sum_m alpha_m m^2 A_{m eps}^2 and c0^2 = sum_m alpha_m m^2,
 
@@ -228,7 +228,9 @@ def von_neumann_partial_sums(
     converging to B_eps^{-1} f geometrically with ratio at most
     c0^2/(eps^2 + c0^2). The running power T^i f and the running sum are
     carried as rfft spectra: f is transformed once, and each item costs one
-    multiplication by T's symbol and one irfft. The generator is endless;
+    multiplication by T's symbol. Each item is a new read-only array; its
+    samples are ``np.fft.irfft(item, n=grid.num_points)`` and its norms
+    follow by Parseval with ``grid.half_weights``. The generator is endless;
     eps <= 0 raises ``ValueError`` at the first item.
     """
     if not eps > 0:
@@ -241,7 +243,7 @@ def von_neumann_partial_sums(
     power = np.fft.rfft(f.values)
     total = (eps**2 / denominator) * power
     for i in count(1):
-        yield GridFunction(grid, np.fft.irfft(total, n=grid.num_points))
+        total.flags.writeable = False
+        yield total
         power *= t_symbol
-        total += (eps**2 / denominator ** (i + 1)) * power
-
+        total = total + (eps**2 / denominator ** (i + 1)) * power

@@ -185,8 +185,16 @@ def measure_tail_decay(w: GridFunction, lower: float = 1e-8, upper: float = 1e-4
         raise EmptyWindowError(
             f"no tail samples with {lower:g} < w < {upper:g} on x > 0"
         )
-    slope = np.polyfit(x[mask], np.log(values[mask]), 1)[0]
-    return float(-slope)
+    return -_line_slope(x[mask], np.log(values[mask]))
+
+
+def _line_slope(xs, ys) -> float:
+    """Least-squares slope of the line through (xs, ys), in closed form on
+    centred data: no LAPACK solve for a two-parameter fit."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    x = x - np.mean(x)
+    return float(np.dot(x, y - np.mean(y)) / np.dot(x, x))
 
 
 @contextmanager

@@ -11,6 +11,12 @@ profile identities, residual boundedness, and uniform invertibility of the
 linearization.
 ``CHECKS`` is the one implementation of each property: the acceptance
 criteria and the unit tests that state one of them call it by name.
+
+The checks work on blocks and spectra: a check's random probes are one
+(count, N) block from one draw, a multiplier acts on the whole block in one
+``apply_symbol`` call, and the von Neumann checks read the series' rfft
+spectra, taking its error norms by Parseval and transforming back only the
+partial sums whose shape they test.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .grid import (
     apply_symbol,
     derivative,
     evenness_defect,
-    inner_product,
     l2_norm,
     sup_norm,
 )
@@ -41,7 +46,7 @@ from .operators import (
     cutoff_symbol,
     von_neumann_partial_sums,
 )
-from .solver import measure_tail_decay, residuals
+from .solver import _line_slope, measure_tail_decay, residuals
 
 __all__ = ["CHECKS", "CheckResult", "run_verification", "unimodality_defect",
            "random_band_limited", "random_band_limited_rows"]
@@ -127,7 +132,18 @@ def unimodality_defect(values) -> float:
 
 
 def _fit_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    return _line_slope(np.log(xs), np.log(ys))
+
+
+def _row_norms(grid, rows) -> np.ndarray:
+    """``l2_norm`` of each row of a (count, N) block."""
+    return np.sqrt(grid.spacing * np.sum(rows**2, axis=1))
+
+
+def _symbol_rows(symbol):
+    """The multiplier ``symbol`` as a map of (count, N) blocks, one
+    ``apply_symbol`` call per block."""
+    return lambda rows: apply_symbol(rows.T, symbol).T
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -148,13 +164,15 @@ def _second_order(name: str, gaps: list) -> CheckResult:
 
 
 def _adjoint_defect(grid, rng, band, apply) -> float:
-    """Largest |<apply(f), g> - <f, apply(g)>| over three random band-limited pairs."""
-    worst = 0.0
-    for _ in range(3):
-        f = random_band_limited(grid, band, rng)
-        g = random_band_limited(grid, band, rng)
-        worst = max(worst, abs(inner_product(apply(f), g) - inner_product(f, apply(g))))
-    return worst
+    """Largest |<apply(f), g> - <f, apply(g)>| over three random band-limited
+    pairs, drawn as one (6, N) block f1, g1, f2, g2, f3, g3 that ``apply``
+    maps to its (6, N) image."""
+    probes = random_band_limited_rows(grid, band, rng, 6)
+    images = apply(probes)
+    f, g = probes[0::2], probes[1::2]
+    forward = grid.spacing * np.sum(images[0::2] * g, axis=1)  # inner_product
+    backward = grid.spacing * np.sum(f * images[1::2], axis=1)
+    return float(np.max(np.abs(forward - backward)))
 
 
 def _shape_defects(f):
@@ -171,10 +189,7 @@ def _shape_defects(f):
 def _check_averaging_self_adjoint(model, grid):
     rng = _Normals(101)
     symbols = [averaging_symbol(grid, eta) for eta in (0.3, 0.8)]
-    worst = max(
-        _adjoint_defect(grid, rng, 20.0, lambda f: GridFunction(grid, apply_symbol(f.values, s)))
-        for s in symbols
-    )
+    worst = max(_adjoint_defect(grid, rng, 20.0, _symbol_rows(s)) for s in symbols)
     return _result("averaging_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -182,15 +197,15 @@ def _check_averaging_norm_bounds(model, grid):
     rng = _Normals(102)
     ok = True
     worst = 0.0
-    for eta in (0.3, 0.8):
-        symbol = averaging_symbol(grid, eta)
-        for _ in range(3):
-            f = random_band_limited(grid, 40.0, rng)
-            averaged = GridFunction(grid, apply_symbol(f.values, symbol))
-            ok &= l2_norm(averaged) <= l2_norm(f) * (1 + 1e-12)
-            ratio = sup_norm(averaged) / (eta**-0.5 * l2_norm(f))
-            worst = max(worst, ratio)
-            ok &= ratio <= 1 + 1e-12
+    # three probes per eta, drawn as one block
+    blocks = np.split(random_band_limited_rows(grid, 40.0, rng, 6), 2)
+    for eta, probes in zip((0.3, 0.8), blocks):
+        averaged = apply_symbol(probes.T, averaging_symbol(grid, eta)).T
+        norms = _row_norms(grid, probes)
+        ok &= bool(np.all(_row_norms(grid, averaged) <= norms * (1 + 1e-12)))
+        ratios = np.max(np.abs(averaged), axis=1) / (eta**-0.5 * norms)
+        worst = max(worst, float(np.max(ratios)))
+        ok &= bool(np.all(ratios <= 1 + 1e-12))
     return _result("averaging_norm_bounds", ok, f"max sup-bound ratio {worst:.3f}")
 
 
@@ -262,20 +277,18 @@ def _check_b_symbol_floor(model, grid):
 def _check_b_inverse_roundtrip(model, grid):
     rng = _Normals(107)
     worst = 0.0
-    for eps in (0.4, 0.1):
-        g = random_band_limited(grid, 30.0, rng, parity="even")
+    probes = random_band_limited_rows(grid, 30.0, rng, 2, parity="even")
+    for eps, g in zip((0.4, 0.1), probes):
         b = b_diagonal(model, grid, eps)
-        back = GridFunction(grid, apply_symbol(apply_symbol(g.values, 1.0 / b), b))
-        worst = max(worst, l2_norm(back - g) / l2_norm(g))
+        back = apply_symbol(apply_symbol(g, 1.0 / b), b)
+        worst = max(worst, float(np.sqrt(np.sum((back - g) ** 2) / np.sum(g**2))))
     return _result("b_inverse_roundtrip", worst <= 1e-12, f"max relative gap {worst:.2e}")
 
 
 def _check_b_inverse_self_adjoint(model, grid):
     rng = _Normals(108)
     inverse = 1.0 / b_diagonal(model, grid, 0.2)
-    worst = _adjoint_defect(
-        grid, rng, 25.0, lambda f: GridFunction(grid, apply_symbol(f.values, inverse))
-    )
+    worst = _adjoint_defect(grid, rng, 25.0, _symbol_rows(inverse))
     return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -311,12 +324,18 @@ def _check_cutoff_inverse_stability(model, grid):
 
 def _check_von_neumann_geometric(model, grid):
     w0 = kdv_profile(model, grid)
+    spectrum = np.fft.rfft(w0.values)
     ok = True
     details = []
     for eps in (0.4, 0.1):
-        exact = GridFunction(grid, apply_symbol(w0.values, 1.0 / b_diagonal(model, grid, eps)))
+        exact = (1.0 / b_diagonal(model, grid, eps)) * spectrum
         partials = von_neumann_partial_sums(model, grid, eps, w0)
-        errors = [l2_norm(partial - exact) for partial in islice(partials, 40)]
+        # Parseval: each l2 error is sqrt(h/N sum_n w_n |rfft error_n|^2), and
+        # h/N cancels in the ratio
+        errors = [
+            math.sqrt(grid.half_weights @ np.abs(partial - exact) ** 2)
+            for partial in islice(partials, 40)
+        ]
         measured = (errors[-1] / errors[-11]) ** 0.1
         predicted = model.sound_speed_sq / (eps**2 + model.sound_speed_sq)
         gap = abs(measured - predicted) / predicted
@@ -328,7 +347,10 @@ def _check_von_neumann_geometric(model, grid):
 def _check_von_neumann_shape_preservation(model, grid):
     w0 = kdv_profile(model, grid)
     partials = list(islice(von_neumann_partial_sums(model, grid, 0.2, w0), 10))
-    ok = all(_shape_defects(partials[terms - 1])[0] for terms in (1, 3, 10))
+    ok = all(
+        _shape_defects(GridFunction(grid, np.fft.irfft(partials[terms - 1], n=grid.num_points)))[0]
+        for terms in (1, 3, 10)
+    )
     return _result("von_neumann_shape_preservation", ok, "nonneg/even/unimodal partial sums")
 
 
@@ -381,7 +403,12 @@ def _check_quadratic_operator_limit(model, grid):
 
 def _check_linearized_symmetry(model, grid):
     operator = linearized_operator(model, grid, 0.2)
-    worst = _adjoint_defect(grid, _Normals(117), 25.0, operator.apply_l)
+    worst = _adjoint_defect(
+        grid,
+        _Normals(117),
+        25.0,
+        lambda rows: np.array([operator.apply_l(GridFunction(grid, row)).values for row in rows]),
+    )
     return _result("linearized_symmetry", worst <= 1e-10, f"max defect {worst:.2e}")
 
 

@@ -367,6 +367,24 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["bogus", "--config", "cfg.json"], ["verify"], ["--config", "cfg.json"]]
+)
+def test_bad_command_line_exits_2(argv, capsys):
+    # an unknown or missing command, or no --config, is argparse's usage error
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: chainwaves" in capsys.readouterr().err
+
+
+def test_help_lists_the_four_commands(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{solve,sweep,simulate,verify}" in capsys.readouterr().out
+
+
 def test_verify_command_passes(tmp_path, capsys):
     path, _ = base_config(tmp_path, grid={"num_points": 1024})
     assert cli.main(["verify", "--config", str(path), "--quiet"]) == 0

@@ -34,6 +34,11 @@ def _apply(symbol, f):
     return cw.GridFunction(f.grid, cw.apply_symbol(f.values, symbol))
 
 
+def _samples(grid, spectrum):
+    """The grid function whose rfft half spectrum is ``spectrum``."""
+    return cw.GridFunction(grid, np.fft.irfft(spectrum, n=grid.num_points))
+
+
 def _sobolev22_norm(f):
     """Norm with spectral weight 1 + k^2 + k^4, scaled so that weight 1 gives
     ``l2_norm``: h^2/(2L) = h/N converts |rfft|^2 sums to that scale."""
@@ -330,16 +335,20 @@ def test_sharp_inverse_constant_stable(model1, grid1):
 def test_von_neumann_first_term(model1, grid1):
     eps = 0.3
     f = cw.GridFunction(grid1, np.ones(grid1.num_points))
-    partial = next(cw.von_neumann_partial_sums(model1, grid1, eps, f))
+    partials = cw.von_neumann_partial_sums(model1, grid1, eps, f)
+    first, second = next(partials), next(partials)
     expected = eps**2 / (eps**2 + model1.sound_speed_sq)
-    np.testing.assert_allclose(partial.values, expected, atol=1e-14)
+    # items are rfft half spectra, each a new read-only array
+    assert first.shape == (grid1.num_points // 2 + 1,)
+    assert first is not second and not first.flags.writeable
+    np.testing.assert_allclose(_samples(grid1, first).values, expected, atol=1e-14)
 
 
 def test_von_neumann_preserves_shape(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     partials = list(islice(cw.von_neumann_partial_sums(model1, grid1, 0.2, w0), 20))
     for terms in (1, 2, 5, 20):
-        partial = partials[terms - 1]
+        partial = _samples(grid1, partials[terms - 1])
         scale = cw.sup_norm(partial)
         assert float(np.min(partial.values)) >= -1e-12 * scale
         assert cw.evenness_defect(partial) <= 1e-12 * scale
@@ -374,21 +383,39 @@ def test_von_neumann_partial_sums_match_term_by_term(model1, model2):
             power, total = w0, (eps**2 / denominator) * w0
             partials = cw.von_neumann_partial_sums(model, grid, eps, w0)
             for i, partial in enumerate(islice(partials, 40), start=1):
-                gap = cw.l2_norm(partial - total)
+                gap = cw.l2_norm(_samples(grid, partial) - total)
                 assert gap <= 1e-13 * cw.l2_norm(total), (model.alpha, eps, i)
                 power = _apply(t_symbol, power)
                 total = total + (eps**2 / denominator ** (i + 1)) * power
 
 
 def test_von_neumann_check_makes_one_pass(model1, grid1, transform_lengths):
-    # the geometric check on M1, N = 1024, per eps (0.4 and 0.1): B_eps^{-1}
-    # w0 is one rfft/irfft pair, and the series one rfft of w0 and one irfft per
-    # partial sum (40): 2 x (2 + 1 + 40) transforms; applying T to a grid
-    # function per term took 160
+    # the geometric check on M1, N = 1024: one rfft of w0 for B_eps^{-1} w0 at
+    # both eps (0.4 and 0.1), and per eps the series' one rfft of w0, its 40
+    # error norms read from the spectra by Parseval: 1 + 2 x 1 transforms; an
+    # irfft per partial sum took 86, and applying T to a grid function per
+    # term 160
     lengths = transform_lengths()
     result = CHECKS["von_neumann_geometric"](model1, grid1)
     assert result.passed, result.detail
-    assert lengths == [1024] * 86
+    assert lengths == [1024] * 3
+
+
+def test_verify_transform_budget(model2, grid2, monkeypatch):
+    # every rfft/irfft call of the twenty checks on M2, N = 1024, whatever
+    # its batch: the probe blocks and the series' spectra keep it at 184,
+    # where per-probe transforms and an irfft per partial sum made 338
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def call(*args, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+    results = cw.run_verification(model2, grid2)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert len(calls) <= 190
 
 
 def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch, transform_lengths):
@@ -415,6 +442,32 @@ def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch, transf
     assert draws == [5] * 4
     assert calls == [("irfft", 5), ("rfft", 5)] * 4
     assert lengths == [1024] * 40
+
+
+@pytest.mark.parametrize(
+    ("name", "draws"),
+    [
+        ("averaging_self_adjoint", [6, 6]),
+        ("averaging_norm_bounds", [6]),
+        ("b_inverse_roundtrip", [2]),
+        ("b_inverse_self_adjoint", [6]),
+        ("linearized_symmetry", [6]),
+    ],
+)
+def test_probe_checks_draw_one_block(name, draws, model2, grid2, monkeypatch):
+    # each check's probes, in the order the per-probe route drew them, come
+    # from one block per operator: three pairs per adjoint test, three
+    # probes per window of the norm bounds, one probe per eps of the round trip
+    counts = []
+
+    def counted(grid, band, rng, count, *args, **kwargs):
+        counts.append(count)
+        return random_band_limited_rows(grid, band, rng, count, *args, **kwargs)
+
+    monkeypatch.setattr("chainwaves.verify.random_band_limited_rows", counted)
+    result = CHECKS[name](model2, grid2)
+    assert result.passed, result.detail
+    assert counts == draws
 
 
 def test_oracle_check_probes_every_window_of_the_model(model2, grid2, monkeypatch):
