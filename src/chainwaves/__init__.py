@@ -28,7 +28,6 @@ from .grid import (
     inner_product,
     l2_norm,
     make_grid,
-    project_even,
     sample,
     sup_norm,
 )

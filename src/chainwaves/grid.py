@@ -37,7 +37,6 @@ __all__ = [
     "l2_norm",
     "sup_norm",
     "inner_product",
-    "project_even",
     "evenness_defect",
     "derivative",
     "sample",
@@ -205,12 +204,6 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Discrete L2 pairing h * sum_i f_i g_i."""
     f._check_same_grid(g)
     return float(f.grid.spacing * np.sum(f.values * g.values))
-
-
-def project_even(f: GridFunction) -> GridFunction:
-    """Even part (f(x) + f(-x))/2; idempotent and l2-nonexpansive."""
-    values = 0.5 * (f.values + f.reflected())
-    return GridFunction(f.grid, values)
 
 
 def evenness_defect(f: GridFunction) -> float:

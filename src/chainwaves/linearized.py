@@ -16,15 +16,14 @@ FFT and a forward one, and the operator stores O(N) numbers. On grid
 functions, ``apply_l`` is one rfft, b S - rfft(M V) on the spectrum S, and
 one irfft: 2 + 2M length-N transforms. L is symmetric indefinite; solves
 are defect correction (preconditioned Richardson; Xu, SIAM Review 34, 1992)
-with a two-level signed inverse P: V Lambda^{-1} V^T on the first m
-cosine coordinates, from the eigendecomposition that certified sigma_min
-below, and B_eps^{-1} on the rest. P is nearly L^{-1}, so
-x += P (g - L x) contracts. ``solve`` takes and returns cosine
-coordinates and corrects until the plain residual ||L x - g||_2, one
-application in coordinates and by Parseval the grid residual, is within the
-absolute budget tol max(1, ||G||). That residual is the certificate; a
-correction that does not halve it raises. On the default domain a corrector
-step takes one correction.
+with a two-level signed inverse P: the dense inverse of the leading block of
+max(129, m) cosine modes, m the rung that certified sigma_min below, and
+B_eps^{-1} on the rest. P is nearly L^{-1}, so x += P (g - L x) contracts.
+``solve`` takes and returns cosine coordinates and corrects until the plain
+residual ||L x - g||_2, one application in coordinates and by Parseval the
+grid residual, is within the absolute budget tol max(1, ||G||). That
+residual is the certificate; a correction that does not halve it raises. On
+the default domain a corrector step takes one correction.
 
 sigma_min is the eigenvalue nearest 0, found by the two-level scheme of Xu &
 Zhou (Math. Comp. 70, 2001) with the Galerkin coarse space of the first m
@@ -32,17 +31,15 @@ cosine modes. Its eigenvector is smooth and localized, so the eigenvalue is
 converged in a few hundred modes. The leading m x m block of L_eps, the
 restriction of the solve-grid matrix to that space, is written in closed
 form by ``even_matrix(m)`` (a Toeplitz plus a Hankel matrix per neighbor
-range, with no application of L) and solved densely with
-``np.linalg.eigh``; being dense, the solve is global. Its eigenvector,
-zero-padded, gives the Rayleigh quotient of L_eps at one application,
-accurate to the square of the vector's error (Parlett, The Symmetric
-Eigenvalue Problem, 4.6). The value is accepted once the residual
-||L x - theta x|| is at most 1e-8 |theta| ||x||, or when m = N/2 + 1 and the
-dense value is exact. The ladder m = 129, 257, 513, 1025 is capped at
-N/2 + 1; an uncertified 1025 rung gives sigma_min = 0, which ``solve`` turns
-into ``NearSingularError``. Only the certified rung's eigenvalues and
-eigenvectors are kept, for the preconditioner: 129 numbers and a 129 x 129
-matrix on the default domain.
+range, with no application of L). ``np.linalg.eigvalsh`` gives its
+eigenvalue theta_b nearest 0, globally, and one inverse-iteration solve its
+vector x. Zero-padded, x gives the Rayleigh quotient theta of L_eps at one
+application, accurate to the square of the vector's error (Parlett, The
+Symmetric Eigenvalue Problem, 4.6). A rung is accepted once theta agrees
+with theta_b and, below m = N/2 + 1, ||L x - theta x|| <= 1e-8 |theta|, so
+a wrong vector moves the ladder up a rung, never to another eigenvalue. An
+uncertified last rung gives sigma_min = 0, which ``solve`` turns into
+``NearSingularError``. Only the certified rung's size is kept.
 """
 
 from __future__ import annotations
@@ -59,14 +56,13 @@ from .grid import GridFunction, SpectralGrid
 from .model import ChainModel, PsiFamily, kdv_profile
 from .operators import averaging_stack, b_diagonal
 
-__all__ = [
-    "LinearizedOperator", "linearized_operator", "cosine_scale", "even_coefficients",
-    "even_synthesis",
-]
+__all__ = ["LinearizedOperator", "linearized_operator", "cosine_scale", "even_coefficients",
+           "even_synthesis"]
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
-_COARSE_MODES = (129, 257, 513, 1025)  # sigma_min's dense-block ladder, capped at N/2 + 1
-_CERTIFICATE = 1e-8  # relative residual that accepts a leading-block eigenvector
+_COARSE_MODES = (97, 129, 257, 513, 1025)  # sigma_min's leading-block ladder, capped at N/2 + 1
+_PRECONDITIONER_MODES = 129  # least preconditioner block: 97 modes doubled the corrections
+_CERTIFICATE = 1e-8  # relative residual and eigenvalue gap that accept a rung
 
 
 @lru_cache(maxsize=8)
@@ -96,6 +92,17 @@ def even_synthesis(grid: SpectralGrid, coefficients) -> GridFunction:
         raise ValueError(f"expected {n_modes} coefficients, got {coefficients.shape}")
     values = np.fft.irfft(coefficients / cosine_scale(grid), n=grid.num_points)
     return GridFunction(grid, values)
+
+
+def _nearest_zero_eigenpair(block: NDArray) -> tuple[float, NDArray[np.float64]]:
+    """The eigenvalue theta_b of the symmetric ``block`` nearest 0 and its unit vector
+    from one inverse-iteration solve (Parlett, ch. 4), shifted one rounding unit of
+    the block's norm above theta_b, which keeps the solve regular if theta_b is exact."""
+    values = np.linalg.eigvalsh(block)
+    theta_b = float(values[np.argmin(np.abs(values))])
+    shift = theta_b + np.finfo(float).eps * float(np.max(np.abs(values)))
+    vector = np.linalg.solve(block - shift * np.eye(len(block)), np.ones(len(block)))
+    return theta_b, vector / np.linalg.norm(vector)
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,11 @@ class LinearizedOperator:
                 columns[j] += (m**2 / self.eps**2) * second
         return columns, stack
 
+    @cached_property
+    def _column_cosines(self) -> NDArray[np.float64]:
+        """C = rfft(c_m).real per coupling column, shared by every block."""
+        return np.fft.rfft(self._assembled[0]).real
+
     def _coupling_spectrum(self, spectrum: NDArray) -> NDArray:
         """rfft of M V = sum_m A_{m eps}(c_m A_{m eps} V) from the rfft of V."""
         columns, stack = self._assembled
@@ -176,13 +188,13 @@ class LinearizedOperator:
         and both parts are strided views of one vector; no basis vector is
         applied.
         """
-        columns, stack = self._assembled
+        stack = self._assembled[1]
         n = self.grid.num_points
         m = n // 2 + 1 if modes is None else modes
         scale = cosine_scale(self.grid)[:m]
         column_factor = self.grid.half_weights[:m] / ((2.0 * n) * scale)
         matrix = np.diag(b_diagonal(self.model, self.grid, self.eps)[:m])
-        for spectrum, symbol in zip(np.fft.rfft(columns).real, stack.symbols[:, :m]):
+        for spectrum, symbol in zip(self._column_cosines, stack.symbols[:, :m]):
             toeplitz = sliding_window_view(np.concatenate([spectrum[m - 1:0:-1], spectrum[:m]]), m)
             folded = np.concatenate([spectrum, spectrum[-2::-1]])[: 2 * m - 1]
             block = toeplitz[::-1] + sliding_window_view(folded, m)
@@ -193,48 +205,44 @@ class LinearizedOperator:
 
     @cached_property
     def _preconditioner(self):
-        """The signed inverse V Lambda^{-1} V^T on the first m cosine
-        coordinates, from the eigendecomposition of sigma_min's certified
-        m x m leading block, and B_eps^{-1} on the rest.
+        """The signed inverse of L_eps on the first m = max(129, certified
+        rung) cosine coordinates, capped at N/2 + 1, as the dense inverse of
+        their block, built on the first solve; B_eps^{-1} on the rest.
 
         The low block is the exact inverse of L_eps restricted to those
         modes, negative direction included, and the coupling of L_eps is
         smooth, so it links them only weakly to the rest, where B_eps
-        dominates L_eps. So
-        I - P L_eps is a contraction, which an SPD map such as
-        V |Lambda|^{-1} V^T is not: it flips the negative direction.
+        dominates L_eps. So I - P L_eps is a contraction, which an SPD map
+        such as V |Lambda|^{-1} V^T is not: it flips the negative direction.
         """
-        _, values, vectors = self._coarse_eigenpairs
+        m = min(max(_PRECONDITIONER_MODES, self._coarse_eigenpairs[1]), cosine_scale(self.grid).size)
+        block = self.even_matrix(m)
+        low = np.linalg.inv(0.5 * (block + block.T))
         inverse_b = 1.0 / b_diagonal(self.model, self.grid, self.eps)
-        inverse_values = 1.0 / values
-        m = values.size
 
         def precondition(r: NDArray) -> NDArray:
             y = inverse_b * r
-            y[:m] = vectors @ (inverse_values * (r[:m] @ vectors))
+            y[:m] = low @ r[:m]
             return y
 
         return precondition
 
     @cached_property
-    def _coarse_eigenpairs(self) -> tuple[float, NDArray | None, NDArray | None]:
-        """sigma_min and the ``eigh`` pair (values, vectors) of the leading
-        block of ``even_matrix`` whose eigenvector certified it;
-        (0.0, None, None) when no rung is certified."""
-        # two-level: dense eigenpair nearest 0 of the leading block, padded
-        # with zeros and certified by its Rayleigh quotient and residual
+    def _coarse_eigenpairs(self) -> tuple[float, int]:
+        """sigma_min and the size of the leading block whose eigenpair nearest
+        0 certified it; (0.0, 0) when no rung is certified."""
         n_modes = self.grid.num_points // 2 + 1
-        for m in _COARSE_MODES:
-            m = min(m, n_modes)
+        for m in dict.fromkeys(min(m, n_modes) for m in _COARSE_MODES):
             matrix = self.even_matrix(m)
-            values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
-            x = np.zeros(n_modes)  # the unit eigenvector, zero-padded
-            x[:m] = vectors[:, int(np.argmin(np.abs(values)))]
+            theta_b, vector = _nearest_zero_eigenpair(0.5 * (matrix + matrix.T))
+            x = np.zeros(n_modes)  # the unit vector, zero-padded
+            x[:m] = vector
             lx = self._apply_even(x)
             theta = float(x @ lx)
-            if m == n_modes or np.linalg.norm(lx - theta * x) <= _CERTIFICATE * abs(theta):
-                return abs(theta), values, vectors
-        return 0.0, None, None
+            residual = 0.0 if m == n_modes else np.linalg.norm(lx - theta * x)
+            if max(abs(theta - theta_b), residual) <= _CERTIFICATE * abs(theta):
+                return abs(theta), m
+        return 0.0, 0
 
     def smallest_singular_value(self) -> float:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""

@@ -1,9 +1,15 @@
-"""Shared fixtures: the three default chain models and desk-size grids."""
+"""Shared fixtures: the three default chain models and desk-size grids, and
+the even projection the tests use."""
 
 import numpy as np
 import pytest
 
-from chainwaves import ChainModel, PsiFamily, default_half_length, make_grid
+from chainwaves import ChainModel, GridFunction, PsiFamily, default_half_length, make_grid
+
+
+def project_even(f: GridFunction) -> GridFunction:
+    """Even part (f(x) + f(-x))/2; idempotent and l2-nonexpansive."""
+    return GridFunction(f.grid, 0.5 * (f.values + f.reflected()))
 
 
 @pytest.fixture(scope="session")

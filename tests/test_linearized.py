@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves import linearized
 from chainwaves.linearized import (
     LinearizedOperator,
+    _nearest_zero_eigenpair,
     even_coefficients,
     even_synthesis,
     linearized_operator,
@@ -320,7 +322,7 @@ def _count_calls(monkeypatch, name):
 
 def test_sigma_min_application_count(model2, grid2, monkeypatch):
     """Counts the work of one sigma_min on M2 at eps 0.1, N = 1024: one dense
-    129 x 129 leading block of ``even_matrix``, built in closed form with no
+    97 x 97 leading block of ``even_matrix``, built in closed form with no
     L_eps application, and one application in cosine coordinates
     (``_apply_even``) for the Rayleigh quotient and its certificate. The
     column-by-column assembly it replaces made 129 coarse applications here."""
@@ -328,7 +330,7 @@ def test_sigma_min_application_count(model2, grid2, monkeypatch):
     matrices = _count_calls(monkeypatch, "even_matrix")
     operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
     assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
-    assert matrices == [129]
+    assert matrices == [97]
     assert applications == [1024]
 
 
@@ -448,27 +450,27 @@ def test_chord_solves_certify_on_first_run(
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
 def test_coarse_eigenbasis_morse_index_one(name, eps, model1, model2, model2_cubic):
-    # the eigendecomposition kept for the preconditioner is that of the
-    # certified 129-mode rung; at w0 the Jacobian has exactly one negative
-    # eigenvalue (the M2-cubic case includes its psi'' term)
+    # the certified rung is the 97-mode block; at w0 the Jacobian has
+    # exactly one negative eigenvalue (the M2-cubic case includes its psi''
+    # term)
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     operator = LinearizedOperator(model, grid, eps, cw.kdv_profile(model, grid))
-    sigma, values, vectors = operator._coarse_eigenpairs
+    sigma, m = operator._coarse_eigenpairs
     assert sigma == operator.smallest_singular_value() > 0.5
-    assert vectors.shape == (129, 129)
-    assert np.count_nonzero(values < 0) == 1
+    assert m == 97
+    assert np.count_nonzero(np.linalg.eigvalsh(operator.even_matrix(m)) < 0) == 1
 
 
 @pytest.mark.parametrize(
     "scale, n, expected, rungs",
     [
-        # four times the default half length: the 129- and 257-mode rungs
-        # fail the certificate and 513 passes, with one application each
-        (4, 4096, 0.7513992998873238, [129, 257, 513]),
-        # N = 16384 on the default domain: the 129-mode vector is certified
+        # four times the default half length: the 97-, 129- and 257-mode
+        # rungs fail the certificate and 513 passes, with one application each
+        (4, 4096, 0.7513992998873238, [97, 129, 257, 513]),
+        # N = 16384 on the default domain: the 97-mode vector is certified
         # and the value is the N = 1024 pin
-        (1, 16384, 0.751399299886099, [129]),
+        (1, 16384, 0.751399299886099, [97]),
     ],
     ids=["wide-domain", "large-grid"],
 )
@@ -481,6 +483,89 @@ def test_sigma_min_ladder(model2, monkeypatch, scale, n, expected, rungs):
     assert operator.smallest_singular_value() == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert matrices == rungs
     assert applications == [n] * len(rungs)
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic", "M3-toda", "Toda"])
+def test_coarse_route_matches_eigh(name, model1, model2, model2_cubic, model3_toda):
+    """The eigenvalue-only ladder and the dense-inverse preconditioner
+    against the full eigendecomposition by ``np.linalg.eigh`` of the same
+    blocks: sigma_min is the eigenvalue nearest 0 of the certified block,
+    which has exactly one negative eigenvalue, and the preconditioner's low
+    block is V Lambda^{-1} V^T of its own block. The operators keep psi, so
+    M2-cubic, M3-toda and Toda include their psi'' terms."""
+    toda = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic, "M3-toda": model3_toda,
+             "Toda": toda}[name]
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    n_modes = grid.num_points // 2 + 1
+    schedule = (1.0, 0.4, 0.1, 1e-3) + ((0.0,) if model.psi.kind == "none" else ())
+    for eps in schedule:
+        operator = LinearizedOperator(model, grid, eps, cw.kdv_profile(model, grid))
+        sigma, rung = operator._coarse_eigenpairs
+        block = operator.even_matrix(rung)
+        values = np.linalg.eigh(0.5 * (block + block.T))[0]
+        assert sigma == pytest.approx(np.min(np.abs(values)), rel=1e-14, abs=0.0), eps
+        assert np.count_nonzero(values < 0) == 1, eps
+        m = min(max(129, rung), n_modes)
+        block = operator.even_matrix(m)
+        values, vectors = np.linalg.eigh(0.5 * (block + block.T))
+        reference = (vectors / values) @ vectors.T
+        low = np.column_stack([operator._preconditioner(e)[:m] for e in np.eye(n_modes)[:m]])
+        assert np.linalg.norm(low - reference) <= 1e-12 * np.linalg.norm(reference), eps
+
+
+def test_nearest_zero_eigenpair_at_an_exact_eigenvalue():
+    # eigvalsh returns a diagonal block's entries exactly, so S - theta_b I
+    # is singular and an unshifted solve raises; the helper's solve does not
+    diagonal = np.array([3.0, -1.25, 0.75, 2.0, -4.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.diag(diagonal - 0.75), np.ones(5))
+    theta, vector = _nearest_zero_eigenpair(np.diag(diagonal))
+    assert theta == 0.75
+    np.testing.assert_allclose(np.abs(vector), np.eye(5)[2], rtol=0.0, atol=1e-15)
+
+
+def test_wrong_vector_moves_the_ladder_up(model2, grid2, monkeypatch):
+    """A rung whose vector belongs to another eigenvalue, here the negative
+    one, passes the residual test but its Rayleigh quotient disagrees with
+    theta_b: the rung is refused and the next one certifies sigma_min."""
+    helper = linearized._nearest_zero_eigenpair
+    sizes = []
+
+    def swapped(block):
+        theta_b, vector = helper(block)
+        sizes.append(len(block))
+        return theta_b, np.linalg.eigh(block)[1][:, 0] if len(sizes) == 1 else vector
+
+    monkeypatch.setattr(linearized, "_nearest_zero_eigenpair", swapped)
+    operator = LinearizedOperator(model2, grid2, 0.1, cw.kdv_profile(model2, grid2))
+    assert operator.smallest_singular_value() == pytest.approx(0.751399299886099, rel=1e-14)
+    assert sizes == [97, 129]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense eigh or inverse called")
+
+
+def test_verification_needs_no_eigenvectors_or_inverse(model2, grid2, monkeypatch):
+    # verify only reads sigma_min: no eigenvector and no preconditioner
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "inv", _refuse)
+    linearized_operator.cache_clear()
+    results = cw.run_verification(model2, grid2)
+    assert len(results) == 20 and all(result.passed for result in results)
+
+
+def test_cold_solve_builds_one_dense_inverse(model2, grid2, monkeypatch):
+    # the preconditioner's 129-mode block, on the first corrector solve
+    inverses = []
+    inverse = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inverse(a))
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    linearized_operator.cache_clear()
+    solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
+    assert solution.diagnostics.iterations == 6
+    assert inverses == [(129, 129)]
 
 
 def column_assembly(operator):
@@ -573,7 +658,7 @@ def test_solve_without_signed_inverse_raises(low_block, model1, grid1, rng):
     signed Lambda^{-1} on the coarse eigenbasis, a correction does not halve
     the residual: the solve raises instead of looping."""
     operator = LinearizedOperator(model1, grid1, 0.2, cw.kdv_profile(model1, grid1))
-    _, values, vectors = operator._coarse_eigenpairs
+    values, vectors = np.linalg.eigh(operator.even_matrix(129))
     inverse_b = 1.0 / cw.b_diagonal(model1, grid1, 0.2)
 
     def precondition(r):

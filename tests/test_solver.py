@@ -14,6 +14,7 @@ from chainwaves import lattice, solver
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
 from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
+from conftest import project_even
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +162,7 @@ def _paper_rhs(model, eps, w0, residual, v):
     """R + S + eps^2 Q[v] + eps^2 N[v] on the grid, from the term-by-term
     operators, with R + S the grid function ``residual``."""
     remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
-    return cw.project_even(residual + eps**2 * cw.apply_Q(model, eps, v) + remainder)
+    return project_even(residual + eps**2 * cw.apply_Q(model, eps, v) + remainder)
 
 
 def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
@@ -455,7 +456,7 @@ def test_tail_rate_stable_under_round_off(solution1):
     rng = np.random.default_rng(5)
     for _ in range(4):
         noise = cw.GridFunction(w.grid, rng.uniform(-1e-15, 1e-15, w.grid.num_points))
-        rate = cw.measure_tail_decay(w + cw.project_even(noise))
+        rate = cw.measure_tail_decay(w + project_even(noise))
         assert abs(rate - base) <= 1e-9 * base
 
 
