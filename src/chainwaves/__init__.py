@@ -35,13 +35,11 @@ from .lattice import TransportReport, energy_drift_rate, run_transport, wave_ini
 from .linearized import LinearizedOperator, linearized_operator
 from .model import (
     ChainModel,
-    KdvConstants,
     PsiFamily,
     apply_P,
     apply_Q,
     apply_Q0,
     default_half_length,
-    kdv_constants,
     kdv_profile,
     tw_defect,
     tw_residual,

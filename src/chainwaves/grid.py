@@ -10,6 +10,10 @@ half spectrum is the only Fourier convention: a mode n stands for the pair
 +-k_n, and sums over the full lattice become sums over the half lattice with
 the weights w_n = 1 at n = 0 and n = N/2 and w_n = 2 in between.
 
+A batch of profiles is a (..., N) stack of rows, transformed along the last
+axis as ``np.fft`` does by default: ``apply_symbol``, ``sample`` and the
+package's stacks of ranges and probes all take and return rows.
+
 Conventions:
     nodes        x_i = -L + i*h,  h = 2L/N,  i = 0..N-1
     half lattice k_n = pi*n/L,    n = 0..N/2 (``np.fft.rfft`` order)
@@ -119,22 +123,19 @@ def make_grid(half_length: float, num_points: int) -> SpectralGrid:
 
 
 def apply_symbol(values, half_symbol) -> NDArray[np.float64]:
-    """Fourier multiplier irfft(half_symbol * rfft(values)) along axis 0.
+    """Fourier multiplier irfft(half_symbol * rfft(values)) along the last axis.
 
-    ``values`` is an (N,) array of real samples or an (N, B) array of columns;
+    ``values`` is an (N,) array of real samples or a (..., N) stack of rows;
     ``half_symbol`` is the symbol on ``grid.half_wavenumbers``. Only the real
     part of the Nyquist entry acts, so a symbol odd in k must vanish there.
     A symbol of another length than N/2 + 1 raises ``GridMismatchError``.
     """
     values = np.asarray(values, dtype=float)
     symbol = np.asarray(half_symbol)
-    if len(symbol) != values.shape[0] // 2 + 1:
-        raise GridMismatchError(
-            f"symbol has {len(symbol)} entries, samples need {values.shape[0] // 2 + 1}"
-        )
-    if values.ndim == 2:
-        symbol = symbol[:, None]
-    return np.fft.irfft(symbol * np.fft.rfft(values, axis=0), n=values.shape[0], axis=0)
+    size = values.shape[-1]
+    if len(symbol) != size // 2 + 1:
+        raise GridMismatchError(f"symbol has {len(symbol)} entries, samples need {size // 2 + 1}")
+    return np.fft.irfft(symbol * np.fft.rfft(values), n=size)
 
 
 @dataclass
@@ -227,38 +228,36 @@ def derivative(f: GridFunction, order: int) -> GridFunction:
 def sample(grid: SpectralGrid, values, points) -> NDArray[np.float64]:
     """Band-limited (trigonometric interpolant) evaluation at arbitrary points.
 
-    ``values`` holds samples on the nodes, an (N,) array or an (N, B) array
-    of columns as for :func:`apply_symbol`; the result is (P,) or (P, B) for
-    P points.
+    ``values`` holds samples on the nodes, an (N,) array or a (B, N) stack of
+    rows as for :func:`apply_symbol`; the result is (P,) or (B, P) for P
+    points.
 
     The sum over the N/2+1 modes runs baby-step/giant-step: with
     n = q S + r and S = floor(sqrt(N/2)), exp(i k_n x) factors into
     exp(i k_r x) exp(i k_{qS} x), so for each block of 256 points a 256 x S
     and a 256 x Q table of exponentials, Q = ceil((N/2+1)/S), take the place
     of the P x (N/2+1) phase matrix, and memory beyond the result is O(N).
-    Each point and column is reduced on its own, so a column of a batch, or
-    a run of two or more points, is bitwise what a call on it alone gives.
+    Each point and row is reduced on its own, so a row of a stack, or a run
+    of two or more points, is bitwise what a call on it alone gives.
     """
     values = np.asarray(values, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    scale = grid.half_weights * grid.half_sign
-    if values.ndim == 2:
-        scale = scale[:, None]
-    coeff = scale * np.fft.rfft(values, axis=0) / grid.num_points
+    coeff = grid.half_weights * grid.half_sign * np.fft.rfft(values) / grid.num_points
+    modes = coeff.shape[-1]
     baby_steps = math.isqrt(grid.num_points // 2)
-    giant_steps = -(-len(coeff) // baby_steps)
-    padded = np.zeros((giant_steps * baby_steps,) + coeff.shape[1:], dtype=complex)
-    padded[: len(coeff)] = coeff
-    giant_k = np.pi * np.arange(0, len(padded), baby_steps) / grid.half_length
-    # per column, c_{qS + r} at (r, q) of an (S, Q) square, alike alone or in a batch
-    columns = padded.T if values.ndim == 2 else [padded]
-    squares = [np.ascontiguousarray(c.reshape(giant_steps, baby_steps)).T for c in columns]
-    out = np.empty((len(pts), len(squares)))
+    giant_steps = -(-modes // baby_steps)
+    padded = np.zeros(coeff.shape[:-1] + (giant_steps * baby_steps,), dtype=complex)
+    padded[..., :modes] = coeff
+    giant_k = np.pi * np.arange(0, padded.shape[-1], baby_steps) / grid.half_length
+    # per row, c_{qS + r} at (r, q) of an (S, Q) square
+    squares = padded.reshape(-1, giant_steps, baby_steps).transpose(0, 2, 1)
+    out = np.empty(coeff.shape[:-1] + pts.shape)
+    rows = out.reshape(len(squares), len(pts))
     # a lone last point joins the block before: a one-row product rounds otherwise
     edges = [0, *range(_SAMPLE_BLOCK, len(pts) - 1, _SAMPLE_BLOCK), len(pts)]
     for block in map(slice, edges[:-1], edges[1:]):
         baby = np.exp(1j * np.outer(pts[block], grid.half_wavenumbers[:baby_steps]))
         giant = np.exp(1j * np.outer(pts[block], giant_k))
-        for b, square in enumerate(squares):
-            out[block, b] = np.einsum("pq,pq->p", giant, baby @ square).real
-    return out if values.ndim == 2 else out[:, 0]
+        for row, square in zip(rows, squares):
+            row[block] = np.einsum("pq,pq->p", giant, baby @ square).real
+    return out

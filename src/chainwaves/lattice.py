@@ -268,7 +268,7 @@ def wave_initial_data(
 
 def _initial_profiles(w, points):
     """Antiderivative with value 0 at -L and values of the band-limited
-    interpolant of w at the points, from one two-column ``sample`` call
+    interpolant of w at the points, from one two-row ``sample`` call
     sharing its exponential tables.
 
     The nonzero mean of w makes the antiderivative a ramp plus a periodic
@@ -281,9 +281,9 @@ def _initial_profiles(w, points):
     symbol[1:-1] = 1.0 / (1j * k[1:-1])
     periodic = apply_symbol(w.values, symbol)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    columns = sample(grid, np.column_stack([periodic, w.values]), pts)
+    periodic_at_points, values = sample(grid, np.stack([periodic, w.values]), pts)
     ramp = float(np.mean(w.values)) * (pts + grid.half_length)
-    return ramp + columns[:, 0] - periodic[0], columns[:, 1]
+    return ramp + periodic_at_points - periodic[0], values
 
 
 @dataclass(frozen=True)

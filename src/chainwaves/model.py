@@ -30,7 +30,7 @@ from .grid import GridFunction, SpectralGrid, apply_symbol, l2_norm
 from .operators import averaging_stack, averaging_symbol, b_diagonal
 
 __all__ = [
-    "PsiFamily", "ChainModel", "KdvConstants", "kdv_constants", "default_half_length",
+    "PsiFamily", "ChainModel", "default_half_length",
     "kdv_profile", "apply_Q", "apply_Q0", "apply_P", "tw_defect", "tw_defect_spectrum",
     "tw_residual",
 ]
@@ -174,6 +174,10 @@ class ChainModel:
                 f"psi family {self.psi.kind!r} needs {needed} parameters, "
                 f"got {len(self.psi.params)}"
             )
+        for name in ("sound_speed_sq", "d1", "d2"):  # the KdV limit's constants
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def neighbor_range(self) -> int:
@@ -184,6 +188,17 @@ class ChainModel:
     def sound_speed_sq(self) -> float:
         """c0^2 = sum_m alpha_m m^2."""
         return float(sum(a * m**2 for m, a in enumerate(self.alpha, start=1)))
+
+    @cached_property
+    def d1(self) -> float:
+        """d1 = 12 / sum_m alpha_m m^4."""
+        return 12.0 / sum(a * m**4 for m, a in enumerate(self.alpha, start=1))
+
+    @cached_property
+    def d2(self) -> float:
+        """d2 = 12 sum_m beta_m m^3 / sum_m alpha_m m^4."""
+        beta3 = sum(b * m**3 for m, b in enumerate(self.beta, start=1))
+        return 12.0 * beta3 / sum(a * m**4 for m, a in enumerate(self.alpha, start=1))
 
     @cached_property
     def law_columns(self) -> tuple:
@@ -232,41 +247,17 @@ class ChainModel:
             raise IndexError(f"neighbor index {m} outside 1..{len(self.alpha)}")
 
 
-@dataclass(frozen=True)
-class KdvConstants:
-    """Derived constants of the quadratic-KdV limit; all positive."""
-
-    c0_sq: float
-    d1: float
-    d2: float
-
-    def __post_init__(self) -> None:
-        if min(self.c0_sq, self.d1, self.d2) <= 0:
-            raise ValueError("limit constants must all be positive")
-
-
-def kdv_constants(model: ChainModel) -> KdvConstants:
-    alpha4 = sum(a * m**4 for m, a in enumerate(model.alpha, start=1))
-    beta3 = sum(b * m**3 for m, b in enumerate(model.beta, start=1))
-    return KdvConstants(
-        c0_sq=model.sound_speed_sq,
-        d1=12.0 / alpha4,
-        d2=12.0 * beta3 / alpha4,
-    )
-
-
 def default_half_length(model: ChainModel) -> float:
     """Domain half-length putting the profile below 1e-12 at the boundary.
 
     That is 30/sqrt(d1) unless the peak 1.5 d1/d2 exceeds about 2.67; then
     it is the length where the sech^2 tail reaches 0.99e-12.
     """
-    constants = kdv_constants(model)
-    peak = 1.5 * constants.d1 / constants.d2
-    rate = 0.5 * math.sqrt(constants.d1)
+    peak = 1.5 * model.d1 / model.d2
+    rate = 0.5 * math.sqrt(model.d1)
     # aim just under the gate, so kdv_profile's strict check is clear of rounding
     tail = math.acosh(max(1.0, math.sqrt(peak / (0.99 * _BOUNDARY_GATE)))) / rate
-    return max(30.0 / math.sqrt(constants.d1), tail)
+    return max(30.0 / math.sqrt(model.d1), tail)
 
 
 def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
@@ -278,9 +269,8 @@ def kdv_profile(model: ChainModel, grid: SpectralGrid) -> GridFunction:
     boundary value is 4 peak e^{-2y} / (1 + e^{-2y})^2 at y = rate L, and
     the samples clip rate |x| at 350, where sech^2 is below 1e-303.
     """
-    constants = kdv_constants(model)
-    peak = 1.5 * constants.d1 / constants.d2
-    rate = 0.5 * math.sqrt(constants.d1)
+    peak = 1.5 * model.d1 / model.d2
+    rate = 0.5 * math.sqrt(model.d1)
     decay = math.exp(-2.0 * rate * grid.half_length)
     boundary = 4.0 * peak * decay / (1.0 + decay) ** 2
     if boundary >= _BOUNDARY_GATE:

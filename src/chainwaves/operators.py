@@ -160,8 +160,8 @@ def _quadrature_window(grid: SpectralGrid, eta: float) -> NDArray[np.float64]:
 
 
 def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float64]:
-    """Window average of (N,) samples or (N, B) columns by direct quadrature
-    instead of the closed-form symbol.
+    """Window average of (N,) samples or a (..., N) stack of rows by direct
+    quadrature instead of the closed-form symbol.
 
     Each Gauss-Legendre node translates the samples through their
     band-limited interpolant, a phase exp(i k o) on their coefficients, and
@@ -169,7 +169,7 @@ def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float
     node pair +-o sums once as 2 cos(k o), and an odd rule's middle node sits
     at 0, where cos = 1. With ceil(eta*max|k|/2) + 20 nodes the rule
     integrates every mode on the grid to round-off. The window is built once
-    per call and ``apply_symbol`` applies it to every column.
+    per call and ``apply_symbol`` applies it to every row.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _EPSILON_MIN = sys.float_info.min**0.25  # the least epsilon whose eps^4 is a normal float
+TOL_RESIDUAL = 1e-9  # the mandatory final traveling-wave residual gate of every solve
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,10 @@ class SolveConfig:
     """Iteration controls for one corrector solve.
 
     ``tol`` bounds the relative corrector increment and each linear solve's
-    residual. ``tol_residual`` backs the mandatory final traveling-wave
-    residual check; an iteration that stagnates without reaching it is
-    reported as failed rather than returned silently. The defect is scaled
-    by eps^-4, so epsilon starts where eps^4 is a normal float.
+    residual. The final traveling-wave residual must reach ``TOL_RESIDUAL``;
+    an iteration that stagnates short of it is reported as failed rather
+    than returned silently. The defect is scaled by eps^-4, so epsilon
+    starts where eps^4 is a normal float.
 
     v is not trusted below epsilon 1e-4, since R carries round-off of about
     eps_mach/eps^2: on M2, ||v|| reads 0.0423646 at 1e-4, 0.0423694 at 1e-5
@@ -63,13 +64,12 @@ class SolveConfig:
     tol: float = 1e-12
     max_iterations: int = 200
     damping: float = 1.0
-    tol_residual: float = 1e-9
 
     def __post_init__(self) -> None:
         if not _EPSILON_MIN <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [{_EPSILON_MIN:.3g}, 1], got {self.epsilon}")
-        if not all(0 < tol < math.inf for tol in (self.tol, self.tol_residual)):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         count = self.max_iterations
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"max_iterations must be an integer of at least 1, got {count!r}")
@@ -222,7 +222,7 @@ def solve_wave(
 
     Deterministic: identical configurations produce bit-identical results.
     Raises ``NoConvergenceError`` when the iteration budget runs out or the
-    final traveling-wave residual misses ``config.tol_residual``, and
+    final traveling-wave residual misses ``TOL_RESIDUAL``, and
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
     Overflow and invalid warnings are off: the loop ends at a non-finite
     increment. The curvature warnings of its defect evaluations are merged
@@ -264,10 +264,10 @@ def _solve_wave(
     v = even_synthesis(grid, v)
     w = operator.w0 + eps**2 * v
     residual = tw_residual(model, eps, w)
-    if residual > config.tol_residual:
+    if residual > TOL_RESIDUAL:
         raise NoConvergenceError(
             f"iteration stalled with traveling-wave residual {residual:.3e} "
-            f"above {config.tol_residual:g}"
+            f"above {TOL_RESIDUAL:g}"
         )
     try:
         tail_rate = measure_tail_decay(w)

@@ -37,7 +37,7 @@ from .grid import (
     sup_norm,
 )
 from .linearized import linearized_operator
-from .model import ChainModel, apply_Q, apply_Q0, kdv_constants, kdv_profile
+from .model import ChainModel, apply_Q, apply_Q0, kdv_profile
 from .operators import (
     averaging_direct,
     averaging_symbol,
@@ -49,7 +49,7 @@ from .operators import (
 from .solver import _line_slope, measure_tail_decay, residuals
 
 __all__ = ["CHECKS", "CheckResult", "run_verification", "unimodality_defect",
-           "random_band_limited", "random_band_limited_rows"]
+           "random_band_limited_rows"]
 
 _ETA_SWEEP = (0.4, 0.2, 0.1, 0.05)
 _EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
@@ -88,8 +88,8 @@ def random_band_limited_rows(
     """(count, N) block of unit-l2 random profiles with spectral support in |k| <= band.
 
     One ``rng.standard_normal((count, 2, modes))`` call draws the real and
-    imaginary parts of the modes k <= band below Nyquist, so row j is the j-th
-    of ``count`` successive :func:`random_band_limited` calls. Parity even
+    imaginary parts of the modes k <= band below Nyquist, so row j is what the
+    j-th of ``count`` successive one-row calls gives. Parity even
     takes the real parts, odd the imaginary ones (mode 0 set to 0), none both
     (mode 0 real). ``decay`` > 0 shapes the spectrum with a (1 + k^2)^(-decay)
     envelope, mimicking the smoothness of right-hand sides arising in practice.
@@ -106,20 +106,9 @@ def random_band_limited_rows(
     if decay:
         coeff *= (1.0 + k**2) ** (-decay)
     rows = np.fft.irfft(coeff, n=n)
-    for row in rows:
-        norm = np.sqrt(grid.spacing * np.sum(row**2))  # l2_norm
-        if norm:
-            row *= 1.0 / norm
+    norms = _row_norms(grid, rows)
+    rows *= (1.0 / np.where(norms > 0, norms, 1.0))[:, None]  # zero rows stay zero
     return rows
-
-
-def random_band_limited(
-    grid: SpectralGrid, band: float, rng, parity: str = "none", decay: float = 0.0
-) -> GridFunction:
-    """Unit-l2 random profile with spectral support in |k| <= band, the one row
-    of :func:`random_band_limited_rows`; ``rng`` has numpy's
-    ``standard_normal(shape)``."""
-    return GridFunction(grid, random_band_limited_rows(grid, band, rng, 1, parity, decay)[0])
 
 
 def unimodality_defect(values) -> float:
@@ -138,12 +127,6 @@ def _fit_slope(xs, ys) -> float:
 def _row_norms(grid, rows) -> np.ndarray:
     """``l2_norm`` of each row of a (count, N) block."""
     return np.sqrt(grid.spacing * np.sum(rows**2, axis=1))
-
-
-def _symbol_rows(symbol):
-    """The multiplier ``symbol`` as a map of (count, N) blocks, one
-    ``apply_symbol`` call per block."""
-    return lambda rows: apply_symbol(rows.T, symbol).T
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -189,7 +172,9 @@ def _shape_defects(f):
 def _check_averaging_self_adjoint(model, grid):
     rng = _Normals(101)
     symbols = [averaging_symbol(grid, eta) for eta in (0.3, 0.8)]
-    worst = max(_adjoint_defect(grid, rng, 20.0, _symbol_rows(s)) for s in symbols)
+    worst = max(
+        _adjoint_defect(grid, rng, 20.0, lambda rows: apply_symbol(rows, s)) for s in symbols
+    )
     return _result("averaging_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -200,7 +185,7 @@ def _check_averaging_norm_bounds(model, grid):
     # three probes per eta, drawn as one block
     blocks = np.split(random_band_limited_rows(grid, 40.0, rng, 6), 2)
     for eta, probes in zip((0.3, 0.8), blocks):
-        averaged = apply_symbol(probes.T, averaging_symbol(grid, eta)).T
+        averaged = apply_symbol(probes, averaging_symbol(grid, eta))
         norms = _row_norms(grid, probes)
         ok &= bool(np.all(_row_norms(grid, averaged) <= norms * (1 + 1e-12)))
         ratios = np.max(np.abs(averaged), axis=1) / (eta**-0.5 * norms)
@@ -222,11 +207,10 @@ def _check_averaging_shape_preservation(model, grid):
 
 
 def _check_averaging_asymptotic_orders(model, grid):
-    constants = kdv_constants(model)
     w0 = kdv_profile(model, grid)
     # closed-form second derivative: ties the symbol route to continuum
     # calculus, so under-resolution breaks the measured orders
-    w2 = constants.d1 * w0 - constants.d2 * (w0 * w0)
+    w2 = model.d1 * w0 - model.d2 * (w0 * w0)
     plain, corrected = [], []
     for eta in _ETA_SWEEP:
         averaged = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
@@ -244,8 +228,8 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
     # w0 and two smooth random probes against each window A_{m eps} of the
     # model, m = 1..M, at eps 0.4 and 0.1; one quadrature window per eta
     rng = _Normals(202)
-    probes = np.column_stack(
-        [kdv_profile(model, grid).values, *random_band_limited_rows(grid, 8.0, rng, 2, decay=1.0)]
+    probes = np.vstack(
+        [kdv_profile(model, grid).values, random_band_limited_rows(grid, 8.0, rng, 2, decay=1.0)]
     )
     worst = 0.0
     for eps in (0.4, 0.1):
@@ -253,7 +237,7 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
             eta = m * eps
             symbol_route = apply_symbol(probes, averaging_symbol(grid, eta))
             gap = symbol_route - averaging_direct(grid, eta, probes)
-            worst = max(worst, float(np.max(np.sqrt(grid.spacing * np.sum(gap**2, axis=0)))))
+            worst = max(worst, float(np.max(_row_norms(grid, gap))))
     return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
 
@@ -288,7 +272,7 @@ def _check_b_inverse_roundtrip(model, grid):
 def _check_b_inverse_self_adjoint(model, grid):
     rng = _Normals(108)
     inverse = 1.0 / b_diagonal(model, grid, 0.2)
-    worst = _adjoint_defect(grid, rng, 25.0, _symbol_rows(inverse))
+    worst = _adjoint_defect(grid, rng, 25.0, lambda rows: apply_symbol(rows, inverse))
     return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -355,30 +339,27 @@ def _check_von_neumann_shape_preservation(model, grid):
 
 
 def _check_profile_ode_residual(model, grid):
-    constants = kdv_constants(model)
     w0 = kdv_profile(model, grid)
-    residual = derivative(w0, 2) - constants.d1 * w0 + constants.d2 * (w0 * w0)
+    residual = derivative(w0, 2) - model.d1 * w0 + model.d2 * (w0 * w0)
     value = sup_norm(residual)
     return _result("profile_ode_residual", value <= 1e-8, f"sup residual {value:.2e}")
 
 
 def _check_profile_hamiltonian(model, grid):
-    constants = kdv_constants(model)
     w0 = kdv_profile(model, grid)
     slope = derivative(w0, 1)
     energy = (
         0.5 * slope.values**2
-        + constants.d2 * w0.values**3 / 3.0
-        - 0.5 * constants.d1 * w0.values**2
+        + model.d2 * w0.values**3 / 3.0
+        - 0.5 * model.d1 * w0.values**2
     )
     value = float(np.max(np.abs(energy)))
     return _result("profile_hamiltonian", value <= 1e-8, f"sup energy {value:.2e}")
 
 
 def _check_profile_tail_rate(model, grid):
-    constants = kdv_constants(model)
     rate = measure_tail_decay(kdv_profile(model, grid))
-    target = math.sqrt(constants.d1)
+    target = math.sqrt(model.d1)
     gap = abs(rate - target) / target
     return _result("profile_tail_rate", gap <= 0.02, f"rate {rate:.4f} vs sqrt(d1) {target:.4f}")
 

@@ -1,15 +1,22 @@
 """Shared fixtures: the three default chain models and desk-size grids, and
-the even projection the tests use."""
+the even projection and single random profile the tests use."""
 
 import numpy as np
 import pytest
 
 from chainwaves import ChainModel, GridFunction, PsiFamily, default_half_length, make_grid
+from chainwaves.verify import random_band_limited_rows
 
 
 def project_even(f: GridFunction) -> GridFunction:
     """Even part (f(x) + f(-x))/2; idempotent and l2-nonexpansive."""
     return GridFunction(f.grid, 0.5 * (f.values + f.reflected()))
+
+
+def random_band_limited(grid, band, rng, parity="none", decay=0.0) -> GridFunction:
+    """Unit-l2 random profile with spectral support in |k| <= band, the one row
+    of ``random_band_limited_rows``; ``rng`` has numpy's ``standard_normal(shape)``."""
+    return GridFunction(grid, random_band_limited_rows(grid, band, rng, 1, parity, decay)[0])
 
 
 @pytest.fixture(scope="session")

@@ -166,6 +166,18 @@ def test_infinite_number_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "alpha, beta", [([1e308, 1e308], [1.0, 1.0]), ([1e300], [1e-300])], ids=["d1-zero", "d2-zero"]
+)
+def test_model_without_kdv_limit_exits_2(tmp_path, capsys, alpha, beta):
+    # the derived constants c0^2, d1 and d2 are checked with the coefficients
+    path, _ = base_config(tmp_path, model={"alpha": alpha, "beta": beta})
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid model: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "section, value, where",
     [
         ("model", 3, "model"),

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
-from conftest import project_even
+from chainwaves.verify import random_band_limited_rows
+from conftest import project_even, random_band_limited
 
 
 def test_make_grid_fields():
@@ -68,8 +69,7 @@ def test_sup_norm_cases(grid1, model1):
     zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
     assert cw.sup_norm(zero) == 0.0
     w0 = cw.kdv_profile(model1, grid1)
-    constants = cw.kdv_constants(model1)
-    assert cw.sup_norm(w0) == pytest.approx(1.5 * constants.d1 / constants.d2, abs=1e-10)
+    assert cw.sup_norm(w0) == pytest.approx(1.5 * model1.d1 / model1.d2, abs=1e-10)
     spike = np.zeros(grid1.num_points)
     spike[7] = -5.0
     assert cw.sup_norm(cw.GridFunction(grid1, spike)) == 5.0
@@ -109,9 +109,8 @@ def test_derivative_constant_and_modes(grid1):
 
 
 def test_derivative_profile_ode(model1, grid1):
-    constants = cw.kdv_constants(model1)
     w0 = cw.kdv_profile(model1, grid1)
-    rhs = constants.d1 * w0 - constants.d2 * (w0 * w0)
+    rhs = model1.d1 * w0 - model1.d2 * (w0 * w0)
     assert cw.sup_norm(cw.derivative(w0, 2) - rhs) < 1e-8
 
 
@@ -123,8 +122,6 @@ def test_derivative_rejects_order(grid1, order):
 
 
 def test_derivative_composes(grid1, rng):
-    from chainwaves.verify import random_band_limited
-
     f = random_band_limited(grid1, 30.0, rng)
     twice = cw.derivative(cw.derivative(f, 2), 2)
     fourth = cw.derivative(f, 4)
@@ -156,18 +153,14 @@ def test_sample_matches_nodes(model1, grid1):
 
 
 def test_sample_batched_columns(grid1, rng):
-    # (N, B) columns against one (N,) call per column, off-grid points
-    from chainwaves.verify import random_band_limited
-
-    columns = np.column_stack(
-        [random_band_limited(grid1, 30.0, rng).values for _ in range(3)]
-    )
+    # a (B, N) stack of rows against one (N,) call per row, off-grid points
+    rows = np.array([random_band_limited(grid1, 30.0, rng).values for _ in range(3)])
     points = rng.uniform(-grid1.half_length, grid1.half_length, 500)
-    batched = cw.sample(grid1, columns, points)
-    assert batched.shape == (500, 3)
+    batched = cw.sample(grid1, rows, points)
+    assert batched.shape == (3, 500)
     for b in range(3):
-        single = cw.sample(grid1, columns[:, b], points)
-        assert np.max(np.abs(batched[:, b] - single)) <= 1e-14 * np.max(np.abs(single))
+        single = cw.sample(grid1, rows[b], points)
+        assert np.max(np.abs(batched[b] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def _dense_sample(grid, values, points):
@@ -184,7 +177,7 @@ def test_sample_matches_dense_phase_matrix(model1, num_points):
     grid = cw.make_grid(cw.default_half_length(model1), num_points)
     length = grid.half_length
     x = grid.nodes
-    columns = np.column_stack(
+    rows = np.array(
         [
             cw.kdv_profile(model1, grid).values,
             np.tanh(x) / np.cosh(x / 2.0) ** 2,
@@ -195,10 +188,10 @@ def test_sample_matches_dense_phase_matrix(model1, num_points):
     points = np.concatenate(
         [rng.uniform(-1.5 * length, 1.5 * length, 1400), [-length, length, 2.0 * length]]
     )
-    batched = cw.sample(grid, columns, points)
-    for b in range(columns.shape[1]):
-        expected = _dense_sample(grid, columns[:, b], points)
-        assert np.max(np.abs(batched[:, b] - expected)) <= 1e-14 * np.max(np.abs(expected))
+    batched = cw.sample(grid, rows, points)
+    for row, sampled in zip(rows, batched):
+        expected = _dense_sample(grid, row, points)
+        assert np.max(np.abs(sampled - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_sample_memory_below_dense_phase_matrix(model1):
@@ -235,34 +228,51 @@ def test_sample_split_off_block_edges_is_bitwise(grid1, rng):
     # three blocks and a lone last point, cut where no block edge falls:
     # each run of points reads bitwise what the whole call gives it
     from chainwaves.grid import _SAMPLE_BLOCK
-    from chainwaves.verify import random_band_limited_rows
 
-    columns = random_band_limited_rows(grid1, 30.0, rng, 2).T
+    rows = random_band_limited_rows(grid1, 30.0, rng, 2)
     points = rng.uniform(-grid1.half_length, grid1.half_length, 3 * _SAMPLE_BLOCK + 1)
-    for values in (columns, columns[:, 1]):
+    for values in (rows, rows[1]):
         whole = cw.sample(grid1, values, points)
         for cut in (2, _SAMPLE_BLOCK + 44, 2 * _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK - 1):
             parts = [cw.sample(grid1, values, run) for run in (points[:cut], points[cut:])]
-            assert np.array_equal(np.concatenate(parts), whole)
+            assert np.array_equal(np.concatenate(parts, axis=-1), whole)
+
+
+def test_row_stacks_are_bitwise_single_rows(grid1, rng):
+    # the one batch layout: each row of a stack reads bitwise what a call on
+    # that row alone gives, in apply_symbol, sample and averaging_direct
+    rows = random_band_limited_rows(grid1, 30.0, rng, 4)
+    symbol = cw.averaging_symbol(grid1, 0.3)
+    points = rng.uniform(-grid1.half_length, grid1.half_length, 300)
+    calls = (
+        lambda values: cw.apply_symbol(values, symbol),
+        lambda values: cw.sample(grid1, values, points),
+        lambda values: cw.averaging_direct(grid1, 0.3, values),
+    )
+    for call in calls:
+        assert np.array_equal(call(rows), [call(row) for row in rows])
+    stacked = cw.apply_symbol(rows.reshape(2, 2, -1), symbol)
+    assert stacked.shape == (2, 2, grid1.num_points)
+    assert np.array_equal(stacked.reshape(4, -1), [cw.apply_symbol(row, symbol) for row in rows])
 
 
 def test_apply_symbol_matches_complex_fft(grid1, rng):
     # real-FFT route against ifft(symbol * fft(x)).real on the full lattice;
     # the first N/2 + 1 FFT bins carry the half symbol, since each symbol
     # below is even at the Nyquist bin or vanishes there
-    columns = rng.standard_normal((grid1.num_points, 3))
+    rows = rng.standard_normal((3, grid1.num_points))
     half = grid1.num_points // 2 + 1
     k = 2.0 * np.pi * np.fft.fftfreq(grid1.num_points, d=grid1.spacing)  # FFT order
     first_order = 1j * k
     first_order[half - 1] = 0.0
     for symbol in (cw.sinc(0.35 * k), first_order, k**4):
-        expected = np.fft.ifft(symbol[:, None] * np.fft.fft(columns, axis=0), axis=0).real
+        expected = np.fft.ifft(symbol * np.fft.fft(rows)).real
         bound = 1e-14 * np.max(np.abs(expected))
-        batched = cw.apply_symbol(columns, symbol[:half])
+        batched = cw.apply_symbol(rows, symbol[:half])
         assert np.max(np.abs(batched - expected)) <= bound
-        single = cw.apply_symbol(columns[:, 0], symbol[:half])
-        assert np.max(np.abs(single - expected[:, 0])) <= bound
-    f = cw.GridFunction(grid1, columns[:, 1])
+        single = cw.apply_symbol(rows[0], symbol[:half])
+        assert np.max(np.abs(single - expected[0])) <= bound
+    f = cw.GridFunction(grid1, rows[1])
     expected = np.fft.ifft(first_order * np.fft.fft(f.values)).real
     gap = np.max(np.abs(cw.derivative(f, 1).values - expected))
     assert gap <= 1e-14 * np.max(np.abs(expected))

@@ -205,7 +205,7 @@ def test_position_profile_matches_closed_form(request, name, eps, num_points):
     # antiderivative of the KdV profile from -L, evaluated off the grid
     model = request.getfixturevalue(name)
     grid = cw.make_grid(cw.default_half_length(model), num_points)
-    d1, d2 = cw.kdv_constants(model).d1, cw.kdv_constants(model).d2
+    d1, d2 = model.d1, model.d2
     J = int(2 * grid.half_length / eps)
     x = eps * (np.arange(J) - J / 2)
     root = math.sqrt(d1)

@@ -18,7 +18,7 @@ from chainwaves.linearized import (
     even_synthesis,
     linearized_operator,
 )
-from chainwaves.verify import random_band_limited
+from conftest import random_band_limited
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ def test_limit_poeschl_teller_eigenvectors(name, references, model2, grid2):
     eigenvalues, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
     np.testing.assert_allclose(eigenvalues[:2], [-1.25, 0.75], rtol=0.0, atol=1e-10)
     assert eigenvalues[2] > 1.0
-    y = 0.5 * np.sqrt(cw.kdv_constants(operator.model).d1) * operator.grid.nodes
+    y = 0.5 * np.sqrt(operator.model.d1) * operator.grid.nodes
     modes = (np.cosh(y) ** -3, (5.0 * np.tanh(y) ** 2 - 1.0) / np.cosh(y))
     for vector, mode in zip(vectors[:, :2].T, modes):
         coefficients = even_coefficients(cw.GridFunction(operator.grid, mode))

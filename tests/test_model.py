@@ -10,6 +10,7 @@ import pytest
 import chainwaves as cw
 from chainwaves import PsiFamily
 from chainwaves.model import _exp_tail
+from conftest import random_band_limited
 
 
 def test_force_examples(model1):
@@ -49,15 +50,26 @@ def test_model_validation_rejects():
         cw.ChainModel((1.0,), (1.0,), PsiFamily("none", (0.3,)))
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, name",
+    [((1e308, 1e308), (1.0, 1.0), "sound_speed_sq"), ((1e300,), (1e-300,), "d2")],
+    ids=["sums-overflow", "d2-underflows"],
+)
+def test_model_without_kdv_limit_rejected(alpha, beta, name):
+    # finite positive coefficients whose KdV constants are 0 or inf used to
+    # pass, and failed later outside the CLI's config check; in the first
+    # case c0^2 overflows and d1 = 12 / sum alpha_m m^4 is 0
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        cw.ChainModel(alpha, beta)
+
+
 def test_kdv_constants_cases(model1, model2):
-    c1 = cw.kdv_constants(model1)
-    assert (c1.c0_sq, c1.d1, c1.d2) == (1.0, 12.0, 12.0)
-    c2 = cw.kdv_constants(model2)
-    assert c2.c0_sq == 5.0
-    assert c2.d1 == pytest.approx(12.0 / 17.0, rel=1e-15)
-    assert c2.d2 == pytest.approx(108.0 / 17.0, rel=1e-15)
+    assert (model1.sound_speed_sq, model1.d1, model1.d2) == (1.0, 12.0, 12.0)
+    assert model2.sound_speed_sq == 5.0
+    assert model2.d1 == pytest.approx(12.0 / 17.0, rel=1e-15)
+    assert model2.d2 == pytest.approx(108.0 / 17.0, rel=1e-15)
     m3 = cw.ChainModel((1.0, 0.5, 1.0 / 3.0), (1.0, 1.0, 1.0))
-    assert cw.kdv_constants(m3).c0_sq == pytest.approx(6.0, rel=1e-15)
+    assert m3.sound_speed_sq == pytest.approx(6.0, rel=1e-15)
 
 
 def test_toda_remainder_family():
@@ -165,7 +177,7 @@ def test_kdv_profile_wide_domain(model1, half_length):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w0 = cw.kdv_profile(model1, grid)
-    rate = 0.5 * math.sqrt(cw.kdv_constants(model1).d1)
+    rate = 0.5 * math.sqrt(model1.d1)
     near = rate * np.abs(grid.nodes) <= 350.0
     assert np.array_equal(w0.values[near], 1.5 / np.cosh(rate * grid.nodes[near]) ** 2)
     assert np.all((0 < w0.values[~near]) & (w0.values[~near] < 1e-300))
@@ -174,14 +186,14 @@ def test_kdv_profile_wide_domain(model1, half_length):
 def test_default_half_length(model1, model2, model2_cubic):
     # 30/sqrt(d1) wherever it suffices, the 1e-12 tail length beyond
     for model in (model1, model2, model2_cubic):
-        assert cw.default_half_length(model) == 30.0 / math.sqrt(cw.kdv_constants(model).d1)
+        assert cw.default_half_length(model) == 30.0 / math.sqrt(model.d1)
     small_beta = cw.ChainModel((1.0,), (0.5,))
     half_length = cw.default_half_length(small_beta)
-    assert half_length > 30.0 / math.sqrt(cw.kdv_constants(small_beta).d1)
+    assert half_length > 30.0 / math.sqrt(small_beta.d1)
     w0 = cw.kdv_profile(small_beta, cw.make_grid(half_length, 512))
     assert 0.5e-12 < w0.values[0] < 1e-12
     # the error names a length that suffices
-    short = cw.make_grid(30.0 / math.sqrt(cw.kdv_constants(small_beta).d1), 512)
+    short = cw.make_grid(30.0 / math.sqrt(small_beta.d1), 512)
     with pytest.raises(cw.DomainTooSmallError) as info:
         cw.kdv_profile(small_beta, short)
     named = float(str(info.value).rsplit(" ", 1)[-1])
@@ -189,22 +201,20 @@ def test_default_half_length(model1, model2, model2_cubic):
 
 
 def test_kdv_profile_identities(model1, grid1):
-    constants = cw.kdv_constants(model1)
     w0 = cw.kdv_profile(model1, grid1)
-    ode = cw.derivative(w0, 2) - constants.d1 * w0 + constants.d2 * (w0 * w0)
+    ode = cw.derivative(w0, 2) - model1.d1 * w0 + model1.d2 * (w0 * w0)
     assert cw.sup_norm(ode) < 1e-8
     rate = cw.measure_tail_decay(w0)
-    assert rate == pytest.approx(math.sqrt(constants.d1), rel=0.02)
+    assert rate == pytest.approx(math.sqrt(model1.d1), rel=0.02)
 
 
 def test_profile_hamiltonian_vanishes(model1, grid1):
-    constants = cw.kdv_constants(model1)
     w0 = cw.kdv_profile(model1, grid1)
     slope = cw.derivative(w0, 1)
     energy = (
         0.5 * slope.values**2
-        + constants.d2 * w0.values**3 / 3.0
-        - 0.5 * constants.d1 * w0.values**2
+        + model1.d2 * w0.values**3 / 3.0
+        - 0.5 * model1.d1 * w0.values**2
     )
     assert float(np.max(np.abs(energy))) < 1e-8
 
@@ -231,8 +241,6 @@ def test_apply_Q_matches_quadrature_oracle(model1, grid1):
 
 
 def test_apply_Q_nonnegative_and_even(model1, grid1, rng):
-    from chainwaves.verify import random_band_limited
-
     f = random_band_limited(grid1, 30.0, rng)
     image = cw.apply_Q(model1, 0.25, f)
     assert float(np.min(image.values)) >= -1e-12 * cw.sup_norm(image)

@@ -23,10 +23,10 @@ from chainwaves.verify import (
     CHECKS,
     _Normals,
     _split_inverse_constants,
-    random_band_limited,
     random_band_limited_rows,
     unimodality_defect,
 )
+from conftest import random_band_limited
 
 
 def _apply(symbol, f):
@@ -201,12 +201,12 @@ def test_averaging_direct_constant_and_mode(grid1):
 
 
 def test_averaging_direct_matches_symbol_on_profile(model1, grid1):
-    # a block of columns averaged with one window, each column as if alone
+    # a block of rows averaged with one window, each row as if alone
     w0 = cw.kdv_profile(model1, grid1).values
-    block = np.column_stack([w0, w0 * w0])
+    block = np.array([w0, w0 * w0])
     for eta in (0.4, 0.1):
         direct = cw.averaging_direct(grid1, eta, block)
-        assert np.max(np.abs(direct[:, 1] - cw.averaging_direct(grid1, eta, block[:, 1]))) < 1e-15
+        assert np.max(np.abs(direct[1] - cw.averaging_direct(grid1, eta, block[1]))) < 1e-15
         symbol_route = cw.apply_symbol(block, cw.averaging_symbol(grid1, eta))
         assert np.max(np.abs(symbol_route - direct)) < 1e-12
 

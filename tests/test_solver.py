@@ -13,8 +13,8 @@ import chainwaves as cw
 from chainwaves import lattice, solver
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
-from chainwaves.verify import CHECKS, random_band_limited, unimodality_defect
-from conftest import project_even
+from chainwaves.verify import CHECKS, unimodality_defect
+from conftest import project_even, random_band_limited
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +31,9 @@ def test_config_validation():
         cw.SolveConfig(epsilon=0.1, damping=0.0)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.1, max_iterations=0)
-    # a NaN tol_residual used to switch the final residual gate off
     for bad in (math.nan, math.inf):
-        for name in ("tol", "tol_residual"):
-            with pytest.raises(ValueError, match="finite"):
-                cw.SolveConfig(epsilon=0.1, **{name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            cw.SolveConfig(epsilon=0.1, tol=bad)
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match="max_iterations"):
             cw.SolveConfig(epsilon=0.1, max_iterations=bad)
@@ -405,7 +403,7 @@ def test_eigen_identity_tracks_solver_tolerance(model1, grid1):
     loose = cw.solve_wave(
         model1,
         grid1,
-        cw.SolveConfig(epsilon=0.2, tol=1e-6, tol_residual=1e-3),
+        cw.SolveConfig(epsilon=0.2, tol=1e-6),
     )
     assert cw.eigen_identity_check(loose) > cw.eigen_identity_check(tight)
 
