@@ -1,14 +1,16 @@
 """Command line front end: config ingestion, dispatch, serialized reports.
 
 Configs are strict JSON; unknown keys are errors, since silent typos in
-coefficient lists are the dominant user hazard. This module checks the JSON
-shapes and types, a nonempty ``epsilon_list`` (two entries for a sweep), a
+coefficient lists are the dominant user hazard. The ``solver`` section takes
+``epsilon`` or ``epsilon_list``, and ``damping``; the tolerances and the
+iteration budget are solver constants. This module checks the JSON shapes
+and types, a nonempty ``epsilon_list`` (two entries for a sweep), a
 positive ``sim.horizon`` and ``sim.max_transport_error``, and the output
 format. Every other rule is kept by the type that uses it, and its
-``ValueError`` becomes a config error: ``SolveConfig`` the ranges of epsilon,
-``tol``, ``max_iter`` and ``damping``; ``ChainModel`` and ``PsiFamily`` the
-coefficients; ``make_grid`` the grid; ``lattice.check_chain`` J > 8M and the
-dt guard; ``convergence_sweep`` a strictly decreasing ``epsilon_list``.
+``ValueError`` becomes a config error: ``SolveConfig`` the ranges of epsilon
+and ``damping``; ``ChainModel`` and ``PsiFamily`` the coefficients;
+``make_grid`` the grid; ``lattice.check_chain`` J > 8M and the dt guard;
+``convergence_sweep`` a strictly decreasing ``epsilon_list``.
 Reports are written from the result dataclasses and are byte-stable across
 repeated runs with the same config.
 
@@ -170,7 +172,7 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    section = _object(data["solver"], "solver", "epsilon epsilon_list tol max_iter damping")
+    section = _object(data["solver"], "solver", "epsilon epsilon_list damping")
     epsilon_list = section.get("epsilon_list")
     if (section.get("epsilon") is None) == (epsilon_list is None):
         raise ConfigError("solver needs exactly one of epsilon or epsilon_list")
@@ -182,14 +184,9 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"{where} must be a nonempty list, got {epsilon_list!r}")
         epsilon_list = tuple(_epsilon(e, f"{where} entry") for e in epsilon_list)
         epsilon = epsilon_list[0]
-    names = {"tol": "tol", "max_iter": "max_iterations", "damping": "damping"}
-    controls = {
-        names[key]: _number(value, f"solver.{key}", int if key == "max_iter" else float)
-        for key, value in section.items()
-        if key in names
-    }
+    damping = _number(section.get("damping", SolveConfig.damping), "solver.damping")
     try:
-        solver = SolveConfig(epsilon, **controls)
+        solver = SolveConfig(epsilon, damping)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 

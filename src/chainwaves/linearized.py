@@ -21,9 +21,10 @@ max(129, m) cosine modes, m the rung that certified sigma_min below, and
 B_eps^{-1} on the rest. P is nearly L^{-1}, so x += P (g - L x) contracts.
 ``solve`` takes and returns cosine coordinates and corrects until the plain
 residual ||L x - g||_2, one application in coordinates and by Parseval the
-grid residual, is within the absolute budget tol max(1, ||G||). That
-residual is the certificate; a correction that does not halve it raises. On
-the default domain a corrector step takes one correction.
+grid residual, is within the absolute budget TOL max(1, ||G||), with the
+constant TOL = 1e-12 that also ends the corrector's iteration. That
+residual is the certificate; a correction that does not halve it raises.
+On the default domain a corrector step takes one correction.
 
 sigma_min is the eigenvalue nearest 0, found by the two-level scheme of Xu &
 Zhou (Math. Comp. 70, 2001) with the Galerkin coarse space of the first m
@@ -60,6 +61,7 @@ __all__ = ["LinearizedOperator", "linearized_operator", "cosine_scale", "even_co
            "even_synthesis"]
 
 NEAR_SINGULAR_THRESHOLD = 1e-8
+TOL = 1e-12  # relative budget of each linear solve and of the corrector's increments
 _COARSE_MODES = (97, 129, 257, 513, 1025)  # sigma_min's leading-block ladder, capped at N/2 + 1
 _PRECONDITIONER_MODES = 129  # least preconditioner block: 97 modes doubled the corrections
 _CERTIFICATE = 1e-8  # relative residual and eigenvalue gap that accept a rung
@@ -248,13 +250,13 @@ class LinearizedOperator:
         """sigma_min of L_eps on the even subspace (its eigenvalue nearest 0)."""
         return self._coarse_eigenpairs[0]
 
-    def solve(self, g: NDArray, tol: float = 1e-12) -> NDArray[np.float64]:
+    def solve(self, g: NDArray) -> NDArray[np.float64]:
         """Solve L_eps V = G on the even subspace to a verified residual.
 
         G is given and V returned in the cosine coordinates of
         ``even_coefficients``. The solve is defect correction with the
         preconditioner P: x = P g, then x += P r while the residual
-        r = g - L x exceeds the budget ``tol * max(1, ||G||_2)``. Each
+        r = g - L x exceeds the budget ``TOL * max(1, ||G||_2)``. Each
         residual, one application in coordinates and by Parseval the grid
         residual, certifies its iterate, so the last one is the certificate.
         Raises ``NearSingularError`` when the operator leaves its
@@ -271,7 +273,7 @@ class LinearizedOperator:
                 f"{NEAR_SINGULAR_THRESHOLD:g}"
             )
         previous = float(np.linalg.norm(g))
-        budget = tol * max(1.0, previous)
+        budget = TOL * max(1.0, previous)
         x = self._preconditioner(g)
         residual = g - self._apply_even(x)
         norm = float(np.linalg.norm(residual))

@@ -14,9 +14,10 @@ the quadratic defect at w0. The paper's map
 
 is iterated on the cosine coordinates of v from v = 0, with optional
 damping: R once per solve, and each step's eps^2 Q[v] + P_eps[w0 + eps^2 v]
-from averages, so no O(1) term cancels in a step. It stops on small
-increments or at the first non-finite one, and a traveling-wave residual
-check is mandatory before a solve is reported as successful.
+from averages, so no O(1) term cancels in a step. It stops once an increment
+is within TOL max(1, ||v||), at the first non-finite one, or after
+``MAX_ITERATIONS`` steps, and a traveling-wave residual check is mandatory
+before a solve is reported as successful.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ChainwavesError, CurvatureWarning, EmptyWindowError, NoConvergenceError
 from .grid import GridFunction, SpectralGrid, derivative, l2_norm, sup_norm
-from .linearized import LinearizedOperator, cosine_scale, even_synthesis, linearized_operator
+from .linearized import TOL, LinearizedOperator, cosine_scale, even_synthesis, linearized_operator
 from .model import ChainModel, kdv_profile, psi_rows, tw_defect_spectrum, tw_residual
 from .operators import averaging_stack
 
@@ -43,17 +44,19 @@ __all__ = [
 
 _EPSILON_MIN = sys.float_info.min**0.25  # the least epsilon whose eps^4 is a normal float
 TOL_RESIDUAL = 1e-9  # the mandatory final traveling-wave residual gate of every solve
+MAX_ITERATIONS = 200  # the corrector's budget of map steps
+_TAIL_LOWER, _TAIL_UPPER = 1e-8, 1e-4  # the fit window of measure_tail_decay
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration controls for one corrector solve.
+    """The epsilon and damping of one corrector solve.
 
-    ``tol`` bounds the relative corrector increment and each linear solve's
-    residual. The final traveling-wave residual must reach ``TOL_RESIDUAL``;
-    an iteration that stagnates short of it is reported as failed rather
-    than returned silently. The defect is scaled by eps^-4, so epsilon
-    starts where eps^4 is a normal float.
+    ``TOL``, ``MAX_ITERATIONS`` and ``TOL_RESIDUAL`` are constants. The
+    final traveling-wave residual must reach ``TOL_RESIDUAL``; an iteration
+    that stagnates short of it is reported as failed rather than returned
+    silently. The defect is scaled by eps^-4, so epsilon starts where eps^4
+    is a normal float.
 
     v is not trusted below epsilon 1e-4, since R carries round-off of about
     eps_mach/eps^2: on M2, ||v|| reads 0.0423646 at 1e-4, 0.0423694 at 1e-5
@@ -61,18 +64,11 @@ class SolveConfig:
     """
 
     epsilon: float
-    tol: float = 1e-12
-    max_iterations: int = 200
     damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not _EPSILON_MIN <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [{_EPSILON_MIN:.3g}, 1], got {self.epsilon}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        count = self.max_iterations
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"max_iterations must be an integer of at least 1, got {count!r}")
         if not 0 < self.damping <= 1:
             raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
@@ -139,7 +135,6 @@ def fixed_point_map(
     eps: float,
     v: np.ndarray,
     *,
-    tol: float = 1e-12,
     operator: LinearizedOperator | None = None,
     residual: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -165,26 +160,24 @@ def fixed_point_map(
     if model.psi.kind != "none":
         w_spectrum = operator.w0_spectrum.real + eps**2 * spectrum
         rows += (1.0 / eps**2) * psi_rows(model, eps, stack.average(w_spectrum))
-    return operator.solve(residual + scale * stack.adjoint_sum(rows).real, tol)
+    return operator.solve(residual + scale * stack.adjoint_sum(rows).real)
 
 
-def measure_tail_decay(w: GridFunction, lower: float = 1e-8, upper: float = 1e-4) -> float:
+def measure_tail_decay(w: GridFunction) -> float:
     """Exponential decay rate from a log-linear fit on the right tail.
 
-    Fits log w against x over the window where lower < w < upper and x > 0,
+    Fits log w against x over the window where 1e-8 < w < 1e-4 and x > 0,
     returning the positive rate. Raises ``EmptyWindowError`` when fewer than
-    two samples qualify. The default ``lower`` keeps round-off in w out of
-    the fit: an ulp-level change of a solved profile moves the rate by up
-    to ~2e-8 relative with the window down to 1e-10, and by ~1e-9 with the
+    two samples qualify. The floor 1e-8 keeps round-off in w out of the
+    fit: an ulp-level change of a solved profile moves the rate by up to
+    ~2e-8 relative with the window down to 1e-10, and by ~1e-9 with the
     window down to 1e-8.
     """
     x = w.grid.nodes
     values = w.values
-    mask = (x > 0) & (values > lower) & (values < upper)
+    mask = (x > 0) & (values > _TAIL_LOWER) & (values < _TAIL_UPPER)
     if int(np.count_nonzero(mask)) < 2:
-        raise EmptyWindowError(
-            f"no tail samples with {lower:g} < w < {upper:g} on x > 0"
-        )
+        raise EmptyWindowError(f"no tail samples with {_TAIL_LOWER:g} < w < {_TAIL_UPPER:g} on x > 0")
     return -_line_slope(x[mask], np.log(values[mask]))
 
 
@@ -221,7 +214,7 @@ def solve_wave(
     """Iterate the corrector map from v = 0 until the increments stall.
 
     Deterministic: identical configurations produce bit-identical results.
-    Raises ``NoConvergenceError`` when the iteration budget runs out or the
+    Raises ``NoConvergenceError`` when ``MAX_ITERATIONS`` steps run out or the
     final traveling-wave residual misses ``TOL_RESIDUAL``, and
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
     Overflow and invalid warnings are off: the loop ends at a non-finite
@@ -240,11 +233,9 @@ def _solve_wave(
     if residual is None:
         residual = _quadratic_residual(operator)
     v = np.zeros(grid.num_points // 2 + 1)
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            image = fixed_point_map(
-                model, grid, eps, v, tol=config.tol, operator=operator, residual=residual
-            )
+            image = fixed_point_map(model, grid, eps, v, operator=operator, residual=residual)
             if config.damping < 1.0:
                 image = (1.0 - config.damping) * v + config.damping * image
             increment = float(np.linalg.norm(image - v))
@@ -254,12 +245,12 @@ def _solve_wave(
                 f"{iterations} (eps = {eps:g})"
             )
         v = image
-        if increment <= config.tol * max(1.0, float(np.linalg.norm(v))):
+        if increment <= TOL * max(1.0, float(np.linalg.norm(v))):
             break
     else:
         raise NoConvergenceError(
             f"fixed point increments at {increment:.3e} after "
-            f"{config.max_iterations} iterations (eps = {eps:g})"
+            f"{MAX_ITERATIONS} iterations (eps = {eps:g})"
         )
     v = even_synthesis(grid, v)
     w = operator.w0 + eps**2 * v
@@ -336,10 +327,13 @@ def convergence_sweep(
 ) -> list[SweepRow]:
     """Solve along a decreasing epsilon schedule and tabulate error orders.
 
-    Each row reports distances to the limiting profile, the empirical order
-    between consecutive rows, and per-solve diagnostics. Rows whose solve
-    fails carry the error name instead of aborting the sweep; order entries
-    are absent on the first row and next to failed rows.
+    Each row solves with ``config`` whose epsilon is replaced by the row's
+    entry of ``epsilon_list``, and reports distances to the limiting profile,
+    the empirical order between consecutive rows, and per-solve diagnostics.
+    Rows whose solve fails carry the error name instead of aborting the
+    sweep; order entries are absent on the first row and next to failed
+    rows. The curvature warnings of a row's residuals and solve are merged
+    into one, as in ``solve_wave``.
     """
     eps_values = [float(e) for e in epsilon_list]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
@@ -348,22 +342,22 @@ def convergence_sweep(
     rows: list[SweepRow] = []
     previous: tuple[float, float, float] | None = None
     for eps in eps_values:
-        row_config = replace(config, epsilon=eps)
-        r, s = residuals(model, grid, eps)
-        rs_norm = float(np.linalg.norm(r)) + float(np.linalg.norm(s))
-        del s
-        try:
-            solution = solve_wave(model, grid, row_config, _residual=r)
-        except ChainwavesError as exc:
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    residual_norm_rs=rs_norm,
-                    error=type(exc).__name__.removesuffix("Error"),
+        with _one_curvature_warning():
+            r, s = residuals(model, grid, eps)
+            rs_norm = float(np.linalg.norm(r)) + float(np.linalg.norm(s))
+            del s
+            try:
+                solution = solve_wave(model, grid, replace(config, epsilon=eps), _residual=r)
+            except ChainwavesError as exc:
+                rows.append(
+                    SweepRow(
+                        epsilon=eps,
+                        residual_norm_rs=rs_norm,
+                        error=type(exc).__name__.removesuffix("Error"),
+                    )
                 )
-            )
-            previous = None
-            continue
+                previous = None
+                continue
         l2_err = l2_norm(solution.w - w0)
         sup_err = sup_norm(solution.w - w0)
         order_l2 = order_sup = None

@@ -31,10 +31,10 @@ def op1_limit(model1, grid1):
     return linearized_operator(model1, grid1, 0.0)
 
 
-def solve_on_grid(operator, g, tol=1e-12):
+def solve_on_grid(operator, g):
     """``solve`` for a right-hand side on the grid, its solution synthesized
     back on the grid."""
-    return even_synthesis(operator.grid, operator.solve(even_coefficients(g), tol))
+    return even_synthesis(operator.grid, operator.solve(even_coefficients(g)))
 
 
 def coupling(operator, v):
@@ -414,8 +414,8 @@ def test_chord_solves_certify_on_first_run(
     solves = []
     solve = LinearizedOperator.solve
 
-    def recorded(self, g, tol=1e-12):
-        x = solve(self, g, tol)
+    def recorded(self, g):
+        x = solve(self, g)
         solves.append((self, g, x))
         return x
 
@@ -437,7 +437,7 @@ def test_chord_solves_certify_on_first_run(
         if n > 1024:
             return  # the dense matrix at N = 16384 would take 0.5 GB
 
-        def dense(self, g, tol=1e-12):
+        def dense(self, g):
             return np.linalg.solve(self.even_matrix(), g)
 
         monkeypatch.setattr(LinearizedOperator, "solve", dense)
@@ -634,22 +634,22 @@ def test_solve_zero_and_manufactured(op1_limit, grid1, rng):
     assert np.max(np.abs(op1_limit.solve(zero))) == 0.0
     target = random_band_limited(grid1, 20.0, rng, parity="even", decay=0.5)
     rhs = op1_limit.apply_l(target)
-    recovered = solve_on_grid(op1_limit, rhs, tol=1e-12)
+    recovered = solve_on_grid(op1_limit, rhs)
     assert cw.l2_norm(recovered - target) <= 1e-8 * cw.l2_norm(target)
 
 
 def test_solve_contract_residual(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
-    tol = 1e-12
-    v = solve_on_grid(op1, g, tol)
-    assert cw.l2_norm(op1.apply_l(v) - g) <= tol * max(1.0, cw.l2_norm(g)) + 1e-13
+    v = solve_on_grid(op1, g)
+    assert cw.l2_norm(op1.apply_l(v) - g) <= linearized.TOL * max(1.0, cw.l2_norm(g)) + 1e-13
     assert cw.evenness_defect(v) <= 1e-13 * max(1.0, cw.sup_norm(v))
 
 
-def test_solve_unreachable_tolerance_raises(op1, grid1, rng):
+def test_solve_unreachable_tolerance_raises(op1, grid1, rng, monkeypatch):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
+    monkeypatch.setattr(linearized, "TOL", 1e-20)
     with pytest.raises(cw.NoConvergenceError):
-        op1.solve(even_coefficients(g), tol=1e-20)
+        op1.solve(even_coefficients(g))
 
 
 @pytest.mark.parametrize("low_block", ["none", "absolute"])

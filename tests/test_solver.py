@@ -3,14 +3,14 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves import lattice, solver
+from chainwaves import lattice, linearized, solver
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
 from chainwaves.verify import CHECKS, unimodality_defect
@@ -23,21 +23,15 @@ def solution1(model1, grid1):
 
 
 def test_config_validation():
+    # epsilon and damping are the only settings; the tolerances and the
+    # iteration budget are solver constants
+    assert [field.name for field in fields(cw.SolveConfig)] == ["epsilon", "damping"]
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.1, damping=0.0)
-    with pytest.raises(ValueError):
-        cw.SolveConfig(epsilon=0.1, max_iterations=0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            cw.SolveConfig(epsilon=0.1, tol=bad)
-    for bad in (2.5, True, "3"):
-        with pytest.raises(ValueError, match="max_iterations"):
-            cw.SolveConfig(epsilon=0.1, max_iterations=bad)
-    assert cw.SolveConfig(epsilon=0.1, max_iterations=np.int64(3)).max_iterations == 3
 
 
 def test_config_rejects_subnormal_fourth_power():
@@ -117,9 +111,7 @@ def test_fixed_point_property(model1, grid1, solution1):
     v = even_coefficients(solution1.v)
     image = cw.fixed_point_map(model1, grid1, solution1.epsilon, v)
     gap = float(np.linalg.norm(image - v))
-    assert gap <= 10 * cw.SolveConfig(epsilon=0.2).tol * max(
-        1.0, cw.l2_norm(solution1.v)
-    )
+    assert gap <= 10 * linearized.TOL * max(1.0, cw.l2_norm(solution1.v))
 
 
 def test_fixed_point_contraction(model1, grid1):
@@ -261,7 +253,7 @@ def test_diverging_solve_fails_typed(n, damping):
     # instead of running its budget on NaN or passing an infinite ||v||
     model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
     grid = cw.make_grid(cw.default_half_length(model), n)
-    config = cw.SolveConfig(epsilon=1.0, damping=damping, max_iterations=40)
+    config = cw.SolveConfig(epsilon=1.0, damping=damping)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cw.CurvatureWarning)
         with pytest.raises(cw.NoConvergenceError, match="non-finite"):
@@ -319,8 +311,10 @@ def test_solve_wave_deterministic(model1, grid1):
 
 
 def test_solve_wave_no_convergence_budget(model1, grid1):
-    with pytest.raises(cw.NoConvergenceError):
-        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2, max_iterations=2))
+    # M1 at eps 1.0 with damping 1.0 stalls near an increment of 3.6e-11,
+    # above its TOL budget, and runs out of steps
+    with pytest.raises(cw.NoConvergenceError, match=f"after {solver.MAX_ITERATIONS} iterations"):
+        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=1.0))
 
 
 def _recorded(call):
@@ -332,11 +326,11 @@ def _recorded(call):
 
 
 def test_solve_wave_warns_about_curvature_once():
-    # M1-toda at eps 1.0 leaves |r| <= 1 on several iterations, each time
-    # with another |r|; the solve reports only the largest
+    # M1-toda at eps 1.0 leaves |r| <= 1 on several of its 200 iterations,
+    # each time with another |r|; the solve reports only the largest
     model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
     grid = cw.make_grid(cw.default_half_length(model), 1024)
-    config = cw.SolveConfig(epsilon=1.0, max_iterations=5)
+    config = cw.SolveConfig(epsilon=1.0)
     raw = _recorded(lambda: solver._solve_wave(model, grid, config))
     assert len({str(w.message) for w in raw}) > 1
     merged = _recorded(lambda: cw.solve_wave(model, grid, config))
@@ -398,13 +392,13 @@ def test_eigen_identity_trivial_wave(model1, grid1):
     assert cw.eigen_identity_check(trivial) == 0.0
 
 
-def test_eigen_identity_tracks_solver_tolerance(model1, grid1):
-    tight = cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2))
-    loose = cw.solve_wave(
-        model1,
-        grid1,
-        cw.SolveConfig(epsilon=0.2, tol=1e-6),
-    )
+def test_eigen_identity_tracks_solver_tolerance(model1, grid1, monkeypatch):
+    config = cw.SolveConfig(epsilon=0.2)
+    tight = cw.solve_wave(model1, grid1, config)
+    # the one tolerance of the increments and the linear solves, loosened
+    for module in (linearized, solver):
+        monkeypatch.setattr(module, "TOL", 1e-6)
+    loose = cw.solve_wave(model1, grid1, config)
     assert cw.eigen_identity_check(loose) > cw.eigen_identity_check(tight)
 
 
@@ -534,11 +528,23 @@ def test_convergence_sweep_rejects_increasing(model1, grid1):
 
 
 def test_convergence_sweep_partial_failure(model1, grid1):
-    # a failing row is marked and the sweep continues
-    config = cw.SolveConfig(epsilon=0.4, max_iterations=2)
-    rows = cw.convergence_sweep(model1, grid1, (0.4, 0.2), config)
-    assert rows[0].error == "NoConvergence" and rows[1].error == "NoConvergence"
-    good = cw.convergence_sweep(
-        model1, grid1, (0.4, 0.2), replace(config, max_iterations=100)
-    )
-    assert all(row.error is None for row in good)
+    # a failing row is marked and the sweep continues: M1 runs out of steps
+    # at eps 1.0 and solves at 0.4
+    rows = cw.convergence_sweep(model1, grid1, (1.0, 0.4), cw.SolveConfig(epsilon=1.0))
+    assert [row.error for row in rows] == ["NoConvergence", None]
+    assert rows[0].residual_norm_rs > 0.0 and rows[0].iterations is None
+    assert rows[1].iterations > 0 and rows[1].tw_residual <= solver.TOL_RESIDUAL
+    assert rows[1].order_l2 is None  # no order next to a failed row
+
+
+def test_convergence_sweep_warns_about_curvature_once_per_row():
+    # each row's residuals and solve push |r| above 1 at several places; the
+    # sweep reports only the largest |r| of each row
+    model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    schedule = (1.0, 0.9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = cw.convergence_sweep(model, grid, schedule, cw.SolveConfig(epsilon=1.0))
+    assert [row.error for row in rows] == ["NoConvergence"] * len(schedule)
+    assert [w.category for w in caught] == [cw.CurvatureWarning] * len(schedule)
