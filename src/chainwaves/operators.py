@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -195,12 +196,17 @@ def b0_symbol(model: "ChainModel", k):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=16)
 def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
     """Read-only symbol of B_eps on ``grid.half_wavenumbers``, B_0 at eps = 0;
-    cached: L_eps reads it at every corrector step."""
-    k = grid.half_wavenumbers
-    symbol = np.asarray(b_symbol(model, eps, k) if eps else b0_symbol(model, k))
+    cached on (alpha, grid, eps), all it reads, so a model and its psi-free
+    copy share it: L_eps reads it at every corrector step."""
+    return _b_diagonal(model.alpha, grid, eps)
+
+
+@lru_cache(maxsize=16)
+def _b_diagonal(alpha: tuple, grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
+    k, coefficients = grid.half_wavenumbers, SimpleNamespace(alpha=alpha)
+    symbol = np.asarray(b_symbol(coefficients, eps, k) if eps else b0_symbol(coefficients, k))
     symbol.flags.writeable = False
     return symbol
 

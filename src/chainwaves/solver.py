@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ChainwavesError, CurvatureWarning, EmptyWindowError, NoConvergenceError
 from .grid import GridFunction, SpectralGrid, derivative, l2_norm, sup_norm
 from .linearized import TOL, LinearizedOperator, cosine_scale, even_synthesis, linearized_operator
-from .model import ChainModel, kdv_profile, psi_rows, tw_defect_spectrum, tw_residual
+from .model import ChainModel, PsiFamily, kdv_profile, psi_rows, tw_defect_spectrum, tw_residual
 from .operators import averaging_stack
 
 __all__ = [
@@ -114,13 +114,15 @@ def _quadratic_residual(operator: LinearizedOperator) -> np.ndarray:
     return (-1.0 / eps**2) * cosine_scale(grid) * defect.real
 
 
-def residuals(model: ChainModel, grid: SpectralGrid, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def residuals(
+    model: ChainModel, grid: SpectralGrid, eps: float, *, _operator=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Cosine coordinates (r, s) of R_eps = (Q_eps[w0] - B_eps w0)/eps^2 and
     S_eps = P_eps[w0], both from the averages A_{m eps} w0; s is 0 for
-    psi = none."""
+    psi = none. ``_operator``: a sweep row's uncached L_eps."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    operator = linearized_operator(model, grid, eps)
+    operator = _operator or linearized_operator(model, grid, eps)
     s = np.zeros(grid.num_points // 2 + 1)
     if model.psi.kind != "none":
         stack = averaging_stack(grid, eps, model.neighbor_range)
@@ -209,7 +211,7 @@ def _one_curvature_warning():
 
 
 def solve_wave(
-    model: ChainModel, grid: SpectralGrid, config: SolveConfig, *, _residual=None
+    model: ChainModel, grid: SpectralGrid, config: SolveConfig, *, _residual=None, _operator=None
 ) -> WaveSolution:
     """Iterate the corrector map from v = 0 until the increments stall.
 
@@ -219,17 +221,19 @@ def solve_wave(
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
     Overflow and invalid warnings are off: the loop ends at a non-finite
     increment. The curvature warnings of its defect evaluations are merged
-    into one, the one with the largest |r|. ``_residual``: a sweep row's R.
+    into one, the one with the largest |r|. L_eps comes from the
+    ``linearized_operator`` cache; ``_residual`` and ``_operator``: a sweep
+    row's R and its uncached L_eps.
     """
     with _one_curvature_warning():
-        return _solve_wave(model, grid, config, _residual)
+        return _solve_wave(model, grid, config, _residual, _operator)
 
 
 def _solve_wave(
-    model: ChainModel, grid: SpectralGrid, config: SolveConfig, residual=None
+    model: ChainModel, grid: SpectralGrid, config: SolveConfig, residual=None, operator=None
 ) -> WaveSolution:
     eps = config.epsilon
-    operator = linearized_operator(model, grid, eps)
+    operator = operator or linearized_operator(model, grid, eps)
     if residual is None:
         residual = _quadratic_residual(operator)
     v = np.zeros(grid.num_points // 2 + 1)
@@ -333,21 +337,25 @@ def convergence_sweep(
     Rows whose solve fails carry the error name instead of aborting the
     sweep; order entries are absent on the first row and next to failed
     rows. The curvature warnings of a row's residuals and solve are merged
-    into one, as in ``solve_wave``.
+    into one, as in ``solve_wave``. Each row builds its own L_eps, outside
+    the ``linearized_operator`` cache, so a sweep holds one at a time.
     """
     eps_values = [float(e) for e in epsilon_list]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("epsilon_list must be strictly decreasing")
     w0 = kdv_profile(model, grid)
+    psi_free = replace(model, psi=PsiFamily())
     rows: list[SweepRow] = []
     previous: tuple[float, float, float] | None = None
     for eps in eps_values:
+        operator = LinearizedOperator(psi_free, grid, eps, w0)
         with _one_curvature_warning():
-            r, s = residuals(model, grid, eps)
+            r, s = residuals(model, grid, eps, _operator=operator)
             rs_norm = float(np.linalg.norm(r)) + float(np.linalg.norm(s))
             del s
             try:
-                solution = solve_wave(model, grid, replace(config, epsilon=eps), _residual=r)
+                config_eps = replace(config, epsilon=eps)
+                solution = solve_wave(model, grid, config_eps, _residual=r, _operator=operator)
             except ChainwavesError as exc:
                 rows.append(
                     SweepRow(

@@ -661,6 +661,16 @@ def test_b_diagonal_is_the_b_symbol_cached_read_only(model2, grid2, eps):
         symbol[0] = 2.0
 
 
+def test_b_diagonal_is_cached_per_alpha(model2_cubic):
+    # B_eps reads only alpha: a solve with psi not none keeps one array,
+    # shared by the defect of the model and its psi-free L_eps
+    grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
+    operators._b_diagonal.cache_clear()
+    cw.linearized_operator.cache_clear()
+    cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=0.1))
+    assert operators._b_diagonal.cache_info().currsize == 1
+
+
 def test_defect_and_linearized_operator_read_one_b_symbol(model2, grid2, monkeypatch):
     # B_eps of the psi-free model is built once: the defect and L_eps read the
     # same array object

@@ -1,7 +1,9 @@
 """Residuals, corrector fixed point, wave solves, diagnostics, sweeps."""
 
+import gc
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
-from chainwaves import lattice, linearized, solver
+from chainwaves import lattice, linearized, operators, solver
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
 from chainwaves.solver import SolveDiagnostics
 from chainwaves.verify import CHECKS, unimodality_defect
@@ -243,6 +245,24 @@ def test_solve_wave_matches_the_toda_wave(eps, n):
     solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
     exact = _toda_wave(grid.nodes, eps)
     assert np.max(np.abs(solution.w.values - exact)) <= 1e-11 * np.max(exact)
+
+
+@pytest.mark.parametrize(
+    ("psi", "a", "b", "c"),
+    [(cw.PsiFamily(), 12 / 5, -9 / 4, 3 / 5), (cw.PsiFamily.toda_remainder((1.0,)), 3 / 10, -9 / 4, 6 / 5)],
+)
+def test_corrector_matches_the_rational_v0(psi, a, b, c):
+    # the eps^2 term in closed form, v0 = a sech^2 y + b sech^4 y + c y tanh y
+    # sech^2 y at y = sqrt(d1) x / 2, on M1 and on the Toda chain (alpha 1,
+    # beta 1/2): a default solve at eps 1e-3 meets it to 1.1e-6 and 7.8e-7 of
+    # its peak
+    model = cw.ChainModel((1.0,), (1.0,) if psi.kind == "none" else (0.5,), psi)
+    grid = cw.make_grid(cw.default_half_length(model), 2048)
+    solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1e-3))
+    y = 0.5 * math.sqrt(model.d1) * grid.nodes
+    sech2 = 1.0 / np.cosh(y) ** 2
+    v0 = (a + b * sech2 + c * y * np.tanh(y)) * sech2
+    assert np.max(np.abs(solution.v.values - v0)) <= 1e-5 * np.max(np.abs(v0))
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -548,3 +568,65 @@ def test_convergence_sweep_warns_about_curvature_once_per_row():
         rows = cw.convergence_sweep(model, grid, schedule, cw.SolveConfig(epsilon=1.0))
     assert [row.error for row in rows] == ["NoConvergence"] * len(schedule)
     assert [w.category for w in caught] == [cw.CurvatureWarning] * len(schedule)
+
+
+def _clear_symbol_and_operator_caches():
+    for cache in (linearized_operator, operators.averaging_stack, operators.averaging_symbol,
+                  operators._b_diagonal):
+        cache.cache_clear()
+
+
+def _traced_after(*calls) -> list[int]:
+    """Traced bytes still allocated after each of ``calls``, run in turn in
+    one tracing session."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = []
+        for call in calls:
+            call()
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+        return kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_sweep_keeps_no_operator(model2_cubic):
+    # each row's L_eps is built outside the linearized_operator cache and
+    # dropped when the next row starts: a 6-row sweep keeps less than one
+    # cached operator's footprint more than a 2-row sweep. Measured after a
+    # warm-up sweep, which takes the first call's imports out: 120 against
+    # 47 kB kept, where an operator holds 189 kB and the cache kept 1255
+    # against 425 kB; the rest is the symbol caches of the extra rows
+    grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
+    schedule = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025)
+    config = cw.SolveConfig(epsilon=0.4)
+    cw.convergence_sweep(model2_cubic, grid, schedule[:2], config)
+    linearized_operator.cache_clear()
+    held, left = _traced_after(
+        lambda: cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=0.15)),
+        linearized_operator.cache_clear,
+    )
+    kept = []
+    for rows in (2, 6):
+        _clear_symbol_and_operator_caches()
+        kept += _traced_after(lambda: cw.convergence_sweep(model2_cubic, grid, schedule[:rows], config))
+        assert linearized_operator.cache_info().currsize == 0
+    assert kept[1] - kept[0] < held - left
+
+
+def test_convergence_sweep_rows_equal_cached_solves(model2_cubic):
+    # the sweep's private operator path (psi not none) gives each row exactly
+    # the diagnostics of a cold solve_wave through the cache at its eps
+    grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
+    w0 = cw.kdv_profile(model2_cubic, grid)
+    linearized_operator.cache_clear()
+    rows = cw.convergence_sweep(model2_cubic, grid, (0.4, 0.2, 0.1, 0.05), cw.SolveConfig(epsilon=0.4))
+    for row in rows:
+        linearized_operator.cache_clear()
+        solution = cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=row.epsilon))
+        d = solution.diagnostics
+        assert (row.iterations, row.tw_residual, row.sigma_min, row.l2_error) == (
+            d.iterations, d.tw_residual, d.sigma_min, cw.l2_norm(solution.w - w0)
+        )
