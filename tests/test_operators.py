@@ -666,7 +666,6 @@ def test_b_diagonal_is_cached_per_alpha(model2_cubic):
     # shared by the defect of the model and its psi-free L_eps
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     operators._b_diagonal.cache_clear()
-    cw.linearized_operator.cache_clear()
     cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=0.1))
     assert operators._b_diagonal.cache_info().currsize == 1
 

@@ -248,15 +248,16 @@ def test_solve_wave_matches_the_toda_wave(eps, n):
 
 
 @pytest.mark.parametrize(
-    ("psi", "a", "b", "c"),
-    [(cw.PsiFamily(), 12 / 5, -9 / 4, 3 / 5), (cw.PsiFamily.toda_remainder((1.0,)), 3 / 10, -9 / 4, 6 / 5)],
+    ("beta", "psi", "a", "b", "c"),
+    [(1.0, cw.PsiFamily(), 12 / 5, -9 / 4, 3 / 5),
+     (0.5, cw.PsiFamily.toda_remainder((1.0,)), 3 / 10, -9 / 4, 6 / 5)],
 )
-def test_corrector_matches_the_rational_v0(psi, a, b, c):
+def test_corrector_matches_the_rational_v0(beta, psi, a, b, c):
     # the eps^2 term in closed form, v0 = a sech^2 y + b sech^4 y + c y tanh y
     # sech^2 y at y = sqrt(d1) x / 2, on M1 and on the Toda chain (alpha 1,
     # beta 1/2): a default solve at eps 1e-3 meets it to 1.1e-6 and 7.8e-7 of
     # its peak
-    model = cw.ChainModel((1.0,), (1.0,) if psi.kind == "none" else (0.5,), psi)
+    model = cw.ChainModel((1.0,), (beta,), psi)
     grid = cw.make_grid(cw.default_half_length(model), 2048)
     solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1e-3))
     y = 0.5 * math.sqrt(model.d1) * grid.nodes
@@ -570,12 +571,6 @@ def test_convergence_sweep_warns_about_curvature_once_per_row():
     assert [w.category for w in caught] == [cw.CurvatureWarning] * len(schedule)
 
 
-def _clear_symbol_and_operator_caches():
-    for cache in (linearized_operator, operators.averaging_stack, operators.averaging_symbol,
-                  operators._b_diagonal):
-        cache.cache_clear()
-
-
 def _traced_after(*calls) -> list[int]:
     """Traced bytes still allocated after each of ``calls``, run in turn in
     one tracing session."""
@@ -603,14 +598,15 @@ def test_convergence_sweep_keeps_no_operator(model2_cubic):
     schedule = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025)
     config = cw.SolveConfig(epsilon=0.4)
     cw.convergence_sweep(model2_cubic, grid, schedule[:2], config)
-    linearized_operator.cache_clear()
     held, left = _traced_after(
         lambda: cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=0.15)),
         linearized_operator.cache_clear,
     )
     kept = []
     for rows in (2, 6):
-        _clear_symbol_and_operator_caches()
+        for cache in (linearized_operator, operators.averaging_stack, operators.averaging_symbol,
+                      operators._b_diagonal):
+            cache.cache_clear()
         kept += _traced_after(lambda: cw.convergence_sweep(model2_cubic, grid, schedule[:rows], config))
         assert linearized_operator.cache_info().currsize == 0
     assert kept[1] - kept[0] < held - left
