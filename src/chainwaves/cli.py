@@ -20,10 +20,10 @@ Exit codes: 0 ok, 1 property/threshold failure, 2 config error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass, replace
+from typing import NoReturn
 
 from .errors import ChainwavesError, ConfigError, WindowOverflowError
 from .grid import SpectralGrid, make_grid
@@ -32,7 +32,10 @@ from .model import ChainModel, PsiFamily, default_half_length
 from .solver import SolveConfig, convergence_sweep, solve_wave
 from .verify import run_verification
 
-__all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_sweep", "cmd_simulate", "cmd_verify", "main"]
+__all__ = [
+    "RunConfig", "load_config", "cmd_solve", "cmd_sweep", "cmd_simulate", "cmd_verify",
+    "CommandLine", "parse_args", "main",
+]
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -390,23 +393,104 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chainwaves",
-        description="Solitary traveling waves for chains with nonlocal interactions",
-    )
-    # one flat parser: every command takes the same five options
-    parser.add_argument("command", choices=tuple(_COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--output", default=None, help="report destination path")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--epsilon", type=float, default=None, help="override solver.epsilon")
-    parser.add_argument("--quiet", action="store_true")
-    return parser
+@dataclass(frozen=True)
+class CommandLine:
+    """A parsed command line: the command and its five options."""
+
+    command: str
+    config: str
+    output: str | None = None
+    format: str | None = None
+    epsilon: float | None = None
+    quiet: bool = False
+
+
+# The command line is one command and five options, parsed by hand:
+# importing argparse and building its first parser (gettext and locale
+# lookups) cost each fresh process more than the parse itself.
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+USAGE = f"""usage: chainwaves [-h] --config CONFIG [--output OUTPUT] [--format {{csv,json}}]
+                  [--epsilon EPSILON] [--quiet]
+                  {_CHOICES}
+"""
+HELP = f"""{USAGE}
+Solitary traveling waves for chains with nonlocal interactions
+
+positional arguments:
+  {_CHOICES}
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON run configuration
+  --output OUTPUT      report destination path
+  --format {{csv,json}}  report format
+  --epsilon EPSILON    override solver.epsilon
+  --quiet              print no summary line
+"""
+_OPTIONS = ("--help", "--config", "--output", "--format", "--epsilon", "--quiet")
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{USAGE}chainwaves: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG_ERROR)
+
+
+def parse_args(argv) -> CommandLine:
+    """The command line ``argv`` without the program name, parsed by hand.
+
+    Words may come in any order. An option is named in full or by a unique
+    prefix, and takes its value as ``--name value`` or ``--name=value``; a
+    next word that starts with ``--`` is no value. A repeated option keeps
+    its last value. ``-h`` or ``--help`` prints ``HELP`` and exits 0; any
+    other fault prints ``USAGE`` and the error to stderr and exits 2, as
+    argparse does.
+    """
+    found: dict = {}
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            if "command" in found:
+                _usage_error(f"unrecognized arguments: {word}")
+            if word not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _usage_error(f"argument command: invalid choice: {word!r} (choose from {choices})")
+            found["command"] = word
+            continue
+        name, equals, value = word.partition("=")
+        matches = ["--help"] if name == "-h" else [o for o in _OPTIONS if o.startswith(name)]
+        if len(matches) != 1:
+            _usage_error(f"unrecognized arguments: {word}")
+        option = matches[0]
+        if option in ("--help", "--quiet"):
+            if equals:
+                _usage_error(f"argument {option}: ignored explicit argument {value!r}")
+            if option == "--help":
+                sys.stdout.write(HELP)
+                raise SystemExit(EXIT_OK)
+            found["quiet"] = True
+            continue
+        if not equals:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                _usage_error(f"argument {option}: expected one argument")
+        if option == "--format" and value not in ("csv", "json"):
+            choices = "(choose from 'csv', 'json')"
+            _usage_error(f"argument --format: invalid choice: {value!r} {choices}")
+        if option == "--epsilon":
+            try:
+                value = float(value)
+            except ValueError:
+                _usage_error(f"argument --epsilon: invalid float value: {value!r}")
+        found[option[2:]] = value
+    required = (("command", "command"), ("--config", "config"))
+    missing = [name for name, key in required if key not in found]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    return CommandLine(**found)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = load_config(args.config)
         if args.epsilon is not None:

@@ -76,10 +76,14 @@ def _one_minus_sinc_sq(z):
     return np.where(small, series, 1.0 - np.asarray(s) ** 2)
 
 
+def _window_symbol(grid: SpectralGrid, eta: float) -> NDArray[np.float64]:
+    return np.asarray(sinc(0.5 * eta * grid.half_wavenumbers))
+
+
 @lru_cache(maxsize=32)
 def averaging_symbol(grid: SpectralGrid, eta: float) -> NDArray[np.float64]:
     """Symbol sinc(eta*k/2) of the width-eta window average on ``grid.half_wavenumbers``."""
-    symbol = np.asarray(sinc(0.5 * eta * grid.half_wavenumbers))
+    symbol = _window_symbol(grid, eta)
     symbol.flags.writeable = False
     return symbol
 
@@ -108,8 +112,10 @@ class AveragingStack:
 
 @lru_cache(maxsize=8)
 def averaging_stack(grid: SpectralGrid, eps: float, count: int) -> AveragingStack:
-    # cached: every corrector step averages with the same stack
-    symbols = np.stack([averaging_symbol(grid, m * eps) for m in range(1, count + 1)])
+    # cached: every corrector step averages with the same stack. The rows are
+    # computed here, bitwise equal to averaging_symbol(grid, m * eps), so the
+    # symbol cache holds no second copy of them
+    symbols = np.stack([_window_symbol(grid, m * eps) for m in range(1, count + 1)])
     symbols.flags.writeable = False
     return AveragingStack(grid, symbols)
 
@@ -123,7 +129,8 @@ def _legendre_rule(count: int) -> NDArray[np.float64]:
     for _ in range(10):  # converges in 4 evaluations for counts 20 to 320
         p0, p1 = np.ones_like(x), x
         for j in range(1, count):
-            p0, p1 = p1, x * p1 + j / (j + 1) * (x * p1 - p0)
+            xp1 = x * p1
+            p0, p1 = p1, xp1 + j / (j + 1) * (xp1 - p0)
         slope = count * (x * p1 - p0) / (x * x - 1.0)
         step = p1 / slope
         x = x - step

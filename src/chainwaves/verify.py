@@ -74,12 +74,27 @@ class _Normals:
         size = int(np.prod(shape))
         z = np.arange(2 * self._drawn + 1, 2 * (self._drawn + size) + 1, dtype=np.uint64)
         self._drawn += size
-        z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(self._seed)
+        # SplitMix64 in place; uint64 products wrap as the hash's do
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self._seed)
+        shifted = np.empty_like(z)
         for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
-        u = (((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(float) + 1.0) * 2.0**-53
-        u1, u2 = u.reshape(-1, 2).T
-        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(shape)
+            np.right_shift(z, np.uint64(shift), out=shifted)
+            z ^= shifted
+            z *= np.uint64(factor)
+        np.right_shift(z, np.uint64(31), out=shifted)
+        z ^= shifted
+        z >>= np.uint64(11)
+        u = z.astype(float)
+        u += 1.0
+        u *= 2.0**-53
+        radius = np.log(u[0::2])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u[1::2] * (2.0 * np.pi)
+        np.cos(angle, out=angle)
+        radius *= angle
+        return radius.reshape(shape)
 
 
 def random_band_limited_rows(

@@ -380,14 +380,38 @@ def test_missing_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["bogus", "--config", "cfg.json"], ["verify"], ["--config", "cfg.json"]]
+    "argv",
+    [
+        ["bogus", "--config", "cfg.json"],
+        ["verify"],
+        ["--config", "cfg.json"],
+        ["verify", "--config"],
+        ["verify", "--config", "--quiet"],
+        ["verify", "--config", "cfg.json", "--bogus"],
+        ["verify", "--config", "cfg.json", "--format", "xml"],
+        ["verify", "--config", "cfg.json", "--epsilon", "abc"],
+        ["verify", "--config", "cfg.json", "--quiet=yes"],
+        ["verify", "solve", "--config", "cfg.json"],
+    ],
 )
 def test_bad_command_line_exits_2(argv, capsys):
-    # an unknown or missing command, or no --config, is argparse's usage error
+    # an unknown, missing or second command, no --config, an option without
+    # its value, an unknown option, and a bad --format or --epsilon value
+    # are usage errors: the usage line on stderr and exit 2, before any
+    # config is read
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2
     assert "usage: chainwaves" in capsys.readouterr().err
+
+
+def test_options_take_equals_form_and_unique_prefixes():
+    # options come in any order, as --name=value or --name value, by a
+    # unique prefix, and a repeated option keeps its last value
+    argv = ["--conf=a.json", "verify", "--out", "r.csv", "--format=json", "--eps=0.1",
+            "--q", "--config", "b.json"]
+    assert cli.parse_args(argv) == cli.CommandLine("verify", "b.json", "r.csv", "json", 0.1, True)
+    assert cli.parse_args(["solve", "--config", "c.json"]) == cli.CommandLine("solve", "c.json")
 
 
 def test_help_lists_the_four_commands(capsys):

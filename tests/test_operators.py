@@ -565,6 +565,17 @@ def test_random_profiles_draw_in_band_modes_only(grid1, parity):
     reference = _Normals(7)
     reference.standard_normal(3 * 2 * modes)
     assert np.array_equal(rng.standard_normal(4), reference.standard_normal(4))
+    # bitwise the rows that slicing one full (3, 2, modes) draw gives: even
+    # reads the real parts, odd the imaginary ones past mode 0, none both
+    draws = _Normals(7).standard_normal((3, 2, modes))
+    coeff = np.zeros((3, len(k)), dtype=complex)
+    if parity != "odd":
+        coeff.real[:, :modes] = draws[:, 0]
+    if parity != "even":
+        coeff.imag[:, 1:modes] = draws[:, 1, 1:]
+    expected = np.fft.irfft(coeff, n=grid1.num_points)
+    expected *= (1.0 / np.sqrt(grid1.spacing * np.sum(expected**2, axis=1)))[:, None]
+    assert np.array_equal(rows, expected)
     single = _Normals(7)
     singles = [random_band_limited(grid1, 30.0, single, parity).values for _ in range(3)]
     assert np.array_equal(rows, singles)

@@ -338,6 +338,20 @@ def test_solve_wave_no_convergence_budget(model1, grid1):
         cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=1.0))
 
 
+def test_solve_wave_that_does_not_contract_spends_the_budget():
+    # with a toda remainder of scale 2, M1's map at eps 1.0 does not
+    # contract: its increments stay O(1) (5.981e-01 at the end), and the
+    # solve ends after all 200 map steps
+    model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        with pytest.raises(cw.NoConvergenceError, match="after 200 iterations") as info:
+            cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1.0))
+    increment = float(str(info.value).split(" at ")[1].split()[0])
+    assert increment > 0.1
+
+
 def _recorded(call):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -610,6 +624,32 @@ def test_convergence_sweep_keeps_no_operator(model2_cubic):
         kept += _traced_after(lambda: cw.convergence_sweep(model2_cubic, grid, schedule[:rows], config))
         assert linearized_operator.cache_info().currsize == 0
     assert kept[1] - kept[0] < held - left
+
+
+def test_convergence_sweep_holds_each_window_symbol_once(model2_cubic):
+    # a sweep row averages with one (M, N/2 + 1) stack whose rows are
+    # bitwise averaging_symbol(grid, m eps) but are not taken from that
+    # cache: after a warm 6-row sweep, dropping the stacks frees their 52 kB
+    # and then dropping the symbol cache frees nothing (it freed 35 kB of
+    # copies of the stacked symbols when the stacks were built from it)
+    grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
+    schedule = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025)
+    config = cw.SolveConfig(epsilon=0.4)
+    cw.convergence_sweep(model2_cubic, grid, schedule, config)
+    for cache in (operators.averaging_stack, operators.averaging_symbol):
+        cache.cache_clear()
+    kept = _traced_after(
+        lambda: cw.convergence_sweep(model2_cubic, grid, schedule, config),
+        operators.averaging_stack.cache_clear,
+        operators.averaging_symbol.cache_clear,
+    )
+    stack_bytes = 6 * 2 * (grid.num_points // 2 + 1) * 8
+    assert kept[0] - kept[1] >= stack_bytes
+    assert kept[1] - kept[2] < grid.num_points // 2 + 1  # not one symbol's 8 bytes a mode
+    for eps in schedule:
+        stack = operators.averaging_stack(grid, eps, 2)
+        for m, row in enumerate(stack.symbols, start=1):
+            assert np.array_equal(row, cw.averaging_symbol(grid, m * eps))
 
 
 def test_convergence_sweep_rows_equal_cached_solves(model2_cubic):
