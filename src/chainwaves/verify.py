@@ -85,16 +85,18 @@ class _Normals:
         np.right_shift(z, np.uint64(31), out=shifted)
         z ^= shifted
         z >>= np.uint64(11)
-        u = z.astype(float)
-        u += 1.0
+        # the uniforms go to shifted's memory, then radius and angle to z's:
+        # a fresh process pays a page fault per new page it touches
+        u = shifted.view(np.float64)
+        np.add(z, 1.0, out=u)
         u *= 2.0**-53
-        radius = np.log(u[0::2])
+        radius, angle = z.view(np.float64).reshape(2, -1)
+        np.log(u[0::2], out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle = u[1::2] * (2.0 * np.pi)
+        np.multiply(u[1::2], 2.0 * np.pi, out=angle)
         np.cos(angle, out=angle)
-        radius *= angle
-        return radius.reshape(shape)
+        return (radius * angle).reshape(shape)
 
 
 def random_band_limited_rows(
