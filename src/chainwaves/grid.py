@@ -126,15 +126,16 @@ def apply_symbol(values, half_symbol) -> NDArray[np.float64]:
     """Fourier multiplier irfft(half_symbol * rfft(values)) along the last axis.
 
     ``values`` is an (N,) array of real samples or a (..., N) stack of rows;
-    ``half_symbol`` is the symbol on ``grid.half_wavenumbers``. Only the real
-    part of the Nyquist entry acts, so a symbol odd in k must vanish there.
-    A symbol of another length than N/2 + 1 raises ``GridMismatchError``.
+    ``half_symbol`` is the symbol on ``grid.half_wavenumbers``, or a (..., N/2
+    + 1) stack of symbols that broadcasts against the rows' spectra. Only the
+    real part of the Nyquist entry acts, so a symbol odd in k must vanish
+    there. A symbol of another length than N/2 + 1 raises ``GridMismatchError``.
     """
     values = np.asarray(values, dtype=float)
     symbol = np.asarray(half_symbol)
-    size = values.shape[-1]
-    if len(symbol) != size // 2 + 1:
-        raise GridMismatchError(f"symbol has {len(symbol)} entries, samples need {size // 2 + 1}")
+    size, entries = values.shape[-1], symbol.shape[-1]
+    if entries != size // 2 + 1:
+        raise GridMismatchError(f"symbol has {entries} entries, samples need {size // 2 + 1}")
     return np.fft.irfft(symbol * np.fft.rfft(values), n=size)
 
 

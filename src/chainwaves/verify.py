@@ -12,11 +12,15 @@ linearization.
 ``CHECKS`` is the one implementation of each property: the acceptance
 criteria and the unit tests that state one of them call it by name.
 
-The checks work on blocks and spectra: a check's random probes are one
-(count, N) block from one draw, a multiplier acts on the whole block in one
-``apply_symbol`` call, and the von Neumann checks read the series' rfft
-spectra, taking its error norms by Parseval and transforming back only the
-partial sums whose shape they test.
+The checks work on blocks and spectra, and make no probe value that they do
+not read. A check's random probes are one (count, N) block from one draw of
+uniform coefficients, sized by the parity: an even profile draws only real
+parts, an odd one only imaginary parts. A multiplier, or a stack of them,
+acts on the whole block in one ``apply_symbol`` call. Norms come from
+spectra by Parseval where a check needs no samples: the cutoff constants
+read the drawn coefficients, the quadrature oracle one transform of its
+probes, and the von Neumann checks the series' rfft spectra, transforming
+back only the partial sums whose shape they test.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .grid import (
 from .linearized import linearized_operator
 from .model import ChainModel, apply_Q, apply_Q0, kdv_profile
 from .operators import (
-    averaging_direct,
+    _quadrature_window,
     averaging_symbol,
     b_diagonal,
     b_symbol,
@@ -53,6 +57,7 @@ __all__ = ["CHECKS", "CheckResult", "run_verification", "unimodality_defect",
 
 _ETA_SWEEP = (0.4, 0.2, 0.1, 0.05)
 _EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
+_ROOT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -62,17 +67,17 @@ class CheckResult:
     detail: str
 
 
-class _Normals:
-    """Standard normals: Box-Muller on pairs of 53-bit uniforms in (0, 1],
-    uniform i from the SplitMix64 hash of (seed, i) (Steele, Lea & Flood,
-    OOPSLA 2014), so a block of draws is that many single draws."""
+class _Uniforms:
+    """Uniforms in [0, 1): draw i is the top 53 bits of output i of SplitMix64
+    seeded with ``seed`` (Steele, Lea & Flood, OOPSLA 2014) times 2^-53, so a
+    block of draws is that many single draws."""
 
     def __init__(self, seed: int):
         self._seed, self._drawn = seed % 2**64, 0
 
-    def standard_normal(self, shape) -> np.ndarray:
+    def random(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
-        z = np.arange(2 * self._drawn + 1, 2 * (self._drawn + size) + 1, dtype=np.uint64)
+        z = np.arange(self._drawn + 1, self._drawn + size + 1, dtype=np.uint64)
         self._drawn += size
         # SplitMix64 in place; uint64 products wrap as the hash's do
         z *= np.uint64(0x9E3779B97F4A7C15)
@@ -85,18 +90,32 @@ class _Normals:
         np.right_shift(z, np.uint64(31), out=shifted)
         z ^= shifted
         z >>= np.uint64(11)
-        # the uniforms go to shifted's memory, then radius and angle to z's:
-        # a fresh process pays a page fault per new page it touches
-        u = shifted.view(np.float64)
-        np.add(z, 1.0, out=u)
-        u *= 2.0**-53
-        radius, angle = z.view(np.float64).reshape(2, -1)
-        np.log(u[0::2], out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        np.multiply(u[1::2], 2.0 * np.pi, out=angle)
-        np.cos(angle, out=angle)
-        return (radius * angle).reshape(shape)
+        # the uniforms go to shifted's memory: a fresh process pays a page
+        # fault per new page it touches
+        uniforms = shifted.view(np.float64)
+        np.multiply(z, 2.0**-53, out=uniforms)
+        return uniforms.reshape(shape)
+
+
+def _band_spectra(
+    grid: SpectralGrid, band: float, rng, count: int, parity: str = "none", decay: float = 0.0
+) -> np.ndarray:
+    """(count, N/2 + 1) rfft half spectra of the profiles of
+    ``random_band_limited_rows``, before their scaling to unit l2."""
+    k = grid.half_wavenumbers
+    modes = min(int(np.count_nonzero(k <= band)), grid.num_points // 2)
+    real, imag = parity != "odd", parity != "even"
+    draws = rng.random((count, real * modes + imag * (modes - 1)))
+    draws *= 2.0 * _ROOT3
+    draws -= _ROOT3
+    coeff = np.zeros((count, len(k)), dtype=complex)
+    if real:
+        coeff.real[:, :modes] = draws[:, :modes]
+    if imag:
+        coeff.imag[:, 1:modes] = draws[:, real * modes :]
+    if decay:
+        coeff *= (1.0 + k**2) ** (-decay)
+    return coeff
 
 
 def random_band_limited_rows(
@@ -104,25 +123,16 @@ def random_band_limited_rows(
 ) -> np.ndarray:
     """(count, N) block of unit-l2 random profiles with spectral support in |k| <= band.
 
-    One ``rng.standard_normal((count, 2, modes))`` call draws the real and
-    imaginary parts of the modes k <= band below Nyquist, so row j is what the
-    j-th of ``count`` successive one-row calls gives. Parity even
-    takes the real parts, odd the imaginary ones (mode 0 set to 0), none both
-    (mode 0 real). ``decay`` > 0 shapes the spectrum with a (1 + k^2)^(-decay)
-    envelope, mimicking the smoothness of right-hand sides arising in practice.
+    Each coefficient is sqrt(3) (2u - 1), of unit variance, for one uniform u
+    of ``rng.random(shape)``. A profile takes the modes k <= band below
+    Nyquist: parity even draws only their real parts, odd only the imaginary
+    parts past mode 0, none both (the real parts first), so one call draws a
+    (count, width) block and row j is what the j-th of ``count`` successive
+    one-row calls gives. ``decay`` > 0 shapes the spectrum with a
+    (1 + k^2)^(-decay) envelope, mimicking the smoothness of right-hand sides
+    arising in practice.
     """
-    n = grid.num_points
-    k = grid.half_wavenumbers
-    modes = min(int(np.count_nonzero(k <= band)), n // 2)
-    draws = rng.standard_normal((count, 2, modes))
-    coeff = np.zeros((count, len(k)), dtype=complex)
-    if parity != "odd":
-        coeff.real[:, :modes] = draws[:, 0]
-    if parity != "even":
-        coeff.imag[:, 1:modes] = draws[:, 1, 1:]
-    if decay:
-        coeff *= (1.0 + k**2) ** (-decay)
-    rows = np.fft.irfft(coeff, n=n)
+    rows = np.fft.irfft(_band_spectra(grid, band, rng, count, parity, decay), n=grid.num_points)
     norms = _row_norms(grid, rows)
     rows *= (1.0 / np.where(norms > 0, norms, 1.0))[:, None]  # zero rows stay zero
     return rows
@@ -187,7 +197,7 @@ def _shape_defects(f):
 
 
 def _check_averaging_self_adjoint(model, grid):
-    rng = _Normals(101)
+    rng = _Uniforms(101)
     symbols = [averaging_symbol(grid, eta) for eta in (0.3, 0.8)]
     worst = max(
         _adjoint_defect(grid, rng, 20.0, lambda rows: apply_symbol(rows, s)) for s in symbols
@@ -196,7 +206,7 @@ def _check_averaging_self_adjoint(model, grid):
 
 
 def _check_averaging_norm_bounds(model, grid):
-    rng = _Normals(102)
+    rng = _Uniforms(102)
     ok = True
     worst = 0.0
     # three probes per eta, drawn as one block
@@ -211,13 +221,19 @@ def _check_averaging_norm_bounds(model, grid):
     return _result("averaging_norm_bounds", ok, f"max sup-bound ratio {worst:.3f}")
 
 
+def _averages(model, grid, etas) -> np.ndarray:
+    """(len(etas), N) window averages of w0, one row per width, from one
+    ``apply_symbol`` call on the stacked symbols: one transform of w0."""
+    symbols = np.stack([averaging_symbol(grid, eta) for eta in etas])
+    return apply_symbol(kdv_profile(model, grid).values, symbols)
+
+
 def _check_averaging_shape_preservation(model, grid):
-    w0 = kdv_profile(model, grid)
+    etas = (0.3, 0.8)
     ok = True
     details = []
-    for eta in (0.3, 0.8):
-        averaged = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
-        shaped, (even, negativity, bump) = _shape_defects(averaged)
+    for eta, values in zip(etas, _averages(model, grid, etas)):
+        shaped, (even, negativity, bump) = _shape_defects(GridFunction(grid, values))
         ok &= shaped
         details.append(f"eta={eta:g}: even {even:.1e}, neg {negativity:.1e}, bump {bump:.1e}")
     return _result("averaging_shape_preservation", ok, "; ".join(details))
@@ -229,8 +245,8 @@ def _check_averaging_asymptotic_orders(model, grid):
     # calculus, so under-resolution breaks the measured orders
     w2 = model.d1 * w0 - model.d2 * (w0 * w0)
     plain, corrected = [], []
-    for eta in _ETA_SWEEP:
-        averaged = GridFunction(grid, apply_symbol(w0.values, averaging_symbol(grid, eta)))
+    for eta, values in zip(_ETA_SWEEP, _averages(model, grid, _ETA_SWEEP)):
+        averaged = GridFunction(grid, values)
         plain.append(l2_norm(averaged - w0))
         corrected.append(l2_norm(averaged - w0 - (eta**2 / 24.0) * w2))
     slope1 = _fit_slope(_ETA_SWEEP, plain)
@@ -243,18 +259,21 @@ def _check_averaging_asymptotic_orders(model, grid):
 
 def _check_averaging_symbol_vs_quadrature(model, grid):
     # w0 and two smooth random probes against each window A_{m eps} of the
-    # model, m = 1..M, at eps 0.4 and 0.1; one quadrature window per eta
-    rng = _Normals(202)
+    # model, m = 1..M, at eps 0.4 and 0.1; one quadrature window per eta. By
+    # Parseval each squared l2 gap is h/N sum_n w_n |rfft probe_n|^2 |symbol_n
+    # - window_n|^2, so the probes are transformed once for every window
+    rng = _Uniforms(202)
     probes = np.vstack(
         [kdv_profile(model, grid).values, random_band_limited_rows(grid, 8.0, rng, 2, decay=1.0)]
     )
+    power = np.abs(np.fft.rfft(probes)) ** 2
+    power *= grid.half_weights * (grid.spacing / grid.num_points)
     worst = 0.0
     for eps in (0.4, 0.1):
         for m in range(1, model.neighbor_range + 1):
             eta = m * eps
-            symbol_route = apply_symbol(probes, averaging_symbol(grid, eta))
-            gap = symbol_route - averaging_direct(grid, eta, probes)
-            worst = max(worst, float(np.max(_row_norms(grid, gap))))
+            gap = averaging_symbol(grid, eta) - _quadrature_window(grid, eta)
+            worst = max(worst, math.sqrt(float(np.max(power @ gap**2))))
     return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
 
@@ -276,7 +295,7 @@ def _check_b_symbol_floor(model, grid):
 
 
 def _check_b_inverse_roundtrip(model, grid):
-    rng = _Normals(107)
+    rng = _Uniforms(107)
     worst = 0.0
     probes = random_band_limited_rows(grid, 30.0, rng, 2, parity="even")
     for eps, g in zip((0.4, 0.1), probes):
@@ -287,7 +306,7 @@ def _check_b_inverse_roundtrip(model, grid):
 
 
 def _check_b_inverse_self_adjoint(model, grid):
-    rng = _Normals(108)
+    rng = _Uniforms(108)
     inverse = 1.0 / b_diagonal(model, grid, 0.2)
     worst = _adjoint_defect(grid, rng, 25.0, lambda rows: apply_symbol(rows, inverse))
     return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
@@ -298,15 +317,11 @@ def _split_inverse_constants(model, grid) -> list[float]:
     |(1 - S) B_eps^{-1} g|_2 / eps^2) / |g|_2, S the |k| <= 4/eps cutoff,
     for each eps of the sweep."""
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
-    rng = _Normals(109)
-    # Parseval: each squared norm is a weighted sum of |rfft g|^2 (h/N cancels in
-    # the ratio) and B_eps^{-1} divides it by b_eps^2, so one rfft per profile
-    # serves every eps; blocks of five hold less memory than the per-profile route
-    power = np.empty((20, len(grid.half_wavenumbers)))
-    for block in np.split(power, 4):
-        rows = random_band_limited_rows(grid, band, rng, 5, "even", 1.0)
-        block[:] = np.abs(np.fft.rfft(rows)) ** 2
-        del rows
+    # Parseval: each squared norm is a weighted sum of |rfft g|^2 and B_eps^{-1}
+    # divides it by b_eps^2. The ratio is scale-free, and an even profile's
+    # spectrum is real, so the squares of its drawn coefficients serve as its
+    # power spectrum for every eps: no profile is transformed
+    power = _band_spectra(grid, band, _Uniforms(109), 20, "even", 1.0).real ** 2
     norms = np.sqrt(np.einsum("pn,n->p", power, grid.half_weights))
     ratios = []
     for eps in _EPS_SWEEP:
@@ -403,7 +418,7 @@ def _check_linearized_symmetry(model, grid):
     operator = linearized_operator(model, grid, 0.2)
     worst = _adjoint_defect(
         grid,
-        _Normals(117),
+        _Uniforms(117),
         25.0,
         lambda rows: np.array([operator.apply_l(GridFunction(grid, row)).values for row in rows]),
     )

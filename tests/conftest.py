@@ -15,7 +15,8 @@ def project_even(f: GridFunction) -> GridFunction:
 
 def random_band_limited(grid, band, rng, parity="none", decay=0.0) -> GridFunction:
     """Unit-l2 random profile with spectral support in |k| <= band, the one row
-    of ``random_band_limited_rows``; ``rng`` has numpy's ``standard_normal(shape)``."""
+    of ``random_band_limited_rows``: uniform coefficients sqrt(3) (2u - 1), as
+    many as its parity keeps; ``rng`` has numpy's ``random(shape)``."""
     return GridFunction(grid, random_band_limited_rows(grid, band, rng, 1, parity, decay)[0])
 
 

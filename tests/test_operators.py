@@ -1,6 +1,7 @@
 """Multiplier symbols: averaging, b-symbols, cutoff, and the von Neumann series."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import math
@@ -21,8 +22,9 @@ from chainwaves.model import tw_defect_spectrum
 from chainwaves.operators import _legendre_rule, _quadrature_window, _window_rule, cutoff_symbol
 from chainwaves.verify import (
     CHECKS,
-    _Normals,
+    _band_spectra,
     _split_inverse_constants,
+    _Uniforms,
     random_band_limited_rows,
     unimodality_defect,
 )
@@ -105,6 +107,23 @@ def test_legendre_rule_matches_leggauss():
         assert np.array_equal(rule, rule[:, ::-1] * [[-1.0], [1.0]])
         assert count % 2 == 0 or rule[0, count // 2] == 0.0
         assert abs(np.sum(rule[1]) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    ("count", "digest", "end"),
+    [
+        (20, "059a15622999d39f", ("0x1.fc7b5a0c71ce0p-1", "0x1.209680274e6f6p-7")),
+        (57, "24b7618004d50f34", ("0x1.ff8d62d9ea7fcp-1", "0x1.2617e300d0587p-10")),
+        (165, "49da9d301d7b8a49", ("0x1.fff229b9f9896p-1", "0x1.1c13a9ac7ebd9p-13")),
+    ],
+    ids=["20", "57", "165"],
+)
+def test_legendre_rule_is_pinned(count, digest, end):
+    # the rule bitwise: the largest node and its half weight in hex, and a
+    # digest of every node and weight
+    rule = _legendre_rule(count)
+    assert (rule[0, -1].hex(), rule[1, -1].hex()) == end
+    assert hashlib.sha256(rule.tobytes()).hexdigest()[:16] == digest
 
 
 def test_verification_loads_no_numpy_polynomial():
@@ -403,8 +422,9 @@ def test_von_neumann_check_makes_one_pass(model1, grid1, transform_lengths):
 
 def test_verify_transform_budget(model2, grid2, monkeypatch):
     # every rfft/irfft call of the twenty checks on M2, N = 1024, whatever
-    # its batch: the probe blocks and the series' spectra keep it at 184,
-    # where per-probe transforms and an irfft per partial sum made 338
+    # its batch: the probe blocks, the series' spectra and the Parseval
+    # readings of the cutoff and oracle checks keep it at 153, where
+    # per-probe transforms and an irfft per partial sum made 338
     calls = []
     for name in ("rfft", "irfft"):
 
@@ -418,30 +438,23 @@ def test_verify_transform_budget(model2, grid2, monkeypatch):
     assert len(calls) <= 190
 
 
-def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch, transform_lengths):
-    # one 20-profile ensemble shared by the four eps, drawn in four blocks of
-    # five and transformed once: per block one irfft (the draw) and one rfft
-    # call of five rows; the per-profile route made 420 single-row transforms
+def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
+    # one 20-profile ensemble shared by the four eps, read from its drawn
+    # coefficients by Parseval: one draw of 20 even spectra and no transform;
+    # drawing rows and transforming them back made 4 irfft and 4 rfft calls
     draws, calls = [], []
 
     def counted(grid, band, rng, count, *args):
-        draws.append(count)
-        return random_band_limited_rows(grid, band, rng, count, *args)
+        draws.append((count, *args))
+        return _band_spectra(grid, band, rng, count, *args)
 
-    monkeypatch.setattr("chainwaves.verify.random_band_limited_rows", counted)
-    lengths = transform_lengths()
+    monkeypatch.setattr("chainwaves.verify._band_spectra", counted)
     for name in ("rfft", "irfft"):
-
-        def call(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-            calls.append((_name, len(a)))
-            return _transform(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, call)
+        monkeypatch.setattr(np.fft, name, lambda *args, _name=name, **kwargs: calls.append(_name))
     result = CHECKS["cutoff_inverse_stability"](model1, grid1)
     assert result.passed, result.detail
-    assert draws == [5] * 4
-    assert calls == [("irfft", 5), ("rfft", 5)] * 4
-    assert lengths == [1024] * 40
+    assert draws == [(20, "even", 1.0)]
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -515,6 +528,66 @@ def test_adjoint_checks_catch_a_relative_skew_of_1e9(name, model2, grid2, monkey
     assert not result.passed, result.detail
 
 
+def _recorded_transforms(monkeypatch) -> list:
+    """Start recording (name, input shape) of every rfft/irfft call."""
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def call(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("name", "etas", "details"),
+    [
+        (
+            "averaging_shape_preservation",
+            (0.3, 0.8),
+            {
+                "M1": "eta=0.3: even 2.2e-16, neg 0.0e+00, bump 0.0e+00; "
+                "eta=0.8: even 2.2e-16, neg 0.0e+00, bump 0.0e+00",
+                "M2": "eta=0.3: even 1.4e-17, neg 0.0e+00, bump 0.0e+00; "
+                "eta=0.8: even 2.1e-17, neg 0.0e+00, bump 0.0e+00",
+            },
+        ),
+        (
+            "averaging_asymptotic_orders",
+            (0.4, 0.2, 0.1, 0.05),
+            {"M1": "slopes 1.985 (want 2), 3.983 (want 4)", "M2": "slopes 1.999 (want 2), 3.999 (want 4)"},
+        ),
+    ],
+)
+def test_averaging_checks_transform_w0_once(name, etas, details, model1, model2, monkeypatch):
+    # one apply_symbol call on the stacked symbols, one rfft of w0 and one
+    # irfft of its averages, is bitwise one call per eta, so the readings are
+    # those of the per-eta route, pinned here at N = 1024
+    for key, model in (("M1", model1), ("M2", model2)):
+        grid = cw.make_grid(cw.default_half_length(model), 1024)
+        w0 = cw.kdv_profile(model, grid).values
+        symbols = [cw.averaging_symbol(grid, eta) for eta in etas]
+        per_eta = np.array([cw.apply_symbol(w0, symbol) for symbol in symbols])
+        assert cw.apply_symbol(w0, np.stack(symbols)).tobytes() == per_eta.tobytes()
+        with monkeypatch.context() as patch:
+            calls = _recorded_transforms(patch)
+            result = CHECKS[name](model, grid)
+        assert result.passed and result.detail == details[key], result.detail
+        assert calls == [("rfft", (1024,)), ("irfft", (len(etas), 513))]
+
+
+def test_oracle_check_transforms_its_probes_once(model2, grid2, monkeypatch):
+    # the two random probes are drawn as rows (one irfft), and the (3, N)
+    # block with w0 is transformed once for all four windows of M2; the
+    # symbol and quadrature routes made two transforms per window each
+    calls = _recorded_transforms(monkeypatch)
+    result = CHECKS["averaging_symbol_vs_quadrature"](model2, grid2)
+    assert result.passed, result.detail
+    assert calls == [("irfft", (2, 513)), ("rfft", (3, 1024))]
+
+
 def test_oracle_check_passes_at_n_16384(model2):
     grid = cw.make_grid(cw.default_half_length(model2), 16384)
     result = CHECKS["averaging_symbol_vs_quadrature"](model2, grid)
@@ -536,47 +609,45 @@ def test_normal_stream_is_pinned():
     ]
     # the checks' stream for seed 7, bitwise: uint64 hashing that drifted to
     # another dtype under a numpy's promotion rules would move these
-    draws = _Normals(7).standard_normal(64)
+    draws = _Uniforms(7).random(64)
     assert [x.hex() for x in draws[:4].tolist()] == [
-        "0x1.5d70229cdee61p+0", "-0x1.960a61872e245p-2",
-        "0x1.26d0bebc96c75p-8", "-0x1.29461d47f64d7p-1",
+        "0x1.8f2f879164c82p-2", "0x1.130f35fd0f180p-6",
+        "0x1.cd30810175625p-1", "0x1.2a75d6e0ce7c5p-1",
     ]
-    # draw j is Box-Muller on outputs 2j and 2j + 1, to the ulp by which
-    # numpy's log may differ from the math module's on some CPUs
-    for j, draw in enumerate(draws):
-        u1, u2 = (((_splitmix64(7, i) >> 11) + 1) * 2.0**-53 for i in (2 * j, 2 * j + 1))
-        assert draw == pytest.approx(math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2), rel=1e-15)
+    # draw i is the top 53 bits of output i, exactly
+    assert draws.tolist() == [(_splitmix64(7, i) >> 11) * 2.0**-53 for i in range(64)]
     # a block of draws is that many single draws
-    stream = _Normals(7)
-    split = [stream.standard_normal(3), stream.standard_normal((2, 5)), stream.standard_normal(1)]
+    stream = _Uniforms(7)
+    split = [stream.random(3), stream.random((2, 5)), stream.random(1)]
     assert np.array_equal(np.concatenate([block.ravel() for block in split]), draws[:14])
 
 
 @pytest.mark.parametrize("parity", ["none", "even", "odd"])
 def test_random_profiles_draw_in_band_modes_only(grid1, parity):
-    # a profile takes the real and imaginary parts of the modes k <= band
-    # below Nyquist, 2 x 83 normals at band 30 on N = 1024, whatever the
-    # parity, and a block of rows is that many single profiles
+    # a profile takes the modes k <= band below Nyquist, 83 at band 30 on
+    # N = 1024, and draws only the parts its parity keeps: the real parts
+    # (even), the imaginary parts past mode 0 (odd), or both, the real first
+    # (none); a block of rows is that many single profiles
     k = grid1.half_wavenumbers
     modes = int(np.count_nonzero(k <= 30.0))
     assert modes == 83
-    rng = _Normals(7)
+    width = {"none": 2 * modes - 1, "even": modes, "odd": modes - 1}[parity]
+    rng = _Uniforms(7)
     rows = random_band_limited_rows(grid1, 30.0, rng, 3, parity)
-    reference = _Normals(7)
-    reference.standard_normal(3 * 2 * modes)
-    assert np.array_equal(rng.standard_normal(4), reference.standard_normal(4))
-    # bitwise the rows that slicing one full (3, 2, modes) draw gives: even
-    # reads the real parts, odd the imaginary ones past mode 0, none both
-    draws = _Normals(7).standard_normal((3, 2, modes))
+    reference = _Uniforms(7)
+    reference.random(3 * width)
+    assert np.array_equal(rng.random(4), reference.random(4))
+    # bitwise the rows that sqrt(3) (2u - 1) of one (3, width) draw gives
+    draws = _Uniforms(7).random((3, width)) * (2.0 * math.sqrt(3.0)) - math.sqrt(3.0)
     coeff = np.zeros((3, len(k)), dtype=complex)
     if parity != "odd":
-        coeff.real[:, :modes] = draws[:, 0]
+        coeff.real[:, :modes] = draws[:, :modes]
     if parity != "even":
-        coeff.imag[:, 1:modes] = draws[:, 1, 1:]
+        coeff.imag[:, 1:modes] = draws[:, width - (modes - 1) :]
     expected = np.fft.irfft(coeff, n=grid1.num_points)
     expected *= (1.0 / np.sqrt(grid1.spacing * np.sum(expected**2, axis=1)))[:, None]
     assert np.array_equal(rows, expected)
-    single = _Normals(7)
+    single = _Uniforms(7)
     singles = [random_band_limited(grid1, 30.0, single, parity).values for _ in range(3)]
     assert np.array_equal(rows, singles)
     spectra = np.fft.rfft(rows)
@@ -597,9 +668,9 @@ def test_split_inverse_constants_match_per_profile_route(name, model1, model2, m
     model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
-    rng = _Normals(109)
+    rng = _Uniforms(109)
     ensemble = [random_band_limited(grid, band, rng, parity="even", decay=1.0) for _ in range(20)]
-    rows = random_band_limited_rows(grid, band, _Normals(109), 20, "even", 1.0)
+    rows = random_band_limited_rows(grid, band, _Uniforms(109), 20, "even", 1.0)
     assert np.max(np.abs(rows - np.array([g.values for g in ensemble]))) <= 1e-15
     expected = []
     for eps in (0.4, 0.2, 0.1, 0.05):
