@@ -52,8 +52,9 @@ def _exp_tail(r, first_order: int):
     place, which keeps the temporaries to a few per call.
     """
     r = np.asarray(r, dtype=float)
-    near = np.abs(r) <= 2.0
-    terms = bisect_left(_TAIL_REACH, float(np.max(np.abs(r), where=near, initial=0.0)))
+    size = np.abs(r)
+    near = size <= 2.0
+    terms = bisect_left(_TAIL_REACH, float(np.max(size, where=near, initial=0.0)))
     head = np.zeros_like(r)
     power = np.ones_like(r)
     for j in range(first_order):

@@ -420,19 +420,25 @@ def test_von_neumann_check_makes_one_pass(model1, grid1, transform_lengths):
     assert lengths == [1024] * 3
 
 
+def _recorded_transforms(monkeypatch) -> list:
+    """Start recording (name, input shape) of every rfft/irfft call."""
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def call(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+    return calls
+
+
 def test_verify_transform_budget(model2, grid2, monkeypatch):
     # every rfft/irfft call of the twenty checks on M2, N = 1024, whatever
     # its batch: the probe blocks, the series' spectra and the Parseval
     # readings of the cutoff and oracle checks keep it at 153, where
     # per-probe transforms and an irfft per partial sum made 338
-    calls = []
-    for name in ("rfft", "irfft"):
-
-        def call(*args, _transform=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _transform(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, call)
+    calls = _recorded_transforms(monkeypatch)
     results = cw.run_verification(model2, grid2)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     assert len(calls) <= 190
@@ -442,15 +448,14 @@ def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
     # one 20-profile ensemble shared by the four eps, read from its drawn
     # coefficients by Parseval: one draw of 20 even spectra and no transform;
     # drawing rows and transforming them back made 4 irfft and 4 rfft calls
-    draws, calls = [], []
+    draws = []
 
     def counted(grid, band, rng, count, *args):
         draws.append((count, *args))
         return _band_spectra(grid, band, rng, count, *args)
 
     monkeypatch.setattr("chainwaves.verify._band_spectra", counted)
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    calls = _recorded_transforms(monkeypatch)
     result = CHECKS["cutoff_inverse_stability"](model1, grid1)
     assert result.passed, result.detail
     assert draws == [(20, "even", 1.0)]
@@ -526,19 +531,6 @@ def test_adjoint_checks_catch_a_relative_skew_of_1e9(name, model2, grid2, monkey
         )
     result = check(model2, grid2)
     assert not result.passed, result.detail
-
-
-def _recorded_transforms(monkeypatch) -> list:
-    """Start recording (name, input shape) of every rfft/irfft call."""
-    calls = []
-    for name in ("rfft", "irfft"):
-
-        def call(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _transform(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, call)
-    return calls
 
 
 @pytest.mark.parametrize(
