@@ -97,25 +97,15 @@ class _Uniforms:
         return uniforms.reshape(shape)
 
 
-def _band_spectra(
-    grid: SpectralGrid, band: float, rng, count: int, parity: str = "none", decay: float = 0.0
-) -> np.ndarray:
-    """(count, N/2 + 1) rfft half spectra of the profiles of
-    ``random_band_limited_rows``, before their scaling to unit l2."""
-    k = grid.half_wavenumbers
-    modes = min(int(np.count_nonzero(k <= band)), grid.num_points // 2)
-    real, imag = parity != "odd", parity != "even"
-    draws = rng.random((count, real * modes + imag * (modes - 1)))
+def _band_draws(grid: SpectralGrid, band: float, rng, count: int, parity: str):
+    """The number of modes k <= band below Nyquist, and one (count, width)
+    block of coefficients sqrt(3) (2u - 1) for the parts of them that
+    ``parity`` keeps, as ``random_band_limited_rows`` lays them out."""
+    modes = min(int(np.count_nonzero(grid.half_wavenumbers <= band)), grid.num_points // 2)
+    draws = rng.random((count, (parity != "odd") * modes + (parity != "even") * (modes - 1)))
     draws *= 2.0 * _ROOT3
     draws -= _ROOT3
-    coeff = np.zeros((count, len(k)), dtype=complex)
-    if real:
-        coeff.real[:, :modes] = draws[:, :modes]
-    if imag:
-        coeff.imag[:, 1:modes] = draws[:, real * modes :]
-    if decay:
-        coeff *= (1.0 + k**2) ** (-decay)
-    return coeff
+    return modes, draws
 
 
 def random_band_limited_rows(
@@ -132,7 +122,16 @@ def random_band_limited_rows(
     (1 + k^2)^(-decay) envelope, mimicking the smoothness of right-hand sides
     arising in practice.
     """
-    rows = np.fft.irfft(_band_spectra(grid, band, rng, count, parity, decay), n=grid.num_points)
+    k = grid.half_wavenumbers
+    modes, draws = _band_draws(grid, band, rng, count, parity)
+    coeff = np.zeros((count, len(k)), dtype=complex)
+    if parity != "odd":
+        coeff.real[:, :modes] = draws[:, :modes]
+    if parity != "even":
+        coeff.imag[:, 1:modes] = draws[:, draws.shape[1] - (modes - 1) :]
+    if decay:
+        coeff *= (1.0 + k**2) ** (-decay)
+    rows = np.fft.irfft(coeff, n=grid.num_points)
     norms = _row_norms(grid, rows)
     rows *= (1.0 / np.where(norms > 0, norms, 1.0))[:, None]  # zero rows stay zero
     return rows
@@ -273,7 +272,7 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
         for m in range(1, model.neighbor_range + 1):
             eta = m * eps
             gap = averaging_symbol(grid, eta) - _quadrature_window(grid, eta)
-            worst = max(worst, math.sqrt(float(np.max(power @ gap**2))))
+            worst = max(worst, math.sqrt(float(np.max(np.einsum("pn,n->p", power, gap**2)))))
     return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
 
 
@@ -316,19 +315,24 @@ def _split_inverse_constants(model, grid) -> list[float]:
     """max over a 20-profile ensemble of (|S B_eps^{-1} g|_{W22} +
     |(1 - S) B_eps^{-1} g|_2 / eps^2) / |g|_2, S the |k| <= 4/eps cutoff,
     for each eps of the sweep."""
-    band = min(120.0, 0.8 * float(grid.half_wavenumbers[-1]))
+    k = grid.half_wavenumbers
+    band = min(120.0, 0.8 * float(k[-1]))
     # Parseval: each squared norm is a weighted sum of |rfft g|^2 and B_eps^{-1}
     # divides it by b_eps^2. The ratio is scale-free, and an even profile's
-    # spectrum is real, so the squares of its drawn coefficients serve as its
-    # power spectrum for every eps: no profile is transformed
-    power = _band_spectra(grid, band, _Uniforms(109), 20, "even", 1.0).real ** 2
-    norms = np.sqrt(np.einsum("pn,n->p", power, grid.half_weights))
+    # spectrum is real, so the squares of its drawn coefficients under the
+    # profiles' (1 + k^2)^-1 envelope are its power spectrum, nonzero on the
+    # first ``modes`` entries only: no profile is built or transformed
+    modes, power = _band_draws(grid, band, _Uniforms(109), 20, "even")
+    power *= (1.0 + k[:modes] ** 2) ** -1.0
+    power *= power
+    weights, sobolev = grid.half_weights[:modes], grid.sobolev22_weights[:modes]
+    norms = np.sqrt(np.einsum("pn,n->p", power, weights))
     ratios = []
     for eps in _EPS_SWEEP:
-        inverse_sq = (1.0 / b_diagonal(model, grid, eps)) ** 2
-        smooth = cutoff_symbol(grid, eps)
-        smooth_sq = np.einsum("pn,n->p", power, grid.sobolev22_weights * smooth * inverse_sq)
-        rough_sq = np.einsum("pn,n->p", power, grid.half_weights * (1.0 - smooth) * inverse_sq)
+        inverse_sq = (1.0 / b_diagonal(model, grid, eps)[:modes]) ** 2
+        smooth = cutoff_symbol(grid, eps)[:modes]
+        smooth_sq = np.einsum("pn,n->p", power, sobolev * smooth * inverse_sq)
+        rough_sq = np.einsum("pn,n->p", power, weights * (1.0 - smooth) * inverse_sq)
         ratios.append(float(np.max((np.sqrt(smooth_sq) + np.sqrt(rough_sq) / eps**2) / norms)))
     return ratios
 

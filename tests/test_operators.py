@@ -22,7 +22,7 @@ from chainwaves.model import tw_defect_spectrum
 from chainwaves.operators import _legendre_rule, _quadrature_window, _window_rule, cutoff_symbol
 from chainwaves.verify import (
     CHECKS,
-    _band_spectra,
+    _band_draws,
     _split_inverse_constants,
     _Uniforms,
     random_band_limited_rows,
@@ -446,19 +446,20 @@ def test_verify_transform_budget(model2, grid2, monkeypatch):
 
 def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
     # one 20-profile ensemble shared by the four eps, read from its drawn
-    # coefficients by Parseval: one draw of 20 even spectra and no transform;
-    # drawing rows and transforming them back made 4 irfft and 4 rfft calls
+    # coefficients by Parseval: one draw of 20 even profiles' real parts and
+    # no transform, where drawing rows and transforming them back made 4
+    # irfft and 4 rfft calls
     draws = []
 
-    def counted(grid, band, rng, count, *args):
-        draws.append((count, *args))
-        return _band_spectra(grid, band, rng, count, *args)
+    def counted(grid, band, rng, count, parity):
+        draws.append((count, parity))
+        return _band_draws(grid, band, rng, count, parity)
 
-    monkeypatch.setattr("chainwaves.verify._band_spectra", counted)
+    monkeypatch.setattr("chainwaves.verify._band_draws", counted)
     calls = _recorded_transforms(monkeypatch)
     result = CHECKS["cutoff_inverse_stability"](model1, grid1)
     assert result.passed, result.detail
-    assert draws == [(20, "even", 1.0)]
+    assert draws == [(20, "even")]
     assert calls == []
 
 
