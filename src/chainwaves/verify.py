@@ -102,7 +102,8 @@ def _band_draws(grid: SpectralGrid, band: float, rng, count: int, parity: str):
     block of coefficients sqrt(3) (2u - 1) for the parts of them that
     ``parity`` keeps, as ``random_band_limited_rows`` lays them out."""
     modes = min(int(np.count_nonzero(grid.half_wavenumbers <= band)), grid.num_points // 2)
-    draws = rng.random((count, (parity != "odd") * modes + (parity != "even") * (modes - 1)))
+    width = (parity != "odd") * modes + (parity != "even") * max(modes - 1, 0)
+    draws = rng.random((count, width))
     draws *= 2.0 * _ROOT3
     draws -= _ROOT3
     return modes, draws

@@ -654,6 +654,17 @@ def test_random_profiles_draw_in_band_modes_only(grid1, parity):
         assert np.min(np.max(np.abs(spectra.imag[:, 1:modes]), axis=1)) >= 1e-3 * scale
 
 
+@pytest.mark.parametrize("parity", ["none", "even", "odd"])
+def test_random_profiles_on_an_empty_band_draw_nothing(grid1, parity):
+    # no mode lies at k <= -1: the rows are zero, the stream does not move,
+    # and a numpy Generator is asked for an empty block, not a negative one
+    stream = _Uniforms(7)
+    rows = random_band_limited_rows(grid1, -1.0, stream, 2, parity)
+    assert rows.shape == (2, grid1.num_points) and not np.any(rows)
+    assert np.array_equal(stream.random(3), _Uniforms(7).random(3))
+    assert not np.any(random_band_limited_rows(grid1, -1.0, np.random.default_rng(7), 2, parity))
+
+
 @pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic"])
 def test_split_inverse_constants_match_per_profile_route(name, model1, model2, model2_cubic):
     # the check's block route against random_band_limited -> B_eps^{-1} ->
