@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,41 +37,32 @@ __all__ = [
 
 _PSI_KINDS = ("none", "cubic", "toda-remainder")
 _BOUNDARY_GATE = 1e-12  # largest admitted profile value at the domain boundary
-# _TAIL_REACH[n]: the largest |r| with r^(n+1)/(n+1)! <= 1e-17, up to 2 < _TAIL_REACH[24]
-_TAIL_REACH = tuple((1e-17 * math.factorial(n + 1)) ** (1.0 / (n + 1)) for n in range(25))
 
 
 def _exp_tail(r, first_order: int):
     """sum_{j >= first_order} r^j / j!, stable against cancellation.
 
-    On |r| <= 2 the series is summed by Horner's rule to n terms past the
-    first, n the fewest for which max|r|^(n+1)/(n+1)! truncates below 1e-17
-    relative: 24 terms at |r| = 2, 7 at |r| = 0.02. Beyond, subtracting the
+    On |r| <= 2 the series is summed by Horner's rule to 24 terms past the
+    first, which truncates below 1e-17 relative; beyond, subtracting the
     short head from exp(r) loses at most a few ulp. The sums are updated in
     place, which keeps the temporaries to a few per call.
     """
     r = np.asarray(r, dtype=float)
-    size = np.abs(r)
-    near = size <= 2.0
-    terms = bisect_left(_TAIL_REACH, float(np.max(size, where=near, initial=0.0)))
     head = np.zeros_like(r)
     power = np.ones_like(r)
     for j in range(first_order):
         head += power / math.factorial(j)
         power *= r
     series = np.ones_like(r)
-    for j in range(first_order + terms, first_order, -1):
+    for j in range(first_order + 24, first_order, -1):
         series *= r
         series /= j
         series += 1.0
     series *= power
     series /= math.factorial(first_order)
-    if np.all(near):
-        out = series
-    else:
-        far = np.exp(r)
-        far -= head
-        out = np.where(near, series, far)
+    far = np.exp(r)
+    far -= head
+    out = np.where(np.abs(r) <= 2.0, series, far)
     return out if out.ndim else float(out)
 
 

@@ -126,23 +126,11 @@ def _legendre_rule(count: int) -> NDArray[np.float64]:
     # its recurrence from the guesses cos(pi (i + 3/4) / (count + 1/2)) >= 0, as
     # sines so an odd rule's middle one is the root 0, then mirrored
     x = np.sin(np.pi * np.arange(1 - count % 2, count, 2) / (2 * count + 1))
-    # P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), overwriting P_{j-1}; ratios
-    # holds j/(j+1) at every node, one row per j, since array operands and
-    # positional outputs are the cheapest ufunc calls on a few dozen nodes
-    j = np.arange(1.0, count)
-    ratios = np.repeat((j / (j + 1.0))[:, None], len(x), axis=1)
-    older, newer, xp1 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    multiply, subtract, add = np.multiply, np.subtract, np.add
     for _ in range(10):  # converges in 4 evaluations for counts 20 to 320
-        older.fill(1.0)
-        newer[:] = x
-        for ratio in ratios:
-            multiply(x, newer, xp1)
-            subtract(xp1, older, older)
-            multiply(older, ratio, older)
-            add(older, xp1, older)
-            older, newer = newer, older
-        p0, p1 = older, newer
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, count):
+            xp1 = x * p1
+            p0, p1 = p1, xp1 + j / (j + 1) * (xp1 - p0)
         slope = count * (x * p1 - p0) / (x * x - 1.0)
         step = p1 / slope
         x = x - step

@@ -441,7 +441,7 @@ def test_verify_transform_budget(model2, grid2, monkeypatch):
     calls = _recorded_transforms(monkeypatch)
     results = cw.run_verification(model2, grid2)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert len(calls) <= 190
+    assert len(calls) <= 153
 
 
 def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
