@@ -24,35 +24,22 @@ from .grid import (
     SpectralGrid,
     apply_symbol,
     derivative,
-    evenness_defect,
-    inner_product,
     l2_norm,
     make_grid,
     sample,
     sup_norm,
 )
-from .lattice import TransportReport, energy_drift_rate, run_transport, wave_initial_data
+from .lattice import TransportReport, run_transport, wave_initial_data
 from .linearized import LinearizedOperator, linearized_operator
 from .model import (
     ChainModel,
     PsiFamily,
-    apply_P,
-    apply_Q,
-    apply_Q0,
     default_half_length,
     kdv_profile,
     tw_defect,
     tw_residual,
 )
-from .operators import (
-    averaging_direct,
-    averaging_symbol,
-    b0_symbol,
-    b_diagonal,
-    b_symbol,
-    sinc,
-    von_neumann_partial_sums,
-)
+from .operators import averaging_direct, averaging_symbol, b_diagonal, sinc
 from .solver import (
     SolveConfig,
     SolveDiagnostics,
@@ -60,9 +47,6 @@ from .solver import (
     WaveSolution,
     convergence_sweep,
     eigen_identity_check,
-    fixed_point_map,
-    measure_tail_decay,
-    residuals,
     solve_wave,
 )
 

@@ -105,14 +105,6 @@ class SpectralGrid:
         weights.flags.writeable = False
         return weights
 
-    @cached_property
-    def _reflection(self) -> NDArray[np.int64]:
-        # index map i -> (N - i) mod N, realizing x -> -x on the grid
-        idx = np.arange(self.num_points)
-        ref = (-idx) % self.num_points
-        ref.flags.writeable = False
-        return ref
-
     def __repr__(self) -> str:
         return f"SpectralGrid(L={self.half_length:g}, N={self.num_points})"
 
@@ -160,10 +152,6 @@ class GridFunction:
         values.flags.writeable = False
         self.values = values
 
-    def reflected(self) -> NDArray[np.float64]:
-        """Samples of x -> f(-x)."""
-        return self.values[self.grid._reflection]
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise GridMismatchError(f"{self.grid} vs {other.grid}")
@@ -209,8 +197,8 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 
 def evenness_defect(f: GridFunction) -> float:
-    """Sup-norm of the odd part, |f(x) - f(-x)|/2."""
-    return float(0.5 * np.max(np.abs(f.values - f.reflected())))
+    """Sup-norm of the odd part, |f(x) - f(-x)|/2; x_i -> -x_i maps node i to N - i."""
+    return float(0.5 * np.max(np.abs(f.values - np.roll(f.values[::-1], 1))))
 
 
 def derivative(f: GridFunction, order: int) -> GridFunction:

@@ -100,10 +100,6 @@ class PsiFamily:
             raise ValueError("psi family parameters must be nonnegative and finite")
 
     @staticmethod
-    def none() -> "PsiFamily":
-        return PsiFamily("none", ())
-
-    @staticmethod
     def cubic(deltas) -> "PsiFamily":
         return PsiFamily("cubic", tuple(deltas))
 

@@ -38,7 +38,6 @@ __all__ = [
     "averaging_stack",
     "averaging_direct",
     "b_symbol",
-    "b0_symbol",
     "b_diagonal",
     "cutoff_symbol",
     "von_neumann_partial_sums",
@@ -195,14 +194,6 @@ def b_symbol(model: "ChainModel", eps: float, k):
     return out if out.ndim else float(out)
 
 
-def b0_symbol(model: "ChainModel", k):
-    """Formal eps -> 0 limit 1 + (sum_m alpha_m m^4 / 12) k^2."""
-    k = np.asarray(k, dtype=float)
-    coeff = sum(alpha * m**4 for m, alpha in enumerate(model.alpha, start=1)) / 12.0
-    out = 1.0 + coeff * k * k
-    return out if out.ndim else float(out)
-
-
 def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
     """Read-only symbol of B_eps on ``grid.half_wavenumbers``, B_0 at eps = 0;
     cached on (alpha, grid, eps), all it reads, so a model and its psi-free
@@ -213,7 +204,8 @@ def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[n
 @lru_cache(maxsize=16)
 def _b_diagonal(alpha: tuple, grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
     k, coefficients = grid.half_wavenumbers, SimpleNamespace(alpha=alpha)
-    symbol = np.asarray(b_symbol(coefficients, eps, k) if eps else b0_symbol(coefficients, k))
+    curvature = sum(a * m**4 for m, a in enumerate(alpha, start=1)) / 12.0  # b_0 = 1 + curvature k^2
+    symbol = b_symbol(coefficients, eps, k) if eps else 1.0 + curvature * k * k
     symbol.flags.writeable = False
     return symbol
 

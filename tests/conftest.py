@@ -10,7 +10,7 @@ from chainwaves.verify import random_band_limited_rows
 
 def project_even(f: GridFunction) -> GridFunction:
     """Even part (f(x) + f(-x))/2; idempotent and l2-nonexpansive."""
-    return GridFunction(f.grid, 0.5 * (f.values + f.reflected()))
+    return GridFunction(f.grid, 0.5 * (f.values + np.roll(f.values[::-1], 1)))
 
 
 def random_band_limited(grid, band, rng, parity="none", decay=0.0) -> GridFunction:

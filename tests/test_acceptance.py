@@ -14,6 +14,7 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import cli
+from chainwaves.grid import evenness_defect
 from chainwaves.verify import CHECKS, unimodality_defect
 
 EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
@@ -115,7 +116,7 @@ def test_c08_qualitative_wave_properties(bundle):
     for name in MODELS:
         for eps, solution in bundle[name].items():
             worst_min = min(worst_min, float(np.min(solution.w.values)))
-            worst_even = max(worst_even, cw.evenness_defect(solution.w))
+            worst_even = max(worst_even, evenness_defect(solution.w))
             worst_bump = max(worst_bump, unimodality_defect(solution.w.values))
     ok &= worst_min >= -1e-10 and worst_even <= 1e-10
     ok &= worst_bump <= 1e-10  # reported regression: unimodal on defaults

@@ -4,12 +4,19 @@ Without them the benchmark fails instead of measuring, so a rename here must
 go together with a change to the benchmark.
 """
 
+import ast
 import importlib
 import inspect
 import json
+import re
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+
+import chainwaves
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LAYERS = ("grid", "operators", "model", "linearized", "solver", "lattice", "verify", "cli")
 # spans whose self time or call count perfbench/run.py reports per layer; the
@@ -61,6 +68,36 @@ def test_worker_bound_names_exist(tmp_path):
     assert config.sim.particles == 80
     solve_config = config.solve_config(0.1)
     assert isinstance(solve_config, modules["solver"].SolveConfig) and solve_config.epsilon == 0.1
+
+
+def _imported_names(path: Path) -> dict:
+    """{module: names} of the ``from module import names`` statements of a
+    file, function bodies included, in the order they appear."""
+    imports = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imports.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    return imports
+
+
+def test_top_level_names_are_the_readme_surface():
+    # the package imports exactly the names the README's Library surface
+    # lists, from the module it names, and verify first
+    section = (ROOT / "README.md").read_text().split("## Library surface")[1].split("\n## ")[0]
+    listed = {
+        module: re.findall(r"`(\w+)`", names)
+        for module, names in re.findall(r"^- `(\w+)`: (.*?)$(?=\n-|\n\n)", section, re.M | re.S)
+    }
+    imported = _imported_names(Path(chainwaves.__file__))
+    assert next(iter(imported)) == "verify"
+    assert imported == listed
+    assert sum(map(len, imported.values())) == 41
+    # and the names besides modules that the worker imports from the top
+    # level resolve there
+    worker = set(_imported_names(ROOT / "perfbench" / "worker.py")["chainwaves"]) - set(LAYERS)
+    assert {"linearized_operator", "solve_wave", "eigen_identity_check"} <= worker
+    for name in worker:
+        assert hasattr(chainwaves, name), name
 
 
 def test_traced_span_targets_exist():

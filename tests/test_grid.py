@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chainwaves as cw
+from chainwaves.grid import evenness_defect
 from chainwaves.verify import random_band_limited_rows
 from conftest import project_even, random_band_limited
 
@@ -82,7 +83,7 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
     f = cw.GridFunction(grid1, even_part + odd_part)
     projected = project_even(f)
     np.testing.assert_allclose(projected.values, even_part, atol=1e-13)
-    assert cw.evenness_defect(projected) == 0.0
+    assert evenness_defect(projected) == 0.0
     twice = project_even(projected)
     np.testing.assert_allclose(twice.values, projected.values, atol=1e-15)
     # annihilates odd input
@@ -95,7 +96,7 @@ def test_project_even_idempotent_and_parity_split(grid1, rng):
 
 def test_evenness_defect(grid1):
     odd = cw.GridFunction(grid1, np.sin(grid1.half_wavenumbers[4] * grid1.nodes))
-    assert cw.evenness_defect(odd) == pytest.approx(1.0, abs=1e-10)
+    assert evenness_defect(odd) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_derivative_constant_and_modes(grid1):

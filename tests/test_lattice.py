@@ -8,7 +8,7 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import lattice
-from chainwaves.lattice import _initial_profiles
+from chainwaves.lattice import _initial_profiles, energy_drift_rate
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_pair_block_matches_double_loop(model, size):
 
 @pytest.mark.parametrize(
     "psi",
-    [cw.PsiFamily.none(), cw.PsiFamily.cubic((0.1, 0.3)), cw.PsiFamily.toda_remainder((0.5, 0.2))],
+    [cw.PsiFamily(), cw.PsiFamily.cubic((0.1, 0.3)), cw.PsiFamily.toda_remainder((0.5, 0.2))],
     ids=lambda psi: psi.kind,
 )
 def test_pair_laws_rows_equal_force_laws(psi):
@@ -183,7 +183,7 @@ def test_energy_drift_standing_mode(model1):
     guard = 0.1 / math.sqrt(model1.sound_speed_sq)
     energies = np.empty(10001)
     lattice._Verlet(model1, positions, np.zeros(J), guard).run(10000, energies)
-    assert cw.energy_drift_rate(energies[::10], 10 * guard) <= 1e-6
+    assert energy_drift_rate(energies[::10], 10 * guard) <= 1e-6
 
 
 def test_wave_initial_data_shape(wave):
@@ -269,7 +269,7 @@ def test_transport_report_fields_are_builtin(wave):
     for field in dataclasses.fields(report):
         assert type(getattr(report, field.name)) in (int, float), field.name
     assert "np." not in repr(report)
-    assert type(cw.energy_drift_rate(np.array([1.0, 1.1, 1.3]), 0.1)) is float
+    assert type(energy_drift_rate(np.array([1.0, 1.1, 1.3]), 0.1)) is float
 
 
 def test_transport_window_overflow(wave):
@@ -305,7 +305,7 @@ def _reference_report(solution, num_particles, horizon, dt, steps):
         transport_error=float(
             np.max(np.abs(velocities[interior] - predicted[interior]))
         ) / scale,
-        energy_drift=cw.energy_drift_rate(energies, dt),
+        energy_drift=energy_drift_rate(energies, dt),
         peak_energy_deviation=float(np.max(np.abs(energies - energies[0]))) / abs(energies[0]),
         momentum_drift_per_step=abs(float(np.sum(velocities)) - momentum_start) / steps,
     )
@@ -531,3 +531,43 @@ def test_transport_blow_up_mid_batch_names_reference_step(wave, horizon):
         with pytest.raises(ValueError) as raised:
             cw.run_transport(collapsing, 80, horizon, 0.04)
     assert str(raised.value) == message
+
+
+def _lattice_defect(solution) -> float:
+    """Sup gap, over the sites 4M or more in from either end, between the
+    chain's accelerations sum_m F_m(u_{j+m} - u_j) - F_m(u_j - u_{j-m}) at
+    the positions of ``wave_initial_data`` and eps^3 c^2 w' at the same
+    phases, relative to max |eps^3 c^2 w'|. A traveling wave u_j(t) =
+    eps U(x_j - eps c t) with U' = w has exactly these accelerations, so the
+    gap reads the profile's error without time stepping."""
+    model, eps, grid = solution.model, solution.epsilon, solution.grid
+    count = int(2.0 * grid.half_length / eps)
+    positions, _ = cw.wave_initial_data(solution, count)
+    accelerations = np.zeros(count)
+    for m in range(1, model.neighbor_range + 1):
+        forces = model.force(m, positions[m:] - positions[:-m])
+        accelerations[:-m] += forces
+        accelerations[m:] -= forces
+    phases = eps * (np.arange(count) - count / 2.0)
+    slope = cw.sample(grid, cw.derivative(solution.w, 1).values, phases)
+    expected = eps**3 * solution.wave_speed_sq * slope
+    interior = slice(4 * model.neighbor_range, count - 4 * model.neighbor_range)
+    gap = np.max(np.abs(accelerations[interior] - expected[interior]))
+    return float(gap / np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("num_points", [1024, 4096])
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+@pytest.mark.parametrize("name", ["model1", "model2", "model2_cubic", "model3_toda", "toda"])
+def test_solved_wave_meets_the_chain_equations(request, name, eps, num_points):
+    # the worst reading is 1.4e-12 (M3-toda, N 4096, eps 0.1); a wave whose
+    # eps^2 part is off by 0.1% reads 6.2e-9 (M3-toda, eps 0.1) to 6.2e-5
+    if name == "toda":
+        model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    else:
+        model = request.getfixturevalue(name)
+    grid = cw.make_grid(cw.default_half_length(model), num_points)
+    solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
+    assert _lattice_defect(solution) <= 1e-10
+    wrong = dataclasses.replace(solution, w=solution.w0 + (1.001 * eps**2) * solution.v)
+    assert _lattice_defect(wrong) > 1e-10

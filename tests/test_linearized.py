@@ -11,6 +11,7 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import linearized
+from chainwaves.grid import evenness_defect, inner_product
 from chainwaves.linearized import (
     LinearizedOperator,
     _nearest_zero_eigenpair,
@@ -46,7 +47,7 @@ def coupling(operator, v):
 def test_even_basis_roundtrip(grid1, rng):
     coeffs = rng.standard_normal(grid1.num_points // 2 + 1)
     f = even_synthesis(grid1, coeffs)
-    assert cw.evenness_defect(f) <= 1e-13 * max(1.0, cw.sup_norm(f))
+    assert evenness_defect(f) <= 1e-13 * max(1.0, cw.sup_norm(f))
     np.testing.assert_allclose(even_coefficients(f), coeffs, atol=1e-12)
     # coefficients of an even function synthesize back to it
     g = random_band_limited(grid1, 40.0, rng, parity="even")
@@ -84,7 +85,7 @@ def test_apply_l_zero_and_symmetry(op1, grid1, rng):
         f = random_band_limited(grid1, 25.0, rng)
         g = random_band_limited(grid1, 25.0, rng)
         gap = abs(
-            cw.inner_product(op1.apply_l(f), g) - cw.inner_product(f, op1.apply_l(g))
+            inner_product(op1.apply_l(f), g) - inner_product(f, op1.apply_l(g))
         )
         assert gap <= 1e-10
 
@@ -148,8 +149,8 @@ def test_apply_l_is_one_fft_pair(
 
 def test_parity_preservation(op1, grid1, rng):
     v = random_band_limited(grid1, 25.0, rng, parity="even")
-    assert cw.evenness_defect(coupling(op1, v)) <= 1e-12
-    assert cw.evenness_defect(op1.apply_l(v)) <= 1e-11
+    assert evenness_defect(coupling(op1, v)) <= 1e-12
+    assert evenness_defect(op1.apply_l(v)) <= 1e-11
 
 
 def dense_reference(operator):
@@ -642,7 +643,7 @@ def test_solve_contract_residual(op1, grid1, rng):
     g = random_band_limited(grid1, 30.0, rng, parity="even", decay=0.5)
     v = solve_on_grid(op1, g)
     assert cw.l2_norm(op1.apply_l(v) - g) <= linearized.TOL * max(1.0, cw.l2_norm(g)) + 1e-13
-    assert cw.evenness_defect(v) <= 1e-13 * max(1.0, cw.sup_norm(v))
+    assert evenness_defect(v) <= 1e-13 * max(1.0, cw.sup_norm(v))
 
 
 def test_solve_unreachable_tolerance_raises(op1, grid1, rng, monkeypatch):

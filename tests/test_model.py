@@ -9,7 +9,9 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import PsiFamily
-from chainwaves.model import _exp_tail
+from chainwaves.grid import evenness_defect
+from chainwaves.model import _exp_tail, apply_P, apply_Q, apply_Q0
+from chainwaves.solver import measure_tail_decay
 from conftest import random_band_limited
 
 
@@ -161,7 +163,7 @@ def test_kdv_profile_peak_and_domain(model2):
     grid = cw.make_grid(cw.default_half_length(model2), 1024)
     w0 = cw.kdv_profile(model2, grid)
     assert cw.sup_norm(w0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert cw.evenness_defect(w0) <= 1e-13 * cw.sup_norm(w0)
+    assert evenness_defect(w0) <= 1e-13 * cw.sup_norm(w0)
     assert np.all(w0.values > 0)
     small = cw.make_grid(3.0, 64)
     with pytest.raises(cw.DomainTooSmallError):
@@ -204,7 +206,7 @@ def test_kdv_profile_identities(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     ode = cw.derivative(w0, 2) - model1.d1 * w0 + model1.d2 * (w0 * w0)
     assert cw.sup_norm(ode) < 1e-8
-    rate = cw.measure_tail_decay(w0)
+    rate = measure_tail_decay(w0)
     assert rate == pytest.approx(math.sqrt(model1.d1), rel=0.02)
 
 
@@ -221,11 +223,11 @@ def test_profile_hamiltonian_vanishes(model1, grid1):
 
 def test_apply_Q_zero_and_limit(model1, grid1):
     zero = cw.GridFunction(grid1, np.zeros(grid1.num_points))
-    assert cw.sup_norm(cw.apply_Q(model1, 0.2, zero)) == 0.0
+    assert cw.sup_norm(apply_Q(model1, 0.2, zero)) == 0.0
     w0 = cw.kdv_profile(model1, grid1)
-    limit = cw.apply_Q0(model1, w0)
+    limit = apply_Q0(model1, w0)
     eps_values = (0.4, 0.2, 0.1, 0.05)
-    gaps = [cw.l2_norm(cw.apply_Q(model1, eps, w0) - limit) for eps in eps_values]
+    gaps = [cw.l2_norm(apply_Q(model1, eps, w0) - limit) for eps in eps_values]
     slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
     assert abs(slope - 2.0) <= 0.3
 
@@ -237,27 +239,27 @@ def test_apply_Q_matches_quadrature_oracle(model1, grid1):
     w = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     inner = cw.averaging_direct(grid1, eps, w.values)
     oracle = cw.GridFunction(grid1, cw.averaging_direct(grid1, eps, inner * inner))
-    assert cw.l2_norm(cw.apply_Q(model1, eps, w) - oracle) < 1e-12
+    assert cw.l2_norm(apply_Q(model1, eps, w) - oracle) < 1e-12
 
 
 def test_apply_Q_nonnegative_and_even(model1, grid1, rng):
     f = random_band_limited(grid1, 30.0, rng)
-    image = cw.apply_Q(model1, 0.25, f)
+    image = apply_Q(model1, 0.25, f)
     assert float(np.min(image.values)) >= -1e-12 * cw.sup_norm(image)
     even = random_band_limited(grid1, 30.0, rng, parity="even")
-    assert cw.evenness_defect(cw.apply_Q(model1, 0.25, even)) <= 1e-12
+    assert evenness_defect(apply_Q(model1, 0.25, even)) <= 1e-12
 
 
 def test_apply_Q0_cases(model2, grid2):
     ones = cw.GridFunction(grid2, np.ones(grid2.num_points))
-    np.testing.assert_allclose(cw.apply_Q0(model2, ones).values, 9.0, atol=1e-14)
+    np.testing.assert_allclose(apply_Q0(model2, ones).values, 9.0, atol=1e-14)
     zero = cw.GridFunction(grid2, np.zeros(grid2.num_points))
-    assert cw.sup_norm(cw.apply_Q0(model2, zero)) == 0.0
+    assert cw.sup_norm(apply_Q0(model2, zero)) == 0.0
 
 
 def test_apply_P_none_family(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
-    assert cw.sup_norm(cw.apply_P(model1, 0.2, w0)) == 0.0
+    assert cw.sup_norm(apply_P(model1, 0.2, w0)) == 0.0
 
 
 def test_apply_P_cubic_closed_form(grid1):
@@ -268,14 +270,14 @@ def test_apply_P_cubic_closed_form(grid1):
     averaging = cw.averaging_symbol(grid1, eps)
     inner = cw.apply_symbol(w0.values, averaging)
     expected = cw.GridFunction(grid1, 0.7 * cw.apply_symbol(inner * inner * inner, averaging))
-    image = cw.apply_P(model, eps, w0)
+    image = apply_P(model, eps, w0)
     assert cw.l2_norm(image - expected) <= 1e-12 * cw.l2_norm(expected)
 
 
 def test_apply_P_bounded_over_sweep(model2_cubic):
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     w0 = cw.kdv_profile(model2_cubic, grid)
-    norms = [cw.l2_norm(cw.apply_P(model2_cubic, eps, w0)) for eps in (0.4, 0.2, 0.1, 0.05)]
+    norms = [cw.l2_norm(apply_P(model2_cubic, eps, w0)) for eps in (0.4, 0.2, 0.1, 0.05)]
     assert max(norms) / min(norms) < 2.0
 
 
@@ -283,10 +285,10 @@ def test_apply_P_warns_outside_regime(grid1):
     model = cw.ChainModel((1.0,), (1.0,), PsiFamily.cubic((0.1,)))
     big = cw.GridFunction(grid1, np.full(grid1.num_points, 30.0))
     with pytest.warns(UserWarning, match="curvature"):
-        cw.apply_P(model, 1.0, big)
+        apply_P(model, 1.0, big)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cw.apply_P(model, 0.1, cw.kdv_profile(model, grid1))
+        apply_P(model, 0.1, cw.kdv_profile(model, grid1))
 
 
 def test_tw_residual_zero_and_profile_order(model1, grid1):

@@ -18,8 +18,16 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import operators
-from chainwaves.model import tw_defect_spectrum
-from chainwaves.operators import _legendre_rule, _quadrature_window, _window_rule, cutoff_symbol
+from chainwaves.grid import evenness_defect, inner_product
+from chainwaves.model import apply_Q0, tw_defect_spectrum
+from chainwaves.operators import (
+    _legendre_rule,
+    _quadrature_window,
+    _window_rule,
+    b_symbol,
+    cutoff_symbol,
+    von_neumann_partial_sums,
+)
 from chainwaves.verify import (
     CHECKS,
     _band_draws,
@@ -258,22 +266,27 @@ def _spectral_antiderivative(f):
 
 
 def test_b_symbol_floor_and_value(model1):
-    assert cw.b_symbol(model1, 0.3, 0.0) == 1.0
+    assert b_symbol(model1, 0.3, 0.0) == 1.0
     k = np.linspace(-50, 50, 2001)
-    values = cw.b_symbol(model1, 0.3, k)
+    values = b_symbol(model1, 0.3, k)
     assert np.min(values) >= 1.0 - 1e-14
     # direct evaluation of the closed form at eps=1, k=8
     expected = 1.0 + (1.0 - (math.sin(4.0) / 4.0) ** 2)
-    assert cw.b_symbol(model1, 1.0, 8.0) == pytest.approx(expected, rel=1e-14)
+    assert b_symbol(model1, 1.0, 8.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_b0_symbol_instance(model1):
-    assert cw.b0_symbol(model1, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    # B_0 is b_diagonal at eps = 0; on L = pi the half lattice is k_n = n
+    grid = cw.make_grid(math.pi, 16)
+    assert cw.b_diagonal(model1, grid, 0.0)[2] == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 def test_b_symbol_converges_to_limit(model2):
-    for k in (0.5, 2.0, 7.0):
-        gaps = [abs(cw.b_symbol(model2, eps, k) - cw.b0_symbol(model2, k)) for eps in (0.2, 0.1, 0.05)]
+    # on L = 2 pi the half lattice is k_n = n/2: k = 0.5, 2 and 7 at n = 1, 4, 14
+    grid = cw.make_grid(2.0 * math.pi, 32)
+    limit, k = cw.b_diagonal(model2, grid, 0.0), grid.half_wavenumbers
+    for n in (1, 4, 14):
+        gaps = [abs(b_symbol(model2, eps, k[n]) - limit[n]) for eps in (0.2, 0.1, 0.05)]
         assert gaps[0] > gaps[1] > gaps[2]
         ratio = gaps[1] / gaps[2]
         assert ratio == pytest.approx(4.0, rel=0.2)  # quadratic in eps
@@ -296,7 +309,7 @@ def test_b_operator_limit_on_profile(model1, grid1):
 def test_b0_applied_to_profile_is_quadratic_limit(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
     lhs = _apply(cw.b_diagonal(model1, grid1, 0.0), w0)
-    rhs = cw.apply_Q0(model1, w0)
+    rhs = apply_Q0(model1, w0)
     assert cw.l2_norm(lhs - rhs) < 1e-8
 
 
@@ -308,7 +321,7 @@ def test_invert_b_roundtrip_and_mode(model1, grid1, rng):
     f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     inverted = _apply(1.0 / b, f)
     np.testing.assert_allclose(
-        inverted.values, f.values / cw.b_symbol(model1, 0.2, k), atol=1e-13
+        inverted.values, f.values / b_symbol(model1, 0.2, k), atol=1e-13
     )
     g = random_band_limited(grid1, 40.0, rng, parity="even")
     back = _apply(b, _apply(1.0 / b, g))
@@ -343,7 +356,7 @@ def test_sharp_inverse_constant_stable(model1, grid1):
     constants = []
     for eps in (0.4, 0.2, 0.1, 0.05):
         k = grid1.half_wavenumbers
-        symbol = cw.b_symbol(model1, eps, k)
+        symbol = b_symbol(model1, eps, k)
         inside = np.abs(k) <= 4.0 / eps
         r_in = np.sqrt(1 + k[inside] ** 2 + k[inside] ** 4) / symbol[inside]
         r_out = (1.0 / eps**2) / symbol[~inside]
@@ -354,7 +367,7 @@ def test_sharp_inverse_constant_stable(model1, grid1):
 def test_von_neumann_first_term(model1, grid1):
     eps = 0.3
     f = cw.GridFunction(grid1, np.ones(grid1.num_points))
-    partials = cw.von_neumann_partial_sums(model1, grid1, eps, f)
+    partials = von_neumann_partial_sums(model1, grid1, eps, f)
     first, second = next(partials), next(partials)
     expected = eps**2 / (eps**2 + model1.sound_speed_sq)
     # items are rfft half spectra, each a new read-only array
@@ -365,16 +378,16 @@ def test_von_neumann_first_term(model1, grid1):
 
 def test_von_neumann_preserves_shape(model1, grid1):
     w0 = cw.kdv_profile(model1, grid1)
-    partials = list(islice(cw.von_neumann_partial_sums(model1, grid1, 0.2, w0), 20))
+    partials = list(islice(von_neumann_partial_sums(model1, grid1, 0.2, w0), 20))
     for terms in (1, 2, 5, 20):
         partial = _samples(grid1, partials[terms - 1])
         scale = cw.sup_norm(partial)
         assert float(np.min(partial.values)) >= -1e-12 * scale
-        assert cw.evenness_defect(partial) <= 1e-12 * scale
+        assert evenness_defect(partial) <= 1e-12 * scale
         assert unimodality_defect(partial.values) <= 1e-10 * scale
     for eps in (0.0, -0.1):
         with pytest.raises(ValueError):
-            next(cw.von_neumann_partial_sums(model1, grid1, eps, w0))
+            next(von_neumann_partial_sums(model1, grid1, eps, w0))
 
 
 def test_unimodality_defect_values():
@@ -400,7 +413,7 @@ def test_von_neumann_partial_sums_match_term_by_term(model1, model2):
             )
             denominator = eps**2 + model.sound_speed_sq
             power, total = w0, (eps**2 / denominator) * w0
-            partials = cw.von_neumann_partial_sums(model, grid, eps, w0)
+            partials = von_neumann_partial_sums(model, grid, eps, w0)
             for i, partial in enumerate(islice(partials, 40), start=1):
                 gap = cw.l2_norm(_samples(grid, partial) - total)
                 assert gap <= 1e-13 * cw.l2_norm(total), (model.alpha, eps, i)
@@ -435,13 +448,14 @@ def _recorded_transforms(monkeypatch) -> list:
 
 def test_verify_transform_budget(model2, grid2, monkeypatch):
     # every rfft/irfft call of the twenty checks on M2, N = 1024, whatever
-    # its batch: the probe blocks, the series' spectra and the Parseval
-    # readings of the cutoff and oracle checks keep it at 153, where
-    # per-probe transforms and an irfft per partial sum made 338
+    # its batch: the probe blocks, the series' spectra, the Parseval
+    # readings of the cutoff and oracle checks and the round trip's stacked
+    # 1/b and b keep it at 149, where per-probe transforms and an irfft per
+    # partial sum made 338
     calls = _recorded_transforms(monkeypatch)
     results = cw.run_verification(model2, grid2)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert len(calls) <= 153
+    assert len(calls) <= 149
 
 
 def test_cutoff_check_draws_its_ensemble_once(model1, grid1, monkeypatch):
@@ -700,8 +714,8 @@ def test_averaging_self_adjoint_and_bounds(grid1, rng):
     for _ in range(3):
         f = random_band_limited(grid1, 25.0, rng)
         g = random_band_limited(grid1, 25.0, rng)
-        lhs = cw.inner_product(_apply(symbol, f), g)
-        rhs = cw.inner_product(f, _apply(symbol, g))
+        lhs = inner_product(_apply(symbol, f), g)
+        rhs = inner_product(f, _apply(symbol, g))
         assert abs(lhs - rhs) <= 1e-12
         averaged = _apply(symbol, f)
         assert cw.l2_norm(averaged) <= cw.l2_norm(f) * (1 + 1e-12)
@@ -727,7 +741,7 @@ def test_b_symbol_banded_lower_bound(model1, grid1):
     # piecewise bound: quadratic growth inside the cutoff band, 1/eps^2 outside
     eps = 0.1
     k = grid1.half_wavenumbers
-    symbol = cw.b_symbol(model1, eps, k)
+    symbol = b_symbol(model1, eps, k)
     inside = np.abs(k) <= 4.0 / eps
     c_inside = np.min(symbol[inside] / (1.0 + k[inside] ** 2))
     c_outside = np.min(symbol[~inside]) * eps**2
@@ -739,8 +753,12 @@ def test_b_symbol_banded_lower_bound(model1, grid1):
 def test_b_diagonal_is_the_b_symbol_cached_read_only(model2, grid2, eps):
     symbol = cw.b_diagonal(model2, grid2, eps)
     k = grid2.half_wavenumbers
-    expected = cw.b_symbol(model2, eps, k) if eps else cw.b0_symbol(model2, k)
-    assert symbol.dtype == expected.dtype and symbol.tobytes() == expected.tobytes()
+    if eps:
+        expected = b_symbol(model2, eps, k)
+        assert symbol.dtype == expected.dtype and symbol.tobytes() == expected.tobytes()
+    else:  # B_0 = 1 + k^2 / d1, the curvature of the KdV limit
+        assert symbol.dtype == np.float64
+        np.testing.assert_allclose(symbol, 1.0 + k**2 / model2.d1, rtol=1e-15, atol=0.0)
     assert cw.b_diagonal(model2, grid2, eps) is symbol
     assert not symbol.flags.writeable
     with pytest.raises(ValueError):

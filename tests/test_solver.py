@@ -13,8 +13,10 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import lattice, linearized, operators, solver
+from chainwaves.grid import evenness_defect
 from chainwaves.linearized import even_coefficients, even_synthesis, linearized_operator
-from chainwaves.solver import SolveDiagnostics
+from chainwaves.model import apply_P, apply_Q
+from chainwaves.solver import SolveDiagnostics, fixed_point_map, measure_tail_decay, residuals
 from chainwaves.verify import CHECKS, unimodality_defect
 from conftest import project_even, random_band_limited
 
@@ -46,7 +48,7 @@ def test_config_rejects_subnormal_fourth_power():
 
 
 def test_residuals_psi_none_has_zero_s(model1, grid1):
-    r, s = cw.residuals(model1, grid1, 0.2)
+    r, s = residuals(model1, grid1, 0.2)
     assert r.shape == s.shape == (grid1.num_points // 2 + 1,)
     assert not s.any()
     assert np.linalg.norm(r) > 0.0
@@ -65,9 +67,9 @@ def test_residuals_match_term_by_term_reference(eps, model1, model2_cubic, model
         b_w0 = cw.GridFunction(grid, cw.apply_symbol(w0.values, b))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", cw.CurvatureWarning)
-            r, s = cw.residuals(model, grid, eps)
-            r_grid = (1.0 / eps**2) * (cw.apply_Q(model, eps, w0) - b_w0)
-            s_grid = cw.apply_P(model, eps, w0)
+            r, s = residuals(model, grid, eps)
+            r_grid = (1.0 / eps**2) * (apply_Q(model, eps, w0) - b_w0)
+            s_grid = apply_P(model, eps, w0)
         floor = np.finfo(float).eps * b.max() * cw.l2_norm(w0) / eps**2
         assert np.linalg.norm(r - even_coefficients(r_grid)) <= 4 * floor
         assert np.linalg.norm(s - even_coefficients(s_grid)) <= 4 * floor
@@ -83,7 +85,7 @@ def test_residuals_bounded_over_sweep(model1, model2, model2_cubic):
 def test_residuals_cauchy_in_eps(model1, grid1):
     # R_eps approaches a limit: consecutive sweep differences shrink
     eps_values = (0.4, 0.2, 0.1, 0.05)
-    rs = [cw.residuals(model1, grid1, eps)[0] for eps in eps_values]
+    rs = [residuals(model1, grid1, eps)[0] for eps in eps_values]
     gaps = [np.linalg.norm(rs[i + 1] - rs[i]) for i in range(len(rs) - 1)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -100,8 +102,8 @@ def test_apply_N_lipschitz_scale(model2_cubic):
     ratios = []
     for eps in eps_values:
         gap = cw.l2_norm(
-            cw.apply_P(model2_cubic, eps, w0 + eps**2 * v2)
-            - cw.apply_P(model2_cubic, eps, w0 + eps**2 * v1)
+            apply_P(model2_cubic, eps, w0 + eps**2 * v2)
+            - apply_P(model2_cubic, eps, w0 + eps**2 * v1)
         )
         ratios.append(gap / cw.l2_norm(v2 - v1))
     slope = np.polyfit(np.log(eps_values), np.log(ratios), 1)[0]
@@ -111,7 +113,7 @@ def test_apply_N_lipschitz_scale(model2_cubic):
 def test_fixed_point_property(model1, grid1, solution1):
     # the map acts on cosine coordinates, whose Euclidean norm is the l2 norm
     v = even_coefficients(solution1.v)
-    image = cw.fixed_point_map(model1, grid1, solution1.epsilon, v)
+    image = fixed_point_map(model1, grid1, solution1.epsilon, v)
     gap = float(np.linalg.norm(image - v))
     assert gap <= 10 * linearized.TOL * max(1.0, cw.l2_norm(solution1.v))
 
@@ -122,7 +124,7 @@ def test_fixed_point_contraction(model1, grid1):
     v = np.zeros(grid1.num_points // 2 + 1)
     increments = []
     for _ in range(8):
-        image = cw.fixed_point_map(model1, grid1, eps, v, operator=operator)
+        image = fixed_point_map(model1, grid1, eps, v, operator=operator)
         increments.append(float(np.linalg.norm(image - v)))
         v = image
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 1e-14]
@@ -153,8 +155,8 @@ def test_fixed_point_map_residual_keyword(model2_cubic, model3_toda, monkeypatch
 def _paper_rhs(model, eps, w0, residual, v):
     """R + S + eps^2 Q[v] + eps^2 N[v] on the grid, from the term-by-term
     operators, with R + S the grid function ``residual``."""
-    remainder = cw.apply_P(model, eps, w0 + eps**2 * v) - cw.apply_P(model, eps, w0)
-    return project_even(residual + eps**2 * cw.apply_Q(model, eps, v) + remainder)
+    remainder = apply_P(model, eps, w0 + eps**2 * v) - apply_P(model, eps, w0)
+    return project_even(residual + eps**2 * apply_Q(model, eps, v) + remainder)
 
 
 def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
@@ -171,11 +173,11 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
         linearized_operator.cache_clear()
         operator = linearized_operator(model, grid, eps)
         w0 = operator.w0
-        residual = even_synthesis(grid, sum(cw.residuals(model, grid, eps)))
+        residual = even_synthesis(grid, sum(residuals(model, grid, eps)))
         v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
         rhs = _paper_rhs(model, eps, w0, residual, v)
         paper = operator.solve(even_coefficients(rhs))
-        image = cw.fixed_point_map(model, grid, eps, even_coefficients(v), operator=operator)
+        image = fixed_point_map(model, grid, eps, even_coefficients(v), operator=operator)
         assert np.linalg.norm(image - paper) <= 1e-11 * np.linalg.norm(paper)
         v = cw.GridFunction(grid, np.zeros(grid.num_points))
         for iterations in range(1, 51):
@@ -266,6 +268,53 @@ def test_corrector_matches_the_rational_v0(beta, psi, a, b, c):
     assert np.max(np.abs(solution.v.values - v0)) <= 1e-5 * np.max(np.abs(v0))
 
 
+def _scaled(model, force=1.0, amplitude=1.0):
+    """The chain with alpha_m, beta_m and the psi params times ``force``,
+    beta_m times ``amplitude`` and the psi params times ``amplitude``
+    squared; the latter divides a polynomial chain's amplitudes by it."""
+    return cw.ChainModel(
+        tuple(force * a for a in model.alpha),
+        tuple(force * amplitude * b for b in model.beta),
+        cw.PsiFamily(model.psi.kind, tuple(force * amplitude**2 * p for p in model.psi.params)),
+    )
+
+
+@pytest.mark.parametrize("name", ["M1", "M2-cubic", "M3-toda", "Toda"])
+def test_solve_wave_is_covariant_under_time_scaling(name, model1, model2_cubic, model3_toda):
+    # forces times lam are time run sqrt(lam) times faster: the wave at eps
+    # sqrt(lam) on a domain sqrt(lam) times wider is w / lam at the same
+    # nodes. One base domain serves every copy, the widest of their default
+    # domains mapped back; the worst gap reads 1.3e-14 of the peak (M1, lam 7)
+    toda = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda, "Toda": toda}[name]
+    copies = {lam: _scaled(model, force=lam) for lam in (0.06, 0.12, 7.0)}
+    half_length = max(
+        [cw.default_half_length(model)]
+        + [cw.default_half_length(copy) / math.sqrt(lam) for lam, copy in copies.items()]
+    )
+    grid = cw.make_grid(half_length, 2048)
+    w = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=0.2)).w.values
+    for lam, copy in copies.items():
+        scaled_grid = cw.make_grid(half_length * math.sqrt(lam), 2048)
+        config = cw.SolveConfig(epsilon=0.2 * math.sqrt(lam))
+        w_lam = cw.solve_wave(copy, scaled_grid, config).w.values
+        assert np.max(np.abs(lam * w_lam - w)) <= 1e-12 * np.max(w), lam
+
+
+@pytest.mark.parametrize("name", ["M1", "M2-cubic"])
+def test_solve_wave_is_covariant_under_amplitude_scaling(name, model1, model2_cubic):
+    # beta times mu and the cubic deltas times mu^2 leave the chain's wave
+    # at w / mu; the worst gap reads 1.3e-14 of the peak (M1, mu 50)
+    model = {"M1": model1, "M2-cubic": model2_cubic}[name]
+    copies = {mu: _scaled(model, amplitude=mu) for mu in (0.1, 50.0)}
+    half_length = max(map(cw.default_half_length, [model, *copies.values()]))
+    grid = cw.make_grid(half_length, 2048)
+    w = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=0.2)).w.values
+    for mu, copy in copies.items():
+        w_mu = cw.solve_wave(copy, grid, cw.SolveConfig(epsilon=0.2)).w.values
+        assert np.max(np.abs(mu * w_mu - w)) <= 1e-12 * np.max(w), mu
+
+
 @pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("damping", [1.0, 0.7])
 def test_diverging_solve_fails_typed(n, damping):
@@ -302,7 +351,7 @@ def test_solve_wave_contract(model1, grid1, solution1):
     assert d.tw_residual <= 1e-9
     assert d.iterations <= 50
     assert float(np.min(solution1.w.values)) >= -1e-10
-    assert cw.evenness_defect(solution1.w) <= 1e-10
+    assert evenness_defect(solution1.w) <= 1e-10
     assert solution1.wave_speed_sq == pytest.approx(model1.sound_speed_sq + 0.04)
     # ansatz consistency: w - w0 - eps^2 v vanishes identically
     rebuilt = solution1.w0 + solution1.epsilon**2 * solution1.v
@@ -469,21 +518,21 @@ def test_eigen_identity_matches_force_law_form(model2_cubic, model3_toda):
 
 def test_measure_tail_decay_manufactured(grid1):
     exponential = cw.GridFunction(grid1, np.exp(-2.0 * np.abs(grid1.nodes)))
-    assert cw.measure_tail_decay(exponential) == pytest.approx(2.0, rel=0.01)
+    assert measure_tail_decay(exponential) == pytest.approx(2.0, rel=0.01)
     flat = cw.GridFunction(grid1, np.ones(grid1.num_points))
     with pytest.raises(cw.EmptyWindowError):
-        cw.measure_tail_decay(flat)
+        measure_tail_decay(flat)
 
 
 def test_tail_rate_stable_under_round_off(solution1):
     # an even perturbation at the round-off of w barely moves the fitted
     # rate: the fit window stops at w = 1e-8, where 1e-15 is 1e-7 relative
     w = solution1.w
-    base = cw.measure_tail_decay(w)
+    base = measure_tail_decay(w)
     rng = np.random.default_rng(5)
     for _ in range(4):
         noise = cw.GridFunction(w.grid, rng.uniform(-1e-15, 1e-15, w.grid.num_points))
-        rate = cw.measure_tail_decay(w + project_even(noise))
+        rate = measure_tail_decay(w + project_even(noise))
         assert abs(rate - base) <= 1e-9 * base
 
 
