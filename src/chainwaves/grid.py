@@ -40,7 +40,6 @@ __all__ = [
     "apply_symbol",
     "l2_norm",
     "sup_norm",
-    "inner_product",
     "evenness_defect",
     "derivative",
     "sample",
@@ -188,12 +187,6 @@ def l2_norm(f: GridFunction) -> float:
 def sup_norm(f: GridFunction) -> float:
     """max_i |f_i|."""
     return float(np.max(np.abs(f.values)))
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Discrete L2 pairing h * sum_i f_i g_i."""
-    f._check_same_grid(g)
-    return float(f.grid.spacing * np.sum(f.values * g.values))
 
 
 def evenness_defect(f: GridFunction) -> float:

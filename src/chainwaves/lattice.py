@@ -111,13 +111,13 @@ class _Verlet:
             drift, momentum = (np.add, positions, start, positions), (np.add, out, start, out)
             self._steps.append([drift, *program, momentum])
 
-    def forces(self, slot: int = 0):
-        """Kick dt^2 a at the positions into momentum row ``slot`` + 1, which
-        is returned, loading their stretches to ``slot``: the step of the
-        slot without its drift and momentum add."""
-        for ufunc, first, second, out in self._steps[slot][1:-1]:
+    def forces(self):
+        """Kick dt^2 a at the positions into momentum row 1, which is
+        returned, loading their stretches to slot 0: the step of slot 0
+        without its drift and momentum add."""
+        for ufunc, first, second, out in self._steps[0][1:-1]:
             ufunc(first, second, out)
-        return self.momenta[slot + 1]
+        return self.momenta[1]
 
     def potentials(self, count: int) -> list:
         """Total pair potential of each of the first ``count`` slots.
@@ -140,30 +140,28 @@ class _Verlet:
             total += np.add.reduce(_exp_tail(stretch, 4), axis=2) * self._tail
         return np.add.reduce(total, axis=1).tolist()
 
-    def run(self, steps: int, energies=None) -> None:
+    def run(self, steps: int, energies) -> None:
         """``steps`` Verlet steps in place, drift-kick, at one force
         evaluation per step plus one at the start, which turns the
         velocities into the momenta of the half steps either side of step 0.
-        The velocities of the last step are written back at the end. With
-        ``energies`` (length steps + 1) also the energy of the start and of
-        every step, summed per ``depth`` steps; raises ``ValueError`` at the
+        The velocities of the last step are written back at the end, and
+        the energy of the start and of every step into ``energies`` (length
+        steps + 1), summed per ``depth`` steps; raises ``ValueError`` at the
         first step after step 0 whose energy is not finite, once its batch
         is summed."""
         depth, momenta, programs = len(self.stretches), self.momenta, self._steps
-        half = np.multiply(self.forces(0), 0.5, out=self._square_rows[0, : len(self.velocities)])
+        half = np.multiply(self.forces(), 0.5, out=self._square_rows[0, : len(self.velocities)])
         np.multiply(self.velocities, self.dt, out=momenta[0])
         np.add(momenta[0], half, out=momenta[1])
         np.subtract(momenta[0], half, out=momenta[0])
         for n in range(1, steps + 1):
             slot = n % depth
             if slot == 0:
-                if energies is not None:
-                    self._record(energies, n - depth)
+                self._record(energies, n - depth)
                 momenta[0] = momenta[depth]
             for ufunc, first, second, out in programs[slot]:
                 ufunc(first, second, out)
-        if energies is not None:
-            self._record(energies, steps - steps % depth)
+        self._record(energies, steps - steps % depth)
         if steps:
             slot = steps % depth
             np.add(momenta[slot], momenta[slot + 1], out=self.velocities)

@@ -173,11 +173,11 @@ class LinearizedOperator:
         coupling = self._coupling_spectrum(coefficients / scale).real
         return b_diagonal(self.model, self.grid, self.eps) * coefficients - scale * coupling
 
-    def even_matrix(self, modes: int | None = None) -> NDArray[np.float64]:
-        """Dense matrix of L_eps in the orthonormal cosine coordinates of
-        ``even_coefficients``, in closed form: all N/2 + 1 modes, or the
-        leading ``modes`` x ``modes`` block, L_eps on the first ``modes``
-        cosine modes.
+    def even_matrix(self, modes: int) -> NDArray[np.float64]:
+        """Dense leading ``modes`` x ``modes`` block of L_eps in the
+        orthonormal cosine coordinates of ``even_coefficients``, in closed
+        form: L_eps on the first ``modes`` cosine modes, all of them at
+        ``modes`` = N/2 + 1.
 
         On the real rfft S of an even V, V -> rfft(c irfft(S)) is the matrix
 
@@ -191,8 +191,7 @@ class LinearizedOperator:
         applied.
         """
         stack = self._assembled[1]
-        n = self.grid.num_points
-        m = n // 2 + 1 if modes is None else modes
+        n, m = self.grid.num_points, modes
         scale = cosine_scale(self.grid)[:m]
         column_factor = self.grid.half_weights[:m] / ((2.0 * n) * scale)
         matrix = np.diag(b_diagonal(self.model, self.grid, self.eps)[:m])

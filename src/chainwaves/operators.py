@@ -12,6 +12,7 @@ division. All operators here are real, even in k, parity-preserving, and
 self-adjoint in the discrete L2 pairing. Each is an array on
 ``grid.half_wavenumbers``, applied to samples by ``grid.apply_symbol``
 (``AveragingStack`` is its batched form); the cached ones are read-only.
+``b_diagonal`` is the one route to b_eps, and to b_0 at eps = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "AveragingStack",
     "averaging_stack",
     "averaging_direct",
-    "b_symbol",
     "b_diagonal",
     "cutoff_symbol",
     "von_neumann_partial_sums",
@@ -183,29 +182,26 @@ def averaging_direct(grid: SpectralGrid, eta: float, values) -> NDArray[np.float
     return apply_symbol(values, _quadrature_window(grid, eta))
 
 
-def b_symbol(model: "ChainModel", eps: float, k):
-    """Symbol 1 + sum_m alpha_m m^2 (1 - sinc^2(m k eps / 2)) / eps^2, >= 1."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    k = np.asarray(k, dtype=float)
-    out = np.ones_like(k)
-    for m, alpha in enumerate(model.alpha, start=1):
-        out = out + alpha * m**2 * _one_minus_sinc_sq(0.5 * m * k * eps) / eps**2
-    return out if out.ndim else float(out)
-
-
 def b_diagonal(model: "ChainModel", grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
-    """Read-only symbol of B_eps on ``grid.half_wavenumbers``, B_0 at eps = 0;
-    cached on (alpha, grid, eps), all it reads, so a model and its psi-free
-    copy share it: L_eps reads it at every corrector step."""
+    """Read-only symbol 1 + sum_m alpha_m m^2 (1 - sinc^2(m k eps / 2)) / eps^2
+    of B_eps on ``grid.half_wavenumbers``, >= 1, and B_0 at eps = 0; cached on
+    (alpha, grid, eps), all it reads, so a model and its psi-free copy share
+    it: L_eps reads it at every corrector step. Raises ``ValueError`` for
+    eps < 0 or NaN."""
     return _b_diagonal(model.alpha, grid, eps)
 
 
 @lru_cache(maxsize=16)
 def _b_diagonal(alpha: tuple, grid: SpectralGrid, eps: float) -> NDArray[np.float64]:
-    k, coefficients = grid.half_wavenumbers, SimpleNamespace(alpha=alpha)
-    curvature = sum(a * m**4 for m, a in enumerate(alpha, start=1)) / 12.0  # b_0 = 1 + curvature k^2
-    symbol = b_symbol(coefficients, eps, k) if eps else 1.0 + curvature * k * k
+    if not eps >= 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    k = grid.half_wavenumbers
+    if eps:
+        symbol = np.ones_like(k)
+        for m, a in enumerate(alpha, start=1):
+            symbol = symbol + a * m**2 * _one_minus_sinc_sq(0.5 * m * k * eps) / eps**2
+    else:  # b_0 = 1 + (sum_m alpha_m m^4 / 12) k^2
+        symbol = 1.0 + sum(a * m**4 for m, a in enumerate(alpha, start=1)) / 12.0 * k * k
     symbol.flags.writeable = False
     return symbol
 

@@ -13,8 +13,9 @@ the quadratic defect at w0. The paper's map
     F_eps[v] = L_eps^{-1}(R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v])
 
 is iterated on the cosine coordinates of v from v = 0, with optional
-damping: R once per solve, and each step's eps^2 Q[v] + P_eps[w0 + eps^2 v]
-from averages, so no O(1) term cancels in a step. It stops once an increment
+damping. L_eps and R are built once per solve and handed to every step,
+which forms eps^2 Q[v] + P_eps[w0 + eps^2 v] from averages, so no O(1) term
+cancels in a step. It stops once an increment
 is within TOL max(1, ||v||), at the first non-finite one, or after
 ``MAX_ITERATIONS`` steps, and a traveling-wave residual check is mandatory
 before a solve is reported as successful.
@@ -132,28 +133,19 @@ def residuals(
 
 
 def fixed_point_map(
-    model: ChainModel,
-    grid: SpectralGrid,
-    eps: float,
-    v: np.ndarray,
-    *,
-    operator: LinearizedOperator | None = None,
-    residual: np.ndarray | None = None,
+    model: ChainModel, v: np.ndarray, operator: LinearizedOperator, residual: np.ndarray
 ) -> np.ndarray:
     """One application of F_eps[v] = L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v])
     on the cosine coordinates ``v`` of the corrector; returns those of the image.
 
-    Since S + eps^2 N[v] = P_eps[w] at w = w0 + eps^2 v, the right-hand side
-    is R + eps^2 Q[v] + P_eps[w]. ``residual`` holds the coordinates of R,
-    computed from ``operator`` when not given. One batched irfft gives the
-    averages A_{m eps} v, a second one those of w when psi is not none, and
-    one batched rfft takes back the rows eps^2 beta_m m^3 (A v)^2 +
-    eps^-6 m psi'_m(m eps^2 A w).
+    The map is handed its L_eps, ``operator``, whose grid and eps it reads,
+    and the coordinates ``residual`` of R. Since S + eps^2 N[v] = P_eps[w] at
+    w = w0 + eps^2 v, the right-hand side is R + eps^2 Q[v] + P_eps[w]. One
+    batched irfft gives the averages A_{m eps} v, a second one those of w
+    when psi is not none, and one batched rfft takes back the rows
+    eps^2 beta_m m^3 (A v)^2 + eps^-6 m psi'_m(m eps^2 A w).
     """
-    if operator is None:
-        operator = linearized_operator(model, grid, eps)
-    if residual is None:
-        residual = _quadratic_residual(operator)
+    grid, eps = operator.grid, operator.eps
     scale = cosine_scale(grid)
     stack = averaging_stack(grid, eps, model.neighbor_range)
     spectrum = v / scale
@@ -239,7 +231,7 @@ def _solve_wave(
     v = np.zeros(grid.num_points // 2 + 1)
     for iterations in range(1, MAX_ITERATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            image = fixed_point_map(model, grid, eps, v, operator=operator, residual=residual)
+            image = fixed_point_map(model, v, operator, residual)
             if config.damping < 1.0:
                 image = (1.0 - config.damping) * v + config.damping * image
             increment = float(np.linalg.norm(image - v))

@@ -46,7 +46,6 @@ from .operators import (
     _quadrature_window,
     averaging_symbol,
     b_diagonal,
-    b_symbol,
     cutoff_symbol,
     von_neumann_partial_sums,
 )
@@ -180,7 +179,7 @@ def _adjoint_defect(grid, rng, band, apply) -> float:
     probes = random_band_limited_rows(grid, band, rng, 6)
     images = apply(probes)
     f, g = probes[0::2], probes[1::2]
-    forward = grid.spacing * np.sum(images[0::2] * g, axis=1)  # inner_product
+    forward = grid.spacing * np.sum(images[0::2] * g, axis=1)
     backward = grid.spacing * np.sum(f * images[1::2], axis=1)
     return float(np.max(np.abs(forward - backward)))
 
@@ -279,10 +278,9 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
 
 def _check_b_symbol_floor(model, grid):
     eps = 0.2
-    k = grid.half_wavenumbers
-    symbol = np.asarray(b_symbol(model, eps, k))
+    k, symbol = grid.half_wavenumbers, b_diagonal(model, grid, eps)
     floor_ok = float(np.min(symbol)) >= 1.0 - 1e-12
-    at_zero = float(np.asarray(b_symbol(model, eps, 0.0)))
+    at_zero = float(symbol[0])  # k_0 = 0
     inside = k <= 4.0 / eps
     c_inside = float(np.min(symbol[inside] / (1.0 + k[inside] ** 2)))
     c_outside = float(np.min(symbol[~inside]) * eps**2) if np.any(~inside) else math.inf

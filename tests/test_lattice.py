@@ -137,7 +137,7 @@ def test_pair_laws_rows_equal_force_laws(psi):
 
 def test_step_zero_state_and_guard(model1, wave):
     positions, velocities = np.zeros(16), np.zeros(16)
-    lattice._Verlet(model1, positions, velocities, 0.05).run(1)
+    lattice._Verlet(model1, positions, velocities, 0.05).run(1, np.empty(2))
     assert np.all(positions == 0.0) and np.all(velocities == 0.0)
     # two steps of 0.2, above the guard 0.1/c0
     with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\]"):
@@ -157,7 +157,7 @@ def test_step_harmonic_frequency(model1):
     previous = float(shape @ positions)
     crossing = None
     for n in range(1, 20000):
-        kernel.run(1)
+        kernel.run(1, np.empty(2))
         current = float(shape @ positions)
         if previous > 0 >= current:
             crossing = n * dt - dt * current / (current - previous)
@@ -280,7 +280,7 @@ def test_transport_window_overflow(wave):
 def test_momentum_conserved_through_steps(wave):
     positions, velocities = cw.wave_initial_data(wave, 80)
     start = float(np.sum(velocities))
-    lattice._Verlet(wave.model, positions, velocities, 0.05).run(100)
+    lattice._Verlet(wave.model, positions, velocities, 0.05).run(100, np.empty(101))
     assert abs(float(np.sum(velocities)) - start) / 100 <= 1e-12
 
 
@@ -361,7 +361,7 @@ def test_transport_evaluates_pair_terms_once_per_step(model2, monkeypatch):
     calls, batches = [], []
     run, potentials = lattice._Verlet.run, lattice._Verlet.potentials
 
-    def counting_run(self, steps, energies=None):
+    def counting_run(self, steps, energies):
         _count_calls(self, calls)
         return run(self, steps, energies)
 
@@ -496,7 +496,7 @@ def test_stacked_potentials_equal_single_state(model, size):
     alone = []
     for slot, state in enumerate(states):
         single = lattice._Verlet(model, *state, 0.01)
-        single.forces(0)
+        single.forces()
         stack.stretches[slot] = single.stretches[0]
         alone.extend(single.potentials(1))
     assert stack.potentials(16) == alone

@@ -1,4 +1,4 @@
-"""Multiplier symbols: averaging, b-symbols, cutoff, and the von Neumann series."""
+"""Multiplier symbols: averaging, the b symbol B_eps, cutoff, and the von Neumann series."""
 
 import ast
 import hashlib
@@ -18,13 +18,12 @@ import pytest
 
 import chainwaves as cw
 from chainwaves import operators
-from chainwaves.grid import evenness_defect, inner_product
+from chainwaves.grid import evenness_defect
 from chainwaves.model import apply_Q0, tw_defect_spectrum
 from chainwaves.operators import (
     _legendre_rule,
     _quadrature_window,
     _window_rule,
-    b_symbol,
     cutoff_symbol,
     von_neumann_partial_sums,
 )
@@ -47,6 +46,19 @@ def _apply(symbol, f):
 def _samples(grid, spectrum):
     """The grid function whose rfft half spectrum is ``spectrum``."""
     return cw.GridFunction(grid, np.fft.irfft(spectrum, n=grid.num_points))
+
+
+def _pairing(f, g):
+    """The discrete L2 pairing h sum_i f_i g_i."""
+    return f.grid.spacing * np.sum(f.values * g.values)
+
+
+def _b_closed_form(model, eps, k):
+    """1 + sum_m alpha_m m^2 (1 - sinc^2(m k eps / 2)) / eps^2 at k > 0,
+    term by term: its 1 - sinc^2 cancels to eps_mach near k = 0."""
+    ranges = np.arange(1, model.neighbor_range + 1)
+    z = 0.5 * eps * np.outer(ranges, k)
+    return 1.0 + np.array(model.alpha) * ranges**2 @ (1.0 - (np.sin(z) / z) ** 2) / eps**2
 
 
 def _sobolev22_norm(f):
@@ -266,13 +278,13 @@ def _spectral_antiderivative(f):
 
 
 def test_b_symbol_floor_and_value(model1):
-    assert b_symbol(model1, 0.3, 0.0) == 1.0
-    k = np.linspace(-50, 50, 2001)
-    values = b_symbol(model1, 0.3, k)
+    # on L = 20 pi the half lattice is k_n = n/20, from 0 to 51.2 in steps of 0.05
+    values = cw.b_diagonal(model1, cw.make_grid(20.0 * math.pi, 2048), 0.3)
+    assert values[0] == 1.0
     assert np.min(values) >= 1.0 - 1e-14
-    # direct evaluation of the closed form at eps=1, k=8
+    # direct evaluation of the closed form at eps=1, k=8: mode 8 on L = pi
     expected = 1.0 + (1.0 - (math.sin(4.0) / 4.0) ** 2)
-    assert b_symbol(model1, 1.0, 8.0) == pytest.approx(expected, rel=1e-14)
+    assert cw.b_diagonal(model1, cw.make_grid(math.pi, 16), 1.0)[8] == pytest.approx(expected, rel=1e-14)
 
 
 def test_b0_symbol_instance(model1):
@@ -284,9 +296,9 @@ def test_b0_symbol_instance(model1):
 def test_b_symbol_converges_to_limit(model2):
     # on L = 2 pi the half lattice is k_n = n/2: k = 0.5, 2 and 7 at n = 1, 4, 14
     grid = cw.make_grid(2.0 * math.pi, 32)
-    limit, k = cw.b_diagonal(model2, grid, 0.0), grid.half_wavenumbers
+    limit = cw.b_diagonal(model2, grid, 0.0)
     for n in (1, 4, 14):
-        gaps = [abs(b_symbol(model2, eps, k[n]) - limit[n]) for eps in (0.2, 0.1, 0.05)]
+        gaps = [abs(cw.b_diagonal(model2, grid, eps)[n] - limit[n]) for eps in (0.2, 0.1, 0.05)]
         assert gaps[0] > gaps[1] > gaps[2]
         ratio = gaps[1] / gaps[2]
         assert ratio == pytest.approx(4.0, rel=0.2)  # quadratic in eps
@@ -321,7 +333,7 @@ def test_invert_b_roundtrip_and_mode(model1, grid1, rng):
     f = cw.GridFunction(grid1, np.cos(k * grid1.nodes))
     inverted = _apply(1.0 / b, f)
     np.testing.assert_allclose(
-        inverted.values, f.values / b_symbol(model1, 0.2, k), atol=1e-13
+        inverted.values, f.values / _b_closed_form(model1, 0.2, [k]), atol=1e-13
     )
     g = random_band_limited(grid1, 40.0, rng, parity="even")
     back = _apply(b, _apply(1.0 / b, g))
@@ -356,7 +368,7 @@ def test_sharp_inverse_constant_stable(model1, grid1):
     constants = []
     for eps in (0.4, 0.2, 0.1, 0.05):
         k = grid1.half_wavenumbers
-        symbol = b_symbol(model1, eps, k)
+        symbol = cw.b_diagonal(model1, grid1, eps)
         inside = np.abs(k) <= 4.0 / eps
         r_in = np.sqrt(1 + k[inside] ** 2 + k[inside] ** 4) / symbol[inside]
         r_out = (1.0 / eps**2) / symbol[~inside]
@@ -714,8 +726,8 @@ def test_averaging_self_adjoint_and_bounds(grid1, rng):
     for _ in range(3):
         f = random_band_limited(grid1, 25.0, rng)
         g = random_band_limited(grid1, 25.0, rng)
-        lhs = inner_product(_apply(symbol, f), g)
-        rhs = inner_product(f, _apply(symbol, g))
+        lhs = _pairing(_apply(symbol, f), g)
+        rhs = _pairing(f, _apply(symbol, g))
         assert abs(lhs - rhs) <= 1e-12
         averaged = _apply(symbol, f)
         assert cw.l2_norm(averaged) <= cw.l2_norm(f) * (1 + 1e-12)
@@ -741,7 +753,7 @@ def test_b_symbol_banded_lower_bound(model1, grid1):
     # piecewise bound: quadratic growth inside the cutoff band, 1/eps^2 outside
     eps = 0.1
     k = grid1.half_wavenumbers
-    symbol = b_symbol(model1, eps, k)
+    symbol = cw.b_diagonal(model1, grid1, eps)
     inside = np.abs(k) <= 4.0 / eps
     c_inside = np.min(symbol[inside] / (1.0 + k[inside] ** 2))
     c_outside = np.min(symbol[~inside]) * eps**2
@@ -753,9 +765,10 @@ def test_b_symbol_banded_lower_bound(model1, grid1):
 def test_b_diagonal_is_the_b_symbol_cached_read_only(model2, grid2, eps):
     symbol = cw.b_diagonal(model2, grid2, eps)
     k = grid2.half_wavenumbers
-    if eps:
-        expected = b_symbol(model2, eps, k)
-        assert symbol.dtype == expected.dtype and symbol.tobytes() == expected.tobytes()
+    if eps:  # the closed form, up to its cancellation eps_mach c0^2/eps^2
+        assert symbol.dtype == np.float64 and symbol[0] == 1.0
+        floor = 4 * np.finfo(float).eps * model2.sound_speed_sq / eps**2
+        np.testing.assert_allclose(symbol[1:], _b_closed_form(model2, eps, k[1:]), rtol=0.0, atol=floor)
     else:  # B_0 = 1 + k^2 / d1, the curvature of the KdV limit
         assert symbol.dtype == np.float64
         np.testing.assert_allclose(symbol, 1.0 + k**2 / model2.d1, rtol=1e-15, atol=0.0)
@@ -763,6 +776,13 @@ def test_b_diagonal_is_the_b_symbol_cached_read_only(model2, grid2, eps):
     assert not symbol.flags.writeable
     with pytest.raises(ValueError):
         symbol[0] = 2.0
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan])
+def test_b_diagonal_rejects_negative_and_nan_eps(model2, grid2, eps):
+    # no B_|eps| and no NaN symbol: eps must be >= 0
+    with pytest.raises(ValueError, match="eps must be non-negative"):
+        cw.b_diagonal(model2, grid2, eps)
 
 
 def test_b_diagonal_is_cached_per_alpha(model2_cubic):

@@ -112,44 +112,48 @@ def test_apply_N_lipschitz_scale(model2_cubic):
 
 def test_fixed_point_property(model1, grid1, solution1):
     # the map acts on cosine coordinates, whose Euclidean norm is the l2 norm
-    v = even_coefficients(solution1.v)
-    image = fixed_point_map(model1, grid1, solution1.epsilon, v)
+    v, eps = even_coefficients(solution1.v), solution1.epsilon
+    operator, residual = linearized_operator(model1, grid1, eps), residuals(model1, grid1, eps)[0]
+    image = fixed_point_map(model1, v, operator, residual)
     gap = float(np.linalg.norm(image - v))
     assert gap <= 10 * linearized.TOL * max(1.0, cw.l2_norm(solution1.v))
 
 
 def test_fixed_point_contraction(model1, grid1):
     eps = 0.2
-    operator = linearized_operator(model1, grid1, eps)
+    operator, residual = linearized_operator(model1, grid1, eps), residuals(model1, grid1, eps)[0]
     v = np.zeros(grid1.num_points // 2 + 1)
     increments = []
     for _ in range(8):
-        image = fixed_point_map(model1, grid1, eps, v, operator=operator)
+        image = fixed_point_map(model1, v, operator, residual)
         increments.append(float(np.linalg.norm(image - v)))
         v = image
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 1e-14]
     assert all(r < 1.0 for r in ratios)
 
 
-def test_fixed_point_map_residual_keyword(model2_cubic, model3_toda, monkeypatch):
-    # the R that solve_wave hands to every step once per solve gives a map
-    # bitwise equal to the one that computes R itself when it is not given
+def test_fixed_point_map_is_handed_the_cached_operator_and_r(model2_cubic, model3_toda, monkeypatch):
+    # solve_wave hands every step the cached L_eps itself and the R that
+    # residuals reports, built once per solve
     handed = []
     step = solver.fixed_point_map
 
-    def recorded(*args, **kwargs):
-        handed.append((args, kwargs))
-        return step(*args, **kwargs)
+    def recorded(model, v, operator, residual):
+        handed.append((model, operator, residual))
+        return step(model, v, operator, residual)
 
     monkeypatch.setattr(solver, "fixed_point_map", recorded)
+    eps, steps = 0.1, 0
     for model in (model2_cubic, model3_toda):
         grid = cw.make_grid(cw.default_half_length(model), 1024)
-        cw.solve_wave(model, grid, cw.SolveConfig(epsilon=0.1))
-    assert len(handed) == 11
-    for args, kwargs in handed:
-        given = step(*args, **kwargs)
-        del kwargs["residual"]
-        assert np.array_equal(step(*args, **kwargs), given)
+        handed.clear()
+        cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
+        r = residuals(model, grid, eps)[0]
+        for given, operator, residual in handed:
+            assert given is model and operator is linearized_operator(model, grid, eps)
+            assert residual.dtype == r.dtype and residual.tobytes() == r.tobytes()
+        steps += len(handed)
+    assert steps == 11
 
 
 def _paper_rhs(model, eps, w0, residual, v):
@@ -173,11 +177,12 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
         linearized_operator.cache_clear()
         operator = linearized_operator(model, grid, eps)
         w0 = operator.w0
-        residual = even_synthesis(grid, sum(residuals(model, grid, eps)))
+        r, s = residuals(model, grid, eps)
+        residual = even_synthesis(grid, r + s)
         v = random_band_limited(grid, 8.0, rng, parity="even", decay=1.0)
         rhs = _paper_rhs(model, eps, w0, residual, v)
         paper = operator.solve(even_coefficients(rhs))
-        image = fixed_point_map(model, grid, eps, even_coefficients(v), operator=operator)
+        image = fixed_point_map(model, even_coefficients(v), operator, r)
         assert np.linalg.norm(image - paper) <= 1e-11 * np.linalg.norm(paper)
         v = cw.GridFunction(grid, np.zeros(grid.num_points))
         for iterations in range(1, 51):
