@@ -303,6 +303,29 @@ def test_simulate_window_overflow_exits_5(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == 5
 
 
+@pytest.mark.parametrize(
+    "code, command, overrides, report, first_line",
+    [
+        (1, "simulate", {"sim": {**SIM, "max_transport_error": 1e-9}}, "r.csv", ""),
+        (2, "simulate", {}, "r.csv", "config error: simulate needs a sim section"),
+        (3, "solve", {"solver": {"epsilon": 1.0}}, "r.csv", "solver error: NoConvergenceError: "),
+        (4, "solve", {}, "no/dir/r.csv", "cannot write {report}: "),
+        (5, "simulate", {"sim": {**SIM, "horizon": 500.0}}, "r.csv", "window error: "),
+    ],
+    ids=["property", "config", "solver", "io", "window"],
+)
+def test_exit_code_table(tmp_path, capsys, code, command, overrides, report, first_line):
+    # each exit code with the first line it puts on stderr; exit 1 prints
+    # none, and its summary says the transport error is ABOVE the threshold
+    report = tmp_path / report
+    path, _ = base_config(tmp_path, grid={"num_points": 1024}, **overrides)
+    assert cli.main([command, "--config", str(path), "--output", str(report)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.partition("\n")[0].startswith(first_line.format(report=report)), captured
+    assert ("ABOVE" in captured.out) == (captured.err == "") == (code == 1), captured
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("alpha", [[1.0], [1.0, 1.0]], ids=["M1", "M2"])
 def test_simulate_chain_without_interior_exits_2(tmp_path, capsys, alpha):
     # the transport window starts 4M sites in from each end: J = 8M has no
