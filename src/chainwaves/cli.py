@@ -14,8 +14,11 @@ and ``damping``; ``ChainModel`` and ``PsiFamily`` the coefficients;
 Reports are written from the result dataclasses and are byte-stable across
 repeated runs with the same config.
 
-Exit codes: 0 ok, 1 property/threshold failure, 2 config error,
-3 solver error, 4 I/O error, 5 window error.
+``main`` applies the ``--output``, ``--format`` and ``--epsilon`` overrides
+to the loaded config, runs the command, writes its report, prints its
+summary unless ``--quiet``, and is the one place that turns an error into an
+exit code and a stderr line: 0 ok, 1 property/threshold failure, 2 config
+error, 3 solver error, 4 I/O error (the report write), 5 window error.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ from .model import ChainModel, PsiFamily, default_half_length
 from .solver import SolveConfig, convergence_sweep, solve_wave
 from .verify import run_verification
 
-__all__ = [
-    "RunConfig", "load_config", "cmd_solve", "cmd_sweep", "cmd_simulate", "cmd_verify",
-    "CommandLine", "parse_args", "main",
-]
+__all__ = ["RunConfig", "load_config", "CommandLine", "parse_args", "main"]
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -249,31 +249,6 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _CommandFailure(Exception):
-    """Ends a command with exit ``code``; ``main`` prints the message."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-def _write_report(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _CommandFailure(EXIT_IO_ERROR, f"cannot write {path}: {exc}") from exc
-
-
-def _solver_call(function, *args):
-    """``function(*args)``, ending the command with exit 3 on a package error."""
-    try:
-        return function(*args)
-    except ChainwavesError as exc:
-        message = f"solver error: {type(exc).__name__}: {exc}"
-        raise _CommandFailure(EXIT_SOLVER_ERROR, message) from exc
-
-
 def _solve_report(solution, fmt: str) -> str:
     diagnostics = {
         "epsilon": solution.epsilon,
@@ -293,85 +268,68 @@ def _solve_report(solution, fmt: str) -> str:
     return header + _csv(profile, zip(*profile.values()))
 
 
-def _resolve_output(config: RunConfig, args) -> OutputSettings:
-    path = args.output if args.output else config.output.path
-    fmt = args.format if args.format else config.output.format
-    if path is None:
+def _report_path(config: RunConfig) -> str:
+    if config.output.path is None:
         raise ConfigError("no output path given (config output.path or --output)")
-    return OutputSettings(path, fmt)
+    return config.output.path
 
 
-def cmd_solve(config: RunConfig, args) -> int:
+def cmd_solve(config: RunConfig) -> tuple:
     if config.epsilon is None:
         raise ConfigError("solve needs solver.epsilon (a single value)")
-    output = _resolve_output(config, args)
-    solution = _solver_call(solve_wave, config.model, config.grid, config.solver)
-    _write_report(output.path, _solve_report(solution, output.format))
-    if not args.quiet:
-        print(
-            f"solved eps={solution.epsilon:g} in {solution.diagnostics.iterations} "
-            f"iterations, residual {solution.diagnostics.tw_residual:.3e} -> {output.path}"
-        )
-    return EXIT_OK
+    path = _report_path(config)
+    solution = solve_wave(config.model, config.grid, config.solver)
+    summary = (
+        f"solved eps={solution.epsilon:g} in {solution.diagnostics.iterations} "
+        f"iterations, residual {solution.diagnostics.tw_residual:.3e} -> {path}"
+    )
+    return EXIT_OK, _solve_report(solution, config.output.format), summary
 
 
-def cmd_sweep(config: RunConfig, args) -> int:
+def cmd_sweep(config: RunConfig) -> tuple:
     if config.epsilon_list is None or len(config.epsilon_list) < 2:
         raise ConfigError("sweep needs solver.epsilon_list with at least two entries")
-    output = _resolve_output(config, args)
+    path = _report_path(config)
     try:
-        rows = _solver_call(
-            convergence_sweep, config.model, config.grid, config.epsilon_list, config.solver
-        )
+        rows = convergence_sweep(config.model, config.grid, config.epsilon_list, config.solver)
     except ValueError as exc:  # the list is not strictly decreasing
         raise ConfigError(f"solver.{exc}") from None
     table = []
     for row in rows:  # the SWEEP_COLUMNS cells; a failed row has error:<Name> as l2_error
         *cells, error = astuple(row)
-        table.append(cells if error is None else [cells[0], f"error:{error}", *cells[2:]])
-    if output.format == "json":
+        if error is not None:
+            print(f"warning: eps={row.epsilon:g} failed with {error}", file=sys.stderr)
+            cells[1] = f"error:{error}"
+        table.append(cells)
+    if config.output.format == "json":
         records = [[_format_cell(c) or None for c in cells] for cells in table]
         text = _json([dict(zip(SWEEP_COLUMNS, record)) for record in records])
     else:
         text = _csv(SWEEP_COLUMNS, table)
-    _write_report(output.path, text)
-    for row in rows:
-        if row.error is not None:
-            print(f"warning: eps={row.epsilon:g} failed with {row.error}", file=sys.stderr)
-    if not args.quiet:
-        print(f"sweep over {len(rows)} epsilon values -> {output.path}")
-    return EXIT_OK
+    return EXIT_OK, text, f"sweep over {len(rows)} epsilon values -> {path}"
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
+def cmd_simulate(config: RunConfig) -> tuple:
     if config.sim is None:
         raise ConfigError("simulate needs a sim section")
     if config.epsilon is None:
         raise ConfigError("simulate needs solver.epsilon (a single value)")
-    output = _resolve_output(config, args)
-    solution = _solver_call(solve_wave, config.model, config.grid, config.solver)
-    try:
-        report = run_transport(
-            solution, config.sim.particles, config.sim.horizon, config.sim.dt
-        )
-    except WindowOverflowError as exc:
-        raise _CommandFailure(EXIT_WINDOW_ERROR, f"window error: {exc}") from exc
-    if output.format == "json":
+    path = _report_path(config)
+    solution = solve_wave(config.model, config.grid, config.solver)
+    report = run_transport(solution, config.sim.particles, config.sim.horizon, config.sim.dt)
+    if config.output.format == "json":
         text = _json(dict(zip(SIMULATE_COLUMNS, astuple(report))))
     else:
         text = _csv(SIMULATE_COLUMNS, [astuple(report)])
-    _write_report(output.path, text)
     ok = report.transport_error <= config.sim.max_transport_error
-    if not args.quiet:
-        verdict = "within" if ok else "ABOVE"
-        print(
-            f"transport error {report.transport_error:.3e} {verdict} threshold "
-            f"{config.sim.max_transport_error:g} -> {output.path}"
-        )
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILURE
+    summary = (
+        f"transport error {report.transport_error:.3e} {'within' if ok else 'ABOVE'} "
+        f"threshold {config.sim.max_transport_error:g} -> {path}"
+    )
+    return (EXIT_OK if ok else EXIT_PROPERTY_FAILURE), text, summary
 
 
-def cmd_verify(config: RunConfig, args) -> int:
+def cmd_verify(config: RunConfig) -> tuple:
     results = run_verification(config.model, config.grid)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -379,12 +337,12 @@ def cmd_verify(config: RunConfig, args) -> int:
     failing = [r.name for r in results if not r.passed]
     if failing:
         print(f"{len(failing)} properties failed: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
-    if not args.quiet:
-        print(f"all {len(results)} properties passed")
-    return EXIT_OK
+        return EXIT_PROPERTY_FAILURE, None, None
+    return EXIT_OK, None, f"all {len(results)} properties passed"
 
 
+# each command checks what it needs of the config and returns its exit code,
+# report text and summary line (verify: no report; a failed verify: no summary)
 _COMMANDS = {
     "solve": cmd_solve,
     "sweep": cmd_sweep,
@@ -489,20 +447,37 @@ def parse_args(argv) -> CommandLine:
     return CommandLine(**found)
 
 
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code (see the module docstring)."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = load_config(args.config)
+        path, fmt = args.output or config.output.path, args.format or config.output.format
+        config = replace(config, output=OutputSettings(path, fmt))
         if args.epsilon is not None:
             solver = replace(config.solver, epsilon=_epsilon(args.epsilon, "--epsilon"))
             config = replace(config, solver=solver, epsilon_list=None)
-        return _COMMANDS[args.command](config, args)
+        code, report, summary = _COMMANDS[args.command](config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except _CommandFailure as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
+        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
+    except WindowOverflowError as exc:
+        return _fail(EXIT_WINDOW_ERROR, f"window error: {exc}")
+    except ChainwavesError as exc:
+        return _fail(EXIT_SOLVER_ERROR, f"solver error: {type(exc).__name__}: {exc}")
+    if report is not None:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(report)
+        except OSError as exc:
+            return _fail(EXIT_IO_ERROR, f"cannot write {path}: {exc}")
+    if summary is not None and not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":
