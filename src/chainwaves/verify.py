@@ -155,21 +155,17 @@ def _row_norms(grid, rows) -> np.ndarray:
     return np.sqrt(grid.spacing * np.sum(rows**2, axis=1))
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
-def _uniformity(name: str, label: str, values: list, note: str = "") -> CheckResult:
+def _uniformity(label: str, values: list, note: str = "") -> tuple:
     """Pass when the values over the eps sweep stay within a factor 2 of each other."""
     spread = max(values) / min(values)
     listed = ["%.3f" % v for v in values]
-    return _result(name, spread < 2.0, f"{label} {listed}, spread {spread:.3f}{note}")
+    return spread < 2.0, f"{label} {listed}, spread {spread:.3f}{note}"
 
 
-def _second_order(name: str, gaps: list) -> CheckResult:
+def _second_order(gaps: list) -> tuple:
     """Pass when the gaps over the eps sweep fall off as eps^2 (fitted slope 2 +- 0.3)."""
     slope = _fit_slope(_EPS_SWEEP, gaps)
-    return _result(name, abs(slope - 2.0) <= 0.3, f"slope {slope:.3f} (want 2)")
+    return abs(slope - 2.0) <= 0.3, f"slope {slope:.3f} (want 2)"
 
 
 def _adjoint_defect(grid, rng, band, apply) -> float:
@@ -201,7 +197,7 @@ def _check_averaging_self_adjoint(model, grid):
     worst = max(
         _adjoint_defect(grid, rng, 20.0, lambda rows: apply_symbol(rows, s)) for s in symbols
     )
-    return _result("averaging_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
+    return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
 def _check_averaging_norm_bounds(model, grid):
@@ -217,7 +213,7 @@ def _check_averaging_norm_bounds(model, grid):
         ratios = np.max(np.abs(averaged), axis=1) / (eta**-0.5 * norms)
         worst = max(worst, float(np.max(ratios)))
         ok &= bool(np.all(ratios <= 1 + 1e-12))
-    return _result("averaging_norm_bounds", ok, f"max sup-bound ratio {worst:.3f}")
+    return ok, f"max sup-bound ratio {worst:.3f}"
 
 
 def _averages(model, grid, etas) -> np.ndarray:
@@ -235,7 +231,7 @@ def _check_averaging_shape_preservation(model, grid):
         shaped, (even, negativity, bump) = _shape_defects(GridFunction(grid, values))
         ok &= shaped
         details.append(f"eta={eta:g}: even {even:.1e}, neg {negativity:.1e}, bump {bump:.1e}")
-    return _result("averaging_shape_preservation", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def _check_averaging_asymptotic_orders(model, grid):
@@ -251,9 +247,7 @@ def _check_averaging_asymptotic_orders(model, grid):
     slope1 = _fit_slope(_ETA_SWEEP, plain)
     slope2 = _fit_slope(_ETA_SWEEP, corrected)
     ok = abs(slope1 - 2.0) <= 0.2 and abs(slope2 - 4.0) <= 0.2
-    return _result(
-        "averaging_asymptotic_orders", ok, f"slopes {slope1:.3f} (want 2), {slope2:.3f} (want 4)"
-    )
+    return ok, f"slopes {slope1:.3f} (want 2), {slope2:.3f} (want 4)"
 
 
 def _check_averaging_symbol_vs_quadrature(model, grid):
@@ -273,7 +267,7 @@ def _check_averaging_symbol_vs_quadrature(model, grid):
             eta = m * eps
             gap = averaging_symbol(grid, eta) - _quadrature_window(grid, eta)
             worst = max(worst, math.sqrt(float(np.max(np.einsum("pn,n->p", power, gap**2)))))
-    return _result("averaging_symbol_vs_quadrature", worst <= 1e-12, f"max l2 gap {worst:.2e}")
+    return worst <= 1e-12, f"max l2 gap {worst:.2e}"
 
 
 def _check_b_symbol_floor(model, grid):
@@ -285,11 +279,7 @@ def _check_b_symbol_floor(model, grid):
     c_inside = float(np.min(symbol[inside] / (1.0 + k[inside] ** 2)))
     c_outside = float(np.min(symbol[~inside]) * eps**2) if np.any(~inside) else math.inf
     ok = floor_ok and abs(at_zero - 1.0) <= 1e-12 and c_inside > 0 and c_outside > 0
-    return _result(
-        "b_symbol_floor",
-        ok,
-        f"b(0)={at_zero:.1f}, banded constants c={c_inside:.3f}, {c_outside:.3f}",
-    )
+    return ok, f"b(0)={at_zero:.1f}, banded constants c={c_inside:.3f}, {c_outside:.3f}"
 
 
 def _check_b_inverse_roundtrip(model, grid):
@@ -298,14 +288,14 @@ def _check_b_inverse_roundtrip(model, grid):
     b = np.stack([b_diagonal(model, grid, eps) for eps in (0.4, 0.1)])
     gaps = apply_symbol(apply_symbol(probes, 1.0 / b), b) - probes
     worst = float(np.max(np.sqrt(np.sum(gaps**2, axis=1) / np.sum(probes**2, axis=1))))
-    return _result("b_inverse_roundtrip", worst <= 1e-12, f"max relative gap {worst:.2e}")
+    return worst <= 1e-12, f"max relative gap {worst:.2e}"
 
 
 def _check_b_inverse_self_adjoint(model, grid):
     rng = _Uniforms(108)
     inverse = 1.0 / b_diagonal(model, grid, 0.2)
     worst = _adjoint_defect(grid, rng, 25.0, lambda rows: apply_symbol(rows, inverse))
-    return _result("b_inverse_self_adjoint", worst <= 1e-12, f"max defect {worst:.2e}")
+    return worst <= 1e-12, f"max defect {worst:.2e}"
 
 
 def _split_inverse_constants(model, grid) -> list[float]:
@@ -336,7 +326,7 @@ def _split_inverse_constants(model, grid) -> list[float]:
 
 def _check_cutoff_inverse_stability(model, grid):
     constants = _split_inverse_constants(model, grid)
-    return _uniformity("cutoff_inverse_stability", "constants", constants)
+    return _uniformity("constants", constants)
 
 
 def _check_von_neumann_geometric(model, grid):
@@ -358,7 +348,7 @@ def _check_von_neumann_geometric(model, grid):
         gap = abs(measured - predicted) / predicted
         ok &= gap <= 0.05
         details.append(f"eps={eps:g}: ratio {measured:.4f} vs {predicted:.4f}")
-    return _result("von_neumann_geometric", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def _check_von_neumann_shape_preservation(model, grid):
@@ -368,14 +358,14 @@ def _check_von_neumann_shape_preservation(model, grid):
         _shape_defects(GridFunction(grid, np.fft.irfft(partials[terms - 1], n=grid.num_points)))[0]
         for terms in (1, 3, 10)
     )
-    return _result("von_neumann_shape_preservation", ok, "nonneg/even/unimodal partial sums")
+    return ok, "nonneg/even/unimodal partial sums"
 
 
 def _check_profile_ode_residual(model, grid):
     w0 = kdv_profile(model, grid)
     residual = derivative(w0, 2) - model.d1 * w0 + model.d2 * (w0 * w0)
     value = sup_norm(residual)
-    return _result("profile_ode_residual", value <= 1e-8, f"sup residual {value:.2e}")
+    return value <= 1e-8, f"sup residual {value:.2e}"
 
 
 def _check_profile_hamiltonian(model, grid):
@@ -387,14 +377,14 @@ def _check_profile_hamiltonian(model, grid):
         - 0.5 * model.d1 * w0.values**2
     )
     value = float(np.max(np.abs(energy)))
-    return _result("profile_hamiltonian", value <= 1e-8, f"sup energy {value:.2e}")
+    return value <= 1e-8, f"sup energy {value:.2e}"
 
 
 def _check_profile_tail_rate(model, grid):
     rate = measure_tail_decay(kdv_profile(model, grid))
     target = math.sqrt(model.d1)
     gap = abs(rate - target) / target
-    return _result("profile_tail_rate", gap <= 0.02, f"rate {rate:.4f} vs sqrt(d1) {target:.4f}")
+    return gap <= 0.02, f"rate {rate:.4f} vs sqrt(d1) {target:.4f}"
 
 
 def _check_residual_boundedness(model, grid):
@@ -405,14 +395,14 @@ def _check_residual_boundedness(model, grid):
         norms.append(r + s)
         higher_order.append(s)
     branch = " (S identically 0)" if max(higher_order) == 0.0 else ""
-    return _uniformity("residual_boundedness", "norms", norms, branch)
+    return _uniformity("norms", norms, branch)
 
 
 def _check_quadratic_operator_limit(model, grid):
     w0 = kdv_profile(model, grid)
     limit = apply_Q0(model, w0)
     gaps = [l2_norm(apply_Q(model, eps, w0) - limit) for eps in _EPS_SWEEP]
-    return _second_order("quadratic_operator_limit", gaps)
+    return _second_order(gaps)
 
 
 def _check_linearized_symmetry(model, grid):
@@ -423,14 +413,14 @@ def _check_linearized_symmetry(model, grid):
         25.0,
         lambda rows: np.array([operator.apply_l(GridFunction(grid, row)).values for row in rows]),
     )
-    return _result("linearized_symmetry", worst <= 1e-10, f"max defect {worst:.2e}")
+    return worst <= 1e-10, f"max defect {worst:.2e}"
 
 
 def _check_linearized_kernel_direction(model, grid):
     operator = linearized_operator(model, grid, 0.0)
     slope = derivative(operator.w0, 1)
     ratio = l2_norm(operator.apply_l(slope)) / l2_norm(slope)
-    return _result("linearized_kernel_direction", ratio <= 1e-7, f"relative image {ratio:.2e}")
+    return ratio <= 1e-7, f"relative image {ratio:.2e}"
 
 
 def _check_linearized_strong_convergence(model, grid):
@@ -438,7 +428,7 @@ def _check_linearized_strong_convergence(model, grid):
     limit = linearized_operator(model, grid, 0.0).apply_l(w0)
     operators = [linearized_operator(model, grid, eps) for eps in _EPS_SWEEP]
     gaps = [l2_norm(operator.apply_l(w0) - limit) for operator in operators]
-    return _second_order("linearized_strong_convergence", gaps)
+    return _second_order(gaps)
 
 
 def _check_sigma_min_uniformity(model, grid):
@@ -449,19 +439,23 @@ def _check_sigma_min_uniformity(model, grid):
         sigma = linearized_operator(model, grid, eps).smallest_singular_value()
         values.append(sigma)
         ok &= sigma >= 0.5 * reference
-    return _result(
-        "sigma_min_uniformity",
-        ok,
-        f"sigma(0)={reference:.4f}, sigma(eps)={['%.4f' % v for v in values]}",
-    )
+    return ok, f"sigma(0)={reference:.4f}, sigma(eps)={['%.4f' % v for v in values]}"
+
+
+def _named(check) -> tuple:
+    """The name of ``_check_<name>`` and the check returning its (passed,
+    detail) as a ``CheckResult``."""
+    name = check.__name__.removeprefix("_check_")
+
+    def run(model, grid) -> CheckResult:
+        passed, detail = check(model, grid)
+        return CheckResult(name, bool(passed), detail)
+
+    return name, run
 
 
 # every _check_ function of this module, in the order of definition
-CHECKS = {
-    name.removeprefix("_check_"): check
-    for name, check in list(globals().items())
-    if name.startswith("_check_")
-}
+CHECKS = dict(_named(check) for key, check in list(globals().items()) if key.startswith("_check_"))
 
 
 def run_verification(model: ChainModel, grid: SpectralGrid) -> list[CheckResult]:
