@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from chainwaves import cli
 from chainwaves.cli import parse_config
+from chainwaves.lattice import TransportReport
 from chainwaves.linearized import LinearizedOperator
+from chainwaves.solver import SweepRow
 
 
 def base_config(tmp_path, **overrides):
@@ -107,6 +110,41 @@ def test_sweep_orders_and_determinism(tmp_path):
         cells = line.split(",")
         assert 1.7 <= float(cells[3]) <= 2.3
         assert 1.7 <= float(cells[4]) <= 2.3
+
+
+# each report column and the result field it holds
+SWEEP_FIELDS = {
+    "epsilon": "epsilon",
+    "l2_error": "l2_error",
+    "sup_error": "sup_error",
+    "order_l2": "order_l2",
+    "order_sup": "order_sup",
+    "iterations": "iterations",
+    "tw_residual": "tw_residual",
+    "sigma_min": "sigma_min",
+    "residual_norm_RS": "residual_norm_rs",
+    "tail_rate": "tail_rate",
+}
+SIMULATE_FIELDS = {
+    "J": "num_particles",
+    "dt": "dt",
+    "T": "horizon",
+    "steps": "steps",
+    "transport_error": "transport_error",
+    "energy_drift": "energy_drift",
+    "peak_energy_deviation": "peak_energy_deviation",
+    "momentum_drift": "momentum_drift_per_step",
+}
+
+
+def test_report_columns_sit_where_their_fields_do():
+    # the sweep and simulate reports pair astuple(row) with their columns by
+    # position; a SweepRow's last field, error, marks a failed row instead
+    sweep = [field.name for field in fields(SweepRow)]
+    assert sweep[-1] == "error"
+    assert [SWEEP_FIELDS[column] for column in cli.SWEEP_COLUMNS] == sweep[:-1]
+    simulate = [field.name for field in fields(TransportReport)]
+    assert [SIMULATE_FIELDS[column] for column in cli.SIMULATE_COLUMNS] == simulate
 
 
 def test_sweep_single_entry_exits_2(tmp_path):
