@@ -2,13 +2,14 @@
 
 Configs are strict JSON; unknown keys are errors, since silent typos in
 coefficient lists are the dominant user hazard. The ``solver`` section takes
-``epsilon`` or ``epsilon_list``, and ``damping``; the tolerances and the
-iteration budget are solver constants. This module checks the JSON shapes
+``epsilon`` or ``epsilon_list`` and nothing else: the tolerances and the
+iteration budget are solver constants, and the corrector measures its own
+relaxation. This module checks the JSON shapes
 and types, a nonempty ``epsilon_list`` (two entries for a sweep), a
 positive ``sim.horizon`` and ``sim.max_transport_error``, and the output
 format. Every other rule is kept by the type that uses it, and its
-``ValueError`` becomes a config error: ``SolveConfig`` the ranges of epsilon
-and ``damping``; ``ChainModel`` and ``PsiFamily`` the coefficients;
+``ValueError`` becomes a config error: ``SolveConfig`` the range of epsilon;
+``ChainModel`` and ``PsiFamily`` the coefficients;
 ``make_grid`` the grid; ``lattice.check_chain`` J > 8M and the dt guard;
 ``convergence_sweep`` a strictly decreasing ``epsilon_list``.
 Reports are written from the result dataclasses and are byte-stable across
@@ -85,26 +86,19 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with defaults materialized.
-
-    ``solver`` holds the solve controls with ``solver.epsilon``, or with the
-    first entry of ``epsilon_list`` for a sweep.
-    """
+    """Validated run configuration with defaults materialized: ``epsilon``
+    is the one epsilon of a solve, simulate or verify config, None for a
+    sweep, which has ``epsilon_list``."""
 
     model: ChainModel
     grid: SpectralGrid
-    solver: SolveConfig
+    epsilon: float | None
     epsilon_list: tuple | None
     sim: SimSettings | None
     output: OutputSettings
 
-    @property
-    def epsilon(self) -> float | None:
-        """The one epsilon of a solve, simulate or verify config; None for a sweep."""
-        return None if self.epsilon_list is not None else self.solver.epsilon
-
     def solve_config(self, epsilon: float) -> SolveConfig:
-        return replace(self.solver, epsilon=epsilon)
+        return SolveConfig(epsilon)
 
 
 def _object(value, where: str, keys: str, required: str = "") -> dict:
@@ -175,23 +169,17 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    section = _object(data["solver"], "solver", "epsilon epsilon_list damping")
-    epsilon_list = section.get("epsilon_list")
-    if (section.get("epsilon") is None) == (epsilon_list is None):
+    section = _object(data["solver"], "solver", "epsilon epsilon_list")
+    epsilon, epsilon_list = section.get("epsilon"), section.get("epsilon_list")
+    if (epsilon is None) == (epsilon_list is None):
         raise ConfigError("solver needs exactly one of epsilon or epsilon_list")
     if epsilon_list is None:
-        epsilon = _epsilon(section["epsilon"], "solver.epsilon")
+        epsilon = _epsilon(epsilon, "solver.epsilon")
     else:
         where = "solver.epsilon_list"
         if not isinstance(epsilon_list, list) or not epsilon_list:
             raise ConfigError(f"{where} must be a nonempty list, got {epsilon_list!r}")
         epsilon_list = tuple(_epsilon(e, f"{where} entry") for e in epsilon_list)
-        epsilon = epsilon_list[0]
-    damping = _number(section.get("damping", SolveConfig.damping), "solver.damping")
-    try:
-        solver = SolveConfig(epsilon, damping)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
 
     sim = None
     if "sim" in data:
@@ -216,7 +204,7 @@ def parse_config(data: dict) -> RunConfig:
     if output.path is not None and not isinstance(output.path, str):
         raise ConfigError("output.path must be a string")
 
-    return RunConfig(model, grid, solver, epsilon_list, sim, output)
+    return RunConfig(model, grid, epsilon, epsilon_list, sim, output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -278,7 +266,7 @@ def cmd_solve(config: RunConfig) -> tuple:
     if config.epsilon is None:
         raise ConfigError("solve needs solver.epsilon (a single value)")
     path = _report_path(config)
-    solution = solve_wave(config.model, config.grid, config.solver)
+    solution = solve_wave(config.model, config.grid, SolveConfig(config.epsilon))
     summary = (
         f"solved eps={solution.epsilon:g} in {solution.diagnostics.iterations} "
         f"iterations, residual {solution.diagnostics.tw_residual:.3e} -> {path}"
@@ -291,7 +279,7 @@ def cmd_sweep(config: RunConfig) -> tuple:
         raise ConfigError("sweep needs solver.epsilon_list with at least two entries")
     path = _report_path(config)
     try:
-        rows = convergence_sweep(config.model, config.grid, config.epsilon_list, config.solver)
+        rows = convergence_sweep(config.model, config.grid, config.epsilon_list)
     except ValueError as exc:  # the list is not strictly decreasing
         raise ConfigError(f"solver.{exc}") from None
     table = []
@@ -315,7 +303,7 @@ def cmd_simulate(config: RunConfig) -> tuple:
     if config.epsilon is None:
         raise ConfigError("simulate needs solver.epsilon (a single value)")
     path = _report_path(config)
-    solution = solve_wave(config.model, config.grid, config.solver)
+    solution = solve_wave(config.model, config.grid, SolveConfig(config.epsilon))
     report = run_transport(solution, config.sim.particles, config.sim.horizon, config.sim.dt)
     if config.output.format == "json":
         text = _json(dict(zip(SIMULATE_COLUMNS, astuple(report))))
@@ -460,8 +448,8 @@ def main(argv=None) -> int:
         path, fmt = args.output or config.output.path, args.format or config.output.format
         config = replace(config, output=OutputSettings(path, fmt))
         if args.epsilon is not None:
-            solver = replace(config.solver, epsilon=_epsilon(args.epsilon, "--epsilon"))
-            config = replace(config, solver=solver, epsilon_list=None)
+            epsilon = _epsilon(args.epsilon, "--epsilon")
+            config = replace(config, epsilon=epsilon, epsilon_list=None)
         code, report, summary = _COMMANDS[args.command](config)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")

@@ -12,13 +12,15 @@ the quadratic defect at w0. The paper's map
 
     F_eps[v] = L_eps^{-1}(R_eps + S_eps + eps^2 Q_eps[v] + eps^2 N_eps[v])
 
-is iterated on the cosine coordinates of v from v = 0, with optional
-damping. L_eps and R are built once per solve and handed to every step,
+is iterated on the cosine coordinates of v from v = 0, each step relaxed by
+Aitken's delta-squared factor (Irons & Tuck, 1969) measured from the last two
+increments. L_eps and R are built once per solve and handed to every step,
 which forms eps^2 Q[v] + P_eps[w0 + eps^2 v] from averages, so no O(1) term
-cancels in a step. It stops once an increment
-is within TOL max(1, ||v||), at the first non-finite one, or after
-``MAX_ITERATIONS`` steps, and a traveling-wave residual check is mandatory
-before a solve is reported as successful.
+cancels in a step. It stops once an increment F(v) - v is within
+TOL max(1, ||F(v)||), at the first non-finite one, or after
+``MAX_ITERATIONS`` map evaluations, and a traveling-wave residual check and
+a branch check (w = 0 is an exact zero) are mandatory before a solve is
+reported as successful.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ __all__ = [
 _EPSILON_MIN = sys.float_info.min**0.25  # the least epsilon whose eps^4 is a normal float
 TOL_RESIDUAL = 1e-9  # the mandatory final traveling-wave residual gate of every solve
 MAX_ITERATIONS = 200  # the corrector's budget of map steps
+_THETA_MIN, _THETA_MAX = 0.05, 2.0  # the range of the Aitken relaxation factor
+_BRANCH = 0.5  # a fixed point with ||w - w0|| >= _BRANCH ||w0|| is off the branch of w0
 _TAIL_LOWER, _TAIL_UPPER = 1e-8, 1e-4  # the fit window of measure_tail_decay
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """The epsilon and damping of one corrector solve.
+    """The epsilon of one corrector solve, its one setting.
 
     ``TOL``, ``MAX_ITERATIONS`` and ``TOL_RESIDUAL`` are constants. The
     final traveling-wave residual must reach ``TOL_RESIDUAL``; an iteration
@@ -65,13 +69,10 @@ class SolveConfig:
     """
 
     epsilon: float
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not _EPSILON_MIN <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [{_EPSILON_MIN:.3g}, 1], got {self.epsilon}")
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -205,11 +206,11 @@ def _one_curvature_warning():
 def solve_wave(
     model: ChainModel, grid: SpectralGrid, config: SolveConfig, *, _residual=None, _operator=None
 ) -> WaveSolution:
-    """Iterate the corrector map from v = 0 until the increments stall.
+    """Iterate the relaxed corrector map from v = 0 until the increments stall.
 
     Deterministic: identical configurations produce bit-identical results.
-    Raises ``NoConvergenceError`` when ``MAX_ITERATIONS`` steps run out or the
-    final traveling-wave residual misses ``TOL_RESIDUAL``, and
+    Raises ``NoConvergenceError`` when ``MAX_ITERATIONS`` steps run out, w
+    is off the branch of w0 or its residual misses ``TOL_RESIDUAL``, and
     propagates ``NearSingularError``/``DomainTooSmallError`` from below.
     Overflow and invalid warnings are off: the loop ends at a non-finite
     increment. The curvature warnings of its defect evaluations are merged
@@ -228,27 +229,36 @@ def _solve_wave(
     operator = operator or linearized_operator(model, grid, eps)
     if residual is None:
         residual = _quadratic_residual(operator)
-    v = np.zeros(grid.num_points // 2 + 1)
+    v, previous, theta = np.zeros(grid.num_points // 2 + 1), None, 1.0
     for iterations in range(1, MAX_ITERATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             image = fixed_point_map(model, v, operator, residual)
-            if config.damping < 1.0:
-                image = (1.0 - config.damping) * v + config.damping * image
-            increment = float(np.linalg.norm(image - v))
+            step = image - v
+            increment = float(np.linalg.norm(step))
+            change = None if previous is None else step - previous
+            if change is not None and (squares := float(np.sum(change * change))) > 0.0:
+                theta = -theta * float(np.sum(previous * change)) / squares
+                theta = min(max(theta, _THETA_MIN), _THETA_MAX)  # Aitken's factor, clipped
         if not math.isfinite(increment):
             raise NoConvergenceError(
                 f"non-finite fixed point increment {increment} at iteration "
                 f"{iterations} (eps = {eps:g})"
             )
-        v = image
-        if increment <= TOL * max(1.0, float(np.linalg.norm(v))):
+        if increment <= TOL * max(1.0, float(np.linalg.norm(image))):
+            v = image
             break
+        v, previous = v + theta * step, step
     else:
         raise NoConvergenceError(
             f"fixed point increments at {increment:.3e} after "
             f"{MAX_ITERATIONS} iterations (eps = {eps:g})"
         )
     v = even_synthesis(grid, v)
+    distance = eps**2 * l2_norm(v) / l2_norm(operator.w0)
+    if not distance < _BRANCH:
+        raise NoConvergenceError(
+            f"fixed point off the branch of w0: ||w - w0|| = {distance:.3g} ||w0|| (eps = {eps:g})"
+        )
     w = operator.w0 + eps**2 * v
     residual = tw_residual(model, eps, w)
     if residual > TOL_RESIDUAL:
@@ -315,22 +325,17 @@ class SweepRow:
     error: str | None = None
 
 
-def convergence_sweep(
-    model: ChainModel,
-    grid: SpectralGrid,
-    epsilon_list,
-    config: SolveConfig,
-) -> list[SweepRow]:
+def convergence_sweep(model: ChainModel, grid: SpectralGrid, epsilon_list) -> list[SweepRow]:
     """Solve along a decreasing epsilon schedule and tabulate error orders.
 
-    Each row solves with ``config`` whose epsilon is replaced by the row's
-    entry of ``epsilon_list``, and reports distances to the limiting profile,
-    the empirical order between consecutive rows, and per-solve diagnostics.
-    Rows whose solve fails carry the error name instead of aborting the
-    sweep; order entries are absent on the first row and next to failed
-    rows. The curvature warnings of a row's residuals and solve are merged
-    into one, as in ``solve_wave``. Each row builds its own L_eps, outside
-    the ``linearized_operator`` cache, so a sweep holds one at a time.
+    Each row solves at its entry of ``epsilon_list`` and reports distances
+    to the limiting profile, the empirical order between consecutive rows,
+    and per-solve diagnostics. Rows whose solve fails carry the error name
+    instead of aborting the sweep; order entries are absent on the first row
+    and next to failed rows. The curvature warnings of a row's residuals and
+    solve are merged into one, as in ``solve_wave``. Each row builds its own
+    L_eps, outside the ``linearized_operator`` cache, so a sweep holds one
+    at a time.
     """
     eps_values = [float(e) for e in epsilon_list]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
@@ -346,16 +351,11 @@ def convergence_sweep(
             rs_norm = float(np.linalg.norm(r)) + float(np.linalg.norm(s))
             del s
             try:
-                config_eps = replace(config, epsilon=eps)
-                solution = solve_wave(model, grid, config_eps, _residual=r, _operator=operator)
+                config = SolveConfig(eps)
+                solution = solve_wave(model, grid, config, _residual=r, _operator=operator)
             except ChainwavesError as exc:
-                rows.append(
-                    SweepRow(
-                        epsilon=eps,
-                        residual_norm_rs=rs_norm,
-                        error=type(exc).__name__.removesuffix("Error"),
-                    )
-                )
+                error = type(exc).__name__.removesuffix("Error")
+                rows.append(SweepRow(epsilon=eps, residual_norm_rs=rs_norm, error=error))
                 previous = None
                 continue
         l2_err = l2_norm(solution.w - w0)

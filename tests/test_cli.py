@@ -47,9 +47,12 @@ def test_solve_minimal_config(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == first
 
 
+TODA = {"alpha": [1.0], "beta": [0.5], "psi": {"family": "toda-remainder", "params": [1.0]}}
+
+
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # M1 at eps 1.0 with damping 1.0 stalls near an increment of 3.6e-11
-    path, _ = base_config(tmp_path, solver={"epsilon": 1.0})
+    # the Toda chain has no solve at eps 1.0
+    path, _ = base_config(tmp_path, model=TODA, solver={"epsilon": 1.0})
     assert cli.main(["solve", "--config", str(path)]) == 3
     assert "NoConvergence" in capsys.readouterr().err
 
@@ -189,14 +192,14 @@ def test_wide_domain_solve_is_typed(tmp_path, capsys):
 
 
 def test_infinite_number_exits_2(tmp_path, capsys):
-    # json reads the literal Infinity; it is no admissible length or damping
+    # json reads the literal Infinity; it is no admissible length or epsilon
     path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": math.inf})
     assert "Infinity" in path.read_text()
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "grid.half_length" in capsys.readouterr().err
-    path, _ = base_config(tmp_path, solver={"epsilon": 0.2, "damping": math.inf})
+    path, _ = base_config(tmp_path, solver={"epsilon": math.inf})
     assert cli.main(["solve", "--config", str(path)]) == 2
-    assert "solver.damping" in capsys.readouterr().err
+    assert "solver.epsilon must be a finite number" in capsys.readouterr().err
     path, _ = base_config(tmp_path, grid={"num_points": 512, "half_length": 10**400})
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "grid.half_length" in capsys.readouterr().err
@@ -264,8 +267,9 @@ SIM = {"particles": 80, "dt": 0.02, "horizon": 1.0}
 @pytest.mark.parametrize(
     "command, overrides, where",
     [
-        ("solve", {"solver": {"epsilon": 0.2, "damping": 1.5}}, "damping"),
-        # the tolerance and the budget are solver constants, no config keys
+        # the relaxation, the tolerance and the budget are solver constants,
+        # no config keys
+        ("solve", {"solver": {"epsilon": 0.2, "damping": 0.7}}, "unknown keys ['damping'] in solver"),
         ("solve", {"solver": {"epsilon": 0.2, "max_iter": 200}}, "unknown keys ['max_iter']"),
         ("solve", {"solver": {"epsilon": 0.2, "tol": 1e-12}}, "unknown keys ['tol']"),
         ("sweep", {"solver": {"epsilon_list": []}}, "epsilon_list"),
@@ -346,7 +350,8 @@ def test_simulate_window_overflow_exits_5(tmp_path):
     [
         (1, "simulate", {"sim": {**SIM, "max_transport_error": 1e-9}}, "r.csv", ""),
         (2, "simulate", {}, "r.csv", "config error: simulate needs a sim section"),
-        (3, "solve", {"solver": {"epsilon": 1.0}}, "r.csv", "solver error: NoConvergenceError: "),
+        (3, "solve", {"grid": {"num_points": 1024, "half_length": 2.0}}, "r.csv",
+         "solver error: DomainTooSmallError: "),
         (4, "solve", {}, "no/dir/r.csv", "cannot write {report}: "),
         (5, "simulate", {"sim": {**SIM, "horizon": 500.0}}, "r.csv", "window error: "),
     ],
@@ -356,7 +361,7 @@ def test_exit_code_table(tmp_path, capsys, code, command, overrides, report, fir
     # each exit code with the first line it puts on stderr; exit 1 prints
     # none, and its summary says the transport error is ABOVE the threshold
     report = tmp_path / report
-    path, _ = base_config(tmp_path, grid={"num_points": 1024}, **overrides)
+    path, _ = base_config(tmp_path, **{"grid": {"num_points": 1024}, **overrides})
     assert cli.main([command, "--config", str(path), "--output", str(report)]) == code
     captured = capsys.readouterr()
     assert captured.err.partition("\n")[0].startswith(first_line.format(report=report)), captured

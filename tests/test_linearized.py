@@ -359,25 +359,25 @@ def test_cold_solve_application_count(model2, grid2, monkeypatch):
     per_solve = _per_solve(monkeypatch, applications)
     linearized_operator.cache_clear()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
-    assert solution.diagnostics.iterations == 6
-    assert per_solve == [2, 1, 1, 1, 1, 1]
-    assert applications == [1024] * 7
+    assert solution.diagnostics.iterations == 5
+    assert per_solve == [2, 1, 1, 1, 1]
+    assert applications == [1024] * 6
 
 
 def test_cold_solve_transform_count(model2, grid2, transform_lengths):
     """Counts the real FFT rows of one cold solve on M2 at eps 0.1,
     N = 1024, all of length N. The rfft of w0 and its averages A_{m eps} w0
     (3 rows); R + S from one defect at the real spectrum of w0, 2M rows (4);
-    sigma_min's 129-mode block, the rfft of the M coupling columns (2); 7
-    applications of L_eps in coordinates, 2M rows each (28); 6 corrector
-    steps, each the averages of v and the rfft of its M rows, 2M rows (24);
+    sigma_min's 129-mode block, the rfft of the M coupling columns (2); 6
+    applications of L_eps in coordinates, 2M rows each (24); 5 corrector
+    steps, each the averages of v and the rfft of its M rows, 2M rows (20);
     one synthesis of v after the loop, and the final residual's 2 + 2M rows
     (7). Each step transforms nothing beyond its rows and its applications."""
     linearized_operator.cache_clear()
     lengths = transform_lengths()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
-    assert solution.diagnostics.iterations == 6
-    assert lengths == [1024] * 68
+    assert solution.diagnostics.iterations == 5
+    assert lengths == [1024] * 60
 
 
 @pytest.mark.parametrize("n", [1024, 16384])
@@ -393,7 +393,7 @@ def test_chord_solves_certify_on_first_run(
     model = {"M1": model1, "M2-cubic": model2_cubic, "M3-toda": model3_toda}[name]
     grid = cw.make_grid(cw.default_half_length(model), n)
     configs = (
-        cw.SolveConfig(epsilon=1.0, damping=0.7),
+        cw.SolveConfig(epsilon=1.0),
         cw.SolveConfig(epsilon=0.4),
         cw.SolveConfig(epsilon=0.05),
     )
@@ -564,7 +564,7 @@ def test_cold_solve_builds_one_dense_inverse(model2, grid2, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
     linearized_operator.cache_clear()
     solution = cw.solve_wave(model2, grid2, cw.SolveConfig(epsilon=0.1))
-    assert solution.diagnostics.iterations == 6
+    assert solution.diagnostics.iterations == 5
     assert inverses == [(129, 129)]
 
 

@@ -27,15 +27,13 @@ def solution1(model1, grid1):
 
 
 def test_config_validation():
-    # epsilon and damping are the only settings; the tolerances and the
-    # iteration budget are solver constants
-    assert [field.name for field in fields(cw.SolveConfig)] == ["epsilon", "damping"]
+    # epsilon is the only setting; the tolerances, the iteration budget and
+    # the relaxation range are solver constants
+    assert [field.name for field in fields(cw.SolveConfig)] == ["epsilon"]
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         cw.SolveConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        cw.SolveConfig(epsilon=0.1, damping=0.0)
 
 
 def test_config_rejects_subnormal_fourth_power():
@@ -153,7 +151,7 @@ def test_fixed_point_map_is_handed_the_cached_operator_and_r(model2_cubic, model
             assert given is model and operator is linearized_operator(model, grid, eps)
             assert residual.dtype == r.dtype and residual.tobytes() == r.tobytes()
         steps += len(handed)
-    assert steps == 11
+    assert steps == 10
 
 
 def _paper_rhs(model, eps, w0, residual, v):
@@ -167,7 +165,8 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
     # the map in cosine coordinates equals the paper's map
     # L_eps^{-1}(R + S + eps^2 Q[v] + eps^2 N[v]) assembled on the grid; a
     # cold solve_wave takes as many steps as that map iterated on grid
-    # functions under the same stop test, to the same wave and sigma_min
+    # functions under the same stop test and Aitken relaxation, with theta
+    # in [0.05, 2], to the same wave and sigma_min
     eps = 0.2
     rng = np.random.default_rng(11)
     for model in (model1, model2_cubic, model3_toda):
@@ -185,13 +184,20 @@ def test_fixed_point_map_is_paper_map(model1, model2_cubic, model3_toda):
         image = fixed_point_map(model, even_coefficients(v), operator, r)
         assert np.linalg.norm(image - paper) <= 1e-11 * np.linalg.norm(paper)
         v = cw.GridFunction(grid, np.zeros(grid.num_points))
+        theta, previous = 1.0, None
         for iterations in range(1, 51):
             rhs = _paper_rhs(model, eps, w0, residual, v)
             image = even_synthesis(grid, operator.solve(even_coefficients(rhs)))
-            increment = cw.l2_norm(image - v)
-            v = image
-            if increment <= 1e-12 * max(1.0, cw.l2_norm(v)):
+            step = image - v
+            if cw.l2_norm(step) <= 1e-12 * max(1.0, cw.l2_norm(image)):
+                v = image
                 break
+            if previous is not None:
+                change = (step - previous).values
+                if np.dot(change, change) > 0.0:
+                    theta = -theta * np.dot(previous.values, change) / np.dot(change, change)
+                    theta = min(max(theta, 0.05), 2.0)
+            v, previous = v + theta * step, step
         assert solution.diagnostics.iterations == iterations
         assert solution.diagnostics.sigma_min == operator.smallest_singular_value()
         gap = cw.sup_norm(solution.w - (w0 + eps**2 * v))
@@ -252,6 +258,39 @@ def test_solve_wave_matches_the_toda_wave(eps, n):
     solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
     exact = _toda_wave(grid.nodes, eps)
     assert np.max(np.abs(solution.w.values - exact)) <= 1e-11 * np.max(exact)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("eps", [0.7, 0.85])
+def test_relaxed_solve_matches_the_toda_wave_far_from_the_limit(eps, n):
+    # where the plain iteration of the map stalled, the relaxed corrector
+    # meets the Toda chain's closed-form wave to 4.9e-12 (eps 0.7) and
+    # 1.3e-11 (eps 0.85) of the peak, in 19 and 26 map steps
+    model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
+    exact = _toda_wave(grid.nodes, eps)
+    assert np.max(np.abs(solution.w.values - exact)) <= 1e-10 * np.max(exact)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("name", ["M1", "M2", "M2-cubic", "M3-toda", "M1-toda2"])
+def test_default_solve_at_eps_one(name, n, model1, model2, model2_cubic, model3_toda):
+    # the top of the admissible range needs no setting: the default solve
+    # converges (22, 13, 12, 10 and 20 map steps) within the residual gate,
+    # and on the branch of w0, at most 0.45 ||w0|| from it (M1)
+    m1_toda2 = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
+    model = {"M1": model1, "M2": model2, "M2-cubic": model2_cubic, "M3-toda": model3_toda,
+             "M1-toda2": m1_toda2}[name]
+    grid = cw.make_grid(cw.default_half_length(model), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        solution = cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1.0))
+    assert solution.diagnostics.tw_residual <= solver.TOL_RESIDUAL
+    assert solution.diagnostics.iterations <= 50
+    assert cw.l2_norm(solution.w - solution.w0) < 0.5 * cw.l2_norm(solution.w0)
 
 
 @pytest.mark.parametrize(
@@ -321,33 +360,65 @@ def test_solve_wave_is_covariant_under_amplitude_scaling(name, model1, model2_cu
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
-@pytest.mark.parametrize("damping", [1.0, 0.7])
-def test_diverging_solve_fails_typed(n, damping):
-    # the Toda chain at eps 1.0 diverges; the solve stops at its first
-    # non-finite increment (steps 24 to 33 here) with NoConvergenceError
-    # instead of running its budget on NaN or passing an infinite ||v||
-    model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+@pytest.mark.parametrize("eps", [1.0])
+def test_diverging_solve_fails_typed(eps, n):
+    # the Toda chain with eight times the Toda remainder diverges at eps
+    # 1.0; the solve stops at its first non-finite increment (step 4 here)
+    # with NoConvergenceError instead of running its budget on NaN or
+    # passing an infinite ||v||
+    model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((8.0,)))
     grid = cw.make_grid(cw.default_half_length(model), n)
-    config = cw.SolveConfig(epsilon=1.0, damping=damping)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cw.CurvatureWarning)
         with pytest.raises(cw.NoConvergenceError, match="non-finite"):
-            cw.solve_wave(model, grid, config)
+            cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps))
 
 
-@pytest.mark.parametrize(("name", "rows"), [("M2", 68), ("M2-cubic", 84)])
+def test_fixed_point_off_the_branch_fails_typed(model1, grid1, monkeypatch):
+    # w = 0 is an exact zero of G_eps: a map that lands on v = -w0/eps^2
+    # has a fixed point whose traveling-wave residual passes the gate, and
+    # the branch gate, ||w - w0|| < ||w0|| / 2, turns it away
+    def onto_zero(model, v, operator, residual):
+        return -even_coefficients(operator.w0) / operator.eps**2
+
+    monkeypatch.setattr(solver, "fixed_point_map", onto_zero)
+    with pytest.raises(cw.NoConvergenceError, match="off the branch of w0"):
+        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2))
+
+
+def test_natural_fixed_point_off_the_branch_fails_typed():
+    # M1 with a unit cubic force at eps 1.0: the relaxed corrector settles
+    # at a zero of G_eps with ||w - w0|| = 2.7 ||w0|| (traveling-wave
+    # residual 2e-12), which is no continuation of w0; the solve fails typed
+    model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.cubic((1.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        with pytest.raises(cw.NoConvergenceError):
+            cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1.0))
+
+
+def test_solve_wave_residual_gate(model1, grid1, monkeypatch):
+    # increments stopped at a loose tolerance leave a traveling-wave
+    # residual of 1.4e-6, above the mandatory gate: the solve fails typed
+    monkeypatch.setattr(solver, "TOL", 1e-3)
+    with pytest.raises(cw.NoConvergenceError, match="traveling-wave residual"):
+        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.2))
+
+
+@pytest.mark.parametrize(("name", "rows"), [("M2", 60), ("M2-cubic", 74)])
 def test_sweep_row_forms_r_once(name, rows, model2, model2_cubic, transform_lengths):
     """A cold one-row sweep at eps 0.1, N = 1024 transforms the rows of its
-    cold solve (68 on M2, 80 on M2-cubic) and the 2M rows of S_eps that only
+    cold solve (60 on M2, 70 on M2-cubic) and the 2M rows of S_eps that only
     ``residuals`` forms when psi is not none: the solve takes R from the
-    row's ``residuals`` call, where forming R again took 2M more rows (72 and
-    88)."""
+    row's ``residuals`` call, where forming R again took 2M more rows (64 and
+    78)."""
     model = {"M2": model2, "M2-cubic": model2_cubic}[name]
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     linearized_operator.cache_clear()
     lengths = transform_lengths()
-    (row,) = cw.convergence_sweep(model, grid, [0.1], cw.SolveConfig(epsilon=0.1))
-    assert row.error is None and row.iterations == 6
+    (row,) = cw.convergence_sweep(model, grid, [0.1])
+    assert row.error is None and row.iterations == 5
     assert lengths == [1024] * rows
 
 
@@ -379,29 +450,36 @@ def test_solve_wave_convergence_order(model1, grid1):
 
 
 def test_solve_wave_deterministic(model1, grid1):
-    first = cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.15))
-    second = cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=0.15))
-    assert np.array_equal(first.w.values, second.w.values)
-    assert first.diagnostics == second.diagnostics
+    # also at eps 1.0, where every relaxation factor is measured, on M1 and
+    # on M1 with a Toda remainder of scale 2, each time from a cold cache
+    m1_toda2 = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
+    for model, eps in ((model1, 0.15), (model1, 1.0), (m1_toda2, 1.0)):
+        grid = grid1 if model is model1 else cw.make_grid(cw.default_half_length(model), 1024)
+        runs = []
+        for _ in range(2):
+            linearized_operator.cache_clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", cw.CurvatureWarning)
+                runs.append(cw.solve_wave(model, grid, cw.SolveConfig(epsilon=eps)))
+        assert runs[0].w.values.tobytes() == runs[1].w.values.tobytes()
+        assert runs[0].diagnostics == runs[1].diagnostics
 
 
-def test_solve_wave_no_convergence_budget(model1, grid1):
-    # M1 at eps 1.0 with damping 1.0 stalls near an increment of 3.6e-11,
-    # above its TOL budget, and runs out of steps
-    with pytest.raises(cw.NoConvergenceError, match=f"after {solver.MAX_ITERATIONS} iterations"):
+def test_solve_wave_no_convergence_budget(model1, grid1, monkeypatch):
+    # M1 at eps 1.0 takes 22 relaxed map steps; on a budget of 10 it runs
+    # out of steps with its increment still above TOL
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 10)
+    with pytest.raises(cw.NoConvergenceError, match="after 10 iterations"):
         cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=1.0))
 
 
-def test_solve_wave_that_does_not_contract_spends_the_budget():
-    # with a toda remainder of scale 2, M1's map at eps 1.0 does not
-    # contract: its increments stay O(1) (5.981e-01 at the end), and the
-    # solve ends after all 200 map steps
-    model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
-    grid = cw.make_grid(cw.default_half_length(model), 1024)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cw.CurvatureWarning)
-        with pytest.raises(cw.NoConvergenceError, match="after 200 iterations") as info:
-            cw.solve_wave(model, grid, cw.SolveConfig(epsilon=1.0))
+def test_solve_wave_that_does_not_contract_spends_the_budget(model1, grid1, monkeypatch):
+    # a map with no fixed point, v -> v + R: its increments are all R, so
+    # their difference is 0, the relaxation factor keeps its value, and the
+    # solve ends after all 200 map steps with an O(1) increment
+    monkeypatch.setattr(solver, "fixed_point_map", lambda model, v, operator, residual: v + residual)
+    with pytest.raises(cw.NoConvergenceError, match="after 200 iterations") as info:
+        cw.solve_wave(model1, grid1, cw.SolveConfig(epsilon=1.0))
     increment = float(str(info.value).split(" at ")[1].split()[0])
     assert increment > 0.1
 
@@ -409,13 +487,12 @@ def test_solve_wave_that_does_not_contract_spends_the_budget():
 def _recorded(call):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(cw.NoConvergenceError):
-            call()
+        call()
     return caught
 
 
 def test_solve_wave_warns_about_curvature_once():
-    # M1-toda at eps 1.0 leaves |r| <= 1 on several of its 200 iterations,
+    # M1-toda at eps 1.0 leaves |r| <= 1 on several of its 20 iterations,
     # each time with another |r|; the solve reports only the largest
     model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
     grid = cw.make_grid(cw.default_half_length(model), 1024)
@@ -581,8 +658,7 @@ def test_no_polyfit_in_solve_transport_verify(model1, grid1, monkeypatch):
 
 
 def test_convergence_sweep_rows(model1, grid1):
-    config = cw.SolveConfig(epsilon=0.4)
-    rows = cw.convergence_sweep(model1, grid1, (0.4, 0.2, 0.1, 0.05), config)
+    rows = cw.convergence_sweep(model1, grid1, (0.4, 0.2, 0.1, 0.05))
     assert len(rows) == 4
     assert rows[0].order_l2 is None and rows[0].order_sup is None
     for row in rows[1:]:
@@ -599,27 +675,31 @@ def test_convergence_sweep_to_small_eps(model2):
     # down to eps 1e-3 every row converges, at C7's order rule 2 +- 0.3
     grid = cw.make_grid(cw.default_half_length(model2), 1024)
     schedule = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
-    rows = cw.convergence_sweep(model2, grid, schedule, cw.SolveConfig(epsilon=0.1))
+    rows = cw.convergence_sweep(model2, grid, schedule)
     assert [row.error for row in rows] == [None] * len(schedule)
     for row in rows[1:]:
         assert abs(row.order_l2 - 2.0) <= 0.3 and abs(row.order_sup - 2.0) <= 0.3
 
 
 def test_convergence_sweep_single_row(model1, grid1):
-    rows = cw.convergence_sweep(model1, grid1, (0.2,), cw.SolveConfig(epsilon=0.2))
+    rows = cw.convergence_sweep(model1, grid1, (0.2,))
     assert len(rows) == 1
     assert rows[0].order_l2 is None
 
 
 def test_convergence_sweep_rejects_increasing(model1, grid1):
     with pytest.raises(ValueError):
-        cw.convergence_sweep(model1, grid1, (0.1, 0.2), cw.SolveConfig(epsilon=0.1))
+        cw.convergence_sweep(model1, grid1, (0.1, 0.2))
 
 
-def test_convergence_sweep_partial_failure(model1, grid1):
-    # a failing row is marked and the sweep continues: M1 runs out of steps
-    # at eps 1.0 and solves at 0.4
-    rows = cw.convergence_sweep(model1, grid1, (1.0, 0.4), cw.SolveConfig(epsilon=1.0))
+def test_convergence_sweep_partial_failure():
+    # a failing row is marked and the sweep continues: the Toda chain has
+    # no solve at eps 1.0 and solves at 0.4
+    model = cw.ChainModel((1.0,), (0.5,), cw.PsiFamily.toda_remainder((1.0,)))
+    grid = cw.make_grid(cw.default_half_length(model), 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cw.CurvatureWarning)
+        rows = cw.convergence_sweep(model, grid, (1.0, 0.4))
     assert [row.error for row in rows] == ["NoConvergence", None]
     assert rows[0].residual_norm_rs > 0.0 and rows[0].iterations is None
     assert rows[1].iterations > 0 and rows[1].tw_residual <= solver.TOL_RESIDUAL
@@ -628,14 +708,14 @@ def test_convergence_sweep_partial_failure(model1, grid1):
 
 def test_convergence_sweep_warns_about_curvature_once_per_row():
     # each row's residuals and solve push |r| above 1 at several places; the
-    # sweep reports only the largest |r| of each row
+    # sweep reports only the largest |r| of each row, and both rows solve
     model = cw.ChainModel((1.0,), (1.0,), cw.PsiFamily.toda_remainder((2.0,)))
     grid = cw.make_grid(cw.default_half_length(model), 1024)
     schedule = (1.0, 0.9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = cw.convergence_sweep(model, grid, schedule, cw.SolveConfig(epsilon=1.0))
-    assert [row.error for row in rows] == ["NoConvergence"] * len(schedule)
+        rows = cw.convergence_sweep(model, grid, schedule)
+    assert [row.error for row in rows] == [None] * len(schedule)
     assert [w.category for w in caught] == [cw.CurvatureWarning] * len(schedule)
 
 
@@ -664,8 +744,7 @@ def test_convergence_sweep_keeps_no_operator(model2_cubic):
     # against 425 kB; the rest is the symbol caches of the extra rows
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     schedule = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025)
-    config = cw.SolveConfig(epsilon=0.4)
-    cw.convergence_sweep(model2_cubic, grid, schedule[:2], config)
+    cw.convergence_sweep(model2_cubic, grid, schedule[:2])
     held, left = _traced_after(
         lambda: cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=0.15)),
         linearized_operator.cache_clear,
@@ -675,7 +754,7 @@ def test_convergence_sweep_keeps_no_operator(model2_cubic):
         for cache in (linearized_operator, operators.averaging_stack, operators.averaging_symbol,
                       operators._b_diagonal):
             cache.cache_clear()
-        kept += _traced_after(lambda: cw.convergence_sweep(model2_cubic, grid, schedule[:rows], config))
+        kept += _traced_after(lambda: cw.convergence_sweep(model2_cubic, grid, schedule[:rows]))
         assert linearized_operator.cache_info().currsize == 0
     assert kept[1] - kept[0] < held - left
 
@@ -688,12 +767,11 @@ def test_convergence_sweep_holds_each_window_symbol_once(model2_cubic):
     # copies of the stacked symbols when the stacks were built from it)
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     schedule = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025)
-    config = cw.SolveConfig(epsilon=0.4)
-    cw.convergence_sweep(model2_cubic, grid, schedule, config)
+    cw.convergence_sweep(model2_cubic, grid, schedule)
     for cache in (operators.averaging_stack, operators.averaging_symbol):
         cache.cache_clear()
     kept = _traced_after(
-        lambda: cw.convergence_sweep(model2_cubic, grid, schedule, config),
+        lambda: cw.convergence_sweep(model2_cubic, grid, schedule),
         operators.averaging_stack.cache_clear,
         operators.averaging_symbol.cache_clear,
     )
@@ -712,7 +790,7 @@ def test_convergence_sweep_rows_equal_cached_solves(model2_cubic):
     grid = cw.make_grid(cw.default_half_length(model2_cubic), 1024)
     w0 = cw.kdv_profile(model2_cubic, grid)
     linearized_operator.cache_clear()
-    rows = cw.convergence_sweep(model2_cubic, grid, (0.4, 0.2, 0.1, 0.05), cw.SolveConfig(epsilon=0.4))
+    rows = cw.convergence_sweep(model2_cubic, grid, (0.4, 0.2, 0.1, 0.05))
     for row in rows:
         linearized_operator.cache_clear()
         solution = cw.solve_wave(model2_cubic, grid, cw.SolveConfig(epsilon=row.epsilon))
