@@ -20,12 +20,15 @@ to the loaded config, runs the command, writes its report, prints its
 summary unless ``--quiet``, and is the one place that turns an error into an
 exit code and a stderr line: 0 ok, 1 property/threshold failure, 2 config
 error, 3 solver error, 4 I/O error (the report write), 5 window error.
+Warnings raised while a command runs go to stderr as one
+``warning: <message>`` line each.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import NoReturn
 
@@ -440,23 +443,30 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line, with no source path."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one command line and return its exit code (see the module docstring)."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    try:
-        config = load_config(args.config)
-        path, fmt = args.output or config.output.path, args.format or config.output.format
-        config = replace(config, output=OutputSettings(path, fmt))
-        if args.epsilon is not None:
-            epsilon = _epsilon(args.epsilon, "--epsilon")
-            config = replace(config, epsilon=epsilon, epsilon_list=None)
-        code, report, summary = _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
-    except WindowOverflowError as exc:
-        return _fail(EXIT_WINDOW_ERROR, f"window error: {exc}")
-    except ChainwavesError as exc:
-        return _fail(EXIT_SOLVER_ERROR, f"solver error: {type(exc).__name__}: {exc}")
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            config = load_config(args.config)
+            path, fmt = args.output or config.output.path, args.format or config.output.format
+            config = replace(config, output=OutputSettings(path, fmt))
+            if args.epsilon is not None:
+                epsilon = _epsilon(args.epsilon, "--epsilon")
+                config = replace(config, epsilon=epsilon, epsilon_list=None)
+            code, report, summary = _COMMANDS[args.command](config)
+        except ConfigError as exc:
+            return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
+        except WindowOverflowError as exc:
+            return _fail(EXIT_WINDOW_ERROR, f"window error: {exc}")
+        except ChainwavesError as exc:
+            return _fail(EXIT_SOLVER_ERROR, f"solver error: {type(exc).__name__}: {exc}")
     if report is not None:
         try:
             with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -57,6 +57,19 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert "NoConvergence" in capsys.readouterr().err
 
 
+def test_warnings_print_as_one_line(tmp_path, capsys):
+    # a warning reaches stderr as one "warning: <message>" line, with no
+    # source path or source line: here the one curvature warning of the
+    # failed Toda solve, then its error line
+    path, _ = base_config(tmp_path, model=TODA, solver={"epsilon": 1.0}, grid={"num_points": 1024})
+    assert cli.main(["solve", "--config", str(path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("warning: higher-order force argument reaches |r| = "), lines
+    assert lines[1].startswith("solver error: NoConvergenceError: "), lines
+    assert ".py" not in "".join(lines)
+
+
 def test_solve_json_format(tmp_path):
     path, _ = base_config(tmp_path)
     out = tmp_path / "out.json"
